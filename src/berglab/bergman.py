@@ -32,6 +32,7 @@ from .errors import (
     NoSecondPointError,
     OutsideDomainError,
     PolesTooCloseError,
+    PreconditionViolatedError,
     RankCollapseError,
     ScaleNotRetainedError,
 )
@@ -334,7 +335,7 @@ def witness_metric_bound(domain: ZalcmanDomain, w: complex, variant: str = "two_
     b(w) * sqrt(K(w)) there.
     """
     if domain.variant != "superset":
-        raise ValueError("witness norms are integrated on the superset variant")
+        raise PreconditionViolatedError("witness norms are integrated on the superset variant")
     xs = domain.xs
     aw = abs(w)
     k = None

@@ -48,10 +48,25 @@ def format_float(x) -> str:
     return repr(v)
 
 
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_float(v) if not isinstance(v, str) else v for v in row))
+def format_column(col) -> list[str]:
+    """``format_float`` of every cell; strings pass through.
+
+    A float array skips the per-cell dispatch: ``repr`` of a Python float is
+    exactly what ``format_float`` writes for it, ``nan`` included.  Each
+    distinct double is formatted once, keyed on its bits so that ``-0.0``
+    and ``0.0`` (equal as floats) keep their own text."""
+    if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+        bits = np.ascontiguousarray(col, dtype=float).ravel().view(np.int64)
+        uniq, inverse = np.unique(bits, return_inverse=True)
+        text = np.array(list(map(repr, uniq.view(float).tolist())), dtype=object)
+        return text[inverse].tolist()
+    return [v if isinstance(v, str) else format_float(v) for v in col]
+
+
+def write_csv(path: Path, header: list[str], columns) -> None:
+    """One CSV line per row; ``columns`` holds one equal-length sequence per
+    header field (``zip(*rows)`` turns a list of rows into columns)."""
+    lines = [",".join(header), *map(",".join, zip(*map(format_column, columns), strict=True))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -64,6 +79,9 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
+    # bool before int: bool is a subclass of int
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
@@ -72,8 +90,6 @@ def _jsonable(obj):
         return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     return obj
 
 
@@ -158,7 +174,7 @@ def run_selfcheck(cfg: dict, out: Path, profile: dict) -> dict:
     mc = mc_integral(domain_contains_vectorized(disk), lambda z: np.ones_like(z, dtype=float), 1.0, 200_000, seed)
     all_ok &= check("mc_disk_area", mc, math.pi, 0.02)
 
-    write_csv(out / "selfcheck.csv", ["check", "value", "target", "rel_tol", "status"], rows)
+    write_csv(out / "selfcheck.csv", ["check", "value", "target", "rel_tol", "status"], zip(*rows))
     return {"all_pass": bool(all_ok), "checks": len(rows), "outputs": ["selfcheck.csv"]}
 
 
@@ -203,7 +219,7 @@ def run_capacity(cfg: dict, out: Path, profile: dict) -> dict:
     write_json(out / "capacity_report.json", report)
     outputs = ["capacity_report.json"]
     if rows:
-        write_csv(out / "measure.csv", ["re", "im", "weight"], [list(r) for r in rows])
+        write_csv(out / "measure.csv", ["re", "im", "weight"], zip(*rows))
         outputs.append("measure.csv")
     return {"value": est.value, "outputs": outputs}
 
@@ -217,23 +233,15 @@ def run_perfect(cfg: dict, out: Path, profile: dict) -> dict:
     family = cfg.get("family") or cfg["domain"].get("family", "h1")
     param = float(cfg.get("param", cfg["domain"].get("alpha", cfg["domain"].get("beta", 0.0))))
     eps = cfg.get("eps_list", [0.1])
-    rep = perfectness.classify_weak_perfectness(domain, family, param, eps)
-    uc = perfectness.uc_report(domain, family, param, eps=float(eps[0]), n=profile["n_cap"])
-    write_json(out / "perfect_report.json", {"classification": rep, "uc": {k: v for k, v in uc.items() if k != "rows"}})
-    table = uc["rows"]
-    write_csv(
-        out / "condition_C.csv",
-        ["a_re", "a_im", "r", "cap", "ratio"],
-        [[r["a_re"], r["a_im"], r["r"], r["cap"], r["ratio"]] for r in table],
-    )
-    _, prof_table = perfectness.best_constant_profile(
-        domain, perfectness._family_scale(family, param)
-    )
-    write_csv(
-        out / "c_star_profile.csv",
-        ["a_re", "a_im", "r", "c_star"],
-        [[r["a_re"], r["a_im"], r["r"], r["c_star"]] for r in prof_table],
-    )
+    c_star = perfectness.best_constant_profile(domain, perfectness._family_scale(family, param))
+    uc = perfectness.uc_report(domain, family, param, eps, n=profile["n_cap"], profile=c_star)
+    rep, rows = uc.pop("classification"), uc.pop("rows")
+    write_json(out / "perfect_report.json", {"classification": rep, "uc": uc})
+    header = ["a_re", "a_im", "r", "cap", "ratio"]
+    write_csv(out / "condition_C.csv", header, [[r[k] for r in rows] for k in header])
+    _, table = c_star
+    header = ["a_re", "a_im", "r", "c_star"]
+    write_csv(out / "c_star_profile.csv", header, [table[k] for k in header])
     return {
         "satisfied": rep["satisfied"],
         "weakened_failed": all(f["failed"] for f in rep["failures"]),
@@ -268,7 +276,7 @@ def run_pommerenke(cfg: dict, out: Path, profile: dict) -> dict:
     write_csv(
         out / "chain_points.csv",
         ["re", "im", "word"],
-        [[z.real, z.imag, "".join(map(str, wd))] for z, wd in zip(cert.points, cert.words)],
+        [cert.points.real, cert.points.imag, ["".join(map(str, wd)) for wd in cert.words]],
     )
     return {
         "pairwise_ok": cert.pairwise_ok,
@@ -304,7 +312,9 @@ def run_kernel(cfg: dict, out: Path, profile: dict) -> dict:
             except BerglabError:
                 eq = math.nan
         rows.append([k, x, sub, wit, eq])
-    write_csv(out / "kernel_sweep.csv", ["k", "x", "K_low", "witness_bound", "equilibrium_bound"], rows)
+    write_csv(
+        out / "kernel_sweep.csv", ["k", "x", "K_low", "witness_bound", "equilibrium_bound"], zip(*rows)
+    )
     models = cfg.get("models", ["K1", "K2"])
     column = cfg.get("fit_column", "K_low")
     col_idx = {"K_low": 2, "witness_bound": 3, "equilibrium_bound": 4}[column]
@@ -341,7 +351,7 @@ def run_metric(cfg: dict, out: Path, profile: dict) -> dict:
             ratio = math.nan
         rows.append([k, x, est.K_low, est.S_low, est.b_est, ratio])
     write_csv(
-        out / "metric_sweep.csv", ["k", "x", "K_low", "S_low", "b_est", "witness_ratio"], rows
+        out / "metric_sweep.csv", ["k", "x", "K_low", "S_low", "b_est", "witness_ratio"], zip(*rows)
     )
     return {"points": len(rows), "quad": gs.quad.to_json_dict(), "outputs": ["metric_sweep.csv"]}
 
@@ -353,11 +363,8 @@ def run_distance(cfg: dict, out: Path, profile: dict) -> dict:
     spec = bergman.default_basis(domain, degree=int(cfg.get("degree", 8)))
     gs = bergman.assemble_gram(domain, spec, tol=profile["quad_tol"])
     rows = bergman.distance_profile(domain, ks, per_band=profile["per_band"], gram=gs)
-    write_csv(
-        out / "distance_profile.csv",
-        ["k", "x", "b_est", "K_low", "d_est"],
-        [[r["k"], r["x"], r["b_est"], r["K_low"], r["d_est"]] for r in rows],
-    )
+    header = ["k", "x", "b_est", "K_low", "d_est"]
+    write_csv(out / "distance_profile.csv", header, [[r[k] for r in rows] for k in header])
     incr = bergman.band_increments(rows)
     samples = [(r["x"], r["d_est"]) for r in rows if r["d_est"] > 0]
     fit_report = {"band_increments": {str(k): v for k, v in incr.items()}}
@@ -416,7 +423,7 @@ RUNNERS = {
 # ---------------------------------------------------------------------------
 
 
-def run(cfg: dict, out_dir: str, tolerance_profile: str = "default", threads: int = 1) -> dict:
+def run(cfg: dict, out_dir: str, tolerance_profile: str = "default") -> dict:
     """Execute one pipeline; returns the manifest dictionary."""
     cfg = validate_config(cfg)
     profile = TOLERANCE_PROFILES[tolerance_profile]
@@ -438,7 +445,6 @@ def run(cfg: dict, out_dir: str, tolerance_profile: str = "default", threads: in
         "seed": cfg.get("seed"),
         "tolerance_profile": tolerance_profile,
         "tolerances": profile,
-        "threads": threads,
         "outputs": outputs,
         "wall_time_s": wall,
         "status": "ok",
@@ -453,7 +459,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON experiment config")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1, help="advisory; recorded in the manifest")
     parser.add_argument(
         "--tolerance-profile",
         choices=sorted(TOLERANCE_PROFILES),
@@ -468,7 +473,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.seed is not None:
         cfg["seed"] = args.seed
     try:
-        manifest = run(cfg, args.out, args.tolerance_profile, threads=args.threads)
+        manifest = run(cfg, args.out, args.tolerance_profile)
     except ConfigInvalidError as exc:
         print(json.dumps({"error": "ConfigInvalid", "message": str(exc)}), file=sys.stderr)
         return 2

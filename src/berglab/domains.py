@@ -216,19 +216,28 @@ class IntervalUnion:
             return True
         return bool(self.points.size and np.any((self.points >= lo) & (self.points <= hi)))
 
-    def sup_at_most(self, hi: float, positive: bool = True) -> float:
+    def sup_at_most(self, hi, positive: bool = True):
         """Largest element <= hi (0.0 if none). With positive=True, the element
         must be approachable through positive values (an interval reaching
-        above 0, or a positive point)."""
-        best = 0.0
-        for lo, h in self.intervals:
-            if lo <= hi and h > 0:
-                best = max(best, min(h, hi))
+        above 0, or a positive point).
+
+        ``hi`` may be a scalar (float returned) or an array (array returned).
+        The intervals are sorted and disjoint, so their tops increase and the
+        answer from the intervals is min(top, hi) of the last one starting at
+        or below hi; the last point at or below hi is the point candidate.
+        """
+        q = np.asarray(hi, dtype=float)
+        best = np.zeros(q.shape)
+        if self.intervals.size:
+            j = np.searchsorted(self.intervals[:, 0], q, side="right") - 1
+            cand = np.minimum(self.intervals[np.maximum(j, 0), 1], q)
+            best = np.where((j >= 0) & (cand > best), cand, best)
         if self.points.size:
-            pts = self.points[(self.points <= hi) & (self.points > (0.0 if positive else -1.0))]
-            if pts.size:
-                best = max(best, float(pts[-1]))
-        return best
+            j = np.searchsorted(self.points, q, side="right") - 1
+            cand = self.points[np.maximum(j, 0)]
+            floor = 0.0 if positive else -1.0
+            best = np.where((j >= 0) & (cand > floor) & (cand > best), cand, best)
+        return best if q.ndim else float(best)
 
     def inf_at_least(self, lo: float) -> Optional[float]:
         """Smallest element >= lo, or None."""

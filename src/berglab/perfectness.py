@@ -24,7 +24,12 @@ import numpy as np
 
 from .capacity import capacity_via_transfinite, clamp_schedule
 from .domains import CantorSet, CircleDomain, ScaleFunction, ZalcmanDomain
-from .errors import AnnulusEmptyError, EmptySetError, NotBoundaryPointError
+from .errors import (
+    AnnulusEmptyError,
+    EmptySetError,
+    NotBoundaryPointError,
+    PreconditionViolatedError,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -120,12 +125,14 @@ def best_constant_profile(
     a_samples: Optional[np.ndarray] = None,
     r_per_decade: int = 16,
     r_min: Optional[float] = None,
-) -> tuple[float, list[dict]]:
+) -> tuple[float, dict[str, np.ndarray]]:
     """Tabulate c_star(a, r) over boundary samples and log-spaced radii.
 
-    Returns (inf over the table, table).  Missing deep structure can only
-    make true c_star larger, so the inf is a certified lower profile of the
-    underlying domain's constant over the probed range.
+    Returns (inf over the table, table).  The table holds the columns
+    ``a_re``, ``a_im``, ``r`` and ``c_star`` as equal-length arrays, one row
+    per (sample, radius) pair, samples outer.  Missing deep structure can
+    only make true c_star larger, so the inf is a certified lower profile of
+    the underlying domain's constant over the probed range.
     """
     if a_samples is None:
         a_samples = default_boundary_samples(domain)
@@ -136,16 +143,20 @@ def best_constant_profile(
     if r_min is None:
         r_min = resolved_r_min(domain)
     radii = log_spaced_radii(r_min, r0, r_per_decade)
-    table = []
-    global_min = math.inf
-    for a in a_samples:
-        spec = domain.distance_spectrum(a)
-        for r in radii:
-            best = spec.sup_at_most(float(r))
-            cs = best / h.value(float(r))
-            table.append({"a_re": a.real, "a_im": a.imag, "r": float(r), "c_star": cs})
-            global_min = min(global_min, cs)
-    return global_min, table
+    # scalar h.value per radius: np.log/np.exp may differ from math in the last ulp
+    hr = np.array([h.value(r) for r in radii.tolist()])
+    a_samples = np.asarray(a_samples, dtype=complex).ravel()
+    c_star = np.empty((a_samples.size, radii.size))
+    for i, a in enumerate(a_samples):
+        c_star[i] = domain.distance_spectrum(a).sup_at_most(radii) / hr
+    table = {
+        "a_re": np.repeat(a_samples.real, radii.size),
+        "a_im": np.repeat(a_samples.imag, radii.size),
+        "r": np.tile(radii, a_samples.size),
+        "c_star": c_star.ravel(),
+    }
+    # NaN-skipping, like a running min(); inf for an empty table
+    return float(np.fmin.reduce(c_star.ravel(), initial=math.inf)), table
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +190,10 @@ def exact_empty_annulus(domain: ZalcmanDomain, k: int, c: float, h_test: ScaleFu
     upper_inhabited = xs[k] + rs[k]  # x_{k+1} + r_{k+1}
     lower_clear = xs[k - 1] - rs[k - 1]  # x_k - r_k
     if lo > upper_inhabited and r < lower_clear:
-        spec = domain.distance_spectrum(0j)
-        assert not spec.intersects(lo, r)  # cross-check against the spectrum
+        if domain.distance_spectrum(0j).intersects(lo, r):
+            raise PreconditionViolatedError(
+                f"scale {k}: certified empty annulus [{lo}, {r}] meets the distance spectrum of 0"
+            )
         return {"k": k, "r": r, "c": c, "annulus_lo": lo, "gap_top": float(upper_inhabited)}
     return None
 
@@ -191,6 +204,7 @@ def classify_weak_perfectness(
     param: float,
     eps_list: Sequence[float],
     c_grid: Sequence[float] = (1.0, 0.5, 0.25),
+    profile: Optional[tuple[float, dict]] = None,
 ) -> dict:
     """Check the annulus condition for h_{family,param} and exhibit exact
     failure witnesses for each weakened parameter in eps_list.
@@ -199,18 +213,24 @@ def classify_weak_perfectness(
     c in c_grid, some resolved scale carries a certified empty annulus, and
     the c_star profile along the witness radii x_k/2 is strictly decreasing
     at the tail.  All comparisons are plain interval arithmetic.
+
+    ``profile`` is ``best_constant_profile(domain, h_{family,param})`` when
+    the caller already has it; it is computed here otherwise.
     """
-    h_own = _family_scale(family, param)
-    cs_global, table = best_constant_profile(domain, h_own)
+    if profile is None:
+        profile = best_constant_profile(domain, _family_scale(family, param))
+    cs_global, table = profile
     report = {
         "family": family,
         "param": param,
         "satisfied": bool(cs_global > 0.0),
         "c_star_global": cs_global,
-        "table_size": len(table),
+        "table_size": int(table["c_star"].size),
         "failures": [],
     }
     spec0 = domain.distance_spectrum(0j)
+    tail_radii = [float(domain.xs[k - 1]) / 2.0 for k in range(max(1, domain.K - 4), domain.K)]
+    tail_sup = spec0.sup_at_most(np.asarray(tail_radii)).tolist()
     for eps in eps_list:
         h_weak = _family_scale(family, param - eps)
         witnesses = []
@@ -226,10 +246,7 @@ def classify_weak_perfectness(
             if found is not None:
                 witnesses.append(found)
         # c_star along witness radii r = x_k/2 decreasing at the tail
-        tail = []
-        for k in range(max(1, domain.K - 4), domain.K):
-            r = float(domain.xs[k - 1]) / 2.0
-            tail.append(spec0.sup_at_most(r) / h_weak.value(r))
+        tail = [s / h_weak.value(r) for s, r in zip(tail_sup, tail_radii)]
         decreasing = all(a > b for a, b in zip(tail, tail[1:]))
         report["failures"].append(
             {
@@ -571,12 +588,18 @@ def uc_report(
     domain: ZalcmanDomain,
     family: str,
     param: float,
-    eps: float = 0.1,
+    eps_list: Sequence[float] = (0.1,),
     n: int = 64,
+    profile: Optional[tuple[float, dict]] = None,
 ) -> dict:
     """One-page diagnostic: annulus-condition classification on one side,
-    capacity-density constants and exponents on the other."""
-    cls = classify_weak_perfectness(domain, family, param, [eps])
+    capacity-density constants and exponents on the other.
+
+    The full classification over ``eps_list`` is returned under
+    ``classification``; ``U_weakened_failed`` reports its first entry.
+    ``profile`` is passed on to ``classify_weak_perfectness``.
+    """
+    cls = classify_weak_perfectness(domain, family, param, eps_list, profile=profile)
     h = _family_scale(family, param)
     radii = []
     xs = domain.xs
@@ -590,6 +613,7 @@ def uc_report(
         "U_satisfied": cls["satisfied"],
         "c_star_global": cls["c_star_global"],
         "U_weakened_failed": cls["failures"][0]["failed"],
+        "classification": cls,
         "C_ratio_inf": prof["ratio_inf"],
         "C_slope": prof["slope"],
         "rows": prof["rows"],

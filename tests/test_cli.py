@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from berglab import perfectness
 from berglab.cli import main, run, validate_config
 from berglab.errors import ConfigInvalidError
 
@@ -56,6 +57,52 @@ def test_pommerenke_pipeline(tmp_path):
     cert = json.loads((tmp_path / "pommerenke_certificate.json").read_text())
     assert cert["pairwise_ok"] and cert["points"] == 32
     assert man["summary"]["floor_below_measured"]
+
+
+SMALL_H1 = {"type": "zalcman", "family": "h1", "alpha": 1.5, "x1": 1e-2, "K": 6}
+
+
+def test_perfect_computes_profile_once(tmp_path, monkeypatch):
+    calls = []
+    inner = perfectness.best_constant_profile
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(perfectness, "best_constant_profile", counted)
+    run({"pipeline": "perfect", "domain": SMALL_H1, "eps_list": [0.1, 0.2]}, str(tmp_path), "fast")
+    assert len(calls) == 1
+    rep = json.loads((tmp_path / "perfect_report.json").read_text())
+    lines = (tmp_path / "c_star_profile.csv").read_text().splitlines()
+    assert lines[0] == "a_re,a_im,r,c_star"
+    assert len(lines) - 1 == rep["classification"]["table_size"]
+    assert [f["eps"] for f in rep["classification"]["failures"]] == [0.1, 0.2]
+    assert rep["uc"]["U_weakened_failed"] == rep["classification"]["failures"][0]["failed"]
+
+
+def test_json_booleans_stay_booleans(tmp_path):
+    run({"pipeline": "perfect", "domain": SMALL_H1}, str(tmp_path / "p"), "fast")
+    rep = json.loads((tmp_path / "p" / "perfect_report.json").read_text())
+    assert rep["classification"]["satisfied"] is True
+    assert rep["uc"]["U_satisfied"] is True
+    cfg = {"pipeline": "pommerenke", "domain": {**SMALL_H1, "K": 10}, "k": 3, "s1": 1e-3}
+    run(cfg, str(tmp_path / "c"), "fast")
+    cert = json.loads((tmp_path / "c" / "pommerenke_certificate.json").read_text())
+    assert cert["pairwise_ok"] is True
+
+
+def test_metric_on_sandwich_records_nan_witness(tmp_path, capsys):
+    cfg = {"pipeline": "metric", "domain": {**SMALL_H1, "variant": "sandwich"}, "k_range": [2, 4]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = main(["--config", str(cfg_path), "--out", str(tmp_path / "o"), "--tolerance-profile", "fast"])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    lines = (tmp_path / "o" / "metric_sweep.csv").read_text().splitlines()
+    assert lines[0].split(",")[-1] == "witness_ratio"
+    assert len(lines) == 4
+    assert all(ln.split(",")[-1] == "nan" for ln in lines[1:])
 
 
 def test_perfect_pipeline_cantor(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from berglab.domains import (
     CircleDomain,
@@ -292,6 +294,78 @@ def test_interval_union_merge_and_queries():
     assert u.inf_at_least(1.5) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         IntervalUnion.build([(-0.1, 0.2)])
+
+
+def sup_at_most_loop(u, hi, positive=True):
+    """Brute-force reference: scan every interval and point."""
+    best = 0.0
+    for lo, top in u.intervals:
+        if lo <= hi and top > 0:
+            best = max(best, min(top, hi))
+    if u.points.size:
+        pts = u.points[(u.points <= hi) & (u.points > (0.0 if positive else -1.0))]
+        if pts.size:
+            best = max(best, float(pts[-1]))
+    return best
+
+
+# endpoints on a quarter grid make touching and overlapping intervals common
+grid_value = st.integers(0, 16).map(lambda k: k / 4.0)
+any_value = st.one_of(grid_value, st.floats(0.0, 5.0))
+interval = st.tuples(any_value, any_value).map(sorted).map(tuple)
+unions = st.builds(
+    IntervalUnion.build,
+    st.lists(interval, max_size=6),
+    st.lists(any_value, max_size=4),
+)
+
+
+def same_float(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def union_queries(u, extra):
+    """Every interval end and point, a step below the first element, and
+    extra values."""
+    qs = list(u.intervals.ravel()) + list(u.points) + list(extra)
+    if u.intervals.size or u.points.size:
+        qs.append(u.min() - 0.125)
+    return [float(q) for q in qs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(unions, st.lists(st.floats(-1.0, 6.0), max_size=4), st.booleans())
+def test_sup_at_most_scalar_matches_loop(u, extra, positive):
+    for q in union_queries(u, extra):
+        got = u.sup_at_most(q, positive=positive)
+        assert isinstance(got, float)
+        assert same_float(got, sup_at_most_loop(u, q, positive))
+
+
+@settings(max_examples=200, deadline=None)
+@given(unions, st.lists(st.floats(-1.0, 6.0), max_size=4), st.booleans())
+def test_sup_at_most_array_matches_loop(u, extra, positive):
+    qs = union_queries(u, extra)
+    got = u.sup_at_most(np.asarray(qs), positive=positive)
+    assert isinstance(got, np.ndarray) and got.shape == (len(qs),)
+    for g, q in zip(got.tolist(), qs):
+        assert same_float(g, sup_at_most_loop(u, q, positive))
+
+
+def test_sup_at_most_edge_cases():
+    empty = IntervalUnion.build([])
+    assert empty.sup_at_most(1.0) == 0.0
+    assert empty.sup_at_most(np.array([0.0, 1.0])).tolist() == [0.0, 0.0]
+    touching = IntervalUnion.build([(0.5, 1.0), (1.0, 2.0)])
+    assert touching.intervals.tolist() == [[0.5, 2.0]]
+    assert touching.sup_at_most(0.25) == 0.0  # below the first interval
+    assert touching.sup_at_most(0.5) == 0.5  # exactly at its bottom
+    assert touching.sup_at_most(3.0) == 2.0
+    origin = IntervalUnion.build([], points=[0.0, 0.75])
+    for positive in (True, False):
+        assert origin.sup_at_most(0.5, positive=positive) == 0.0
+        assert origin.sup_at_most(0.75, positive=positive) == 0.75
+    assert same_float(IntervalUnion.build([(0.0, 1.0)]).sup_at_most(-0.0), 0.0)
 
 
 def test_domain_json_roundtrip():

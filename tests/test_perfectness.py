@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from berglab.domains import CircleDomain, ScaleFunction, build_cantor, build_zalcman
-from berglab.errors import AnnulusEmptyError, NotBoundaryPointError
+from berglab.domains import (
+    CircleDomain,
+    IntervalUnion,
+    ScaleFunction,
+    ZalcmanDomain,
+    build_cantor,
+    build_zalcman,
+)
+from berglab.errors import AnnulusEmptyError, NotBoundaryPointError, PreconditionViolatedError
 from berglab.perfectness import (
     annulus_condition,
     best_constant_profile,
@@ -105,7 +112,7 @@ def test_profile_positive_for_matching_family():
     dom = build_zalcman(ScaleFunction.h1(2.0), 0.1, K=6)
     cs, table = best_constant_profile(dom, ScaleFunction.h1(2.0), r0=0.05)
     assert cs > 0.0
-    assert len(table) > 100
+    assert len(table["c_star"]) > 100
 
 
 def test_profile_unit_disk_uniformly_perfect():
@@ -153,6 +160,13 @@ def test_exact_empty_annulus_bounds(h1_domain):
     assert exact_empty_annulus(h1_domain, h1_domain.K, 1.0, ScaleFunction.h1(1.4)) is None
     cert = exact_empty_annulus(h1_domain, h1_domain.K - 1, 1.0, ScaleFunction.h1(1.4))
     assert cert is not None and cert["annulus_lo"] > cert["gap_top"]
+
+
+def test_exact_empty_annulus_cross_checks_spectrum(h1_domain, monkeypatch):
+    inhabited = IntervalUnion.build([(0.0, 1.0)])
+    monkeypatch.setattr(ZalcmanDomain, "distance_spectrum", lambda self, a, tol=0.0: inhabited)
+    with pytest.raises(PreconditionViolatedError):
+        exact_empty_annulus(h1_domain, h1_domain.K - 1, 1.0, ScaleFunction.h1(1.4))
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +248,13 @@ def test_chain_requires_boundary_start(h1_domain):
 
 
 def test_uc_report_h1(h1_domain):
-    rep = uc_report(h1_domain, "h1", 1.5, eps=0.1, n=48)
+    rep = uc_report(h1_domain, "h1", 1.5, eps_list=[0.1], n=48)
     assert rep["U_satisfied"] and rep["U_weakened_failed"]
     assert rep["C_slope_ok"]
 
 
 def test_uc_report_h2(h2_domain):
-    rep = uc_report(h2_domain, "h2", 1.0, eps=0.5, n=32)
+    rep = uc_report(h2_domain, "h2", 1.0, eps_list=[0.5], n=32)
     assert rep["U_satisfied"] and rep["U_weakened_failed"]
     assert rep["C_ratio_positive"]
 
