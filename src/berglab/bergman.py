@@ -81,13 +81,6 @@ class BasisSpec:
                 fns.append(RationalFunction.pole(complex(c), m, coeff=s ** (m - 1)))
         return fns
 
-    def labels(self) -> list[str]:
-        out = [f"z^{j}" for j in range(self.degree + 1)]
-        for c in self.pole_centers:
-            for m in range(1, self.pole_order + 1):
-                out.append(f"pole({complex(c):.3e},{m})")
-        return out
-
     def reduced(self) -> "BasisSpec":
         """Coarsened spec for saturation diagnostics."""
         return BasisSpec(
@@ -131,10 +124,6 @@ class GramSystem:
     effective_rank: int
     quad: QuadratureInfo
     drop_tol: float = 1e-12
-
-    @property
-    def functions(self) -> list[RationalFunction]:
-        return self.fns
 
     def quadratic(self, u: np.ndarray, v: np.ndarray) -> complex:
         """u^H G^+ v through the equilibrated eigendecomposition."""
@@ -215,8 +204,8 @@ class MetricEstimate:
 
 
 def _eval_vectors(gs: GramSystem, w: complex) -> tuple[np.ndarray, np.ndarray]:
-    v = np.array([f.eval(w) for f in gs.functions], dtype=complex)
-    u = np.array([f.eval_deriv(w) for f in gs.functions], dtype=complex)
+    v = np.array([f.eval(w) for f in gs.fns], dtype=complex)
+    u = np.array([f.eval_deriv(w) for f in gs.fns], dtype=complex)
     return v, u
 
 
@@ -258,7 +247,7 @@ def subspace_kernel(gs: GramSystem, w: complex, saturation_check: bool = False) 
     return KernelEstimate(
         w=complex(w),
         K_low=K,
-        basis_size=len(gs.functions),
+        basis_size=len(gs.fns),
         saturation=sat,
         certified=_is_certified(gs.domain),
     )

@@ -90,11 +90,6 @@ def segment_nodes(a: complex, b: complex, n: int) -> np.ndarray:
     return a + (b - a) * np.linspace(0.0, 1.0, n)
 
 
-def arc_nodes(center: complex, radius: float, theta0: float, theta1: float, n: int) -> np.ndarray:
-    theta = np.linspace(theta0, theta1, n)
-    return center + radius * np.exp(1j * theta)
-
-
 # ---------------------------------------------------------------------------
 # potential and energy
 # ---------------------------------------------------------------------------
@@ -293,11 +288,6 @@ class EquilibriumSolution:
     raw_energy: float = 0.0
     iterations: int = 0
     converged: bool = True
-
-    def capacity_estimate(self) -> CapacityEstimate:
-        return CapacityEstimate(
-            value=self.capacity, method="energy", n=self.measure.nodes.size, diagnostics=()
-        )
 
 
 def simplex_project(v: np.ndarray) -> np.ndarray:

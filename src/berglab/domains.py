@@ -17,9 +17,9 @@ Everything here is immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -216,10 +216,8 @@ class IntervalUnion:
             return True
         return bool(self.points.size and np.any((self.points >= lo) & (self.points <= hi)))
 
-    def sup_at_most(self, hi, positive: bool = True):
-        """Largest element <= hi (0.0 if none). With positive=True, the element
-        must be approachable through positive values (an interval reaching
-        above 0, or a positive point).
+    def sup_at_most(self, hi):
+        """Largest element <= hi (0.0 if none).
 
         ``hi`` may be a scalar (float returned) or an array (array returned).
         The intervals are sorted and disjoint, so their tops increase and the
@@ -235,8 +233,7 @@ class IntervalUnion:
         if self.points.size:
             j = np.searchsorted(self.points, q, side="right") - 1
             cand = self.points[np.maximum(j, 0)]
-            floor = 0.0 if positive else -1.0
-            best = np.where((j >= 0) & (cand > floor) & (cand > best), cand, best)
+            best = np.where((j >= 0) & (cand > best), cand, best)
         return best if q.ndim else float(best)
 
     def inf_at_least(self, lo: float) -> Optional[float]:
@@ -265,9 +262,12 @@ def _inside_any(p: float, arr: np.ndarray) -> bool:
 class CircleDomain:
     """Unit-disk domain with circular holes.
 
-    Boundary components, in deterministic order: the isolated origin (when
-    present), removed-disk circles, the inner barrier circle (when present),
-    and the outer circle.
+    The boundary is the isolated origin (when ``include_origin``) plus the
+    circles ``circle_centers``/``circle_radii``: removed-disk circles, the
+    inner barrier circle (when present), and the outer circle, in that
+    order.  Queries visit the origin first, then the circles in order, so
+    ties break the same way everywhere.  A component is named by its circle
+    index, or None for the origin.
     """
 
     centers: np.ndarray  # complex hole centers
@@ -290,18 +290,25 @@ class CircleDomain:
             raise ValueError("hole radii must be positive")
         return cls(centers, radii, include_origin, inner_radius, outer_radius)
 
-    # --- geometry queries ---------------------------------------------------
+    @cached_property
+    def circle_centers(self) -> np.ndarray:
+        """Centers of every boundary circle: holes, inner barrier, outer circle."""
+        barriers = 1 if self.inner_radius is None else 2
+        return np.concatenate([self.centers, np.zeros(barriers, dtype=complex)])
 
-    def boundary_components(self) -> list[tuple]:
-        comps: list[tuple] = []
-        if self.include_origin:
-            comps.append(("point", 0j))
-        for c, r in zip(self.centers, self.radii):
-            comps.append(("circle", complex(c), float(r)))
-        if self.inner_radius is not None:
-            comps.append(("circle", 0j, float(self.inner_radius)))
-        comps.append(("circle", 0j, float(self.outer_radius)))
-        return comps
+    @cached_property
+    def circle_radii(self) -> np.ndarray:
+        """Radii aligned with ``circle_centers``."""
+        inner = [] if self.inner_radius is None else [self.inner_radius]
+        return np.concatenate([self.radii, np.asarray(inner + [self.outer_radius], dtype=float)])
+
+    def _circles(self) -> list[tuple[complex, float]]:
+        # Python scalars: distances are taken with abs() on them, because
+        # np.abs on complex arrays may differ in the last bit and would move
+        # the written spectra and witnesses
+        return list(zip(self.circle_centers.tolist(), self.circle_radii.tolist()))
+
+    # --- geometry queries ---------------------------------------------------
 
     def unsigned_boundary_distance(self, z: complex) -> float:
         d = abs(abs(z) - self.outer_radius)
@@ -315,19 +322,21 @@ class CircleDomain:
 
     def delta_and_membership(self, z: complex) -> tuple[bool, float]:
         """(inside, distance to boundary). Boundary points report (False, 0)."""
-        az = abs(z)
-        inside = az < self.outer_radius
-        if self.include_origin and z == 0:
-            inside = False
-        if self.inner_radius is not None and az <= self.inner_radius:
-            inside = False
-        if inside and self.centers.size:
-            if np.any(np.abs(z - self.centers) <= self.radii):
-                inside = False
-        return inside, self.unsigned_boundary_distance(z)
+        return self.contains(z), self.unsigned_boundary_distance(z)
 
-    def contains(self, z: complex) -> bool:
-        return self.delta_and_membership(z)[0]
+    def contains(self, z):
+        """Open-domain membership of a point (bool) or of an array of points
+        (bool array of the same shape)."""
+        z = np.asarray(z, dtype=complex)
+        az = np.abs(z)
+        inside = az < self.outer_radius
+        if self.inner_radius is not None:
+            inside &= az > self.inner_radius
+        for c, rho in zip(self.centers.tolist(), self.radii.tolist()):
+            inside &= np.abs(z - c) > rho
+        if self.include_origin:
+            inside &= z != 0
+        return inside if z.ndim else bool(inside)
 
     def is_boundary(self, z: complex, tol: float = BOUNDARY_TOL) -> bool:
         return self.unsigned_boundary_distance(z) <= tol
@@ -342,76 +351,63 @@ class CircleDomain:
         if not self.is_boundary(a, tol):
             raise NotBoundaryPointError(f"point {a} is off the boundary")
         intervals = []
-        points = []
-        for comp in self.boundary_components():
-            if comp[0] == "point":
-                points.append(abs(a - comp[1]))
-            else:
-                _, c, rho = comp
-                d = abs(a - c)
-                lo = abs(d - rho)
-                # |d - rho| below rounding resolution of the positions is
-                # noise from a point sitting on this circle; true gap is 0
-                if lo <= tol * (abs(a) + abs(c) + rho):
-                    lo = 0.0
-                intervals.append((lo, d + rho))
-        return IntervalUnion.build(intervals, points)
+        for c, rho in self._circles():
+            d = abs(a - c)
+            lo = abs(d - rho)
+            # |d - rho| below rounding resolution of the positions is
+            # noise from a point sitting on this circle; true gap is 0
+            if lo <= tol * (abs(a) + abs(c) + rho):
+                lo = 0.0
+            intervals.append((lo, d + rho))
+        return IntervalUnion.build(intervals, [abs(a)] if self.include_origin else [])
 
-    def nearest_boundary_point(self, z: complex) -> tuple[complex, float, int]:
-        """(point, distance, component index) of the closest boundary point."""
-        best = None
-        for idx, comp in enumerate(self.boundary_components()):
-            if comp[0] == "point":
-                d = abs(z - comp[1])
-                cand = comp[1]
-            else:
-                _, c, rho = comp
-                dc = abs(z - c)
-                d = abs(dc - rho)
-                if dc == 0.0:
-                    cand = c + rho
-                else:
-                    cand = c + rho * (z - c) / dc
+    def nearest_boundary_point(self, z: complex) -> tuple[complex, float, Optional[int]]:
+        """(point, distance, circle index) of the closest boundary point; the
+        index is None for the isolated origin."""
+        best = (0j, abs(z), None) if self.include_origin else None
+        for i, (c, rho) in enumerate(self._circles()):
+            dc = abs(z - c)
+            d = abs(dc - rho)
             if best is None or d < best[1]:
-                best = (cand, d, idx)
+                best = (c + rho if dc == 0.0 else c + rho * (z - c) / dc, d, i)
         return best
 
     def witness_at_distance(
-        self, a: complex, lo: float, hi: float
-    ) -> tuple[complex, float, int]:
-        """Boundary point at the smallest achievable distance within [lo, hi].
+        self, a: complex, lo: float, hi: float, on_circle: Optional[int] = None
+    ) -> tuple[complex, float, Optional[int]]:
+        """Boundary point at the smallest achievable distance within [lo, hi],
+        as (point, distance, circle index or None for the origin).
 
-        Ties across components break by component order; the point on a circle
-        breaks symmetric pairs by smaller absolute argument of (point - a).
-        Raises NotBoundaryPointError if a is off the boundary, ValueError if
-        the window misses the spectrum.
+        ``on_circle`` is the index of a circle that a is known to lie on: its
+        distances from a are then exactly [0, 2 rho], free of the rounding in
+        |a - c|.  The point on a circle breaks symmetric pairs by smaller
+        absolute argument of (point - a).  Raises NotBoundaryPointError if a
+        is off the boundary, ValueError if the window misses the spectrum.
         """
         if not self.is_boundary(a):
             raise NotBoundaryPointError(f"point {a} is off the boundary")
-        best: Optional[tuple[float, int]] = None
-        comps = self.boundary_components()
-        for idx, comp in enumerate(comps):
-            if comp[0] == "point":
-                d = abs(a - comp[1])
-                if lo <= d <= hi and (best is None or d < best[0]):
-                    best = (d, idx)
+        best: Optional[tuple[float, Optional[int]]] = None
+        if self.include_origin and lo <= abs(a) <= hi:
+            best = (abs(a), None)
+        circles = self._circles()
+        for i, (c, rho) in enumerate(circles):
+            if i == on_circle:
+                cl, ch = 0.0, 2.0 * rho
             else:
-                _, c, rho = comp
                 dc = abs(a - c)
                 cl, ch = abs(dc - rho), dc + rho
-                if cl > hi or ch < lo:
-                    continue
-                d = max(cl, lo)
-                if best is None or d < best[0]:
-                    best = (d, idx)
+            if cl > hi or ch < lo:
+                continue
+            d = max(cl, lo)
+            if best is None or d < best[0]:
+                best = (d, i)
         if best is None:
             raise ValueError("distance window misses the boundary spectrum")
-        d, idx = best
-        comp = comps[idx]
-        if comp[0] == "point":
-            return comp[1], d, idx
-        _, c, rho = comp
-        return _point_on_circle_at_distance(a, c, rho, d), d, idx
+        d, i = best
+        if i is None:
+            return 0j, d, None
+        c, rho = circles[i]
+        return _point_on_circle_at_distance(a, c, rho, d), d, i
 
 
 def _point_on_circle_at_distance(a: complex, c: complex, rho: float, d: float) -> complex:
@@ -420,17 +416,32 @@ def _point_on_circle_at_distance(a: complex, c: complex, rho: float, d: float) -
     if dc == 0.0:
         return c + rho  # any point works; pick argument 0
     u = (c - a) / dc
-    # law of cosines in the triangle (a, c, z)
-    cos_t = (dc * dc + d * d - rho * rho) / (2.0 * dc * d) if d > 0 else 1.0
-    cos_t = min(1.0, max(-1.0, cos_t))
-    sin_t = math.sqrt(max(0.0, 1.0 - cos_t * cos_t))
-    cand1 = a + d * u * complex(cos_t, sin_t)
-    cand2 = a + d * u * complex(cos_t, -sin_t)
+    t = _triangle_angle(dc, d, rho) if d > 0 else 0.0
+    cand1 = a + d * u * complex(math.cos(t), math.sin(t))
+    cand2 = a + d * u * complex(math.cos(t), -math.sin(t))
     # deterministic tie-break: smaller |arg|, then positive imaginary part
     a1, a2 = abs(np.angle(cand1 - a)), abs(np.angle(cand2 - a))
     if abs(a1 - a2) > 1e-15:
         return cand1 if a1 < a2 else cand2
     return cand1 if cand1.imag >= cand2.imag else cand2
+
+
+def _triangle_angle(p: float, q: float, r: float) -> float:
+    """Angle between the sides p and q of a triangle with third side r.
+
+    Kahan's needle-triangle formula ("Miscalculating area and angles of a
+    needle-like triangle", 2014): accurate to a few ulps for every shape.
+    The law of cosines loses half the digits near angles 0 and pi, which is
+    where the nearest and farthest points of a circle sit, and misses a
+    small circle seen from afar altogether.  Sides that break the triangle
+    inequality by rounding give 0 or pi.
+    """
+    p, q = max(p, q), min(p, q)
+    mu = r - (p - q) if q >= r else q - (p - r)
+    den = (p + (q + r)) * ((p - r) + q)
+    if den <= 0.0:
+        return math.pi
+    return 2.0 * math.atan(math.sqrt(max(0.0, ((p - q) + r) * mu) / den))
 
 
 # ---------------------------------------------------------------------------
@@ -470,18 +481,10 @@ class ZalcmanDomain(CircleDomain):
         """r_k for k = 1..K+1."""
         return np.exp(self.logr)
 
-    @property
-    def truncation_floor(self) -> float:
-        """x_{K+1} + r_{K+1}: everything unresolved is within this of 0."""
-        return float(np.exp(self.logx[self.K]) + np.exp(self.logr[self.K]))
-
     def to_json_dict(self) -> dict:
         d = {"type": "zalcman", **self.h.to_json_dict(), "x1": self.x1,
              "K": self.K, "variant": self.variant}
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def build_zalcman(
@@ -601,10 +604,6 @@ class CantorSet:
             else:
                 ivs.append((0.0, max(a - lo, hi - a)))
         return IntervalUnion.build(ivs)
-
-    def is_point(self, a: float, tol: float = BOUNDARY_TOL) -> bool:
-        lefts, lj = self.intervals()
-        return bool(np.any((lefts - tol <= a) & (a <= lefts + lj + tol)))
 
     def to_json_dict(self) -> dict:
         return {"type": "cantor", "l0": self.l0, "alpha": self.alpha, "J": self.J}

@@ -87,15 +87,10 @@ def annulus_condition(
 def default_boundary_samples(domain: CircleDomain, per_circle: int = 8) -> np.ndarray:
     """Deterministic boundary sample set: origin (when boundary), per-circle
     points on each hole, and per_circle points on the outer circle."""
-    samples = []
-    if domain.include_origin:
-        samples.append(np.array([0j]))
     ring = np.exp(1j * TWO_PI * np.arange(per_circle) / per_circle)
-    for c0, rho in zip(domain.centers, domain.radii):
-        samples.append(c0 + rho * ring)
-    if domain.inner_radius is not None:
-        samples.append(domain.inner_radius * ring)
-    samples.append(domain.outer_radius * ring)
+    samples = [c0 + rho * ring for c0, rho in zip(domain.circle_centers, domain.circle_radii)]
+    if domain.include_origin:
+        samples.insert(0, np.array([0j]))
     return np.concatenate(samples)
 
 
@@ -296,12 +291,11 @@ def hole_arc_nodes(
         theta = base + np.linspace(-psi, psi, m)
         pts.append(c0 + rho * np.exp(1j * theta))
 
-    for c0, rho in zip(domain.centers, domain.radii):
-        circle_arcs(complex(c0), float(rho), nodes_per_circle)
-    if domain.inner_radius is not None:
-        circle_arcs(0j, float(domain.inner_radius), outer_nodes)
-    # outer circle: the complement includes |z| >= outer_radius
-    circle_arcs(0j, float(domain.outer_radius), outer_nodes)
+    # hole rims get nodes_per_circle nodes, the inner barrier and the outer
+    # circle (the complement includes |z| >= outer_radius) outer_nodes
+    circles = zip(domain.circle_centers.tolist(), domain.circle_radii.tolist())
+    for i, (c0, rho) in enumerate(circles):
+        circle_arcs(c0, rho, nodes_per_circle if i < domain.centers.size else outer_nodes)
     if domain.include_origin and abs(a) <= r:
         pts.append(np.array([0j]))
     if not pts:
@@ -375,7 +369,7 @@ class PommerenkeCertificate:
     seed: float  # starting window top s_0
     s: np.ndarray  # derived scales s_1..s_k, s_{l+1} = (c/5) h(s_l)
     points: np.ndarray  # 2^k chain points (Cartesian display values)
-    chain: tuple  # exact (component index, angle) per point
+    chain: tuple  # exact (circle index or None, angle, steps) per point
     words: tuple  # binary index words, aligned with points
     pairwise_ok: bool  # every pair at prefix length m is >= s_{m+1} apart
     distinct: bool  # all points distinct (exact chord distances > 0)
@@ -390,8 +384,9 @@ class PommerenkeCertificate:
 
 @dataclass(frozen=True)
 class _ChainPoint:
-    """Boundary point carried exactly: component index plus, on circles, a
-    landing angle and the per-level rotation increments applied since.
+    """Boundary point carried exactly: circle index (None for the origin)
+    plus, on circles, a landing angle and the per-level rotation increments
+    applied since.
 
     Deep chain scales shrink below both the Cartesian resolution of the
     anchors and the additive resolution of any accumulated angle, so
@@ -399,15 +394,15 @@ class _ChainPoint:
     increments (identical floats cancel exactly along shared lineage) and
     only then summing, deepest first."""
 
-    comp: int  # index into domain.boundary_components()
+    circle: Optional[int]  # index into domain.circle_centers / circle_radii
     angle_base: float  # angle where this lineage landed on the circle
     steps: tuple  # per-level rotation increments since the chain start
     z: complex  # materialized position (display only at deep scales)
 
 
-def _chain_distance(p: _ChainPoint, q: _ChainPoint, comps) -> float:
-    if p.comp == q.comp and comps[p.comp][0] == "circle":
-        rho = comps[p.comp][2]
+def _chain_distance(p: _ChainPoint, q: _ChainPoint, domain: CircleDomain) -> float:
+    if p.circle is not None and p.circle == q.circle:
+        rho = float(domain.circle_radii[p.circle])
         if p.angle_base == q.angle_base:
             diffs = [a - b for a, b in zip(p.steps, q.steps)]
             dang = 0.0
@@ -421,62 +416,26 @@ def _chain_distance(p: _ChainPoint, q: _ChainPoint, comps) -> float:
     return abs(p.z - q.z)
 
 
-def _chain_witness(domain: CircleDomain, p: _ChainPoint, lo: float, hi: float, comps) -> _ChainPoint:
-    """Boundary point nearest to p within [lo, hi]; exact on p's own circle."""
-    best = None  # (distance, comp index)
-    for idx, comp in enumerate(comps):
-        if comp[0] == "point":
-            d = abs(p.z - comp[1])
-            if lo <= d <= hi and (best is None or d < best[0]):
-                best = (d, idx)
-            continue
-        _, c0, rho = comp
-        if idx == p.comp:
-            cl, ch = 0.0, 2.0 * rho  # own circle, exact interval
-        else:
-            dc = abs(p.z - c0)
-            cl, ch = abs(dc - rho), dc + rho
-        if cl > hi or ch < lo:
-            continue
-        d = max(cl, lo)
-        if best is None or d < best[0]:
-            best = (d, idx)
-    if best is None:
-        raise ValueError("distance window misses the boundary spectrum")
-    d, idx = best
-    comp = comps[idx]
+def _chain_image(domain: CircleDomain, p: _ChainPoint, lo: float, hi: float) -> _ChainPoint:
+    """Boundary point nearest to p within [lo, hi]; exact on p's own circle,
+    where it is p rotated by one more recorded step."""
+    z, d, i = domain.witness_at_distance(p.z, lo, hi, on_circle=p.circle)
     level = len(p.steps)
-    if comp[0] == "point":
-        return _ChainPoint(idx, 0.0, (0.0,) * (level + 1), comp[1])
-    _, c0, rho = comp
-    if idx == p.comp:
+    if i is None:
+        return _ChainPoint(None, 0.0, (0.0,) * (level + 1), z)
+    c0, rho = complex(domain.circle_centers[i]), float(domain.circle_radii[i])
+    if i == p.circle:
         dtheta = 2.0 * math.asin(min(1.0, d / (2.0 * rho)))  # positive rotation
         steps = p.steps + (dtheta,)
         ang = p.angle_base + math.fsum(steps)
         return _ChainPoint(
-            idx, p.angle_base, steps, c0 + rho * complex(math.cos(ang), math.sin(ang))
+            i, p.angle_base, steps, c0 + rho * complex(math.cos(ang), math.sin(ang))
         )
-    from .domains import _point_on_circle_at_distance
-
-    znew = _point_on_circle_at_distance(p.z, c0, rho, d)
-    ang = math.atan2((znew - c0).imag, (znew - c0).real)
-    return _ChainPoint(idx, ang, (0.0,) * (level + 1), znew)
+    return _ChainPoint(i, math.atan2((z - c0).imag, (z - c0).real), (0.0,) * (level + 1), z)
 
 
 def _chain_stay(p: _ChainPoint) -> _ChainPoint:
-    return _ChainPoint(p.comp, p.angle_base, p.steps + (0.0,), p.z)
-
-
-def _locate_on_boundary(domain: CircleDomain, a: complex, comps) -> _ChainPoint:
-    for idx, comp in enumerate(comps):
-        if comp[0] == "point" and abs(a - comp[1]) <= 1e-12:
-            return _ChainPoint(idx, 0.0, (), comp[1])
-        if comp[0] == "circle":
-            _, c0, rho = comp
-            if abs(abs(a - c0) - rho) <= 1e-12 * max(1.0, rho):
-                ang = math.atan2((a - c0).imag, (a - c0).real)
-                return _ChainPoint(idx, ang, (), a)
-    raise NotBoundaryPointError(f"{a} is not a boundary point")
+    return _ChainPoint(p.circle, p.angle_base, p.steps + (0.0,), p.z)
 
 
 def pommerenke_construct(
@@ -498,8 +457,14 @@ def pommerenke_construct(
     some window misses the boundary, i.e. the annulus condition fails with
     this constant at that scale.
     """
-    comps = domain.boundary_components()
-    start = _locate_on_boundary(domain, a, comps)
+    _, d, i = domain.nearest_boundary_point(a)
+    if d > 1e-12 * max(1.0, 0.0 if i is None else float(domain.circle_radii[i])):
+        raise NotBoundaryPointError(f"{a} is not a boundary point")
+    if i is None:
+        start = _ChainPoint(None, 0.0, (), 0j)
+    else:
+        c0 = complex(domain.circle_centers[i])
+        start = _ChainPoint(i, math.atan2((a - c0).imag, (a - c0).real), (), a)
     s = np.empty(k + 1)
     s[0] = s1
     for l in range(1, k + 1):
@@ -514,7 +479,7 @@ def pommerenke_construct(
         new_words = []
         for p, wd in zip(points, words):
             try:
-                img = _chain_witness(domain, p, lo, hi, comps)
+                img = _chain_image(domain, p, lo, hi)
             except ValueError as exc:
                 raise AnnulusEmptyError(
                     l, f"level {l}: no boundary point in [{lo}, {hi}] around {p.z}"
@@ -530,7 +495,7 @@ def pommerenke_construct(
     distinct = True
     for i in range(m):
         for j in range(i + 1, m):
-            dij = _chain_distance(points[i], points[j], comps)
+            dij = _chain_distance(points[i], points[j], domain)
             if dij <= 0.0:
                 distinct = False
             prefix = 0
@@ -553,7 +518,7 @@ def pommerenke_construct(
         seed=float(s[0]),
         s=s[1 : k + 1].copy(),
         points=pts,
-        chain=tuple((p.comp, p.angle_base, p.steps) for p in points),
+        chain=tuple((p.circle, p.angle_base, p.steps) for p in points),
         words=tuple(words),
         pairwise_ok=bool(pairwise_ok),
         distinct=bool(distinct),

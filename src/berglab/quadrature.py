@@ -606,17 +606,3 @@ def mc_integral(
     keep = (np.abs(z) < radius) & contains(z)
     vals = integrand(z[keep])
     return float(np.real(np.sum(vals)) * (2.0 * radius) ** 2 / n_samples)
-
-
-def domain_contains_vectorized(domain: CircleDomain) -> Callable[[np.ndarray], np.ndarray]:
-    def f(z: np.ndarray) -> np.ndarray:
-        inside = np.abs(z) < domain.outer_radius
-        if domain.inner_radius is not None:
-            inside &= np.abs(z) > domain.inner_radius
-        for c, r in zip(domain.centers, domain.radii):
-            inside &= np.abs(z - c) > r
-        if domain.include_origin:
-            inside &= z != 0
-        return inside
-
-    return f

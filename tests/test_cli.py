@@ -29,6 +29,18 @@ def test_capacity_pipeline(tmp_path):
     assert (tmp_path / "measure.csv").read_text().startswith("re,im,weight")
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [{"type": "circle", "r": 0.5, "grid": 512}, {"type": "segment", "a": -1.0, "b": 1.0, "grid": 1024}],
+)
+def test_capacity_equilibrium_covers_whole_set(tmp_path, spec):
+    # both sets have capacity 1/2; a solve on a leading piece of the grid
+    # reported 0.353 (half circle) and 0.125 (quarter segment)
+    run({"pipeline": "capacity", "set": spec, "seed": 1}, str(tmp_path), "strict")
+    rep = json.loads((tmp_path / "capacity_report.json").read_text())
+    assert rep["equilibrium_capacity"] == pytest.approx(0.5, rel=0.02)
+
+
 def test_kernel_pipeline_end_to_end(tmp_path):
     cfg = {
         "pipeline": "kernel",
@@ -166,6 +178,14 @@ def test_cli_main_exit_codes(tmp_path):
     assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o3")]) == 0
     rep = json.loads((tmp_path / "o3" / "fit_report.json").read_text())
     assert rep["preferred"] == "K1"
+
+
+def test_empty_eps_list_is_a_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"pipeline": "perfect", "domain": SMALL_H1, "eps_list": []}))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "eps_list" in err and "Traceback" not in err
 
 
 def test_fit_pipeline_from_csv(tmp_path):

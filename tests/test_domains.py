@@ -26,15 +26,11 @@ from berglab.errors import (
 
 def dense_boundary_samples(domain, per_circle=4096):
     """Brute-force boundary point cloud (test oracle)."""
-    pts = []
     theta = np.linspace(0.0, 2.0 * math.pi, per_circle, endpoint=False)
     ring = np.exp(1j * theta)
-    for comp in domain.boundary_components():
-        if comp[0] == "point":
-            pts.append(np.array([comp[1]]))
-        else:
-            _, c, rho = comp
-            pts.append(c + rho * ring)
+    pts = [c + rho * ring for c, rho in zip(domain.circle_centers, domain.circle_radii)]
+    if domain.include_origin:
+        pts.insert(0, np.array([0j]))
     return np.concatenate(pts)
 
 
@@ -228,6 +224,90 @@ def test_variant_sandwich_inside_superset():
 
 
 # ---------------------------------------------------------------------------
+# boundary queries against the distance spectrum
+# ---------------------------------------------------------------------------
+
+WINDOW_DOMAINS = [
+    build_zalcman(ScaleFunction.h1(1.5), 1e-2, K=7),
+    build_zalcman(ScaleFunction.h2(1.0), 1e-3, K=10),
+    build_zalcman(ScaleFunction.h2(1.0), 1e-3, K=10, variant="sandwich"),
+]
+
+
+@st.composite
+def windows(draw):
+    """(domain, boundary point a, lo, hi): a is the origin or a point on one of
+    the circles; lo is log-uniform or sits next to an end of a's spectrum,
+    so that isolated points and interval ends get hit."""
+    dom = draw(st.sampled_from(WINDOW_DOMAINS))
+    first = -1 if dom.include_origin else 0
+    i = draw(st.integers(first, dom.circle_radii.size - 1))
+    a = 0j
+    if i >= 0:
+        theta = draw(st.floats(0.0, 2.0 * math.pi))
+        a = complex(dom.circle_centers[i] + dom.circle_radii[i] * np.exp(1j * theta))
+    spec = dom.distance_spectrum(a)
+    ends = [e for e in spec.intervals.ravel().tolist() + spec.points.tolist() if e > 0.0]
+    lo = draw(
+        st.one_of(
+            st.floats(math.log(1e-13), math.log(2.5)).map(math.exp),
+            st.tuples(st.sampled_from(ends), st.floats(-0.05, 0.05)).map(
+                lambda t: t[0] * math.exp(t[1])
+            ),
+        )
+    )
+    return dom, a, lo, lo * math.exp(draw(st.floats(0.0, 5.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(windows())
+def test_witness_at_distance_matches_spectrum(window):
+    dom, a, lo, hi = window
+    expect = dom.distance_spectrum(a).inf_at_least(lo)
+    if expect is None or expect > hi:
+        with pytest.raises(ValueError):
+            dom.witness_at_distance(a, lo, hi)
+        return
+    z, d, i = dom.witness_at_distance(a, lo, hi)
+    assert d == expect
+    assert dom.is_boundary(z)
+    if i is None:
+        assert z == 0j
+    assert abs(z - a) == pytest.approx(d, rel=1e-9, abs=1e-15)
+
+
+CONTAINS_DOMAINS = [
+    CircleDomain.build(),
+    CircleDomain.build(inner_radius=0.5),
+    *WINDOW_DOMAINS,
+]
+
+
+@st.composite
+def point_batches(draw):
+    """(domain, points): generic points mixed with points on the boundary."""
+    dom = draw(st.sampled_from(CONTAINS_DOMAINS))
+    coord = st.floats(-1.1, 1.1)
+    pts = draw(st.lists(st.builds(complex, coord, coord), max_size=20))
+    for i, theta in draw(st.lists(st.tuples(st.integers(0, dom.circle_radii.size - 1),
+                                            st.floats(0.0, 2.0 * math.pi)), max_size=10)):
+        pts.append(complex(dom.circle_centers[i] + dom.circle_radii[i] * np.exp(1j * theta)))
+    pts.append(0j)
+    return dom, np.asarray(draw(st.permutations(pts)), dtype=complex)
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_batches())
+def test_contains_array_matches_scalar(dom_zs):
+    dom, zs = dom_zs
+    got = dom.contains(zs)
+    assert got.dtype == bool and got.shape == zs.shape
+    for z, g in zip(zs.tolist(), got.tolist()):
+        scalar = dom.contains(z)
+        assert isinstance(scalar, bool) and scalar == g
+
+
+# ---------------------------------------------------------------------------
 # Cantor sets
 # ---------------------------------------------------------------------------
 
@@ -296,14 +376,14 @@ def test_interval_union_merge_and_queries():
         IntervalUnion.build([(-0.1, 0.2)])
 
 
-def sup_at_most_loop(u, hi, positive=True):
+def sup_at_most_loop(u, hi):
     """Brute-force reference: scan every interval and point."""
     best = 0.0
     for lo, top in u.intervals:
         if lo <= hi and top > 0:
             best = max(best, min(top, hi))
     if u.points.size:
-        pts = u.points[(u.points <= hi) & (u.points > (0.0 if positive else -1.0))]
+        pts = u.points[u.points <= hi]
         if pts.size:
             best = max(best, float(pts[-1]))
     return best
@@ -334,22 +414,22 @@ def union_queries(u, extra):
 
 
 @settings(max_examples=200, deadline=None)
-@given(unions, st.lists(st.floats(-1.0, 6.0), max_size=4), st.booleans())
-def test_sup_at_most_scalar_matches_loop(u, extra, positive):
+@given(unions, st.lists(st.floats(-1.0, 6.0), max_size=4))
+def test_sup_at_most_scalar_matches_loop(u, extra):
     for q in union_queries(u, extra):
-        got = u.sup_at_most(q, positive=positive)
+        got = u.sup_at_most(q)
         assert isinstance(got, float)
-        assert same_float(got, sup_at_most_loop(u, q, positive))
+        assert same_float(got, sup_at_most_loop(u, q))
 
 
 @settings(max_examples=200, deadline=None)
-@given(unions, st.lists(st.floats(-1.0, 6.0), max_size=4), st.booleans())
-def test_sup_at_most_array_matches_loop(u, extra, positive):
+@given(unions, st.lists(st.floats(-1.0, 6.0), max_size=4))
+def test_sup_at_most_array_matches_loop(u, extra):
     qs = union_queries(u, extra)
-    got = u.sup_at_most(np.asarray(qs), positive=positive)
+    got = u.sup_at_most(np.asarray(qs))
     assert isinstance(got, np.ndarray) and got.shape == (len(qs),)
     for g, q in zip(got.tolist(), qs):
-        assert same_float(g, sup_at_most_loop(u, q, positive))
+        assert same_float(g, sup_at_most_loop(u, q))
 
 
 def test_sup_at_most_edge_cases():
@@ -362,9 +442,8 @@ def test_sup_at_most_edge_cases():
     assert touching.sup_at_most(0.5) == 0.5  # exactly at its bottom
     assert touching.sup_at_most(3.0) == 2.0
     origin = IntervalUnion.build([], points=[0.0, 0.75])
-    for positive in (True, False):
-        assert origin.sup_at_most(0.5, positive=positive) == 0.0
-        assert origin.sup_at_most(0.75, positive=positive) == 0.75
+    assert origin.sup_at_most(0.5) == 0.0
+    assert origin.sup_at_most(0.75) == 0.75
     assert same_float(IntervalUnion.build([(0.0, 1.0)]).sup_at_most(-0.0), 0.0)
 
 

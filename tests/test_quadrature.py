@@ -9,7 +9,6 @@ from berglab.quadrature import (
     AnnulusRegion,
     PolarRegion,
     RationalFunction,
-    domain_contains_vectorized,
     generic_partition,
     integrate_hermitian,
     mc_integral,
@@ -122,7 +121,7 @@ def test_mc_oracle_agrees_on_smooth_entry():
     f = RationalFunction.monomial(1)
     G, _ = integrate_hermitian(part, [f])
     est = mc_integral(
-        domain_contains_vectorized(dom),
+        dom.contains,
         lambda z: np.abs(f.eval(z)) ** 2,
         radius=1.0,
         n_samples=400_000,
@@ -134,8 +133,8 @@ def test_mc_oracle_agrees_on_smooth_entry():
 def test_mc_deterministic_given_seed():
     dom = CircleDomain.build()
     f = lambda z: np.abs(z) ** 2
-    a = mc_integral(domain_contains_vectorized(dom), f, 1.0, 100_000, seed=7)
-    b = mc_integral(domain_contains_vectorized(dom), f, 1.0, 100_000, seed=7)
+    a = mc_integral(dom.contains, f, 1.0, 100_000, seed=7)
+    b = mc_integral(dom.contains, f, 1.0, 100_000, seed=7)
     assert a == b
 
 
