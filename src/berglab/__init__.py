@@ -56,6 +56,12 @@ from .perfectness import (
     pommerenke_construct,
     uc_report,
 )
-from .quadrature import RationalFunction, integrate_hermitian, mc_integral, partition_for
+from .quadrature import (
+    RationalFunction,
+    boundary_gram,
+    integrate_hermitian,
+    mc_integral,
+    partition_for,
+)
 
 __version__ = "0.1.0"

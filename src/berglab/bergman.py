@@ -31,18 +31,11 @@ from .errors import (
     DegenerateConstraintError,
     NoSecondPointError,
     OutsideDomainError,
-    PolesTooCloseError,
     PreconditionViolatedError,
     RankCollapseError,
     ScaleNotRetainedError,
 )
-from .quadrature import (
-    QuadratureInfo,
-    RationalFunction,
-    generic_partition,
-    integrate_hermitian,
-    partition_for,
-)
+from .quadrature import QuadratureInfo, RationalFunction, boundary_gram, domain_circles
 
 TWO_PI = 2.0 * math.pi
 
@@ -125,6 +118,15 @@ class GramSystem:
     quad: QuadratureInfo
     drop_tol: float = 1e-12
 
+    def report(self) -> dict:
+        """The boundary rule's record plus the rank the factorization kept
+        and its smallest kept eigenvalue."""
+        return {
+            **self.quad.to_json_dict(),
+            "effective_rank": self.effective_rank,
+            "min_kept_eigenvalue": float(self.eigvals[self.kept].min()),
+        }
+
     def quadratic(self, u: np.ndarray, v: np.ndarray) -> complex:
         """u^H G^+ v through the equilibrated eigendecomposition."""
         uu = self.eigvecs.conj().T @ (self.scale * u)
@@ -132,11 +134,7 @@ class GramSystem:
         return complex(np.sum(np.where(self.kept, np.conj(uu) * vv / self.eigvals, 0.0)))
 
 
-def assemble_gram(
-    domain: CircleDomain,
-    spec: Optional[BasisSpec] = None,
-    tol: float = 1e-3,
-) -> GramSystem:
+def assemble_gram(domain: CircleDomain, spec: Optional[BasisSpec] = None) -> GramSystem:
     """Gram matrix of the basis over the domain, equilibrated and factorized.
 
     Deep-scale conditioning comes from exact diagonal equilibration (the
@@ -147,12 +145,7 @@ def assemble_gram(
     """
     spec = spec if spec is not None else default_basis(domain)
     fns = spec.functions()
-    for f in fns:
-        for c in f.pole_centers:
-            inside, _ = domain.delta_and_membership(complex(c))
-            if inside:
-                raise PolesTooCloseError(f"basis pole {c} lies inside the domain")
-    G, info = integrate_hermitian(partition_for(domain), fns, tol=tol)
+    G, info = boundary_gram(domain_circles(domain), fns)
     diag = np.real(np.diag(G)).copy()
     if np.any(diag <= 0):
         raise RankCollapseError("nonpositive Gram diagonal")
@@ -227,9 +220,9 @@ def subspace_kernel(gs: GramSystem, w: complex, saturation_check: bool = False) 
     """sup |f(w)|^2 over unit-norm f in the basis span: conj(v)^H G^+ conj(v).
 
     On a superset truncation this certifies a lower bound for the true
-    kernel (up to the quadrature tolerance): the subspace sup is below the
-    truncated-domain sup, which is below the untruncated one by domain
-    monotonicity.
+    kernel, up to the boundary rule's error (checked by one doubling, see
+    ``QuadratureInfo``): the subspace sup is below the truncated-domain sup,
+    which is below the untruncated one by domain monotonicity.
     """
     inside, _ = gs.domain.delta_and_membership(w)
     if not inside:
@@ -361,7 +354,7 @@ def witness_metric_bound(domain: ZalcmanDomain, w: complex, variant: str = "two_
     else:
         raise ValueError(f"unknown witness variant {variant!r}")
     residual = abs(f.eval(w)) * abs(w - xk1)  # scale-free zero check
-    G, _ = integrate_hermitian(partition_for(domain), [f])
+    G, _ = boundary_gram(domain_circles(domain), [f])
     norm_sq = float(G[0, 0].real)
     out = {
         "w": complex(w),
@@ -492,7 +485,7 @@ def equilibrium_witness_bound(
     f11_w = complex(f11.eval(w))
     f2_w = complex(f2.eval(w))
     fw = abs(complex(f.eval(w)))
-    G, _ = integrate_hermitian(partition_for(domain), [f])
+    G, _ = boundary_gram(domain_circles(domain), [f])
     norm_sq = float(G[0, 0].real)
     return {
         "w": complex(w),
@@ -543,8 +536,7 @@ def cauchy_transform_norm_check(
     bnds = np.concatenate(bnds)
     sol = equilibrium_measure(bnds)  # capacity of the true carrier rims
     f = RationalFunction.from_nodes(poles, sol.measure.weights)
-    part = generic_partition(0.25, list(holes))
-    G, _ = integrate_hermitian(part, [f])
+    G, _ = boundary_gram([(0j, 0.25, 1)] + [(complex(c0), rho, -1) for c0, rho in holes], [f])
     lhs = float(G[0, 0].real)
     rhs = math.log(1.0 / sol.capacity)
     sol_t = equilibrium_measure(t * bnds)

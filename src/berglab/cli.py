@@ -27,9 +27,9 @@ from .quadrature import mc_integral
 PIPELINES = ("selfcheck", "capacity", "perfect", "pommerenke", "kernel", "metric", "distance", "fit")
 
 TOLERANCE_PROFILES = {
-    "fast": {"quad_tol": 3e-3, "n_cap": 32, "per_band": 4},
-    "default": {"quad_tol": 1e-3, "n_cap": 64, "per_band": 8},
-    "strict": {"quad_tol": 3e-4, "n_cap": 128, "per_band": 12},
+    "fast": {"n_cap": 32, "per_band": 4},
+    "default": {"n_cap": 64, "per_band": 8},
+    "strict": {"n_cap": 128, "per_band": 12},
 }
 
 
@@ -143,7 +143,7 @@ def run_selfcheck(cfg: dict, out: Path, profile: dict) -> dict:
         return ok
 
     disk = CircleDomain.build()
-    gs = bergman.assemble_gram(disk, bergman.BasisSpec(degree=8), tol=profile["quad_tol"])
+    gs = bergman.assemble_gram(disk, bergman.BasisSpec(degree=8))
     all_ok = True
     all_ok &= check("disk_kernel_center", bergman.subspace_kernel(gs, 0j).K_low, 1.0 / math.pi, 1e-6)
     all_ok &= check(
@@ -156,9 +156,7 @@ def run_selfcheck(cfg: dict, out: Path, profile: dict) -> dict:
         5e-3,
     )
     ann = CircleDomain.build(inner_radius=0.5)
-    gs_ann = bergman.assemble_gram(
-        ann, bergman.BasisSpec(degree=8, pole_centers=(0j,), pole_order=8), tol=profile["quad_tol"]
-    )
+    gs_ann = bergman.assemble_gram(ann, bergman.BasisSpec(degree=8, pole_centers=(0j,), pole_order=8))
     oracle = 0.0
     for n in range(-8, 9):
         nrm = 2 * math.pi * (math.log(2.0) if n == -1 else (1 - 0.5 ** (2 * n + 2)) / (2 * n + 2))
@@ -303,7 +301,7 @@ def run_kernel(cfg: dict, out: Path, profile: dict) -> dict:
     ks = list(range(int(k_lo), int(k_hi) + 1))
     pts = _mid_band_points(domain, ks)
     spec = bergman.default_basis(domain, degree=int(cfg.get("degree", 8)))
-    gs = bergman.assemble_gram(domain, spec, tol=profile["quad_tol"])
+    gs = bergman.assemble_gram(domain, spec)
     with_eq = bool(cfg.get("equilibrium", False))
     rows = []
     for k, x in pts:
@@ -334,7 +332,7 @@ def run_kernel(cfg: dict, out: Path, profile: dict) -> dict:
     return {
         "preferred": preferred,
         "margin": margin,
-        "quad": gs.quad.to_json_dict(),
+        "quad": gs.report(),
         "outputs": ["kernel_sweep.csv", "kernel_fits.json"],
     }
 
@@ -344,7 +342,7 @@ def run_metric(cfg: dict, out: Path, profile: dict) -> dict:
     k_lo, k_hi = cfg.get("k_range", [2, min(6, domain.K - 1)])
     pts = _mid_band_points(domain, range(int(k_lo), int(k_hi) + 1))
     spec = bergman.default_basis(domain, degree=int(cfg.get("degree", 8)))
-    gs = bergman.assemble_gram(domain, spec, tol=profile["quad_tol"])
+    gs = bergman.assemble_gram(domain, spec)
     rows = []
     for k, x in pts:
         est = bergman.subspace_metric(gs, complex(-x))
@@ -357,7 +355,7 @@ def run_metric(cfg: dict, out: Path, profile: dict) -> dict:
     write_csv(
         out / "metric_sweep.csv", ["k", "x", "K_low", "S_low", "b_est", "witness_ratio"], zip(*rows)
     )
-    return {"points": len(rows), "quad": gs.quad.to_json_dict(), "outputs": ["metric_sweep.csv"]}
+    return {"points": len(rows), "quad": gs.report(), "outputs": ["metric_sweep.csv"]}
 
 
 def run_distance(cfg: dict, out: Path, profile: dict) -> dict:
@@ -365,7 +363,7 @@ def run_distance(cfg: dict, out: Path, profile: dict) -> dict:
     k_lo, k_hi = cfg.get("k_range", [3, min(10, domain.K - 1)])
     ks = list(range(int(k_lo), int(k_hi) + 1))
     spec = bergman.default_basis(domain, degree=int(cfg.get("degree", 8)))
-    gs = bergman.assemble_gram(domain, spec, tol=profile["quad_tol"])
+    gs = bergman.assemble_gram(domain, spec)
     rows = bergman.distance_profile(domain, ks, per_band=profile["per_band"], gram=gs)
     header = ["k", "x", "b_est", "K_low", "d_est"]
     write_csv(out / "distance_profile.csv", header, [[r[k] for r in rows] for k in header])
@@ -386,7 +384,7 @@ def run_distance(cfg: dict, out: Path, profile: dict) -> dict:
     return {
         "bands": len(incr),
         "r2_linear_in_k": r2,
-        "quad": gs.quad.to_json_dict(),
+        "quad": gs.report(),
         "outputs": ["distance_profile.csv", "distance_fits.json"],
     }
 

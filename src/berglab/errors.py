@@ -46,7 +46,7 @@ class EmptySetError(BerglabError):
 
 
 class QuadratureStallError(BerglabError):
-    """Quadrature refinement exhausted without reaching target tolerance."""
+    """Doubling the boundary rule moved the Gram matrix beyond its tolerance."""
 
 
 class RankCollapseError(BerglabError):
@@ -78,7 +78,7 @@ class NoSecondPointError(BerglabError):
 
 
 class PolesTooCloseError(BerglabError):
-    """Pole retraction left poles too close to the integration region."""
+    """A pole lies inside the integration domain or too close to its boundary."""
 
 
 class ConfigInvalidError(BerglabError):

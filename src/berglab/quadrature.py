@@ -1,21 +1,25 @@
-"""Area integration of rational-function products over disk-chain domains.
+"""Area integrals of rational-function products over circle domains.
 
-The domain D(0,1) minus shrinking holes spans dozens of decades of scale, so
-a single quadrature grid is hopeless.  The partition used here is exact and
-per-scale:
+Every domain here is bounded by circles: an outer circle, holes and possibly
+an inner barrier.  Choosing Phi_i with dPhi_i/dzbar = conj(f_i), the complex
+Green formula turns each Gram entry into a boundary integral,
 
-* pole annuli r_k < |z - x_k| < R_k around each hole: every basis product is
-  integrated in closed form through the Laurent orthogonality of centered
-  annuli (regular parts as power sums, pole pairs through explicit kernels
-  that stay O(1) at any scale),
-* gap bands between consecutive scale blocks, the innermost disk, and the
-  outermost band: centered annuli, same closed forms,
-* one numeric "collar" band around each hole (or around each group of holes
-  whose bands overlap) with the enlarged disks excluded: an O(1) geometry
-  after rescaling, handled by polar Gauss-Legendre with arc exclusion and
-  doubling refinement.
+    G_ij = integral over the domain of conj(f_i) f_j dA
+         = (1 / 2i) * contour integral over the boundary of Phi_i f_j dz,
 
-An independent seeded Monte-Carlo estimator is available for spot checks.
+with the outer circle run counter-clockwise and holes clockwise.  A
+single-valued Phi exists for every basis element: the conjugate of an
+antiderivative for polynomials and poles of order >= 2, and
+conj(a) log|z - c|^2 for a simple pole a / (z - c).  On a circle the
+integrand is smooth and periodic, so the N-point trapezoidal rule converges
+geometrically in the nearest-singularity ratio (Trefethen & Weideman, "The
+exponentially convergent trapezoidal rule", SIAM Rev. 56, 2014).  Every
+factor is evaluated in the circle's own frame, (c_circle - c_pole) +
+rho e^{i theta}, so holes far below the resolution of their centers stay
+exact.
+
+The polar Gauss-Legendre area rule of :class:`PolarRegion` and a seeded
+Monte-Carlo estimator are kept as independent oracles.
 """
 
 from __future__ import annotations
@@ -34,25 +38,26 @@ from .errors import PolesTooCloseError, QuadratureStallError
 
 @lru_cache(maxsize=None)
 def leggauss(n: int):
-    # Gauss rules are eigen-decompositions; collar assembly asks for the
-    # same orders thousands of times
+    # Gauss rules are eigen-decompositions; the polar area rule asks for the
+    # same orders many times
     return _leggauss_raw(n)
 
-#: validity margin for series expansions: |pole offset| / radius must stay
-#: on the correct side of this ratio
+#: largest nearest-singularity ratio a boundary circle accepts
 SERIES_MARGIN = 0.95
 
-#: truncation bounds for regular (nonnegative-power) expansions
-SERIES_TERMS_MIN = 96
-SERIES_TERMS_MAX = 768
+#: fewest trapezoidal nodes on a circle; SERIES_MARGIN caps the count at 629
+NODES_MIN = 96
+
+#: largest change, on the scale sqrt(G_ii G_jj), that doubling every
+#: circle's node count may make to a Gram entry
+DOUBLING_TOL = 1e-9
 
 
 def _terms_for(ratio: float) -> int:
-    """Expansion order driving the geometric tail below 1e-14."""
+    """Trapezoidal nodes driving the geometric error ratio**N below 1e-14."""
     if ratio <= 0.0:
-        return SERIES_TERMS_MIN
-    need = int(math.ceil(14.0 * math.log(10.0) / (2.0 * -math.log(min(ratio, 0.999)))))
-    return min(SERIES_TERMS_MAX, max(SERIES_TERMS_MIN, need))
+        return NODES_MIN
+    return max(NODES_MIN, math.ceil(14.0 * math.log(10.0) / -math.log(ratio)))
 
 
 # ---------------------------------------------------------------------------
@@ -62,12 +67,7 @@ def _terms_for(ratio: float) -> int:
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """poly(z) + sum_i coeff_i / (z - center_i)**order_i.
-
-    Any order works for evaluation and for poles at an integration frame's
-    center; off-center poles inside an annulus hole have closed-form pair
-    integrals for orders 1 and 2 only.
-    """
+    """poly(z) + sum_i coeff_i / (z - center_i)**order_i, any orders."""
 
     poly: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=complex))
     pole_centers: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=complex))
@@ -150,129 +150,147 @@ class RationalFunction:
 
 
 # ---------------------------------------------------------------------------
-# closed-form annulus blocks
+# the boundary-integral Gram engine
 # ---------------------------------------------------------------------------
 
 
-def _regular_coefficients(fns: Sequence[RationalFunction], center: complex, r_in: float, r_out: float) -> np.ndarray:
-    """Nonnegative-power expansion coefficients, normalized by r_out.
+@dataclass
+class QuadratureInfo:
+    """What the boundary rule did: the a-priori node count N of each circle
+    (the returned Gram uses 2N), the largest change from the N- to the
+    2N-point rule and the Hermitian defect of the unsymmetrised result, both
+    relative to sqrt(G_ii G_jj)."""
 
-    Row i holds c_p with f_i(z) = sum_p c_p (w/r_out)**p + (inner-pole part),
-    w = z - center, valid on the annulus.  Outer poles must clear
-    r_out / SERIES_MARGIN; inner poles contribute nothing here (their
-    negative powers are orthogonal to these).
+    nodes: list = field(default_factory=list)
+    doubling_change: float = 0.0
+    hermitian_defect: float = 0.0
+    #: the boundary rule has no refinement levels; the mapping stays empty
+    #: because perfbench/tracer.py sums it
+    levels: dict = field(default_factory=dict)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "circle_nodes": self.nodes,
+            "doubling_change": self.doubling_change,
+            "hermitian_defect": self.hermitian_defect,
+        }
+
+
+def domain_circles(domain: CircleDomain) -> list[tuple[complex, float, int]]:
+    """The domain's boundary circles as (center, radius, orientation): +1
+    (counter-clockwise) for the outer circle, -1 for holes and the inner
+    barrier.  The isolated origin bounds no area and is left out."""
+    last = domain.circle_radii.size - 1
+    return [
+        (c, rho, 1 if i == last else -1)
+        for i, (c, rho) in enumerate(zip(domain.circle_centers.tolist(), domain.circle_radii.tolist()))
+    ]
+
+
+def boundary_gram(
+    circles: Sequence[tuple[complex, float, int]], fns: Sequence[RationalFunction]
+) -> tuple[np.ndarray, QuadratureInfo]:
+    """G_ij = integral of conj(f_i) f_j over the domain bounded by ``circles``.
+
+    ``circles`` holds (center, radius, orientation) triples, orientation +1
+    for counter-clockwise and -1 for clockwise, with the domain on the left.
+    Each circle gets N = _terms_for(ratio) nodes from the ratio of its
+    nearest pole (min(d, rho) / max(d, rho) at distance d from its center),
+    and its rule is doubled once: the returned matrix is the 2N-point
+    result, Hermitian-symmetrised, and the N-point result must agree with
+    it to DOUBLING_TOL on the global scale sqrt(G_ii G_jj).
+
+    Raises PolesTooCloseError for a pole inside the domain or with a ratio
+    above SERIES_MARGIN, QuadratureStallError when the doubling check fails.
     """
-    # worst convergence ratio over all outer poles sets the truncation order
-    worst = 0.0
-    for f in fns:
-        for c, m, a in zip(f.pole_centers, f.pole_orders, f.pole_coeffs):
-            ad = abs(c - center)
-            if ad <= r_in:
-                continue
-            if ad * SERIES_MARGIN < r_out:
-                raise PolesTooCloseError(
-                    f"pole at {c} too close to annulus |w| < {r_out} around {center}"
-                )
-            worst = max(worst, r_out / ad)
-    P = _terms_for(worst)
-    out = np.zeros((len(fns), P + 1), dtype=complex)
-    powers = np.arange(P + 1)
+    n = len(fns)
+    centers = np.concatenate([f.pole_centers for f in fns])
+    orders = np.concatenate([f.pole_orders for f in fns])
+    coeffs = np.concatenate([f.pole_coeffs for f in fns])
+    owner = np.zeros((centers.size, n))
+    owner[np.arange(centers.size), np.repeat(np.arange(n), [f.pole_centers.size for f in fns])] = 1.0
+    n_coef = max(f.poly.size for f in fns)
+    poly = np.zeros((n, n_coef), dtype=complex)
     for i, f in enumerate(fns):
-        if f.poly.size:
-            coeffs = _shift_poly(f.poly, center)  # powers of w = z - center
-            n = min(coeffs.size, P + 1)
-            out[i, :n] += coeffs[:n] * r_out ** powers[:n]
-        for c, m, a in zip(f.pole_centers, f.pole_orders, f.pole_coeffs):
-            delta = c - center
-            ad = abs(delta)
-            if ad <= r_in:  # inner pole: negative powers only
-                continue
-            q = r_out / delta
-            # (w-delta)^-m = (-1)^m delta^-m sum_n C(n+m-1, n) (w/delta)^n
-            binom = np.ones(P + 1)
-            for t in range(1, m):
-                binom *= (powers + t) / t
-            out[i] += a * (-1.0) ** m / delta**m * binom * q**powers
-    return out
+        poly[i, : f.poly.size] = f.poly
+    antideriv = poly / np.arange(1, n_coef + 1)  # coefficients of z^1 .. z^n_coef
+
+    cc = np.array([c for c, _, _ in circles], dtype=complex)
+    rr = np.array([rho for _, rho, _ in circles], dtype=float)
+    sign = np.array([s for _, _, s in circles], dtype=float)
+    dist = np.abs(centers[:, None] - cc[None, :])
+    # winding number of the oriented boundary around each pole
+    inside = (sign * (dist < rr)).sum(axis=1) > 0
+    if np.any(inside):
+        raise PolesTooCloseError(f"pole {centers[inside][0]} lies inside the domain")
+    ratio = np.minimum(dist, rr) / np.maximum(dist, rr)
+    worst = ratio.max(axis=0, initial=0.0)
+    if np.any(worst > SERIES_MARGIN):
+        i = int(np.argmax(worst))
+        raise PolesTooCloseError(
+            f"a pole sits at ratio {worst[i]:.3f} of the circle |z - {cc[i]}| = {rr[i]}"
+        )
+
+    nodes = [_terms_for(float(r)) for r in worst]
+    coarse = np.zeros((n, n), dtype=complex)
+    fine = np.zeros((n, n), dtype=complex)
+    for c, rho, s, N in zip(cc, rr, sign, nodes):
+        zeta = np.exp(2j * math.pi * np.arange(2 * N) / (2 * N))
+        Phi, F = _boundary_values(c, rho * zeta, poly, antideriv, centers, orders, coeffs, owner)
+        # (1/2i) dz = (rho zeta / 2) dtheta, and dtheta = pi / N on 2N nodes
+        WF = (s * math.pi * rho / (2 * N)) * zeta[:, None] * F
+        fine += Phi.T @ WF
+        coarse += Phi[::2].T @ (2.0 * WF[::2])
+
+    root = np.sqrt(np.maximum(np.abs(np.real(np.diag(fine))), 1e-300))
+    scale = root[:, None] * root[None, :]
+    change = float(np.max(np.abs(fine - coarse) / scale))
+    if not change <= DOUBLING_TOL:
+        raise QuadratureStallError(
+            f"doubling the boundary rule changed the Gram matrix by {change:.2e} (tolerance {DOUBLING_TOL})"
+        )
+    info = QuadratureInfo(
+        nodes=nodes,
+        doubling_change=change,
+        hermitian_defect=float(np.max(np.abs(fine - fine.conj().T) / scale)),
+    )
+    return 0.5 * (fine + fine.conj().T), info
 
 
-def _shift_poly(coeffs: np.ndarray, center: complex) -> np.ndarray:
-    """Coefficients of p(w + center) in powers of w."""
-    out = np.zeros_like(coeffs)
-    for j, cj in enumerate(coeffs):
-        if cj == 0:
-            continue
-        row = np.zeros(j + 1, dtype=complex)
-        row[0] = 1.0
-        binom = 1.0
-        for mdeg in range(j + 1):
-            if mdeg > 0:
-                binom = binom * (j - mdeg + 1) / mdeg
-            out[mdeg] += cj * binom * center ** (j - mdeg)
-    return out
+def _boundary_values(c, offsets, poly, antideriv, centers, orders, coeffs, owner):
+    """(Phi, F): every function and its Phi at the nodes c + offsets, one
+    column per function.  Pole factors are formed as (c - center) + offset."""
+    z = c + offsets
+    powers = np.cumprod(np.column_stack([np.ones_like(z)] + [z] * poly.shape[1]), axis=1)
+    F = powers[:, :-1] @ poly.T
+    Phi = np.conj(powers[:, 1:] @ antideriv.T)
+    if centers.size:
+        U = (c - centers)[None, :] + offsets[:, None]
+        T = coeffs / U
+        lower = np.zeros_like(T)
+        # sequential divisions: U**m alone can under/overflow at deep scales
+        # even when a / U**m is representable
+        for k in range(2, int(orders.max()) + 1):
+            cols = orders >= k
+            lower[:, cols] = T[:, cols]
+            T[:, cols] /= U[:, cols]
+        # T = a / U**m, lower = a / U**(m-1) for m >= 2
+        simple = orders == 1
+        P = np.conj(lower) / np.where(simple, 1, 1 - orders)
+        P[:, simple] = np.conj(coeffs[simple]) * (2.0 * np.log(np.abs(U[:, simple])))
+        F += T @ owner
+        Phi += P @ owner
+    return Phi, F
 
 
-def _inner_poles(fns: Sequence[RationalFunction], center: complex, r_in: float):
-    """Per function: list of (delta, order, coeff) with |delta| < r_in."""
-    per = []
-    for f in fns:
-        rows = []
-        for c, m, a in zip(f.pole_centers, f.pole_orders, f.pole_coeffs):
-            delta = c - center
-            ad = abs(delta)
-            if ad <= r_in:
-                if r_in > 0 and ad > SERIES_MARGIN * r_in:
-                    raise PolesTooCloseError(
-                        f"pole at {c} hugs the annulus hole |w| = {r_in} around {center}"
-                    )
-                if r_in == 0.0:
-                    raise PolesTooCloseError(f"pole at {c} inside disk region around {center}")
-                rows.append((delta, int(m), a))
-        per.append(rows)
-    return per
-
-
-def _pole_pair_block(
-    d1: complex, m1: int, a1: complex, d2: complex, m2: int, a2: complex, r1: float, r2: float
-) -> complex:
-    """conj(a1) * a2 * integral over r1<|w|<r2 of conj((w-d1)^-m1) (w-d2)^-m2 dA.
-
-    Orders 1 and 2 come from I11 = 2 pi [log(r2/r1) - log(1-t/r1^2)/2
-    + log(1-t/r2^2)/2] with t = d1 * conj(d2), differentiated in the pole
-    positions.  The kernel scales like r1^(2 - m1 - m2), so coefficients are
-    folded in as a / r1^(m-1) ratios first: with the radius-scaled basis
-    every intermediate stays O(1) at any hole depth.  Centered poles reduce
-    to Laurent monomials and support any order.
-    """
-    if d1 == 0 and d2 == 0:
-        if m1 != m2:
-            return 0.0 + 0.0j
-        m = m1
-        c = np.conj(a1 / r1 ** (m - 1)) * (a2 / r1 ** (m - 1))
-        if m == 1:
-            return c * 2.0 * math.pi * math.log(r2 / r1)
-        return c * 2.0 * math.pi * (1.0 - (r1 / r2) ** (2 * m - 2)) / (2.0 * m - 2.0)
-    if m1 > 2 or m2 > 2:
-        raise PolesTooCloseError("off-center inner poles support orders 1 and 2 only")
-    c = np.conj(a1 / r1 ** (m1 - 1)) * (a2 / r1 ** (m2 - 1))
-    u1, u2 = d1 / r1, d2 / r1
-    s = (r1 / r2) ** 2
-    T = u2 * np.conj(u1)  # normalized t for the conj(f) g orientation
-    if m1 == 1 and m2 == 1:
-        val = math.log(r2 / r1) - 0.5 * np.log(1.0 - T) + 0.5 * np.log(1.0 - T * s)
-    elif m1 == 1 and m2 == 2:
-        # d/d(d2) of I11 in the conj(f) g orientation
-        val = 0.5 * np.conj(u1) * (1.0 / (1.0 - T) - s / (1.0 - T * s))
-    elif m1 == 2 and m2 == 1:
-        val = 0.5 * u2 * (1.0 / (1.0 - T) - s / (1.0 - T * s))
-    else:
-        val = 0.5 * (1.0 / (1.0 - T) ** 2 - s / (1.0 - T * s) ** 2)
-    return c * 2.0 * math.pi * complex(val)
+# ---------------------------------------------------------------------------
+# partition regions
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class AnnulusRegion:
-    """Centered annulus r_in < |z - center| < r_out, integrated analytically."""
+    """Centered annulus r_in < |z - center| < r_out (a disk when r_in = 0)."""
 
     center: complex
     r_in: float
@@ -281,42 +299,20 @@ class AnnulusRegion:
     def area(self) -> float:
         return math.pi * (self.r_out**2 - self.r_in**2)
 
+    def circles(self) -> list[tuple[complex, float, int]]:
+        inner = [(self.center, self.r_in, -1)] if self.r_in > 0.0 else []
+        return [(self.center, self.r_out, 1), *inner]
+
     def gram(self, fns: Sequence[RationalFunction]) -> np.ndarray:
         """G_ij = integral of conj(f_i) * f_j over the annulus."""
-        n = len(fns)
-        # regular x regular through normalized power sums
-        A = _regular_coefficients(fns, self.center, self.r_in, self.r_out)
-        p = np.arange(A.shape[1])
-        ratio = (self.r_in / self.r_out) ** 2 if self.r_out > 0 else 0.0
-        Q = (1.0 - ratio ** (p + 1)) / (2.0 * p + 2.0)  # integral of |w/r_out|^{2p} s ds / r_out^2
-        G = 2.0 * math.pi * self.r_out**2 * (A.conj() * Q) @ A.T
-        # inner-pole pairs in closed form (orthogonal to the regular parts)
-        inner = _inner_poles(fns, self.center, self.r_in)
-        for i in range(n):
-            if not inner[i]:
-                continue
-            for j in range(n):
-                if not inner[j]:
-                    continue
-                acc = 0.0 + 0.0j
-                for d1, m1, a1 in inner[i]:
-                    for d2, m2, a2 in inner[j]:
-                        acc += _pole_pair_block(
-                            d1, m1, a1, d2, m2, a2, self.r_in, self.r_out
-                        )
-                G[i, j] += acc
-        return G
-
-
-# ---------------------------------------------------------------------------
-# numeric polar regions
-# ---------------------------------------------------------------------------
+        return boundary_gram(self.circles(), fns)[0]
 
 
 @dataclass(frozen=True)
 class PolarRegion:
-    """{r_in <= |z - center| <= r_out} minus excluded disks, by polar
-    Gauss-Legendre with per-radius arc exclusion."""
+    """{r_in <= |z - center| <= r_out} minus excluded disks.  Its polar
+    Gauss-Legendre area rule with per-radius arc exclusion
+    (``nodes_weights``) is an oracle independent of the boundary rule."""
 
     center: complex
     r_in: float
@@ -403,39 +399,25 @@ class PolarRegion:
             free.append((cur, two_pi))
         return free
 
-    def gram(self, fns: Sequence[RationalFunction], level: int = 0) -> np.ndarray:
-        z, w = self.nodes_weights(level)
-        B = np.empty((z.size, len(fns)), dtype=complex)
-        for i, f in enumerate(fns):
-            B[:, i] = f.eval(z)
-        return (B.conj().T * w) @ B
+    def circles(self) -> list[tuple[complex, float, int]]:
+        return AnnulusRegion(self.center, self.r_in, self.r_out).circles() + [
+            (hc, rho, -1) for hc, rho in self.holes
+        ]
+
+    def gram(self, fns: Sequence[RationalFunction]) -> np.ndarray:
+        """G_ij = integral of conj(f_i) * f_j over the region."""
+        return boundary_gram(self.circles(), fns)[0]
 
 
 # ---------------------------------------------------------------------------
-# partitions
+# the Zalcman partition
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class QuadratureInfo:
-    regions_analytic: int = 0
-    regions_numeric: int = 0
-    levels: dict = field(default_factory=dict)
-    achieved: dict = field(default_factory=dict)
-    tol: float = 1e-3
-
-    def to_json_dict(self) -> dict:
-        return {
-            "regions_analytic": self.regions_analytic,
-            "regions_numeric": self.regions_numeric,
-            "levels": {str(k): v for k, v in self.levels.items()},
-            "achieved": {str(k): v for k, v in self.achieved.items()},
-            "tol": self.tol,
-        }
 
 
 def zalcman_partition(domain: ZalcmanDomain) -> tuple[list, list]:
-    """(analytic regions, numeric collars) covering the domain exactly.
+    """(annuli, collars) covering the domain exactly: the per-scale partition
+    the earlier collar quadrature integrated over.  No pipeline uses it;
+    perfbench's collar check integrates over each piece.
 
     Each hole k gets an analytic pole annulus r_k < |z - x_k| < R_k and a
     numeric collar band around |z| = x_k with the enlarged hole excluded.
@@ -491,94 +473,21 @@ def zalcman_partition(domain: ZalcmanDomain) -> tuple[list, list]:
     return analytic, numeric
 
 
-def reference_partition(domain: CircleDomain) -> tuple[list, list]:
-    """Disk or concentric annulus, fully analytic."""
-    if domain.centers.size:
-        raise ValueError("reference partition needs a hole-free domain")
-    r_in = float(domain.inner_radius) if domain.inner_radius is not None else 0.0
-    return [AnnulusRegion(0j, r_in, float(domain.outer_radius))], []
-
-
-def generic_partition(
-    outer_radius: float,
-    holes: Sequence[tuple[complex, float]],
-    enlargement: float = 2.0,
-) -> tuple[list, list]:
-    """Disk of given radius minus arbitrary well-separated holes: analytic
-    annuli around each hole up to the enlarged radius, one numeric region
-    for the rest."""
-    analytic = []
-    enlarged = []
-    for c, rho in holes:
-        rr = enlargement * rho
-        if abs(c) + rr >= outer_radius:
-            raise PolesTooCloseError("hole enlargement reaches the outer circle")
-        analytic.append(AnnulusRegion(complex(c), float(rho), float(rr)))
-        enlarged.append((complex(c), float(rr)))
-    for i in range(len(enlarged)):
-        for j in range(i + 1, len(enlarged)):
-            if abs(enlarged[i][0] - enlarged[j][0]) <= enlarged[i][1] + enlarged[j][1]:
-                raise PolesTooCloseError("enlarged holes overlap")
-    numeric = [PolarRegion(0j, 0.0, float(outer_radius), tuple(enlarged))]
-    return analytic, numeric
-
-
-def partition_for(domain: CircleDomain) -> tuple[list, list]:
-    if isinstance(domain, ZalcmanDomain):
-        return zalcman_partition(domain)
-    if domain.centers.size == 0:
-        return reference_partition(domain)
-    return generic_partition(float(domain.outer_radius), list(zip(domain.centers, domain.radii)))
-
-
-# ---------------------------------------------------------------------------
-# assembly with refinement
-# ---------------------------------------------------------------------------
+def partition_for(domain: ZalcmanDomain) -> tuple[list, list]:
+    """The per-scale partition of a Zalcman domain, see ``zalcman_partition``."""
+    if not isinstance(domain, ZalcmanDomain):
+        raise TypeError("only Zalcman domains have a partition")
+    return zalcman_partition(domain)
 
 
 def integrate_hermitian(
-    partition: tuple[list, list],
-    fns: Sequence[RationalFunction],
-    tol: float = 1e-3,
-    max_level: int = 3,
+    partition: tuple[list, list], fns: Sequence[RationalFunction]
 ) -> tuple[np.ndarray, QuadratureInfo]:
-    """Gram matrix of fns over the partitioned domain.
-
-    Analytic regions are exact (series truncation far below tol); numeric
-    regions refine by doubling until successive levels agree entry-wise to
-    tol relative to the global diagonal scale sqrt(G_ii G_jj) -- the scale
-    that controls how Gram perturbations move kernel and metric values.
-    """
+    """Gram matrix of fns over the union of a partition's regions: one
+    boundary integral over all their circles (a circle shared by two regions
+    is run once each way and cancels)."""
     analytic, numeric = partition
-    n = len(fns)
-    G = np.zeros((n, n), dtype=complex)
-    info = QuadratureInfo(regions_analytic=len(analytic), regions_numeric=len(numeric), tol=tol)
-    for reg in analytic:
-        G += reg.gram(fns)
-    level0 = [reg.gram(fns, level=0) for reg in numeric]
-    d = np.real(np.diag(G) + sum(np.diag(c) for c in level0)) if numeric else np.real(np.diag(G))
-    root = np.sqrt(np.maximum(np.abs(d), 1e-300))
-    scale = root[:, None] * root[None, :]
-    for idx, reg in enumerate(numeric):
-        prev = level0[idx]
-        achieved = math.inf
-        level = 0
-        for level in range(1, max_level + 1):
-            cur = reg.gram(fns, level=level)
-            achieved = float((np.abs(cur - prev) / scale).max())
-            prev = cur
-            if achieved <= tol:
-                break
-        else:
-            raise QuadratureStallError(
-                f"collar {idx} stalled at rel {achieved:.2e} (tol {tol})"
-            )
-        info.levels[idx] = level
-        info.achieved[idx] = achieved
-        G += prev
-    # enforce exact Hermitian symmetry against roundoff
-    G = 0.5 * (G + G.conj().T)
-    return G, info
+    return boundary_gram([c for reg in (*analytic, *numeric) for c in reg.circles()], fns)
 
 
 def partition_area(partition: tuple[list, list]) -> float:

@@ -261,3 +261,27 @@ def test_disk_distance_matches_arctanh_oracle():
 
 def bergman_metric_b(gs, x: float) -> float:
     return subspace_metric(gs, complex(x)).b_est
+
+
+# ---------------------------------------------------------------------------
+# outputs against the polar-collar quadrature the boundary rule replaced
+# ---------------------------------------------------------------------------
+
+#: values written by the collar quadrature on h1(1.5), x1 = 1e-2, K = 10, at
+#: the mid-band points of bands k; its refinement stopped at a change of a
+#: few 1e-6 of the diagonal scale, so agreement is bounded by that
+GOLDEN_B_EST = {2: 1080.0758009475965, 4: 7398415.5833405545, 6: 2068438292693806.8}
+GOLDEN_WITNESS_RATIO = {2: 459275.8758608851, 4: 121304209113251.33, 6: 8.179930825519798e32}
+GOLDEN_EQUILIBRIUM_BOUND = {3: 1422797478.8381326, 5: 9.253571085267632e22, 7: 1.8085224530497728e54}
+
+
+def test_metric_and_witnesses_match_golden_values(h15_domain, h15_gram):
+    def mid(k):
+        return complex(-math.sqrt(float(h15_domain.xs[k - 1] * h15_domain.xs[k])))
+
+    for k, want in GOLDEN_B_EST.items():
+        assert subspace_metric(h15_gram, mid(k)).b_est == pytest.approx(want, rel=1e-6)
+    for k, want in GOLDEN_WITNESS_RATIO.items():
+        assert witness_metric_bound(h15_domain, mid(k))["ratio"] == pytest.approx(want, rel=1e-5)
+    for k, want in GOLDEN_EQUILIBRIUM_BOUND.items():
+        assert equilibrium_witness_bound(h15_domain, mid(k))["bound"] == pytest.approx(want, rel=1e-5)

@@ -56,6 +56,41 @@ def test_kernel_pipeline_end_to_end(tmp_path):
     assert len(lines) == 6
 
 
+def test_kernel_manifest_records_the_boundary_rule(tmp_path):
+    cfg = {
+        "pipeline": "kernel",
+        "domain": {"type": "zalcman", "family": "h1", "alpha": 1.5, "x1": 1e-2, "K": 6},
+        "k_range": [1, 5],
+    }
+    quad = run(cfg, str(tmp_path))["summary"]["quad"]
+    assert quad == read_manifest(tmp_path)["summary"]["quad"]
+    assert len(quad["circle_nodes"]) == 7  # six holes and the outer circle
+    assert all(isinstance(n, int) and n >= 96 for n in quad["circle_nodes"])
+    assert 0.0 <= quad["doubling_change"] <= 1e-9
+    assert 0.0 <= quad["hermitian_defect"] <= 1e-12
+    n_fns = 9 + 2 * 6  # degree 8 plus two pole orders per hole
+    assert n_fns // 2 <= quad["effective_rank"] <= n_fns
+    assert quad["min_kept_eigenvalue"] > 0.0
+
+
+def test_kernel_runs_where_no_collar_partition_exists(tmp_path):
+    # the polar-collar quadrature rejected this domain ("no feasible collar",
+    # rho_1 = 0.42); the boundary rule needs only poles outside the domain
+    cfg = {
+        "pipeline": "kernel",
+        "domain": {"type": "zalcman", "family": "h1", "alpha": 1.2, "x1": 0.0136, "K": 6},
+        "k_range": [1, 5],
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    lines = (tmp_path / "o" / "kernel_sweep.csv").read_text().splitlines()[1:]
+    assert len(lines) == 5
+    for line in lines:
+        _, _, k_low, witness, _ = map(float, line.split(","))
+        assert k_low >= witness
+
+
 def test_pommerenke_pipeline(tmp_path):
     cfg = {
         "pipeline": "pommerenke",

@@ -1,21 +1,37 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from berglab import bergman, quadrature
 from berglab.domains import CircleDomain, ScaleFunction, build_zalcman
-from berglab.errors import PolesTooCloseError
+from berglab.errors import PolesTooCloseError, QuadratureStallError
 from berglab.quadrature import (
     AnnulusRegion,
     PolarRegion,
     RationalFunction,
-    generic_partition,
+    boundary_gram,
+    domain_circles,
     integrate_hermitian,
     mc_integral,
     partition_area,
     partition_for,
-    reference_partition,
 )
+
+
+@functools.cache
+def area_nodes(region: PolarRegion, level: int) -> tuple[np.ndarray, np.ndarray]:
+    return region.nodes_weights(level)
+
+
+def area_gram(region: PolarRegion, fns, level: int = 2) -> np.ndarray:
+    """The polar Gauss-Legendre area rule, independent of the boundary rule."""
+    z, w = area_nodes(region, level)
+    B = np.column_stack([f.eval(z) for f in fns])
+    return (B.conj().T * w) @ B
 
 
 def test_rational_eval_and_deriv_against_finite_differences():
@@ -32,24 +48,22 @@ def test_rational_eval_and_deriv_against_finite_differences():
 
 
 def test_disk_monomial_gram_closed_form():
-    part = reference_partition(CircleDomain.build())
     basis = [RationalFunction.monomial(j) for j in range(4)]
-    G, _ = integrate_hermitian(part, basis)
+    G, _ = boundary_gram(domain_circles(CircleDomain.build()), basis)
     expected = np.diag([math.pi / (j + 1) for j in range(4)])
     assert np.allclose(G, expected, atol=1e-12)
 
 
 def test_annulus_laurent_norms():
-    part = reference_partition(CircleDomain.build(inner_radius=0.5))
     basis = [RationalFunction.pole(0j, 1), RationalFunction.monomial(0)]
-    G, _ = integrate_hermitian(part, basis)
+    G, _ = boundary_gram(domain_circles(CircleDomain.build(inner_radius=0.5)), basis)
     assert G[0, 0].real == pytest.approx(2 * math.pi * math.log(2.0), rel=1e-12)
     assert G[1, 1].real == pytest.approx(math.pi * (1 - 0.25), rel=1e-12)
     assert abs(G[0, 1]) < 1e-12  # rotational orthogonality
 
 
 def test_pole_pair_kernels_against_polar_quadrature():
-    # same annulus, offset poles: closed form vs brute numeric integration
+    # same annulus, offset poles: boundary rule vs the polar area rule
     reg = AnnulusRegion(0j, 0.2, 1.0)
     d1, d2 = 0.05 + 0.02j, -0.03 + 0.04j
     fns = [
@@ -58,7 +72,7 @@ def test_pole_pair_kernels_against_polar_quadrature():
         RationalFunction.pole(d1, 2),
     ]
     G = reg.gram(fns)
-    num = PolarRegion(0j, 0.2, 1.0, ()).gram(fns, level=2)
+    num = area_gram(PolarRegion(0j, 0.2, 1.0, ()), fns)
     assert np.allclose(G, num, rtol=2e-6, atol=1e-8)
 
 
@@ -70,7 +84,7 @@ def test_mixed_pole_poly_entries_match_numeric():
         RationalFunction.pole(1.5 + 0.2j, 1),  # outer pole: regular part
     ]
     G = reg.gram(fns)
-    num = PolarRegion(0j, 0.3, 0.9, ()).gram(fns, level=2)
+    num = area_gram(PolarRegion(0j, 0.3, 0.9, ()), fns)
     assert np.allclose(G, num, rtol=2e-6, atol=1e-9)
 
 
@@ -88,7 +102,7 @@ def test_partition_area_quadrature_of_one():
     G, info = integrate_hermitian(part, one)
     exact = math.pi * (1.0 - float(np.sum(dom.radii**2)))
     assert G[0, 0].real == pytest.approx(exact, rel=1e-6)
-    assert info.regions_numeric == 3
+    assert len(part[1]) == 3
 
 
 def test_zalcman_gram_hermitian_psd():
@@ -138,13 +152,10 @@ def test_mc_deterministic_given_seed():
     assert a == b
 
 
-def test_generic_partition_two_holes():
-    part = generic_partition(0.25, [(-0.1 + 0j, 0.01), (0.1 + 0j, 0.01)])
-    area = partition_area(part)
-    assert area == pytest.approx(math.pi * (0.25**2 - 2 * 0.01**2), rel=1e-12)
-    one = [RationalFunction.monomial(0)]
-    G, _ = integrate_hermitian(part, one)
-    assert G[0, 0].real == pytest.approx(area, rel=1e-6)
+def test_two_hole_disk_area():
+    dom = CircleDomain.build([(-0.1 + 0j, 0.01), (0.1 + 0j, 0.01)], outer_radius=0.25)
+    G, _ = boundary_gram(domain_circles(dom), [RationalFunction.monomial(0)])
+    assert G[0, 0].real == pytest.approx(math.pi * (0.25**2 - 2 * 0.01**2), rel=1e-14)
 
 
 def test_pole_hugging_raises():
@@ -153,3 +164,106 @@ def test_pole_hugging_raises():
         reg.gram([RationalFunction.pole(0.099 + 0j, 1)])
     with pytest.raises(PolesTooCloseError):
         reg.gram([RationalFunction.pole(0.51 + 0j, 1)])
+
+
+# ---------------------------------------------------------------------------
+# the boundary-integral engine
+# ---------------------------------------------------------------------------
+
+
+def test_closed_forms_disk_monomials_and_annulus_laurent_terms():
+    disk = [RationalFunction.monomial(j) for j in range(9)]
+    G, _ = boundary_gram(domain_circles(CircleDomain.build()), disk)
+    want = np.diag([math.pi / (j + 1) for j in range(9)])
+    assert np.max(np.abs(G - want) / np.sqrt(np.outer(np.diag(want), np.diag(want)))) <= 1e-13
+    # z^n for n = -8..8 on 0.5 < |z| < 1, the negative powers as poles at 0
+    laurent = [RationalFunction.pole(0j, m) for m in range(8, 0, -1)] + disk
+    ann = CircleDomain.build(inner_radius=0.5)
+    G, _ = boundary_gram(domain_circles(ann), laurent)
+    want = np.diag([
+        2 * math.pi * (math.log(2.0) if n == -1 else (1 - 0.5 ** (2 * n + 2)) / (2 * n + 2))
+        for n in range(-8, 9)
+    ])
+    assert np.max(np.abs(G - want) / np.sqrt(np.outer(np.diag(want), np.diag(want)))) <= 1e-13
+
+
+@pytest.fixture(scope="module")
+def h2_40_gram():
+    dom = build_zalcman(ScaleFunction.h2(1.0), 1e-3, K=40)
+    return dom, bergman.assemble_gram(dom, bergman.default_basis(dom))
+
+
+def test_h2_gram_unsymmetrised_is_hermitian(h2_40_gram):
+    _, gs = h2_40_gram
+    assert gs.quad.hermitian_defect <= 1e-13
+    assert gs.quad.doubling_change <= 1e-13
+
+
+#: K_low of the h2 beta=1, x1=1e-3, K=40 sweep at k = 5, 20, 35, as written
+#: by the polar-collar quadrature this engine replaced
+GOLDEN_K_LOW = {5: 20577535352988.973, 20: 3.667370783331524e60, 35: 5.158785617145812e120}
+
+
+def test_h2_kernel_matches_golden_values(h2_40_gram):
+    dom, gs = h2_40_gram
+    for k, want in GOLDEN_K_LOW.items():
+        x = math.sqrt(float(dom.xs[k - 1] * dom.xs[k]))
+        assert bergman.subspace_kernel(gs, complex(-x)).K_low == pytest.approx(want, rel=1e-6)
+
+
+def test_deep_frame_entries_finite():
+    # r_10 is far below the resolution of x_10 here: x_10 + r_10 e^{it}
+    # rounds to x_10, and only the circle's own frame keeps the pole apart
+    dom = build_zalcman(ScaleFunction.h1(1.5), 1e-2, K=10)
+    assert float(dom.xs[9]) + float(dom.rs[9]) == float(dom.xs[9])
+    G, _ = boundary_gram(domain_circles(dom), bergman.default_basis(dom).functions())
+    assert np.all(np.isfinite(G))
+    assert np.all(np.real(np.diag(G)) > 0.0)
+
+
+TWO_HOLES = ((-0.4 + 0.1j, 0.15), (0.35 - 0.2j, 0.1))
+TWO_HOLE_REGION = PolarRegion(0j, 0.0, 1.0, TWO_HOLES)
+
+
+@st.composite
+def hole_poles(draw):
+    """Off-centre poles of orders 1-3 inside the holes, scaled by the
+    hole radius so each function has an O(1) norm."""
+    fns = []
+    for _ in range(draw(st.integers(1, 3))):
+        c, rho = TWO_HOLES[draw(st.integers(0, 1))]
+        offset = draw(st.floats(0.0, 0.6)) * rho * np.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+        m = draw(st.integers(1, 3))
+        fns.append(RationalFunction.pole(c + offset, m, coeff=rho ** (m - 1)))
+    return fns
+
+
+@settings(max_examples=25, deadline=None)
+@given(hole_poles())
+def test_hole_poles_match_area_oracle(fns):
+    # level 3 of the area rule: at level 2 its own error on an order-3 pole
+    # reaches 2.5e-6 of the diagonal, and each level cuts it 8x towards the
+    # boundary rule's value; compared on the scale sqrt(G_ii G_jj)
+    G, _ = boundary_gram(TWO_HOLE_REGION.circles(), fns)
+    A = area_gram(TWO_HOLE_REGION, fns, level=3)
+    root = np.sqrt(np.real(np.diag(A)))
+    assert np.max(np.abs(G - A) / np.outer(root, root)) <= 2e-6
+
+
+def test_pole_inside_domain_raises():
+    circles = domain_circles(CircleDomain.build([(0.5 + 0j, 0.1)]))
+    with pytest.raises(PolesTooCloseError):
+        boundary_gram(circles, [RationalFunction.pole(-0.5 + 0j, 1)])
+    boundary_gram(circles, [RationalFunction.pole(0.5 + 0j, 1)])
+
+
+def test_doubling_check_raises_stall(monkeypatch):
+    # an order-4 pole at ratio 0.9 leaves ~1e-10 between the N- and the
+    # 2N-point rule: inside DOUBLING_TOL, outside a tolerance of 1e-12
+    circles = [(0j, 1.0, 1), (0.3 + 0j, 0.1, -1)]
+    fns = [RationalFunction.pole(0.39 + 0j, 4, coeff=1e-3), RationalFunction.monomial(0)]
+    _, info = boundary_gram(circles, fns)
+    assert 1e-12 < info.doubling_change <= quadrature.DOUBLING_TOL
+    monkeypatch.setattr(quadrature, "DOUBLING_TOL", 1e-12)
+    with pytest.raises(QuadratureStallError):
+        boundary_gram(circles, fns)
