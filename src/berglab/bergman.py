@@ -475,7 +475,8 @@ def equilibrium_witness_bound(
     if sols[best] is None:
         raise NoSecondPointError("no sector carries at least two nodes")
     mu11 = sols[best]
-    mu1_full = _cluster_measure(e1_bnd)
+    # the best sector often holds every E1 node: its solve is the full one
+    mu1_full = mu11 if masks[best].all() else _cluster_measure(e1_bnd)
     mu2 = _cluster_measure(e2_bnd)
 
     # weights live on the boundary nodes; poles sit at the retracted copies
@@ -500,7 +501,7 @@ def equilibrium_witness_bound(
         "norm_sq": norm_sq,
         "sector_caps": caps,
         "cap_E11": mu11.capacity,
-        "cap_E1": mu1_full.capacity if mu1_full is not None else 0.0,
+        "cap_E1": mu1_full.capacity,
         "facing_floor": 1.0 / (4.0 * delta),
         "second_ceiling": 1.0 / (6.0 * delta),
     }

@@ -9,13 +9,15 @@ Three estimator routes live here:
   capacity from above by a factor that equals n**(1/(n-1)) exactly on
   circles; the capacity estimate divides that factor out and keeps the raw
   diameters as diagnostics.
-* ``equilibrium_measure``: projected-gradient ascent over the weight
-  simplex, with a Frank-Wolfe fallback.  The pairwise objective alone is
-  maximized by collapsing onto a few far-apart atoms (excluding the
-  diagonal removes the infinite self-energy that forbids atoms), so the
-  objective carries a local self-energy diagonal log(spacing/(2*pi)) --
-  the unique choice that reproduces circle energies exactly.  The raw
-  pairwise sum is kept alongside for stationarity checks.
+* ``equilibrium_measure``: the energy maximizer over the weight simplex,
+  from one bordered linear solve (the energy is concave on sum-zero
+  weights, so an interior optimum is its stationary point), with an
+  active-set re-solve when weights come out negative.  The pairwise
+  objective alone is maximized by collapsing onto a few far-apart atoms
+  (excluding the diagonal removes the infinite self-energy that forbids
+  atoms), so the objective carries a local self-energy diagonal
+  log(spacing/(2*pi)) -- the unique choice that reproduces circle energies
+  exactly.  The raw pairwise sum is kept alongside.
 * ``cantor_capacity_bound``: closed-form partial product for nested
   interval sets, evaluated in the log domain.
 
@@ -31,13 +33,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .domains import CantorSet
-from .errors import (
-    GridTooSmallError,
-    NonConvergenceError,
-    PreconditionViolatedError,
-)
+from .errors import EquilibriumSolveError, GridTooSmallError, PreconditionViolatedError
 
 WEIGHT_TOL = 1e-12
+#: a dropped node may raise the potential above the energy by this much
+#: relative to max(1, |energy|): rounding, not a missed support point
+KKT_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +138,21 @@ def self_scales(nodes: np.ndarray) -> np.ndarray:
     np.fill_diagonal(d, np.inf)
     nearest = d.min(axis=1)
     if np.any(~np.isfinite(nearest)) or np.any(nearest <= 0.0):
-        raise ValueError("self scales need at least two distinct nodes")
+        raise PreconditionViolatedError("self scales need at least two nodes, all distinct")
     return np.log(nearest / (2.0 * math.pi))
+
+
+def _energy_matrix(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log_distance_matrix with the self_scales diagonal, the scales)."""
+    scales = self_scales(nodes)
+    A = log_distance_matrix(nodes)
+    A[np.diag_indices(nodes.size)] = scales
+    return A, scales
 
 
 def regularized_energy(mu: WeightedPointSet) -> float:
     """Pairwise energy plus the self-energy diagonal; continuum estimate."""
-    A = log_distance_matrix(mu.nodes) + np.diag(self_scales(mu.nodes))
+    A, _ = _energy_matrix(mu.nodes)
     return float(mu.weights @ A @ mu.weights)
 
 
@@ -284,96 +293,85 @@ class EquilibriumSolution:
     measure: WeightedPointSet
     energy: float  # corrected estimate of I(mu)
     capacity: float  # exp(energy)
-    kkt_residual: float
+    kkt_residual: float  # stationarity of the regularized objective
     raw_energy: float = 0.0
-    iterations: int = 0
+    iterations: int = 0  # linear solves
     converged: bool = True
+    raw_potential_spread: float = 0.0
 
 
-def simplex_project(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    n = v.size
-    a = -np.sort(-v)
-    lam = (np.cumsum(a) - 1.0) / np.arange(1, n + 1)
-    k = np.nonzero(a > lam)[0][-1]
-    return np.maximum(v - lam[k], 0.0)
+def _check_concave(A: np.ndarray) -> None:
+    """Raise unless A is negative definite on sum-zero vectors: with
+    Z = [-1^T; I] spanning them, -Z^T A Z (built in place from A's first row
+    and column) must admit a Cholesky factorization."""
+    S = A[1:, :1] + A[:1, 1:]
+    S -= A[1:, 1:]
+    S -= A[0, 0]
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        raise EquilibriumSolveError("energy is not concave on sum-zero weights") from None
 
 
-def equilibrium_measure(
-    candidates,
-    max_iter: int = 10000,
-    tol: float = 1e-10,
-) -> EquilibriumSolution:
-    """Maximize the regularized discrete energy over the weight simplex.
+def _bordered_solve(A: np.ndarray) -> np.ndarray:
+    """w solving [[A, 1], [1^T, 0]] [w; -lambda] = [0; 1]."""
+    m = A.shape[0]
+    K = np.ones((m + 1, m + 1))
+    K[:m, :m] = A
+    K[m, m] = 0.0
+    rhs = np.zeros(m + 1)
+    rhs[m] = 1.0
+    return np.linalg.solve(K, rhs)[:m]
 
-    Projected-gradient ascent with backtracking from the uniform start
-    (fixed start keeps runs reproducible); a Frank-Wolfe vertex step is
-    tried whenever the projected step stalls.  The objective is the pairwise
-    sum plus the ``self_scales`` diagonal; without that diagonal the true
-    maximizer is a near-atomic measure, not the continuum equilibrium.
 
-    The reported ``energy`` is the objective value (a continuum-energy
-    estimate, exact on circles); ``raw_energy`` is the excluded-diagonal
-    pairwise sum whose constancy of potential over the support is the
-    stationarity check behind ``kkt_residual``.
+def equilibrium_measure(candidates) -> EquilibriumSolution:
+    """Maximize the regularized discrete energy w^T A w over the weight simplex.
+
+    A is the pairwise log-distance matrix plus the ``self_scales`` diagonal
+    (without it the maximizer is near-atomic, not the continuum equilibrium).
+    A is concave on sum-zero weights, so the maximizer is unique and solves
+    the bordered system on its support: one solve, repeated without the
+    nodes whose weight comes out negative; each dropped node must then
+    satisfy KKT, (A w)_i <= w^T A w.
+
+    ``energy`` is the objective value (exact on circles); ``kkt_residual``
+    is max |(A w)_i - w^T A w| on the support and its positive part off it.
+    ``raw_energy`` is the excluded-diagonal pairwise sum, and
+    ``raw_potential_spread`` the spread of its potential over the support,
+    which is not zero at the optimum.
     """
     nodes = candidates.nodes if isinstance(candidates, WeightedPointSet) else candidates
     nodes = np.asarray(nodes, dtype=complex).ravel()
-    n = nodes.size
-    if n < 2:
+    if nodes.size < 2:
         raise PreconditionViolatedError("need at least two candidate nodes")
-    A_pair = log_distance_matrix(nodes)
-    A = A_pair + np.diag(self_scales(nodes))
-    w = np.full(n, 1.0 / n)
-    val = float(w @ A @ w)
-    step = 1.0 / (np.abs(A).max() + 1.0)
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        g = 2.0 * (A @ w)
-        improved = False
-        eta = step
-        for _ in range(40):
-            w_new = simplex_project(w + eta * g)
-            val_new = float(w_new @ A @ w_new)
-            if val_new > val + 1e-16 * abs(val):
-                improved = True
-                break
-            eta *= 0.5
-        if not improved:
-            # Frank-Wolfe fallback: exact line max toward the best vertex
-            s = int(np.argmax(g))
-            d = -w.copy()
-            d[s] += 1.0
-            a2 = float(d @ A @ d)
-            a1 = float(2.0 * (w @ A @ d))
-            gamma = 1.0 if a2 >= 0 else min(1.0, max(0.0, -a1 / (2.0 * a2)))
-            w_new = w + gamma * d
-            val_new = float(w_new @ A @ w_new)
-            if val_new <= val + 1e-16 * abs(val):
-                converged = True
-                break
-        rel_change = abs(val_new - val) / max(abs(val), 1e-30)
-        w, val = w_new, val_new
-        if rel_change < tol:
-            converged = True
-            break
-    if not converged:
-        raise NonConvergenceError(f"no convergence in {max_iter} iterations")
-
-    mu = WeightedPointSet(nodes, w)
-    raw = float(w @ A_pair @ w)
-    support = w > max(1e-12, 1e-9 * w.max())
-    pots = A_pair @ w  # excluded-diagonal potential at every node
-    kkt = float(np.max(np.abs(pots[support] - raw))) if support.any() else math.inf
+    A, scales = _energy_matrix(nodes)
+    _check_concave(A)
+    keep = np.arange(nodes.size)
+    w_keep = _bordered_solve(A)
+    solves = 1
+    while np.any(w_keep < 0.0):
+        keep = keep[w_keep >= 0.0]
+        w_keep = _bordered_solve(A[np.ix_(keep, keep)])
+        solves += 1
+    w = np.zeros(nodes.size)
+    w[keep] = w_keep
+    pots = A @ w
+    val = float(w @ pots)
+    resid = pots - val
+    support = w > 0.0
+    off = float(np.max(resid[~support], initial=0.0))
+    if off > KKT_TOL * max(1.0, abs(val)):
+        raise EquilibriumSolveError(f"a dropped node violates stationarity by {off:.3e}")
+    raw_pots = pots - scales * w  # excluded-diagonal potential at every node
+    raw = float(w @ raw_pots)
     return EquilibriumSolution(
-        measure=mu,
+        measure=WeightedPointSet(nodes, w),
         energy=val,
         capacity=math.exp(val),
-        kkt_residual=kkt,
+        kkt_residual=max(float(np.max(np.abs(resid[support]))), off),
         raw_energy=raw,
-        iterations=it,
-        converged=converged,
+        iterations=solves,
+        raw_potential_spread=float(np.max(np.abs(raw_pots[support] - raw))),
     )
 
 

@@ -113,17 +113,35 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigInvalidError(f"pipeline {pipeline!r} requires a domain spec")
     if "domain" in cfg:
         try:
-            domain_from_json(cfg["domain"])
+            domain = domain_from_json(cfg["domain"])
         except (KeyError, ValueError, BerglabError) as exc:
             raise ConfigInvalidError(f"invalid domain spec: {exc}") from exc
     uses_mc = bool(cfg.get("mc_check", False)) or pipeline == "selfcheck"
     if uses_mc and "seed" not in cfg:
         raise ConfigInvalidError("seed required when the Monte-Carlo oracle is enabled")
+    if pipeline in ("kernel", "metric", "distance"):
+        if not isinstance(domain, ZalcmanDomain):
+            raise ConfigInvalidError(f"pipeline {pipeline!r} needs a zalcman domain")
+        if "k_range" in cfg:
+            _validate_k_range(cfg["k_range"], domain.K)
     if "eps_list" in cfg and not cfg["eps_list"]:
         raise ConfigInvalidError("eps_list must not be empty")
     if pipeline == "fit" and "samples" not in cfg and "samples_csv" not in cfg:
         raise ConfigInvalidError("fit pipeline needs samples or samples_csv")
     return cfg
+
+
+def _validate_k_range(k_range, K: int) -> None:
+    """[k_lo, k_hi] must be integers with 1 <= k_lo <= k_hi <= K."""
+    if not (
+        isinstance(k_range, (list, tuple))
+        and len(k_range) == 2
+        and all(isinstance(k, int) and not isinstance(k, bool) for k in k_range)
+    ):
+        raise ConfigInvalidError(f"k_range must be two integers [k_lo, k_hi], got {k_range!r}")
+    k_lo, k_hi = k_range
+    if not 1 <= k_lo <= k_hi <= K:
+        raise ConfigInvalidError(f"k_range {k_range!r} needs 1 <= k_lo <= k_hi <= K = {K}")
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +233,7 @@ def run_capacity(cfg: dict, out: Path, profile: dict) -> dict:
         sol = equilibrium_measure(nodes[:: math.ceil(nodes.size / 256)])
         report["equilibrium_capacity"] = sol.capacity
         report["kkt_residual"] = sol.kkt_residual
+        report["raw_potential_spread"] = sol.raw_potential_spread
         rows = sol.measure.to_rows()
     except BerglabError as exc:
         report["equilibrium_error"] = str(exc)
@@ -288,17 +307,13 @@ def run_pommerenke(cfg: dict, out: Path, profile: dict) -> dict:
 
 
 def _mid_band_points(domain: ZalcmanDomain, k_range) -> list[tuple[int, float]]:
-    return [
-        (k, math.sqrt(float(domain.xs[k - 1] * domain.xs[k])))
-        for k in k_range
-        if k >= 1 and k <= domain.K
-    ]
+    return [(k, math.sqrt(float(domain.xs[k - 1] * domain.xs[k]))) for k in k_range]
 
 
 def run_kernel(cfg: dict, out: Path, profile: dict) -> dict:
     domain = domain_from_json(cfg["domain"])
     k_lo, k_hi = cfg.get("k_range", [3, min(10, domain.K - 1)])
-    ks = list(range(int(k_lo), int(k_hi) + 1))
+    ks = list(range(k_lo, k_hi + 1))
     pts = _mid_band_points(domain, ks)
     spec = bergman.default_basis(domain, degree=int(cfg.get("degree", 8)))
     gs = bergman.assemble_gram(domain, spec)
@@ -321,7 +336,9 @@ def run_kernel(cfg: dict, out: Path, profile: dict) -> dict:
     column = cfg.get("fit_column", "K_low")
     col_idx = {"K_low": 2, "witness_bound": 3, "equilibrium_bound": 4}[column]
     samples = [(r[1], r[col_idx]) for r in rows if np.isfinite(r[col_idx])]
-    preferred, margin, fits = asymptotics.select_model(samples, models)
+    preferred, margin, fits = None, None, {}
+    if len(samples) >= 5:
+        preferred, margin, fits = asymptotics.select_model(samples, models)
     fit_report = {
         "fit_column": column,
         "preferred": preferred,
@@ -340,7 +357,7 @@ def run_kernel(cfg: dict, out: Path, profile: dict) -> dict:
 def run_metric(cfg: dict, out: Path, profile: dict) -> dict:
     domain = domain_from_json(cfg["domain"])
     k_lo, k_hi = cfg.get("k_range", [2, min(6, domain.K - 1)])
-    pts = _mid_band_points(domain, range(int(k_lo), int(k_hi) + 1))
+    pts = _mid_band_points(domain, range(k_lo, k_hi + 1))
     spec = bergman.default_basis(domain, degree=int(cfg.get("degree", 8)))
     gs = bergman.assemble_gram(domain, spec)
     rows = []
@@ -361,7 +378,7 @@ def run_metric(cfg: dict, out: Path, profile: dict) -> dict:
 def run_distance(cfg: dict, out: Path, profile: dict) -> dict:
     domain = domain_from_json(cfg["domain"])
     k_lo, k_hi = cfg.get("k_range", [3, min(10, domain.K - 1)])
-    ks = list(range(int(k_lo), int(k_hi) + 1))
+    ks = list(range(k_lo, k_hi + 1))
     spec = bergman.default_basis(domain, degree=int(cfg.get("degree", 8)))
     gs = bergman.assemble_gram(domain, spec)
     rows = bergman.distance_profile(domain, ks, per_band=profile["per_band"], gram=gs)

@@ -33,8 +33,8 @@ class GridTooSmallError(BerglabError):
     """Candidate grid too small for the requested configuration size."""
 
 
-class NonConvergenceError(BerglabError):
-    """Equilibrium weight ascent hit the iteration cap without stabilizing."""
+class EquilibriumSolveError(BerglabError):
+    """Equilibrium energy not concave on the nodes, or a dropped node breaks KKT."""
 
 
 class PreconditionViolatedError(BerglabError):

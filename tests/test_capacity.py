@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from berglab import capacity
 from berglab.capacity import (
     CapacityEstimate,
     WeightedPointSet,
@@ -11,17 +14,18 @@ from berglab.capacity import (
     circle_nodes,
     energy,
     equilibrium_measure,
+    log_distance_matrix,
     measure_dilatation_check,
     nth_diameter,
     potential,
     regularized_energy,
     scaling_law_check,
     segment_nodes,
-    simplex_project,
+    self_scales,
     subadditivity_check,
 )
 from berglab.domains import build_cantor, build_cantor_table
-from berglab.errors import GridTooSmallError, PreconditionViolatedError
+from berglab.errors import EquilibriumSolveError, GridTooSmallError, PreconditionViolatedError
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +204,88 @@ def test_equilibrium_rejects_singleton():
         equilibrium_measure(np.array([1.0 + 0j]))
 
 
-def test_simplex_projection_basic():
-    v = np.array([0.2, 0.9, -0.3])
-    p = simplex_project(v)
-    assert p.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.all(p >= 0)
-    q = simplex_project(v + 3.7)  # invariant to constant shifts
-    assert np.allclose(p, q, atol=1e-12)
+def test_equilibrium_circle_weights_uniform():
+    sol = equilibrium_measure(circle_nodes(0.3 + 0.1j, 0.5, 128))
+    assert np.all(np.abs(sol.measure.weights * 128 - 1.0) <= 1e-13)
+    assert sol.iterations == 1
+    assert sol.kkt_residual <= 1e-14
+
+
+def test_equilibrium_segment_residuals():
+    # the regularized objective is stationary; the raw excluded-diagonal
+    # potential is not constant on the support at its optimum
+    sol = equilibrium_measure(segment_nodes(-1.0, 1.0, 256))
+    assert sol.kkt_residual <= 1e-14
+    assert sol.raw_potential_spread > 0.1
+
+
+def test_equilibrium_active_set_drops_interior_point():
+    # the unconstrained stationary point puts negative mass on 0.9, inside
+    # the circle; the re-solve drops it to exactly 0 and it passes KKT
+    nodes = np.concatenate([circle_nodes(0, 1.0, 64), [0.9 + 0j]])
+    sol = equilibrium_measure(nodes)
+    w = sol.measure.weights
+    assert sol.iterations == 2
+    assert w[-1] == 0.0
+    assert np.all(np.abs(w[:64] * 64 - 1.0) <= 1e-13)
+    A = log_distance_matrix(nodes) + np.diag(self_scales(nodes))
+    assert (A @ w)[-1] <= sol.energy
+    assert sol.kkt_residual <= 1e-14
+
+
+def test_concavity_check_rejects_convex_form():
+    # the identity is convex on sum-zero vectors: -Z^T I Z is negative definite
+    with pytest.raises(EquilibriumSolveError):
+        capacity._check_concave(np.eye(4))
+
+
+def test_wrongly_dropped_node_fails_kkt(monkeypatch):
+    # drop a circle node by force: it carries mass at the optimum, so its
+    # potential exceeds the energy of the re-solved measure
+    solve = capacity._bordered_solve
+
+    def drop_first(A):
+        w = solve(A)
+        if w.size == 64:
+            w[0] = -1.0
+        return w
+
+    monkeypatch.setattr(capacity, "_bordered_solve", drop_first)
+    with pytest.raises(EquilibriumSolveError, match="stationarity"):
+        equilibrium_measure(circle_nodes(0, 1.0, 64))
+
+
+@st.composite
+def equilibrium_sets(draw):
+    kind = draw(st.sampled_from(["arc", "segment", "two_circles"]))
+    c = complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+    r = 10.0 ** draw(st.floats(-1.5, 0.0))
+    n = draw(st.integers(8, 96))
+    if kind == "arc":
+        t0 = draw(st.floats(0.0, 2.0 * math.pi))
+        span = draw(st.floats(0.2, 1.9 * math.pi))
+        return c + r * np.exp(1j * (t0 + np.linspace(0.0, span, n)))
+    if kind == "segment":
+        return segment_nodes(c, c + r * np.exp(1j * draw(st.floats(0.0, math.pi))), n)
+    r2 = r * draw(st.floats(0.2, 1.0))
+    gap = (r + r2) * (1.0 + draw(st.floats(0.05, 3.0)))
+    return np.concatenate([circle_nodes(c, r, n), circle_nodes(c + gap, r2, draw(st.integers(8, 96)))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(equilibrium_sets(), st.integers(0, 2**32 - 1))
+def test_equilibrium_maximizes_regularized_energy(nodes, seed):
+    sol = equilibrium_measure(nodes)
+    w = sol.measure.weights
+    scale = max(1.0, abs(sol.energy))
+    assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
+    assert sol.kkt_residual <= 1e-12 * scale
+    assert regularized_energy(sol.measure) == pytest.approx(sol.energy, abs=1e-12 * scale)
+    rng = np.random.default_rng(seed)
+    trials = [np.full(nodes.size, 1.0 / nodes.size), *rng.dirichlet(np.ones(nodes.size), 8)]
+    trials += [0.5 * (w + p) for p in trials]  # near the optimum too
+    for p in trials:
+        assert regularized_energy(WeightedPointSet(nodes, p / p.sum())) <= sol.energy + 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,20 @@ def test_capacity_equilibrium_covers_whole_set(tmp_path, spec):
     run({"pipeline": "capacity", "set": spec, "seed": 1}, str(tmp_path), "strict")
     rep = json.loads((tmp_path / "capacity_report.json").read_text())
     assert rep["equilibrium_capacity"] == pytest.approx(0.5, rel=0.02)
+    assert 0.0 <= rep["kkt_residual"] <= 1e-12
+    assert rep["raw_potential_spread"] >= 0.0
+
+
+def test_capacity_with_repeated_nodes_records_equilibrium_error(tmp_path):
+    # two coincident circles repeat every node: the transfinite search runs,
+    # the equilibrium solve reports its error instead of a traceback
+    spec = {"type": "two_disks", "r": 0.1, "d": 0.0, "grid": 512}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"pipeline": "capacity", "set": spec, "seed": 1}))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    rep = json.loads((tmp_path / "o" / "capacity_report.json").read_text())
+    assert "distinct" in rep["equilibrium_error"]
+    assert not (tmp_path / "o" / "measure.csv").exists()
 
 
 def test_kernel_pipeline_end_to_end(tmp_path):
@@ -221,6 +235,39 @@ def test_empty_eps_list_is_a_config_error(tmp_path, capsys):
     assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "eps_list" in err and "Traceback" not in err
+
+
+def test_kernel_with_too_few_bands_skips_the_fit(tmp_path, capsys):
+    # the default k_range [3, 5] gives three mid-band points, fewer than a
+    # fit needs; the run still writes its fits file and manifest
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"pipeline": "kernel", "domain": SMALL_H1}))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    fits = json.loads((tmp_path / "o" / "kernel_fits.json").read_text())
+    assert fits["preferred"] is None and fits["fits"] == {}
+    assert read_manifest(tmp_path / "o")["summary"]["preferred"] is None
+    assert len((tmp_path / "o" / "kernel_sweep.csv").read_text().splitlines()) == 4
+
+
+@pytest.mark.parametrize("pipeline", ["kernel", "metric", "distance"])
+@pytest.mark.parametrize("k_range", [[0, 4], [4, 3], [2, 7], [0, 14], [2.0, 4], [2]])
+def test_bad_k_range_is_a_config_error(tmp_path, capsys, pipeline, k_range):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"pipeline": pipeline, "domain": SMALL_H1, "k_range": k_range}))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "k_range" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("pipeline", ["kernel", "metric", "distance"])
+def test_band_pipelines_need_a_zalcman_domain(tmp_path, capsys, pipeline):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"pipeline": pipeline, "domain": {"type": "disk"}}))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "zalcman" in err and "Traceback" not in err
 
 
 def test_fit_pipeline_from_csv(tmp_path):
