@@ -4,11 +4,12 @@ Three estimator routes live here:
 
 * ``nth_diameter`` / ``capacity_via_transfinite``: greedy Leja seeding plus
   coordinate-exchange search for n-point configurations maximizing the
-  geometric-mean pairwise distance.  The attained value is always a valid
-  lower bound for the true n-th diameter, which itself decreases to the
-  capacity from above by a factor that equals n**(1/(n-1)) exactly on
-  circles; the capacity estimate divides that factor out and keeps the raw
-  diameters as diagnostics.
+  geometric-mean pairwise distance (the discrete Fekete problem).  The
+  attained value is always a valid lower bound for the true n-th diameter,
+  which itself decreases to the capacity from above by a factor that equals
+  n**(1/(n-1)) exactly on circles; the capacity estimate runs one search at
+  its n, divides that factor out and keeps the raw diameter as its
+  diagnostic.
 * ``equilibrium_measure``: the energy maximizer over the weight simplex,
   from one bordered linear solve (the energy is concave on sum-zero
   weights, so an interior optimum is its stationary point), with an
@@ -177,18 +178,23 @@ class CapacityEstimate:
         }
 
 
-def _leja_seed(candidates: np.ndarray, n: int) -> np.ndarray:
-    """Greedy product-of-distances seeding; first point = max modulus."""
+def _leja_seed(candidates: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy product-of-distances seeding; first point = max modulus.
+
+    Returns the chosen grid indices and, for each chosen point z_m, its
+    column log|candidates - z_m|."""
     chosen = np.empty(n, dtype=int)
+    cols = np.empty((n, candidates.size))
     chosen[0] = int(np.argmax(np.abs(candidates)))
     with np.errstate(divide="ignore"):
-        score = np.log(np.abs(candidates - candidates[chosen[0]]))
-    for m in range(1, n):
-        chosen[m] = int(np.argmax(score))
-        if m < n - 1:
-            with np.errstate(divide="ignore"):
-                score = score + np.log(np.abs(candidates - candidates[chosen[m]]))
-    return chosen
+        cols[0] = np.log(np.abs(candidates - candidates[chosen[0]]))
+        score = cols[0]
+        for m in range(1, n):
+            chosen[m] = int(np.argmax(score))
+            cols[m] = np.log(np.abs(candidates - candidates[chosen[m]]))
+            if m < n - 1:
+                score = score + cols[m]
+    return chosen, cols
 
 
 def nth_diameter(
@@ -201,85 +207,76 @@ def nth_diameter(
     at its conditional optimum over the grid until a full sweep makes no
     change).  The attained value is a certified lower bound for the true
     n-th diameter.
+
+    Each configuration point keeps its column of log-distances to the grid,
+    so a step takes a few passes over the grid and a move computes one new
+    column of logs.
     """
     candidates = np.asarray(candidates, dtype=complex).ravel()
     if n < 2:
         raise ValueError("n >= 2 required")
     if candidates.size < 4 * n:
         raise GridTooSmallError(f"grid of {candidates.size} points < 4n = {4 * n}")
-    idx = _leja_seed(candidates, n)
-    config = candidates[idx].copy()
+    idx, cols = _leja_seed(candidates, n)
+    config = candidates[idx]
+    # others[i]: the configuration slots other than i, in order
+    others = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
+    # running sums S[c] = sum_i cols[i][c] over the configuration, each one
+    # contiguous pairwise sum along a row of the grid-major copy; entries at
+    # occupied grid points are -inf, which self-excludes them
+    S = np.sum(np.ascontiguousarray(cols.T), axis=1)
 
-    # running sums S[c] = sum_j log|c - z_j| over the current configuration;
-    # entries at occupied grid points are -inf, which self-excludes them
-    def full_sums(cfg):
-        with np.errstate(divide="ignore"):
-            return np.sum(np.log(np.abs(candidates[:, None] - cfg[None, :])), axis=1)
-
-    S = full_sums(config)
-    for _ in range(max_passes):
-        moved = False
-        for i in range(n):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                resid = S - np.log(np.abs(candidates - config[i]))
-            resid[~np.isfinite(resid)] = -np.inf
-            j = int(np.argmax(resid))
-            cand = candidates[j]
-            if cand != config[i]:
-                with np.errstate(divide="ignore"):
-                    cur = np.sum(np.log(np.abs(np.delete(config, i) - config[i])))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_passes):
+            moved = False
+            for i in range(n):
+                col = cols[i]
+                # -inf - -inf at the point's own grid position is NaN: make it -inf
+                resid = np.fmax(S - col, -np.inf)
+                j = int(resid.argmax())
+                cand = candidates[j]
+                if cand == config[i]:
+                    continue
+                cur = col[idx[others[i]]].sum()
                 if resid[j] > cur + 1e-14 * abs(cur):
                     old = config[i]
-                    config[i] = cand
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        S = S - np.log(np.abs(candidates - old)) + np.log(
-                            np.abs(candidates - cand)
-                        )
-                    # repair entries poisoned by -inf/-inf at the old point
-                    bad = ~np.isfinite(S) | (candidates == old)
-                    if np.any(bad):
-                        with np.errstate(divide="ignore"):
-                            S[bad] = np.sum(
-                                np.log(np.abs(candidates[bad, None] - config[None, :])), axis=1
-                            )
+                    new = np.log(np.abs(candidates - cand))
+                    S = S - col + new
+                    cols[i] = new
+                    config[i], idx[i] = cand, j
+                    # only the vacated point is poisoned (-inf - -inf); entries
+                    # at occupied points are -inf, as they should be
+                    bad = np.isnan(S) | (candidates == old)
+                    S[bad] = np.sum(np.log(np.abs(candidates[bad, None] - config[None, :])), axis=1)
                     moved = True
-        if not moved:
-            break
+            if not moved:
+                break
 
     A = log_distance_matrix(config)
     log_delta = float(np.sum(A)) / (n * (n - 1))
     return math.exp(log_delta), WeightedPointSet(config)
 
 
-def clamp_schedule(schedule: Sequence[int], grid_size: int) -> list[int]:
-    """Drop schedule entries the grid cannot support (needs 4n candidates)."""
-    out = sorted({n for n in schedule if 4 * n <= grid_size})
-    if not out:
-        raise GridTooSmallError(f"grid of {grid_size} supports no scheduled n")
-    return out
+def supported_n(n: int, grid_size: int) -> int:
+    """The largest of 8, 16, 32 and n that a grid of ``grid_size`` candidates
+    supports (the search needs 4n of them)."""
+    fits = [m for m in (8, 16, 32, n) if 4 * m <= grid_size]
+    if not fits:
+        raise GridTooSmallError(f"grid of {grid_size} supports no n of 8, 16, 32, {n}")
+    return max(fits)
 
 
-def capacity_via_transfinite(
-    candidates: np.ndarray, schedule: Sequence[int] = (8, 16, 32, 64)
-) -> CapacityEstimate:
-    """Capacity estimate from the n-th diameter along an increasing schedule.
+def capacity_via_transfinite(candidates: np.ndarray, n: int = 64) -> CapacityEstimate:
+    """Capacity estimate from one n-th diameter search.
 
-    The raw diameters (reported in ``diagnostics``) decrease toward the
-    capacity from above; the value divides the last one by the universal
+    The raw diameter (the one entry of ``diagnostics``) decreases toward the
+    capacity from above as n grows; the value divides it by the universal
     circle rate n**(1/(n-1)), which removes the finite-n bias exactly on
     circles and to first order elsewhere.
     """
-    schedule = list(schedule)
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be increasing")
-    deltas = []
-    for n in schedule:
-        d, _ = nth_diameter(candidates, n)
-        deltas.append(d)
-    n_last = schedule[-1]
-    value = deltas[-1] / n_last ** (1.0 / (n_last - 1))
+    d, _ = nth_diameter(candidates, n)
     return CapacityEstimate(
-        value=value, method="transfinite", n=n_last, diagnostics=tuple(deltas)
+        value=d / n ** (1.0 / (n - 1)), method="transfinite", n=n, diagnostics=(d,)
     )
 
 
@@ -380,9 +377,7 @@ def equilibrium_measure(candidates) -> EquilibriumSolution:
 # ---------------------------------------------------------------------------
 
 
-def cantor_transfinite_estimate(
-    C: CantorSet, schedule: Sequence[int] = (16, 64, 256, 512)
-) -> CapacityEstimate:
+def cantor_transfinite_estimate(C: CantorSet, n: int = 512) -> CapacityEstimate:
     """Transfinite-diameter estimate for a nested-interval set.
 
     Level-J intervals sit at positions whose doubles cannot resolve the
@@ -410,23 +405,15 @@ def cantor_transfinite_estimate(
     iu = np.triu_indices(n_int, k=1)
     log_across_per_pair = float(np.sum(np.log(dmat[iu])))
 
-    deltas = []
-    log_lJ = float(np.log(lengths[J]))
-    for n in schedule:
-        m = n // n_int
-        if m < 2:
-            raise GridTooSmallError(f"n = {n} puts fewer than 2 points per interval")
-        v_m, _ = nth_diameter(np.linspace(0.0, 1.0, max(16 * m, 64)).astype(complex), m)
-        within = n_int * (m * (m - 1) / 2.0) * (log_lJ + math.log(v_m))
-        across = (m * m) * log_across_per_pair
-        log_delta = 2.0 * (within + across) / (n * (n - 1))
-        deltas.append(math.exp(log_delta))
-    n_last = schedule[-1]
+    m = n // n_int
+    if m < 2:
+        raise GridTooSmallError(f"n = {n} puts fewer than 2 points per interval")
+    v_m, _ = nth_diameter(np.linspace(0.0, 1.0, max(16 * m, 64)).astype(complex), m)
+    within = n_int * (m * (m - 1) / 2.0) * (float(np.log(lengths[J])) + math.log(v_m))
+    across = (m * m) * log_across_per_pair
+    delta = math.exp(2.0 * (within + across) / (n * (n - 1)))
     return CapacityEstimate(
-        value=deltas[-1] / n_last ** (1.0 / (n_last - 1)),
-        method="transfinite",
-        n=n_last,
-        diagnostics=tuple(deltas),
+        value=delta / n ** (1.0 / (n - 1)), method="transfinite", n=n, diagnostics=(delta,)
     )
 
 
@@ -450,23 +437,23 @@ def scaling_law_check(
     candidates: np.ndarray,
     t: Optional[float] = None,
     holder: Optional[tuple] = None,
-    schedule: Sequence[int] = (8, 16, 32, 64),
+    n: int = 64,
     slack: float = 0.02,
 ) -> dict:
     """Check the dilatation law Cap(tE) = t Cap(E) and/or the distortion
     inequality Cap(T(E)) <= A * Cap(E)**c at matched n."""
     candidates = np.asarray(candidates, dtype=complex).ravel()
-    schedule = clamp_schedule(schedule, candidates.size)
-    base = capacity_via_transfinite(candidates, schedule)
+    n = supported_n(n, candidates.size)
+    base = capacity_via_transfinite(candidates, n)
     report: dict = {"cap_E": base.value, "n": base.n}
     if t is not None:
-        dil = capacity_via_transfinite(t * candidates, schedule)
+        dil = capacity_via_transfinite(t * candidates, n)
         report["t"] = t
         report["cap_tE"] = dil.value
         report["dilatation_ok"] = abs(dil.value - t * base.value) <= slack * t * base.value
     if holder is not None:
         A_const, c_const, T = holder
-        img = capacity_via_transfinite(T(candidates), schedule)
+        img = capacity_via_transfinite(T(candidates), n)
         report["cap_TE"] = img.value
         report["holder_ok"] = img.value <= A_const * base.value**c_const * (1.0 + slack)
         report["A"] = A_const
@@ -491,7 +478,7 @@ def measure_dilatation_check(nodes: np.ndarray, t: float) -> dict:
 def subadditivity_check(
     parts: Sequence[np.ndarray],
     d: Optional[float] = None,
-    schedule: Sequence[int] = (8, 16, 32, 64),
+    n: int = 64,
     slack: float = 0.05,
 ) -> dict:
     """Check 1/log(d/Cap(union)) <= (1+slack) * sum_n 1/log(d/Cap(E_n))."""
@@ -500,11 +487,11 @@ def subadditivity_check(
     diam = float(np.max(np.abs(union[:, None] - union[None, :])))
     if d is None:
         d = 2.0 * diam
-    schedule = clamp_schedule(schedule, min(p.size for p in parts))
-    cap_union = capacity_via_transfinite(union, schedule).value
+    n = supported_n(n, min(p.size for p in parts))
+    cap_union = capacity_via_transfinite(union, n).value
     if diam > d or cap_union > d:
         raise PreconditionViolatedError("d must dominate both diam(E) and Cap(E)")
-    caps = [capacity_via_transfinite(p, schedule).value for p in parts]
+    caps = [capacity_via_transfinite(p, n).value for p in parts]
     lhs = 1.0 / math.log(d / cap_union)
     rhs = sum(1.0 / math.log(d / c) for c in caps)
     return {

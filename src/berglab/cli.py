@@ -126,6 +126,14 @@ def validate_config(cfg: dict) -> dict:
             _validate_k_range(cfg["k_range"], domain.K)
     if "eps_list" in cfg and not cfg["eps_list"]:
         raise ConfigInvalidError("eps_list must not be empty")
+    if pipeline == "pommerenke" or (pipeline == "perfect" and not isinstance(domain, CantorSet)):
+        _validate_scale_family(cfg)
+    if pipeline == "capacity" and "schedule" in cfg:
+        raise ConfigInvalidError(
+            "'schedule' is no longer read: the capacity estimate runs one search at the "
+            "tolerance profile's n_cap (fast 32, default 64, strict 128); choose it with "
+            "--tolerance-profile"
+        )
     if pipeline == "fit" and "samples" not in cfg and "samples_csv" not in cfg:
         raise ConfigInvalidError("fit pipeline needs samples or samples_csv")
     return cfg
@@ -142,6 +150,34 @@ def _validate_k_range(k_range, K: int) -> None:
     k_lo, k_hi = k_range
     if not 1 <= k_lo <= k_hi <= K:
         raise ConfigInvalidError(f"k_range {k_range!r} needs 1 <= k_lo <= k_hi <= K = {K}")
+
+
+def _scale_family(cfg: dict) -> tuple[str, float]:
+    """(family, parameter) of the scale function h of a ``perfect`` or
+    ``pommerenke`` run: the domain's, which ``perfect`` lets the config's own
+    ``family`` and ``param`` override."""
+    dom = cfg["domain"]
+    family, param = dom.get("family", "h1"), dom.get("alpha", dom.get("beta", 0.0))
+    if cfg["pipeline"] == "perfect":
+        family, param = cfg.get("family") or family, cfg.get("param", param)
+    return family, float(param)
+
+
+def _validate_scale_family(cfg: dict) -> None:
+    """Build the scale functions the run would: h, and for ``perfect`` also
+    the weakened h at ``param - eps`` for each eps."""
+    pipeline = cfg["pipeline"]
+    try:
+        family, param = _scale_family(cfg)
+        weakened = [param - eps for eps in cfg.get("eps_list", [0.1])] if pipeline == "perfect" else []
+        for p in [param, *weakened]:
+            perfectness._family_scale(family, p)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalidError(
+            f"{pipeline!r} needs a scale function h: {exc}. h is the domain's family at its alpha "
+            "(h1, > 1) or beta (h2, > 0); for perfect the config's family and param override "
+            "them, and param - eps must be valid for every eps in eps_list"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +217,7 @@ def run_selfcheck(cfg: dict, out: Path, profile: dict) -> dict:
         oracle += 0.7 ** (2 * n) / nrm
     all_ok &= check("annulus_kernel_0.7", bergman.subspace_kernel(gs_ann, 0.7 + 0j).K_low, oracle, 0.02)
 
-    est = capacity_via_transfinite(circle_nodes(0, 0.25, 512), (8, 16, 32, 64))
+    est = capacity_via_transfinite(circle_nodes(0, 0.25, 512), 64)
     all_ok &= check("cap_disk_quarter", est.value, 0.25, 0.08)
     sol = equilibrium_measure(circle_nodes(0, 0.5, 128))
     all_ok &= check("equilibrium_circle_half", sol.capacity, 0.5, 0.02)
@@ -223,8 +259,7 @@ def run_capacity(cfg: dict, out: Path, profile: dict) -> dict:
     from .capacity import capacity_via_transfinite, equilibrium_measure
 
     nodes = _config_set_nodes(cfg, profile)
-    schedule = cfg.get("schedule", [8, 16, 32, profile["n_cap"]])
-    est = capacity_via_transfinite(nodes, schedule)
+    est = capacity_via_transfinite(nodes, profile["n_cap"])
     report = est.to_json_dict()
     rows = []
     try:
@@ -251,8 +286,7 @@ def run_perfect(cfg: dict, out: Path, profile: dict) -> dict:
         rep = perfectness.cantor_U_check(domain, alpha=float(cfg["domain"]["alpha"]))
         write_json(out / "perfect_report.json", rep)
         return {"passed": rep["passed"], "outputs": ["perfect_report.json"]}
-    family = cfg.get("family") or cfg["domain"].get("family", "h1")
-    param = float(cfg.get("param", cfg["domain"].get("alpha", cfg["domain"].get("beta", 0.0))))
+    family, param = _scale_family(cfg)
     eps = cfg.get("eps_list", [0.1])
     c_star = perfectness.best_constant_profile(domain, perfectness._family_scale(family, param))
     uc = perfectness.uc_report(domain, family, param, eps, n=profile["n_cap"], profile=c_star)
@@ -272,9 +306,7 @@ def run_perfect(cfg: dict, out: Path, profile: dict) -> dict:
 
 def run_pommerenke(cfg: dict, out: Path, profile: dict) -> dict:
     domain = domain_from_json(cfg["domain"])
-    family = cfg["domain"].get("family", "h1")
-    param = float(cfg["domain"].get("alpha", cfg["domain"].get("beta", 0.0)))
-    h = perfectness._family_scale(family, param)
+    h = perfectness._family_scale(*_scale_family(cfg))
     a = complex(cfg.get("a", 0))
     k = int(cfg.get("k", 5))
     c = float(cfg.get("c", 1.0))

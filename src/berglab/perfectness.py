@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .capacity import capacity_via_transfinite, clamp_schedule
+from .capacity import capacity_via_transfinite, supported_n
 from .domains import CantorSet, CircleDomain, ScaleFunction, ZalcmanDomain
 from .errors import (
     AnnulusEmptyError,
@@ -322,8 +322,7 @@ def condition_C_probe(
         nodes_per_circle *= 2
         outer_nodes *= 2
         grid = hole_arc_nodes(domain, a, r, nodes_per_circle, outer_nodes)
-    schedule = clamp_schedule((8, 16, 32, n), grid.size)
-    cap = capacity_via_transfinite(grid, schedule).value
+    cap = capacity_via_transfinite(grid, supported_n(n, grid.size)).value
     return cap, cap / h.value(r)
 
 

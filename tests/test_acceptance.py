@@ -101,13 +101,13 @@ def test_criterion_02_capacity_oracles():
     ok = True
     details = []
     for r in (0.25, 1.0):
-        est = capacity_via_transfinite(circle_nodes(0, r, 512), (8, 16, 32, 64))
+        est = capacity_via_transfinite(circle_nodes(0, r, 512), 64)
         ok &= abs(est.value - r) <= 0.08 * r
         details.append(f"cap(D_{r})={est.value:.4f}")
     for n in range(2, 17):
         d, _ = nth_diameter(circle_nodes(0, 1.0, 16 * n), n)
         ok &= abs(d - n ** (1.0 / (n - 1))) <= 1e-3 * n ** (1.0 / (n - 1))
-    seg = capacity_via_transfinite(segment_nodes(-1, 1, 1024), (8, 16, 32, 64))
+    seg = capacity_via_transfinite(segment_nodes(-1, 1, 1024), 64)
     ok &= abs(seg.value - 0.5) <= 0.05 * 0.5
     details.append(f"cap(segment)={seg.value:.4f}")
     wall = time.monotonic() - t0
@@ -343,11 +343,11 @@ def test_criterion_10_cantor():
     hand = 0.5 * 0.2 * math.sqrt(0.02) * (2e-4) ** 0.25 * (2e-8) ** 0.125
     bound_ok = abs(bound - hand) <= 0.02 * hand
     caps = [
-        capacity.cantor_transfinite_estimate(build_cantor(0.1, 2.0, J=j), (64,)).value
+        capacity.cantor_transfinite_estimate(build_cantor(0.1, 2.0, J=j), 64).value
         for j in range(1, 5)
     ]
     decreasing = all(a > b for a, b in zip(caps, caps[1:]))
-    deep = capacity.cantor_transfinite_estimate(c4, (64, 128, 256, 512))
+    deep = capacity.cantor_transfinite_estimate(c4, 512)
     small_ok = deep.value < 1e-3
     caps.append(deep.value)
     ucheck = perfectness.cantor_U_check(build_cantor(0.1, 2.0, J=6), alpha=2.0)

@@ -122,37 +122,136 @@ def test_nth_diameter_grid_guard():
         nth_diameter(circle_nodes(0, 1.0, 16), 8)
 
 
+def reference_nth_diameter(candidates, n, max_passes=40):
+    """The exchange search without column caching: every step recomputes its
+    logs, and every move re-sums each non-finite running sum from scratch."""
+    candidates = np.asarray(candidates, dtype=complex).ravel()
+    idx = np.empty(n, dtype=int)
+    idx[0] = int(np.argmax(np.abs(candidates)))
+    with np.errstate(divide="ignore"):
+        score = np.log(np.abs(candidates - candidates[idx[0]]))
+    for m in range(1, n):
+        idx[m] = int(np.argmax(score))
+        if m < n - 1:
+            with np.errstate(divide="ignore"):
+                score = score + np.log(np.abs(candidates - candidates[idx[m]]))
+    config = candidates[idx].copy()
+
+    def full_sums(cfg):
+        with np.errstate(divide="ignore"):
+            return np.sum(np.log(np.abs(candidates[:, None] - cfg[None, :])), axis=1)
+
+    S = full_sums(config)
+    for _ in range(max_passes):
+        moved = False
+        for i in range(n):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                resid = S - np.log(np.abs(candidates - config[i]))
+            resid[~np.isfinite(resid)] = -np.inf
+            j = int(np.argmax(resid))
+            cand = candidates[j]
+            if cand != config[i]:
+                with np.errstate(divide="ignore"):
+                    cur = np.sum(np.log(np.abs(np.delete(config, i) - config[i])))
+                if resid[j] > cur + 1e-14 * abs(cur):
+                    old = config[i]
+                    config[i] = cand
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        S = S - np.log(np.abs(candidates - old)) + np.log(
+                            np.abs(candidates - cand)
+                        )
+                    bad = ~np.isfinite(S) | (candidates == old)
+                    if np.any(bad):
+                        with np.errstate(divide="ignore"):
+                            S[bad] = np.sum(
+                                np.log(np.abs(candidates[bad, None] - config[None, :])), axis=1
+                            )
+                    moved = True
+        if not moved:
+            break
+    A = log_distance_matrix(config)
+    return math.exp(float(np.sum(A)) / (n * (n - 1))), config
+
+
+@st.composite
+def diameter_grids(draw):
+    """(grid, n): an arc, a segment, two circles or a Cantor-style point set
+    with at least 4n points, 2 <= n <= 32."""
+    n = draw(st.integers(2, 32))
+    size = 4 * n + draw(st.integers(0, 160))
+    kind = draw(st.sampled_from(["arc", "segment", "two_circles", "cantor"]))
+    c = complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+    r = 10.0 ** draw(st.floats(-2.0, 0.0))
+    if kind == "arc":
+        t0 = draw(st.floats(0.0, 2.0 * math.pi))
+        span = draw(st.floats(0.1, 2.0 * math.pi))
+        grid = c + r * np.exp(1j * (t0 + np.linspace(0.0, span, size)))
+    elif kind == "segment":
+        grid = segment_nodes(c, c + r * np.exp(1j * draw(st.floats(0.0, math.pi))), size)
+    elif kind == "two_circles":
+        r2 = r * draw(st.floats(0.2, 1.0))
+        gap = (r + r2) * (1.0 + draw(st.floats(0.05, 3.0)))
+        grid = np.concatenate([circle_nodes(c, r, size // 2), circle_nodes(c + gap, r2, size - size // 2)])
+    else:
+        cset = build_cantor(draw(st.floats(0.05, 0.2)), draw(st.floats(1.5, 3.0)), draw(st.integers(1, 3)))
+        lefts, lj = cset.intervals()
+        per = max(2, -(-size // lefts.size))
+        grid = np.concatenate([np.linspace(lo, lo + lj, per) for lo in lefts]).astype(complex)
+    return grid, n
+
+
+@settings(max_examples=80, deadline=None)
+@given(diameter_grids())
+def test_nth_diameter_matches_reference_search(case):
+    grid, n = case
+    d, cfg = nth_diameter(grid, n)
+    d_ref, cfg_ref = reference_nth_diameter(grid, n)
+    assert d == d_ref
+    assert np.array_equal(cfg.nodes, cfg_ref)
+
+
+def test_nth_diameter_matches_reference_with_repeated_nodes():
+    # coincident circles repeat every grid point
+    grid = np.concatenate([circle_nodes(0, 0.1, 128), circle_nodes(0, 0.1, 128)])
+    for n in (8, 32, 64):
+        d, cfg = nth_diameter(grid, n)
+        d_ref, cfg_ref = reference_nth_diameter(grid, n)
+        assert d == d_ref and np.array_equal(cfg.nodes, cfg_ref)
+
+
 # ---------------------------------------------------------------------------
 # transfinite capacity
 # ---------------------------------------------------------------------------
 
 
 def test_transfinite_disk_quarter():
-    est = capacity_via_transfinite(circle_nodes(0, 0.25, 512), (8, 16, 32, 64))
+    grid = circle_nodes(0, 0.25, 512)
+    est = capacity_via_transfinite(grid, 64)
     assert 0.25 - 1e-9 <= est.value <= 0.27
-    deltas = np.array(est.diagnostics)
+    assert est.diagnostics == (nth_diameter(grid, 64)[0],)
+    deltas = np.array([nth_diameter(grid, n)[0] for n in (8, 16, 32, 64)])
     assert np.all(np.diff(deltas) <= 1e-9)  # raw diameters monotone non-increasing
     assert est.value <= deltas.min() + 1e-12  # estimate below every raw diameter
 
 
 def test_transfinite_segment():
     grid = segment_nodes(-1.0, 1.0, 1024)
-    est = capacity_via_transfinite(grid, (8, 16, 32, 64))
+    est = capacity_via_transfinite(grid, 64)
     assert est.value == pytest.approx(0.5, rel=0.05)
 
 
 def test_transfinite_monotone_under_inclusion():
     small = circle_nodes(0, 0.3, 256)
     big = np.concatenate([small, circle_nodes(0, 0.9, 256)])
-    est_small = capacity_via_transfinite(small, (8, 16, 32))
-    est_big = capacity_via_transfinite(big, (8, 16, 32))
+    est_small = capacity_via_transfinite(small, 32)
+    est_big = capacity_via_transfinite(big, 32)
     assert est_small.value <= est_big.value * 1.02
 
 
 def test_two_disjoint_disks_dominate_single():
     r = 0.1
     grid = np.concatenate([circle_nodes(-0.5, r, 128), circle_nodes(0.5, r, 128)])
-    est = capacity_via_transfinite(grid, (8, 16, 32, 64))
+    est = capacity_via_transfinite(grid, 64)
     assert est.value >= r * 0.98
 
 
@@ -194,7 +293,7 @@ def test_equilibrium_vs_transfinite_consistency():
         ),
     }
     for name, (grid, nodes) in sets.items():
-        cap_t = capacity_via_transfinite(grid, (16, 32, 64, 128)).value
+        cap_t = capacity_via_transfinite(grid, 128).value
         cap_e = equilibrium_measure(nodes).capacity
         assert cap_e == pytest.approx(cap_t, rel=0.05), name
 
@@ -314,13 +413,13 @@ def test_cantor_transfinite_estimator():
     # J = 1 is two intervals of length 1e-2 at gap ~0.08; sanity against a
     # raw-grid search at matched n (positions there still resolve in doubles)
     c1 = build_cantor(0.1, 2.0, J=1)
-    est = cantor_transfinite_estimate(c1, (64,))
+    est = cantor_transfinite_estimate(c1, 64)
     lefts, lj = c1.intervals()
     grid = np.concatenate([np.linspace(lo, lo + lj, 256) for lo in lefts]).astype(complex)
-    raw = capacity_via_transfinite(grid, (8, 16, 32, 64))
+    raw = capacity_via_transfinite(grid, 64)
     assert est.value == pytest.approx(raw.value, rel=0.03)
     # deeper sets only lose capacity
-    vals = [cantor_transfinite_estimate(build_cantor(0.1, 2.0, J=j), (64,)).value for j in (1, 2, 3, 4)]
+    vals = [cantor_transfinite_estimate(build_cantor(0.1, 2.0, J=j), 64).value for j in (1, 2, 3, 4)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 

@@ -270,6 +270,42 @@ def test_band_pipelines_need_a_zalcman_domain(tmp_path, capsys, pipeline):
     assert "zalcman" in err and "Traceback" not in err
 
 
+def test_capacity_schedule_is_a_config_error(tmp_path, capsys):
+    # the estimate runs one search at the profile's n_cap; a schedule used to
+    # pick it and, non-increasing, crashed with a ValueError traceback
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"pipeline": "capacity", "schedule": [64, 8]}))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "schedule" in err and "n_cap" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("pipeline", ["perfect", "pommerenke"])
+@pytest.mark.parametrize(
+    "extra",
+    [{"domain": {"type": "disk"}}, {"domain": {"type": "annulus", "r0": 0.5}}],
+    ids=["disk", "annulus"],
+)
+def test_scale_family_is_validated(tmp_path, capsys, pipeline, extra):
+    # neither domain carries a scale family: the runners fell back to h1 with
+    # alpha 0 and exited 1 with a ValueError traceback
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"pipeline": pipeline, **extra}))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "scale function" in err and "alpha > 1" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_perfect_weakened_scale_family_is_validated(tmp_path, capsys):
+    # param 1.05 is a valid h1, but the eps = 0.1 weakening is h1(0.95)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"pipeline": "perfect", "domain": SMALL_H1, "param": 1.05}))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "param - eps" in capsys.readouterr().err
+
+
 def test_fit_pipeline_from_csv(tmp_path):
     import math
 
