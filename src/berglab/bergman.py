@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .capacity import equilibrium_measure
+from .capacity import circle_nodes, equilibrium_measure
 from .domains import CircleDomain, ZalcmanDomain
 from .errors import (
     DegenerateConstraintError,
@@ -318,15 +318,8 @@ def witness_metric_bound(domain: ZalcmanDomain, w: complex, variant: str = "two_
     """
     if domain.variant != "superset":
         raise PreconditionViolatedError("witness norms are integrated on the superset variant")
+    k = band_index(domain, abs(w))
     xs = domain.xs
-    aw = abs(w)
-    k = None
-    for kk in range(1, domain.K + 1):
-        if xs[kk] < aw < xs[kk - 1]:
-            k = kk
-            break
-    if k is None:
-        raise ScaleNotRetainedError(f"|w| = {aw} not inside a retained band")
     xk, xk1 = complex(xs[k - 1]), complex(xs[k])
     if variant == "two_pole":
         if k + 1 > domain.K:
@@ -389,24 +382,16 @@ def retracted_cluster_nodes(
     factor eta of each hole radius, because poles on the rim itself would
     make the witness norm divergent.  Both arrays stay aligned; circles too
     deep for double resolution collapse to a single representative node.
+    The angles are ``CircleDomain.arc_angles`` (at least 6 on a partial arc).
     """
     poles, bnds = [], []
-    for c0, rho in zip(domain.centers, domain.radii):
-        d = abs(center - c0)
-        if d - rho > radius:
+    for i, (c0, rho) in enumerate(zip(domain.centers.tolist(), domain.radii.tolist())):
+        theta = domain.arc_angles(i, center, radius, nodes_per_circle, 6)
+        if theta is None:
             continue
-        rr = (1.0 - eta) * rho
-        if d + rho <= radius:
-            theta = TWO_PI * np.arange(nodes_per_circle) / nodes_per_circle
-        else:
-            cos_psi = (d * d + rho * rho - radius * radius) / (2.0 * d * rho)
-            cos_psi = min(1.0, max(-1.0, cos_psi))
-            psi = math.acos(cos_psi)
-            base = math.atan2((center - c0).imag, (center - c0).real)
-            m = max(6, int(nodes_per_circle * psi / math.pi))
-            theta = base + np.linspace(-psi, psi, m)
-        poles.append(c0 + rr * np.exp(1j * theta))
-        bnds.append(c0 + rho * np.exp(1j * theta))
+        ring = np.exp(1j * theta)
+        poles.append(c0 + (1.0 - eta) * rho * ring)
+        bnds.append(c0 + rho * ring)
     if not poles:
         return np.empty(0, dtype=complex), np.empty(0, dtype=complex)
     poles = np.concatenate(poles)
@@ -528,13 +513,9 @@ def cauchy_transform_norm_check(
     for c0, rho in holes:
         if abs(c0) + rho >= 0.25:
             raise ValueError("carrier must sit inside the quarter disk")
-    poles, bnds = [], []
-    theta = TWO_PI * np.arange(nodes_per_circle) / nodes_per_circle
-    for c0, rho in holes:
-        poles.append(complex(c0) + (1.0 - eta) * rho * np.exp(1j * theta))
-        bnds.append(complex(c0) + rho * np.exp(1j * theta))
-    poles = np.concatenate(poles)
-    bnds = np.concatenate(bnds)
+    n = nodes_per_circle
+    poles = np.concatenate([circle_nodes(complex(c0), (1.0 - eta) * rho, n) for c0, rho in holes])
+    bnds = np.concatenate([circle_nodes(complex(c0), rho, n) for c0, rho in holes])
     sol = equilibrium_measure(bnds)  # capacity of the true carrier rims
     f = RationalFunction.from_nodes(poles, sol.measure.weights)
     G, _ = boundary_gram([(0j, 0.25, 1)] + [(complex(c0), rho, -1) for c0, rho in holes], [f])
@@ -583,8 +564,8 @@ def distance_profile(
     domain: ZalcmanDomain,
     k_range: Sequence[int],
     per_band: int = 8,
-    spec: Optional[BasisSpec] = None,
-    gram: Optional[GramSystem] = None,
+    *,
+    gram: GramSystem,
 ) -> list[dict]:
     """Metric samples along the negative real axis and the running length.
 
@@ -593,7 +574,6 @@ def distance_profile(
     Returns one row per sample with the band index, per-band increments
     accumulating in "d_est".
     """
-    gs = gram if gram is not None else assemble_gram(domain, spec)
     x_grid = band_sample_points(domain, k_range, per_band)
     x_grid = np.sort(x_grid)[::-1]  # from outer scale inward
     rows = []
@@ -601,7 +581,7 @@ def distance_profile(
     prev_x = None
     prev_b = None
     for x in x_grid:
-        est = subspace_metric(gs, complex(-x))
+        est = subspace_metric(gram, complex(-x))
         if prev_x is not None:
             d_est += 0.5 * (prev_b + est.b_est) * (prev_x - x)
         k = band_index(domain, float(x))

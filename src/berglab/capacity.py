@@ -40,6 +40,8 @@ WEIGHT_TOL = 1e-12
 #: a dropped node may raise the potential above the energy by this much
 #: relative to max(1, |energy|): rounding, not a missed support point
 KKT_TOL = 1e-12
+#: coordinate-exchange sweeps of ``nth_diameter`` before it stops unconverged
+MAX_PASSES = 40
 
 
 # ---------------------------------------------------------------------------
@@ -197,16 +199,14 @@ def _leja_seed(candidates: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return chosen, cols
 
 
-def nth_diameter(
-    candidates: np.ndarray, n: int, max_passes: int = 40
-) -> tuple[float, WeightedPointSet]:
+def nth_diameter(candidates: np.ndarray, n: int) -> tuple[float, WeightedPointSet]:
     """Search the candidate grid for an n-point configuration maximizing
     prod |z_j - z_k| ** (2/(n(n-1))).
 
     Leja seeding followed by coordinate-exchange sweeps (each point re-placed
     at its conditional optimum over the grid until a full sweep makes no
-    change).  The attained value is a certified lower bound for the true
-    n-th diameter.
+    change, at most ``MAX_PASSES`` sweeps).  The attained value is a
+    certified lower bound for the true n-th diameter.
 
     Each configuration point keeps its column of log-distances to the grid,
     so a step takes a few passes over the grid and a move computes one new
@@ -227,7 +227,7 @@ def nth_diameter(
     S = np.sum(np.ascontiguousarray(cols.T), axis=1)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_passes):
+        for _ in range(MAX_PASSES):
             moved = False
             for i in range(n):
                 col = cols[i]
@@ -385,23 +385,16 @@ def cantor_transfinite_estimate(C: CantorSet, n: int = 512) -> CapacityEstimate:
     grids starve the search.  Instead the configuration product factorizes:
     put m = n / 2^J segment-extremal points in every interval; the
     within-interval part is m-point diameters of [0, 1] scaled by l_J, the
-    across part uses exact word-difference distances between intervals.
-    Offsets perturb across distances by at most l_J / gap, far below the
-    reported precision.  The attained value remains a certified lower bound
-    for the true n-th diameter.
+    across part uses the exact distances between the intervals' left ends
+    from ``CantorSet.endpoint_distances``.  Offsets perturb across distances
+    by at most l_J / gap, far below the reported precision.  The attained
+    value remains a certified lower bound for the true n-th diameter.
     """
     J = C.J
     n_int = 2**J
     lengths = C.lengths
-    steps = np.array([lengths[j - 1] - lengths[j] for j in range(1, J + 1)])
-    # exact pairwise distances between interval left endpoints, via words
-    words = np.array([[(a >> (J - 1 - j)) & 1 for j in range(J)] for a in range(n_int)], dtype=float)
-    diff = words[:, None, :] - words[None, :, :]
-    order = np.argsort(np.abs(steps))
-    dmat = np.zeros((n_int, n_int))
-    for idx in order:
-        dmat += diff[:, :, idx] * steps[idx]
-    dmat = np.abs(dmat)
+    _, dist = C.endpoint_distances()
+    dmat = dist[::2, ::2]  # between left ends (side 0)
     iu = np.triu_indices(n_int, k=1)
     log_across_per_pair = float(np.sum(np.log(dmat[iu])))
 

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import asymptotics, bergman, perfectness
-from .domains import CantorSet, CircleDomain, ZalcmanDomain, domain_from_json
+from .domains import CantorSet, CircleDomain, ScaleFunction, ZalcmanDomain, domain_from_json
 from .errors import BerglabError, ConfigInvalidError
 from .quadrature import mc_integral
 
@@ -128,6 +128,16 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigInvalidError("eps_list must not be empty")
     if pipeline == "pommerenke" or (pipeline == "perfect" and not isinstance(domain, CantorSet)):
         _validate_scale_family(cfg)
+    if pipeline == "perfect" and not isinstance(domain, (ZalcmanDomain, CantorSet)):
+        raise ConfigInvalidError("pipeline 'perfect' needs a zalcman or cantor domain")
+    if pipeline == "pommerenke":
+        if not isinstance(domain, CircleDomain):
+            raise ConfigInvalidError("pipeline 'pommerenke' needs a circle domain")
+        if "s1" not in cfg and not isinstance(domain, ZalcmanDomain):
+            raise ConfigInvalidError("pipeline 'pommerenke' needs s1 unless the domain is zalcman")
+        for key in ("c", "s1"):
+            if key in cfg and not (type(cfg[key]) in (int, float) and 0 < cfg[key] < math.inf):
+                raise ConfigInvalidError(f"pipeline 'pommerenke' needs {key} > 0, got {cfg[key]!r}")
     if pipeline == "capacity" and "schedule" in cfg:
         raise ConfigInvalidError(
             "'schedule' is no longer read: the capacity estimate runs one search at the "
@@ -171,7 +181,7 @@ def _validate_scale_family(cfg: dict) -> None:
         family, param = _scale_family(cfg)
         weakened = [param - eps for eps in cfg.get("eps_list", [0.1])] if pipeline == "perfect" else []
         for p in [param, *weakened]:
-            perfectness._family_scale(family, p)
+            ScaleFunction.of(family, p)
     except (TypeError, ValueError) as exc:
         raise ConfigInvalidError(
             f"{pipeline!r} needs a scale function h: {exc}. h is the domain's family at its alpha "
@@ -288,7 +298,7 @@ def run_perfect(cfg: dict, out: Path, profile: dict) -> dict:
         return {"passed": rep["passed"], "outputs": ["perfect_report.json"]}
     family, param = _scale_family(cfg)
     eps = cfg.get("eps_list", [0.1])
-    c_star = perfectness.best_constant_profile(domain, perfectness._family_scale(family, param))
+    c_star = perfectness.best_constant_profile(domain, ScaleFunction.of(family, param))
     uc = perfectness.uc_report(domain, family, param, eps, n=profile["n_cap"], profile=c_star)
     rep, rows = uc.pop("classification"), uc.pop("rows")
     write_json(out / "perfect_report.json", {"classification": rep, "uc": uc})
@@ -306,7 +316,7 @@ def run_perfect(cfg: dict, out: Path, profile: dict) -> dict:
 
 def run_pommerenke(cfg: dict, out: Path, profile: dict) -> dict:
     domain = domain_from_json(cfg["domain"])
-    h = perfectness._family_scale(*_scale_family(cfg))
+    h = ScaleFunction.of(*_scale_family(cfg))
     a = complex(cfg.get("a", 0))
     k = int(cfg.get("k", 5))
     c = float(cfg.get("c", 1.0))

@@ -77,6 +77,13 @@ class ScaleFunction:
         return cls(family="h2", beta=float(beta), epsilon0=math.exp(-1.0))
 
     @classmethod
+    def of(cls, family: str, param: float) -> "ScaleFunction":
+        """The h1 family at alpha = param, or the h2 family at beta = param."""
+        if family not in ("h1", "h2"):
+            raise ValueError(f"unknown family {family!r}")
+        return getattr(cls, family)(param)
+
+    @classmethod
     def from_table(cls, r_samples: Sequence[float], h_samples: Sequence[float]) -> "ScaleFunction":
         r = np.asarray(r_samples, dtype=float)
         h = np.asarray(h_samples, dtype=float)
@@ -209,7 +216,7 @@ class IntervalUnion:
         return bool(self.points.size and np.any(np.abs(self.points - x) <= tol))
 
     def intersects(self, lo: float, hi: float) -> bool:
-        """Nonempty intersection with the closed interval [lo, hi]."""
+        """Nonempty intersection with the closed interval [lo, hi], lo <= hi."""
         if self.intervals.size and bool(
             np.any((self.intervals[:, 0] <= hi) & (self.intervals[:, 1] >= lo))
         ):
@@ -360,6 +367,22 @@ class CircleDomain:
                 lo = 0.0
             intervals.append((lo, d + rho))
         return IntervalUnion.build(intervals, [abs(a)] if self.include_origin else [])
+
+    def arc_angles(self, i: int, a: complex, r: float, n_full: int, n_min: int) -> Optional[np.ndarray]:
+        """Node angles covering the points of circle ``i`` within r of a:
+        ``n_full`` equispaced ones when the whole circle is in reach, at least
+        ``n_min`` across the arc facing a when part of it is, None otherwise."""
+        c, rho = complex(self.circle_centers[i]), float(self.circle_radii[i])
+        d = abs(a - c)
+        if d + rho <= r:
+            return 2.0 * math.pi * np.arange(n_full) / n_full
+        if abs(d - rho) > r:
+            return None
+        # half-opening psi of the reachable arc, by the law of cosines
+        cos_psi = (d * d + rho * rho - r * r) / (2.0 * d * rho)
+        psi = math.acos(min(1.0, max(-1.0, cos_psi)))
+        base = math.atan2((a - c).imag, (a - c).real)
+        return base + np.linspace(-psi, psi, max(n_min, int(n_full * psi / math.pi)))
 
     def nearest_boundary_point(self, z: complex) -> tuple[complex, float, Optional[int]]:
         """(point, distance, circle index) of the closest boundary point; the
@@ -605,6 +628,22 @@ class CantorSet:
                 ivs.append((0.0, max(a - lo, hi - a)))
         return IntervalUnion.build(ivs)
 
+    def endpoint_distances(self) -> tuple[list[tuple], np.ndarray]:
+        """(words, distances) of the level-J interval endpoints, left to right;
+        the word (b_1..b_J, side) is the endpoint sum_j b_j (l_{j-1} - l_j) +
+        side * l_J.  Subtracting positions would lose everything below
+        eps * position; summing the word differences per level, in ascending
+        magnitude, is exact to relative rounding at each distance's scale."""
+        J = self.J
+        bits = [tuple((mask >> (J - 1 - j)) & 1 for j in range(J)) for mask in range(2**J)]
+        words = [b + (side,) for b in bits for side in (0, 1)]
+        steps = np.append(self.lengths[:-1] - self.lengths[1:], self.lengths[J])
+        W = np.asarray(words, dtype=float)
+        d = np.zeros((W.shape[0], W.shape[0]))
+        for idx in np.argsort(np.abs(steps)):
+            d += (W[:, None, idx] - W[None, :, idx]) * steps[idx]
+        return words, np.abs(d)
+
     def to_json_dict(self) -> dict:
         return {"type": "cantor", "l0": self.l0, "alpha": self.alpha, "J": self.J}
 
@@ -652,10 +691,8 @@ def _assemble_cantor(l0: float, rule: str, alpha: float, J: int, lengths: np.nda
 
 def scale_from_json(d: dict) -> ScaleFunction:
     fam = d.get("family")
-    if fam == "h1":
-        return ScaleFunction.h1(float(d["alpha"]))
-    if fam == "h2":
-        return ScaleFunction.h2(float(d["beta"]))
+    if fam in ("h1", "h2"):
+        return ScaleFunction.of(fam, float(d["alpha" if fam == "h1" else "beta"]))
     if fam == "table":
         return ScaleFunction.from_table(d["r"], d["h"])
     raise ValueError(f"unknown scale family {fam!r}")

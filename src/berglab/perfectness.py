@@ -50,22 +50,16 @@ class AnnulusTestReport:
     witness_distance: float = math.nan
 
 
-def reachable_sup(domain: CircleDomain, a: complex, r: float) -> float:
-    """Largest achievable boundary distance <= r from a (0 when only the
-    degenerate self-distance remains).  c_star(a, r) is this value / h(r):
-    shrinking the annulus inward, the last c for which it still meets the
-    boundary is reached when c*h(r) hits the top achievable distance."""
-    spec = domain.distance_spectrum(a)
-    return spec.sup_at_most(r)
-
-
 def annulus_condition(
     domain: CircleDomain, a: complex, r: float, c: float, h: ScaleFunction
 ) -> AnnulusTestReport:
     """Exact annulus test at (a, r) with inner radius c*h(r)."""
     if r <= 0:
         raise ValueError("r must be positive")
-    best = reachable_sup(domain, a, r)  # may raise NotBoundaryPointError
+    # c_star(a, r) is the largest achievable boundary distance <= r over h(r):
+    # shrinking the annulus inward, the last c for which it still meets the
+    # boundary is reached when c*h(r) hits the top achievable distance
+    best = domain.distance_spectrum(a).sup_at_most(r)  # may raise NotBoundaryPointError
     hr = h.value(r)
     lo = c * hr
     satisfied = best >= lo and best > 0.0
@@ -159,14 +153,6 @@ def best_constant_profile(
 # ---------------------------------------------------------------------------
 
 
-def _family_scale(family: str, param: float) -> ScaleFunction:
-    if family == "h1":
-        return ScaleFunction.h1(param)
-    if family == "h2":
-        return ScaleFunction.h2(param)
-    raise ValueError(f"unknown family {family!r}")
-
-
 def exact_empty_annulus(domain: ZalcmanDomain, k: int, c: float, h_test: ScaleFunction) -> Optional[dict]:
     """Certificate that [c*h_test(x_k/2), x_k/2] around a=0 misses the full
     (untruncated) boundary; None when the annulus is inhabited or when the
@@ -213,7 +199,7 @@ def classify_weak_perfectness(
     the caller already has it; it is computed here otherwise.
     """
     if profile is None:
-        profile = best_constant_profile(domain, _family_scale(family, param))
+        profile = best_constant_profile(domain, ScaleFunction.of(family, param))
     cs_global, table = profile
     report = {
         "family": family,
@@ -227,7 +213,7 @@ def classify_weak_perfectness(
     tail_radii = [float(domain.xs[k - 1]) / 2.0 for k in range(max(1, domain.K - 4), domain.K)]
     tail_sup = spec0.sup_at_most(np.asarray(tail_radii)).tolist()
     for eps in eps_list:
-        h_weak = _family_scale(family, param - eps)
+        h_weak = ScaleFunction.of(family, param - eps)
         witnesses = []
         per_c_ok = []
         for c in c_grid:
@@ -269,33 +255,17 @@ def hole_arc_nodes(
 ) -> np.ndarray:
     """Discretize the complement set (closed disk(a, r) minus the domain)
     by the boundary arcs of the holes, the inner barrier, and the outer
-    circle clipped to distance r from a."""
+    circle clipped to distance r from a (``CircleDomain.arc_angles``, at
+    least 8 nodes on a partial arc)."""
     pts = []
-
-    def circle_arcs(c0: complex, rho: float, n_full: int):
-        d = abs(a - c0)
-        if d + rho <= r:  # whole circle inside
-            theta = TWO_PI * np.arange(n_full) / n_full
-            pts.append(c0 + rho * np.exp(1j * theta))
-            return
-        if abs(d - rho) > r or d - rho > r:  # no point of the circle in reach
-            return
-        if d == 0.0:  # concentric, rho > r: nothing reachable
-            return
-        # partial arc around the direction towards a
-        cos_psi = (d * d + rho * rho - r * r) / (2.0 * d * rho)
-        cos_psi = min(1.0, max(-1.0, cos_psi))
-        psi = math.acos(cos_psi)
-        base = math.atan2((a - c0).imag, (a - c0).real)
-        m = max(8, int(n_full * psi / math.pi))
-        theta = base + np.linspace(-psi, psi, m)
-        pts.append(c0 + rho * np.exp(1j * theta))
-
     # hole rims get nodes_per_circle nodes, the inner barrier and the outer
     # circle (the complement includes |z| >= outer_radius) outer_nodes
     circles = zip(domain.circle_centers.tolist(), domain.circle_radii.tolist())
     for i, (c0, rho) in enumerate(circles):
-        circle_arcs(c0, rho, nodes_per_circle if i < domain.centers.size else outer_nodes)
+        n_full = nodes_per_circle if i < domain.centers.size else outer_nodes
+        theta = domain.arc_angles(i, a, r, n_full, 8)
+        if theta is not None:
+            pts.append(c0 + rho * np.exp(1j * theta))
     if domain.include_origin and abs(a) <= r:
         pts.append(np.array([0j]))
     if not pts:
@@ -454,7 +424,8 @@ def pommerenke_construct(
     differ at level m are then >= s_{m+1} apart, exactly the certificate the
     transfinite product bound needs.  Raises AnnulusEmptyError(level) when
     some window misses the boundary, i.e. the annulus condition fails with
-    this constant at that scale.
+    this constant at that scale, and PreconditionViolatedError when the
+    scales do not at least halve per level.
     """
     _, d, i = domain.nearest_boundary_point(a)
     if d > 1e-12 * max(1.0, 0.0 if i is None else float(domain.circle_radii[i])):
@@ -469,7 +440,7 @@ def pommerenke_construct(
     for l in range(1, k + 1):
         s[l] = (c / 5.0) * h.value(s[l - 1])
         if not s[l] <= 0.5 * s[l - 1]:
-            raise ValueError("scale sequence must at least halve per level")
+            raise PreconditionViolatedError(f"scales must at least halve per level: s_{l} = {s[l]:g}")
     points = [start]
     words: list[tuple] = [()]
     for l in range(k):
@@ -564,7 +535,7 @@ def uc_report(
     ``profile`` is passed on to ``classify_weak_perfectness``.
     """
     cls = classify_weak_perfectness(domain, family, param, eps_list, profile=profile)
-    h = _family_scale(family, param)
+    h = ScaleFunction.of(family, param)
     radii = []
     xs = domain.xs
     for k in range(1, domain.K):
@@ -590,37 +561,6 @@ def uc_report(
     return out
 
 
-def _cantor_endpoint_words(J: int) -> list[tuple]:
-    """(b_1..b_J, side) words for every level-J interval endpoint; the
-    endpoint value is sum_j b_j (l_{j-1} - l_j) + side * l_J."""
-    words = []
-    for mask in range(2**J):
-        bits = tuple((mask >> (J - 1 - j)) & 1 for j in range(J))
-        words.append(bits + (0,))
-        words.append(bits + (1,))
-    return words
-
-
-def _cantor_pair_distances(words: list[tuple], lengths: np.ndarray) -> np.ndarray:
-    """Distance matrix between endpoints from word differences.
-
-    Endpoint positions straddle ~60 orders of magnitude; subtracting the
-    assembled doubles erases everything below eps * position.  Summing the
-    per-level difference terms instead keeps each distance exact to
-    relative rounding at its own scale.
-    """
-    J = len(lengths) - 1
-    steps = np.array([lengths[j - 1] - lengths[j] for j in range(1, J + 1)] + [lengths[J]])
-    W = np.asarray(words, dtype=float)  # (m, J+1)
-    diff = W[:, None, :] - W[None, :, :]  # entries in {-1, 0, 1}
-    # ascending-magnitude summation: steps grow with level index reversed
-    order = np.argsort(np.abs(steps))
-    d = np.zeros(diff.shape[:2])
-    for idx in order:
-        d += diff[:, :, idx] * steps[idx]
-    return np.abs(d)
-
-
 def cantor_U_check(
     C: CantorSet,
     alpha: float,
@@ -632,7 +572,7 @@ def cantor_U_check(
     Base points and witnesses are interval endpoints, which all belong to
     the limit set, so every satisfied flag is a certificate.  Distances are
     evaluated combinatorially from construction words (see
-    ``_cantor_pair_distances``).  Radii are restricted to the range the
+    ``CantorSet.endpoint_distances``).  Radii are restricted to the range the
     finite depth resolves (r > 2 l_{J-1}).
     """
     if c is None:
@@ -641,8 +581,7 @@ def cantor_U_check(
         r_lo = 2.0 * float(C.lengths[C.J - 1]) * 1.0001
         r_hi = 1.9 * C.l0
         r_grid = log_spaced_radii(r_lo, r_hi, per_decade=8)
-    words = _cantor_endpoint_words(C.J)
-    dist = _cantor_pair_distances(words, C.lengths)
+    words, dist = C.endpoint_distances()
     checks = 0
     failures = []
     for i in range(len(words)):

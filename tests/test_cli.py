@@ -298,6 +298,45 @@ def test_scale_family_is_validated(tmp_path, capsys, pipeline, extra):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "domain", [{"type": "disk"}, {"type": "annulus", "r0": 0.5}], ids=["disk", "annulus"]
+)
+def test_perfect_needs_a_zalcman_or_cantor_domain(tmp_path, capsys, domain):
+    # with a valid family and param the run started, probed the annulus
+    # condition at the origin and exited 3 with NotBoundaryPointError
+    cfg = {"pipeline": "perfect", "domain": domain, "family": "h1", "param": 1.5}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "zalcman or cantor" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+H1_K10 = {**SMALL_H1, "K": 10}
+
+
+@pytest.mark.parametrize(
+    "extra, code, message",
+    [
+        ({"domain": {"type": "cantor", "l0": 0.1, "alpha": 2.0, "J": 4}}, 2, "circle domain"),
+        ({"domain": {"type": "disk", "family": "h1", "alpha": 1.5}}, 2, "needs s1"),
+        ({"domain": H1_K10, "c": -1}, 2, "c > 0"),
+        ({"domain": H1_K10, "s1": -0.001}, 2, "s1 > 0"),
+        ({"domain": H1_K10, "c": 100, "s1": 0.1}, 3, "halve"),
+    ],
+    ids=["cantor", "disk-without-s1", "negative-c", "negative-s1", "no-halving"],
+)
+def test_pommerenke_config_errors(tmp_path, capsys, extra, code, message):
+    # each exited 1 with a traceback: AttributeError for x1 (cantor, disk
+    # without s1), math domain error (c, s1 < 0), ValueError (no halving)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"pipeline": "pommerenke", **extra}))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_perfect_weakened_scale_family_is_validated(tmp_path, capsys):
     # param 1.05 is a valid h1, but the eps = 0.1 weakening is h1(0.95)
     cfg_path = tmp_path / "cfg.json"

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from berglab.domains import (
     domain_from_json,
     scale_inverse_check,
 )
+from berglab.bergman import retracted_cluster_nodes
 from berglab.errors import (
     BisectionFailureError,
     NonDisjointError,
@@ -22,6 +24,7 @@ from berglab.errors import (
     RuleViolationError,
     ScaleUnderflowError,
 )
+from berglab.perfectness import hole_arc_nodes
 
 
 def dense_boundary_samples(domain, per_circle=4096):
@@ -62,6 +65,14 @@ def test_table_family_interpolates_and_validates():
     assert h.value(rs[7]) == pytest.approx(hs[7], rel=1e-12)
     with pytest.raises(ValueError):
         ScaleFunction.from_table([0.1, 0.2], [0.15, 0.25])  # h >= r
+
+
+def test_scale_family_by_name():
+    assert ScaleFunction.of("h1", 1.5) == ScaleFunction.h1(1.5)
+    assert ScaleFunction.of("h2", 2.0) == ScaleFunction.h2(2.0)
+    for family, param in (("h1", 1.0), ("h2", 0.0), ("table", 1.5), ("h3", 1.5)):
+        with pytest.raises(ValueError):
+            ScaleFunction.of(family, param)
 
 
 def test_scale_inverse_exact_roundtrip():
@@ -235,17 +246,24 @@ WINDOW_DOMAINS = [
 
 
 @st.composite
-def windows(draw):
-    """(domain, boundary point a, lo, hi): a is the origin or a point on one of
-    the circles; lo is log-uniform or sits next to an end of a's spectrum,
-    so that isolated points and interval ends get hit."""
-    dom = draw(st.sampled_from(WINDOW_DOMAINS))
+def boundary_points(draw, dom):
+    """The origin (when it is a boundary point) or a point on one of the
+    circles: a hole rim, the sandwich barrier or the outer circle."""
     first = -1 if dom.include_origin else 0
     i = draw(st.integers(first, dom.circle_radii.size - 1))
-    a = 0j
-    if i >= 0:
-        theta = draw(st.floats(0.0, 2.0 * math.pi))
-        a = complex(dom.circle_centers[i] + dom.circle_radii[i] * np.exp(1j * theta))
+    if i < 0:
+        return 0j
+    theta = draw(st.floats(0.0, 2.0 * math.pi))
+    return complex(dom.circle_centers[i] + dom.circle_radii[i] * np.exp(1j * theta))
+
+
+@st.composite
+def windows(draw):
+    """(domain, boundary point a, lo, hi): lo is log-uniform or sits next to
+    an end of a's spectrum, so that isolated points and interval ends get
+    hit."""
+    dom = draw(st.sampled_from(WINDOW_DOMAINS))
+    a = draw(boundary_points(dom))
     spec = dom.distance_spectrum(a)
     ends = [e for e in spec.intervals.ravel().tolist() + spec.points.tolist() if e > 0.0]
     lo = draw(
@@ -274,6 +292,119 @@ def test_witness_at_distance_matches_spectrum(window):
     if i is None:
         assert z == 0j
     assert abs(z - a) == pytest.approx(d, rel=1e-9, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# complement arcs: the two callers of CircleDomain.arc_angles against the
+# arc code each of them carried before it, kept here as the oracle
+# ---------------------------------------------------------------------------
+
+
+def reference_hole_arc_nodes(domain, a, r, nodes_per_circle=16, outer_nodes=512):
+    pts = []
+
+    def circle_arcs(c0, rho, n_full):
+        d = abs(a - c0)
+        if d + rho <= r:  # whole circle inside
+            theta = 2.0 * math.pi * np.arange(n_full) / n_full
+            pts.append(c0 + rho * np.exp(1j * theta))
+            return
+        if abs(d - rho) > r or d - rho > r:  # no point of the circle in reach
+            return
+        if d == 0.0:  # concentric, rho > r: nothing reachable
+            return
+        cos_psi = (d * d + rho * rho - r * r) / (2.0 * d * rho)
+        cos_psi = min(1.0, max(-1.0, cos_psi))
+        psi = math.acos(cos_psi)
+        base = math.atan2((a - c0).imag, (a - c0).real)
+        m = max(8, int(n_full * psi / math.pi))
+        theta = base + np.linspace(-psi, psi, m)
+        pts.append(c0 + rho * np.exp(1j * theta))
+
+    circles = zip(domain.circle_centers.tolist(), domain.circle_radii.tolist())
+    for i, (c0, rho) in enumerate(circles):
+        circle_arcs(c0, rho, nodes_per_circle if i < domain.centers.size else outer_nodes)
+    if domain.include_origin and abs(a) <= r:
+        pts.append(np.array([0j]))
+    if not pts:
+        return np.empty(0, dtype=complex)
+    return np.concatenate(pts)
+
+
+def reference_retracted_cluster_nodes(domain, center, radius, nodes_per_circle=16, eta=0.5):
+    poles, bnds = [], []
+    for c0, rho in zip(domain.centers, domain.radii):
+        d = abs(center - c0)
+        if d - rho > radius:
+            continue
+        rr = (1.0 - eta) * rho
+        if d + rho <= radius:
+            theta = 2.0 * math.pi * np.arange(nodes_per_circle) / nodes_per_circle
+        else:
+            cos_psi = (d * d + rho * rho - radius * radius) / (2.0 * d * rho)
+            cos_psi = min(1.0, max(-1.0, cos_psi))
+            psi = math.acos(cos_psi)
+            base = math.atan2((center - c0).imag, (center - c0).real)
+            m = max(6, int(nodes_per_circle * psi / math.pi))
+            theta = base + np.linspace(-psi, psi, m)
+        poles.append(c0 + rr * np.exp(1j * theta))
+        bnds.append(c0 + rho * np.exp(1j * theta))
+    if not poles:
+        return np.empty(0, dtype=complex), np.empty(0, dtype=complex)
+    poles = np.concatenate(poles)
+    bnds = np.concatenate(bnds)
+    _, keep = np.unique(poles, return_index=True)
+    keep = np.sort(keep)
+    return poles[keep], bnds[keep]
+
+
+@st.composite
+def arc_queries(draw):
+    """(domain, boundary point a, radius r): r is log-uniform, an end of a's
+    distance spectrum (where a circle comes whole into reach) or next to
+    one."""
+    dom = draw(st.sampled_from(WINDOW_DOMAINS))
+    a = draw(boundary_points(dom))
+    spec = dom.distance_spectrum(a)
+    ends = [e for e in spec.intervals.ravel().tolist() + spec.points.tolist() if e > 0.0]
+    r = draw(
+        st.one_of(
+            st.floats(math.log(1e-13), math.log(2.5)).map(math.exp),
+            st.sampled_from(ends),
+            st.tuples(st.sampled_from(ends), st.floats(-0.05, 0.05)).map(
+                lambda t: t[0] * math.exp(t[1])
+            ),
+        )
+    )
+    return dom, a, r
+
+
+@settings(max_examples=300, deadline=None)
+@given(arc_queries(), st.sampled_from([4, 16]), st.sampled_from([32, 512]))
+def test_hole_arc_nodes_match_former_arc_code(query, nodes_per_circle, outer_nodes):
+    dom, a, r = query
+    got = hole_arc_nodes(dom, a, r, nodes_per_circle, outer_nodes)
+    assert np.array_equal(got, reference_hole_arc_nodes(dom, a, r, nodes_per_circle, outer_nodes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(arc_queries(), st.sampled_from([6, 16]), st.sampled_from([0.5, 0.25]))
+def test_retracted_cluster_nodes_match_former_arc_code(query, nodes_per_circle, eta):
+    dom, a, r = query
+    poles, bnds = retracted_cluster_nodes(dom, a, r, nodes_per_circle, eta)
+    ref_poles, ref_bnds = reference_retracted_cluster_nodes(dom, a, r, nodes_per_circle, eta)
+    assert np.array_equal(poles, ref_poles) and np.array_equal(bnds, ref_bnds)
+
+
+def test_arc_angles_cases():
+    dom = CircleDomain.build(disks=[(0.5 + 0j, 0.1)])
+    assert np.array_equal(dom.arc_angles(0, 0.5 + 0j, 0.1, 8, 3), 2.0 * math.pi * np.arange(8) / 8)
+    assert dom.arc_angles(0, 0.5 + 0j, 0.05, 8, 3) is None  # center of a wider circle
+    assert dom.arc_angles(0, 0.52 + 0j, 0.05, 8, 3) is None  # inside, rim out of reach
+    assert dom.arc_angles(0, 0.9 + 0j, 0.2, 8, 3) is None  # out of reach
+    theta = dom.arc_angles(0, 0.6 + 0j, 0.1, 8, 3)  # a on the rim: the facing third
+    assert theta.size == 3 and theta[1] == 0.0
+    assert theta[2] == -theta[0] == pytest.approx(math.acos(0.5), rel=1e-15)
 
 
 CONTAINS_DOMAINS = [
@@ -348,6 +479,76 @@ def test_cantor_rule_violation():
         build_cantor_table([0.1, 0.05])  # exactly half is not allowed
     with pytest.raises(ValueError):
         build_cantor(0.6, 2.0, J=2)
+
+
+def reference_cantor_endpoint_words(J):
+    words = []
+    for mask in range(2**J):
+        bits = tuple((mask >> (J - 1 - j)) & 1 for j in range(J))
+        words.append(bits + (0,))
+        words.append(bits + (1,))
+    return words
+
+
+def reference_cantor_pair_distances(words, lengths):
+    J = len(lengths) - 1
+    steps = np.array([lengths[j - 1] - lengths[j] for j in range(1, J + 1)] + [lengths[J]])
+    W = np.asarray(words, dtype=float)
+    diff = W[:, None, :] - W[None, :, :]
+    order = np.argsort(np.abs(steps))
+    d = np.zeros(diff.shape[:2])
+    for idx in order:
+        d += diff[:, :, idx] * steps[idx]
+    return np.abs(d)
+
+
+def reference_left_end_distances(C):
+    """The interval left ends' distances as ``cantor_transfinite_estimate``
+    computed them inline."""
+    J, lengths = C.J, C.lengths
+    steps = np.array([lengths[j - 1] - lengths[j] for j in range(1, J + 1)])
+    words = np.array([[(a >> (J - 1 - j)) & 1 for j in range(J)] for a in range(2**J)], dtype=float)
+    diff = words[:, None, :] - words[None, :, :]
+    dmat = np.zeros((2**J, 2**J))
+    for idx in np.argsort(np.abs(steps)):
+        dmat += diff[:, :, idx] * steps[idx]
+    return np.abs(dmat)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.01, 0.2), st.floats(1.5, 2.5), st.integers(1, 5))
+def test_endpoint_distances_match_former_copies(l0, alpha, J):
+    C = build_cantor(l0, alpha, J)
+    words, dist = C.endpoint_distances()
+    assert words == reference_cantor_endpoint_words(J)
+    assert np.array_equal(dist, reference_cantor_pair_distances(words, C.lengths))
+    assert np.array_equal(dist[::2, ::2], reference_left_end_distances(C))
+
+
+@st.composite
+def dyadic_lengths(draw):
+    """l_0..l_J (J <= 3) as exact fractions: dyadic, each below half the last."""
+    lengths = [Fraction(draw(st.integers(1, 63)), 128)]
+    for _ in range(draw(st.integers(1, 3))):
+        lengths.append(lengths[-1] * Fraction(draw(st.integers(1, 15)), 32))
+    return lengths
+
+
+@settings(max_examples=100, deadline=None)
+@given(dyadic_lengths())
+def test_endpoint_distances_brute_force(lengths):
+    J = len(lengths) - 1
+    C = build_cantor_table([float(x) for x in lengths])
+    words, dist = C.endpoint_distances()
+    steps = [lengths[j - 1] - lengths[j] for j in range(1, J + 1)] + [lengths[J]]
+    pos = [sum((b * s for b, s in zip(w, steps)), Fraction(0)) for w in words]
+    # the words name every endpoint, left to right
+    assert all(p < q for p, q in zip(pos, pos[1:]))
+    assert C.endpoints().tolist() == [float(p) for p in pos]
+    for i, p in enumerate(pos):
+        for j, q in enumerate(pos):
+            exact = abs(p - q)
+            assert abs(Fraction(dist[i, j]) - exact) <= (J + 1) * Fraction(2) ** -53 * exact
 
 
 def test_cantor_distance_modes():
@@ -430,6 +631,48 @@ def test_sup_at_most_array_matches_loop(u, extra):
     assert isinstance(got, np.ndarray) and got.shape == (len(qs),)
     for g, q in zip(got.tolist(), qs):
         assert same_float(g, sup_at_most_loop(u, q))
+
+
+def inf_at_least_loop(u, lo):
+    """Brute-force reference: lo when an interval covers it, else the
+    smallest interval start or point above it."""
+    cands = [p for p in u.points.tolist() if p >= lo]
+    for a, b in u.intervals.tolist():
+        if a <= lo <= b:
+            cands.append(lo)
+        elif a >= lo:
+            cands.append(a)
+    return min(cands) if cands else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(unions, st.lists(st.floats(-1.0, 6.0), max_size=4))
+def test_inf_at_least_matches_loop(u, extra):
+    for q in union_queries(u, extra):
+        assert u.inf_at_least(q) == inf_at_least_loop(u, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unions, st.lists(st.floats(-1.0, 6.0), max_size=4))
+def test_intersects_matches_loop(u, extra):
+    qs = union_queries(u, extra)
+    for lo in qs:
+        for hi in qs:
+            if lo <= hi:
+                expect = any(max(a, lo) <= min(b, hi) for a, b in u.intervals.tolist()) or any(
+                    lo <= p <= hi for p in u.points.tolist()
+                )
+                assert u.intersects(lo, hi) == expect
+
+
+@settings(max_examples=200, deadline=None)
+@given(unions, st.lists(st.floats(-1.0, 6.0), max_size=4), st.sampled_from([0.0, 1e-9, 0.125]))
+def test_contains_matches_loop(u, extra, tol):
+    for q in union_queries(u, extra):
+        expect = any(a - tol <= q <= b + tol for a, b in u.intervals.tolist()) or any(
+            abs(p - q) <= tol for p in u.points.tolist()
+        )
+        assert u.contains(q, tol) == expect
 
 
 def test_sup_at_most_edge_cases():
