@@ -80,10 +80,6 @@ class WeightedPointSet:
     def weighted(self) -> bool:
         return self.weights is not None
 
-    def to_rows(self) -> list[tuple[float, float, float]]:
-        w = self.weights if self.weighted else np.full(self.nodes.size, math.nan)
-        return [(z.real, z.imag, float(wi)) for z, wi in zip(self.nodes, w)]
-
 
 def circle_nodes(center: complex, radius: float, n: int) -> np.ndarray:
     theta = 2.0 * math.pi * np.arange(n) / n

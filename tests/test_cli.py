@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from berglab import perfectness
-from berglab.cli import main, run, validate_config
+from berglab.cli import main, run
 from berglab.errors import ConfigInvalidError
 
 
@@ -199,16 +199,17 @@ def test_manifest_lists_hashes(tmp_path):
         assert (tmp_path / entry["path"]).exists()
 
 
-def test_config_validation_errors():
+def test_config_validation_errors(tmp_path):
     with pytest.raises(ConfigInvalidError):
-        validate_config({"pipeline": "bogus"})
+        run({"pipeline": "bogus"}, str(tmp_path))
     with pytest.raises(ConfigInvalidError):
-        validate_config({"pipeline": "kernel"})  # missing domain
+        run({"pipeline": "kernel"}, str(tmp_path))  # missing domain
     with pytest.raises(ConfigInvalidError):
-        validate_config({"pipeline": "selfcheck"})  # missing seed for MC
+        run({"pipeline": "selfcheck"}, str(tmp_path))  # missing seed for MC
     with pytest.raises(ConfigInvalidError):
-        validate_config(
-            {"pipeline": "kernel", "domain": {"type": "zalcman", "family": "h9", "x1": 0.1, "K": 2}}
+        run(
+            {"pipeline": "kernel", "domain": {"type": "zalcman", "family": "h9", "x1": 0.1, "K": 2}},
+            str(tmp_path),
         )
 
 
@@ -335,6 +336,42 @@ def test_pommerenke_config_errors(tmp_path, capsys, extra, code, message):
     assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == code
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        ({"pipeline": "kernel", "domain": SMALL_H1, "fit_column": "nope"}, "fit_column"),
+        ({"pipeline": "kernel", "domain": SMALL_H1, "models": ["K9"]}, "models"),
+        ({"pipeline": "distance", "domain": SMALL_H1, "models": ["K9"]}, "models"),
+        ({"pipeline": "fit", "samples": [[1e-3, 1.0]] * 5, "models": ["K9"]}, "models"),
+        ({"pipeline": "metric", "domain": SMALL_H1, "witness": "four_pole"}, "witness"),
+        ({"pipeline": "perfect", "domain": 5}, "domain"),
+        ({"pipeline": "fit", "samples_csv": "no/such/samples.csv"}, "samples_csv"),
+        ({"pipeline": "fit", "samples": [[1, 2, 3]]}, "samples"),
+        ({"pipeline": "capacity", "set": {"type": "cantor", "l0": 0.6, "alpha": 1.5, "J": 4}}, "l0"),
+        ({"pipeline": "selfcheck", "seed": "abc"}, "seed"),
+        ({"pipeline": "pommerenke", "domain": H1_K10, "k": -2}, "k must be"),
+        ({"pipeline": "perfect", "domain": SMALL_H1, "eps_list": [-0.1]}, "eps_list"),
+        ({"pipeline": "distance", "domain": {**SMALL_H1, "K": 3}}, "k_range"),
+    ],
+    ids=[
+        "kernel-fit-column", "kernel-models", "distance-models", "fit-models", "metric-witness",
+        "domain-not-an-object", "fit-missing-csv", "fit-triple", "capacity-cantor-l0",
+        "selfcheck-seed", "pommerenke-negative-k", "perfect-negative-eps", "distance-default-k-range",
+    ],
+)
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, cfg, message):
+    # each exited 1 with a traceback (KeyError, ValueError, AttributeError,
+    # FileNotFoundError, negative dimensions), or, for a negative eps,
+    # exited 0 having "weakened" h1(1.5) to h1(1.6)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_perfect_weakened_scale_family_is_validated(tmp_path, capsys):
