@@ -49,8 +49,9 @@ def _validate(samples: Sequence[tuple[float, float]]) -> tuple[np.ndarray, np.nd
         raise InsufficientSpanError("need at least 5 samples")
     if np.any(xs <= 0) or np.any(vs <= 0):
         raise InsufficientSpanError("samples must be positive")
-    if np.any(np.log(np.log(1.0 / xs)) <= 0.5):
-        raise InsufficientSpanError("x too large: need log log (1/x) > 0.5")
+    # x < 1 first, so the logs below stay finite; "not all >" also rejects NaN
+    if not np.all(xs < 1.0) or not np.all(np.log(np.log(1.0 / xs)) > 0.5):
+        raise InsufficientSpanError("x too large: need x < 1 and log log (1/x) > 0.5")
     span = np.log(np.log(1.0 / xs.min())) - np.log(np.log(1.0 / xs.max()))
     if span <= 0.0:
         raise InsufficientSpanError("degenerate x span")

@@ -35,7 +35,7 @@ from .errors import (
     RankCollapseError,
     ScaleNotRetainedError,
 )
-from .quadrature import QuadratureInfo, RationalFunction, boundary_gram, domain_circles
+from .quadrature import Basis, QuadratureInfo, RationalFunction, boundary_gram, domain_circles
 
 TWO_PI = 2.0 * math.pi
 
@@ -109,6 +109,7 @@ class GramSystem:
     spec: BasisSpec
     domain: CircleDomain
     fns: list
+    basis: Basis  # fns packed, for evaluating all of them at a point
     G: np.ndarray
     scale: np.ndarray  # diagonal equilibration 1/sqrt(G_ii)
     eigvals: np.ndarray  # of the equilibrated matrix, ascending
@@ -145,7 +146,8 @@ def assemble_gram(domain: CircleDomain, spec: Optional[BasisSpec] = None) -> Gra
     """
     spec = spec if spec is not None else default_basis(domain)
     fns = spec.functions()
-    G, info = boundary_gram(domain_circles(domain), fns)
+    basis = Basis.of(fns)
+    G, info = boundary_gram(domain_circles(domain), basis)
     diag = np.real(np.diag(G)).copy()
     if np.any(diag <= 0):
         raise RankCollapseError("nonpositive Gram diagonal")
@@ -162,6 +164,7 @@ def assemble_gram(domain: CircleDomain, spec: Optional[BasisSpec] = None) -> Gra
         spec=spec,
         domain=domain,
         fns=fns,
+        basis=basis,
         G=G,
         scale=scale,
         eigvals=eigvals,
@@ -196,12 +199,6 @@ class MetricEstimate:
     certified: bool = False  # metric needs an upper kernel bound to certify
 
 
-def _eval_vectors(gs: GramSystem, w: complex) -> tuple[np.ndarray, np.ndarray]:
-    v = np.array([f.eval(w) for f in gs.fns], dtype=complex)
-    u = np.array([f.eval_deriv(w) for f in gs.fns], dtype=complex)
-    return v, u
-
-
 def _safe_scale(vec: np.ndarray) -> float:
     """Norm of vec computed without squaring huge entries."""
     m = float(np.max(np.abs(vec)))
@@ -227,8 +224,7 @@ def subspace_kernel(gs: GramSystem, w: complex, saturation_check: bool = False) 
     inside, _ = gs.domain.delta_and_membership(w)
     if not inside:
         raise OutsideDomainError(f"{w} is not inside the domain")
-    v, _ = _eval_vectors(gs, w)
-    b = np.conj(v)
+    b = np.conj(gs.basis.values(w))
     # normalize before the quadratic form: |b|^2 entries can pass 1e154
     nb = _safe_scale(b)
     K = float(np.real(gs.quadratic(b / nb, b / nb))) * nb * nb
@@ -255,7 +251,7 @@ def subspace_metric(gs: GramSystem, w: complex) -> MetricEstimate:
     inside, _ = gs.domain.delta_and_membership(w)
     if not inside:
         raise OutsideDomainError(f"{w} is not inside the domain")
-    v, u = _eval_vectors(gs, w)
+    v, u = gs.basis.values_and_derivs(w)
     q, p = np.conj(v), np.conj(u)
     # all quadratic forms on unit vectors; norms carried as scalar factors
     # so nothing squares past double range at deep scales

@@ -246,6 +246,12 @@ def run_capacity(cfg: dict, profile: dict) -> tuple[dict, dict]:
             "--tolerance-profile"
         )
     nodes = _config_set_nodes(cfg)
+    floor = 4 * profile["n_cap"]
+    if nodes.size < floor:
+        raise ConfigInvalidError(
+            f"set grid gives {nodes.size} nodes; the capacity search at n_cap = {profile['n_cap']} "
+            f"needs at least 4 n_cap = {floor} (fast 128, default 256, strict 512): raise grid"
+        )
     est = capacity_via_transfinite(nodes, profile["n_cap"])
     report = est.to_json_dict()
     artifacts = {"capacity_report.json": report}

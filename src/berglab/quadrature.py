@@ -149,6 +149,104 @@ class RationalFunction:
         return out
 
 
+@dataclass(frozen=True)
+class Basis:
+    """A list of rational functions packed into arrays, for evaluating all of
+    them at once: on a circle's nodes (``boundary_gram``) or at one point
+    (``values``, ``values_and_derivs``).
+
+    ``poly`` holds the coefficient rows zero-padded to a common length,
+    ``antideriv`` the coefficients of z^1 .. z^n_coef of their
+    antiderivatives and ``deriv`` those of their derivatives.  The poles of
+    every function are concatenated, function by function, into
+    ``centers``, ``orders`` and ``coeffs``.  The pole-to-function map comes
+    in two forms: ``owner_matrix``, one 0/1 row per pole, and ``layers``,
+    (pole indices, function indices) pairs where layer r holds the r-th pole
+    of every function that has one, so adding the layers in turn sums each
+    function's poles in the order ``RationalFunction.eval`` does.
+    """
+
+    poly: np.ndarray
+    antideriv: np.ndarray
+    deriv: np.ndarray
+    centers: np.ndarray
+    orders: np.ndarray
+    coeffs: np.ndarray
+    owner_matrix: np.ndarray
+    layers: tuple
+
+    @classmethod
+    def of(cls, fns: Sequence[RationalFunction]) -> "Basis":
+        n = len(fns)
+        n_coef = max(f.poly.size for f in fns)
+        poly = np.zeros((n, n_coef), dtype=complex)
+        for i, f in enumerate(fns):
+            poly[i, : f.poly.size] = f.poly
+        owner = np.repeat(np.arange(n), [f.pole_centers.size for f in fns])
+        owner_matrix = np.zeros((owner.size, n))
+        owner_matrix[np.arange(owner.size), owner] = 1.0
+        rank = np.arange(owner.size) - np.searchsorted(owner, owner)
+        return cls(
+            poly=poly,
+            antideriv=poly / np.arange(1, n_coef + 1),
+            deriv=np.polynomial.polynomial.polyder(poly, axis=1),
+            centers=np.concatenate([f.pole_centers for f in fns]),
+            orders=np.concatenate([f.pole_orders for f in fns]),
+            coeffs=np.concatenate([f.pole_coeffs for f in fns]),
+            owner_matrix=owner_matrix,
+            layers=tuple(
+                (np.flatnonzero(rank == r), owner[rank == r]) for r in range(int(rank.max(initial=-1)) + 1)
+            ),
+        )
+
+    def __len__(self) -> int:
+        return self.poly.shape[0]
+
+    def values(self, w: complex) -> np.ndarray:
+        """f_i(w) for every function, bit for bit ``RationalFunction.eval``."""
+        z = np.asarray(w, dtype=complex)
+        out = _horner(self.poly, z)
+        self._add_poles(out, self._pole_powers(z)[0])
+        return out
+
+    def values_and_derivs(self, w: complex) -> tuple[np.ndarray, np.ndarray]:
+        """(f_i(w), f_i'(w)) for every function, bit for bit
+        ``RationalFunction.eval`` and ``eval_deriv``."""
+        z = np.asarray(w, dtype=complex)
+        T, U = self._pole_powers(z)
+        out = _horner(self.poly, z)
+        self._add_poles(out, T)
+        der = _horner(self.deriv, z)
+        # adding -(m t) is exactly eval_deriv's subtraction of m t
+        self._add_poles(der, -(self.orders * (T / U)))
+        return out, der
+
+    def _pole_powers(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(a / U**m, U) for every pole, U = z - c, with the m sequential
+        divisions of ``RationalFunction.eval``."""
+        U = z - self.centers
+        T = self.coeffs / U
+        for k in range(2, int(self.orders.max(initial=1)) + 1):
+            cols = self.orders >= k
+            T[cols] = T[cols] / U[cols]
+        return T, U
+
+    def _add_poles(self, out: np.ndarray, terms: np.ndarray) -> None:
+        """out[i] += each term of function i's poles, in pole order."""
+        for poles, owners in self.layers:
+            out[owners] += terms[poles]
+
+
+def _horner(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Each row of ``coef`` evaluated at z by Horner's rule, in the order of
+    ``np.polynomial.polynomial.polyval``; the zero padding leaves the sums
+    unchanged."""
+    out = coef[:, -1] + z * 0 if coef.shape[1] else np.zeros(coef.shape[0], dtype=complex)
+    for j in range(coef.shape[1] - 2, -1, -1):
+        out = coef[:, j] + out * z
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the boundary-integral Gram engine
 # ---------------------------------------------------------------------------
@@ -188,12 +286,13 @@ def domain_circles(domain: CircleDomain) -> list[tuple[complex, float, int]]:
 
 
 def boundary_gram(
-    circles: Sequence[tuple[complex, float, int]], fns: Sequence[RationalFunction]
+    circles: Sequence[tuple[complex, float, int]], fns: Basis | Sequence[RationalFunction]
 ) -> tuple[np.ndarray, QuadratureInfo]:
     """G_ij = integral of conj(f_i) f_j over the domain bounded by ``circles``.
 
     ``circles`` holds (center, radius, orientation) triples, orientation +1
-    for counter-clockwise and -1 for clockwise, with the domain on the left.
+    for counter-clockwise and -1 for clockwise, with the domain on the left;
+    ``fns`` is a packed :class:`Basis` or a list of functions to pack.
     Each circle gets N = _terms_for(ratio) nodes from the ratio of its
     nearest pole (min(d, rho) / max(d, rho) at distance d from its center),
     and its rule is doubled once: the returned matrix is the 2N-point
@@ -203,17 +302,9 @@ def boundary_gram(
     Raises PolesTooCloseError for a pole inside the domain or with a ratio
     above SERIES_MARGIN, QuadratureStallError when the doubling check fails.
     """
-    n = len(fns)
-    centers = np.concatenate([f.pole_centers for f in fns])
-    orders = np.concatenate([f.pole_orders for f in fns])
-    coeffs = np.concatenate([f.pole_coeffs for f in fns])
-    owner = np.zeros((centers.size, n))
-    owner[np.arange(centers.size), np.repeat(np.arange(n), [f.pole_centers.size for f in fns])] = 1.0
-    n_coef = max(f.poly.size for f in fns)
-    poly = np.zeros((n, n_coef), dtype=complex)
-    for i, f in enumerate(fns):
-        poly[i, : f.poly.size] = f.poly
-    antideriv = poly / np.arange(1, n_coef + 1)  # coefficients of z^1 .. z^n_coef
+    basis = fns if isinstance(fns, Basis) else Basis.of(fns)
+    n = len(basis)
+    centers = basis.centers
 
     cc = np.array([c for c, _, _ in circles], dtype=complex)
     rr = np.array([rho for _, rho, _ in circles], dtype=float)
@@ -236,7 +327,7 @@ def boundary_gram(
     fine = np.zeros((n, n), dtype=complex)
     for c, rho, s, N in zip(cc, rr, sign, nodes):
         zeta = np.exp(2j * math.pi * np.arange(2 * N) / (2 * N))
-        Phi, F = _boundary_values(c, rho * zeta, poly, antideriv, centers, orders, coeffs, owner)
+        Phi, F = _boundary_values(c, rho * zeta, basis)
         # (1/2i) dz = (rho zeta / 2) dtheta, and dtheta = pi / N on 2N nodes
         WF = (s * math.pi * rho / (2 * N)) * zeta[:, None] * F
         fine += Phi.T @ WF
@@ -257,13 +348,14 @@ def boundary_gram(
     return 0.5 * (fine + fine.conj().T), info
 
 
-def _boundary_values(c, offsets, poly, antideriv, centers, orders, coeffs, owner):
+def _boundary_values(c, offsets, basis: Basis):
     """(Phi, F): every function and its Phi at the nodes c + offsets, one
     column per function.  Pole factors are formed as (c - center) + offset."""
     z = c + offsets
+    poly, centers, orders, coeffs = basis.poly, basis.centers, basis.orders, basis.coeffs
     powers = np.cumprod(np.column_stack([np.ones_like(z)] + [z] * poly.shape[1]), axis=1)
     F = powers[:, :-1] @ poly.T
-    Phi = np.conj(powers[:, 1:] @ antideriv.T)
+    Phi = np.conj(powers[:, 1:] @ basis.antideriv.T)
     if centers.size:
         U = (c - centers)[None, :] + offsets[:, None]
         T = coeffs / U
@@ -278,8 +370,8 @@ def _boundary_values(c, offsets, poly, antideriv, centers, orders, coeffs, owner
         simple = orders == 1
         P = np.conj(lower) / np.where(simple, 1, 1 - orders)
         P[:, simple] = np.conj(coeffs[simple]) * (2.0 * np.log(np.abs(U[:, simple])))
-        F += T @ owner
-        Phi += P @ owner
+        F += T @ basis.owner_matrix
+        Phi += P @ basis.owner_matrix
     return Phi, F
 
 

@@ -89,6 +89,15 @@ def test_insufficient_span_errors():
         fit_model([(0.5, 1.0), (0.4, 1.0), (0.45, 1.0), (0.42, 1.0), (0.41, 1.0)], "K1")
 
 
+@pytest.mark.parametrize("x", [1.0, 2.0, 8.0, float("nan")])
+def test_x_at_or_above_one_is_rejected(x):
+    # log(log(1/x)) is NaN (or -inf) there and NaN <= 0.5 is false: these
+    # samples used to pass, with RuntimeWarnings, and give NaN fits
+    samples = [(1e-3, 1.0), (1e-5, 1.0), (1e-8, 1.0), (1e-12, 1.0), (x, 1.0)]
+    with pytest.raises(InsufficientSpanError, match="x < 1"):
+        fit_model(samples, "K1")
+
+
 def test_linear_fit_r2():
     xs = np.arange(10.0)
     ys = 3.0 * xs + 1.0

@@ -282,6 +282,20 @@ def test_capacity_schedule_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "spec", [{"type": "circle", "r": 0.5, "grid": 7}, {"type": "two_disks", "grid": 1}], ids=["circle-7", "two-disks-1"]
+)
+def test_capacity_grid_below_the_profile_floor_is_a_config_error(tmp_path, capsys, spec):
+    # the search needs 4 n_cap = 256 nodes at the default profile; these
+    # exited 3 with GridTooSmallError from inside the search
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"pipeline": "capacity", "set": spec}))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "grid" in err and "256" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("pipeline", ["perfect", "pommerenke"])
 @pytest.mark.parametrize(
     "extra",
@@ -392,3 +406,15 @@ def test_fit_pipeline_from_csv(tmp_path):
     csv.write_text("\n".join(rows) + "\n")
     man = run({"pipeline": "fit", "samples_csv": str(csv), "models": ["K1", "K2"]}, str(tmp_path / "out"))
     assert man["summary"]["preferred"] == "K2"
+
+
+def test_fit_rejects_x_at_or_above_one(tmp_path, capsys):
+    # kernel_sweep.csv starts with the columns k and x, so fit reads x = k >= 1:
+    # this exited 0 and wrote NaN fits, with RuntimeWarnings from log(log(1/x))
+    run({"pipeline": "kernel", "domain": H1_K10, "k_range": [2, 8]}, str(tmp_path / "sweep"), "fast")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"pipeline": "fit", "samples_csv": str(tmp_path / "sweep" / "kernel_sweep.csv")}))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "InsufficientSpan" in err and "x < 1" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from berglab import bergman, quadrature
@@ -11,6 +11,7 @@ from berglab.domains import CircleDomain, ScaleFunction, build_zalcman
 from berglab.errors import PolesTooCloseError, QuadratureStallError
 from berglab.quadrature import (
     AnnulusRegion,
+    Basis,
     PolarRegion,
     RationalFunction,
     boundary_gram,
@@ -211,6 +212,22 @@ def test_h2_kernel_matches_golden_values(h2_40_gram):
         assert bergman.subspace_kernel(gs, complex(-x)).K_low == pytest.approx(want, rel=1e-6)
 
 
+def test_gram_from_a_packed_basis_keeps_its_bits(h2_40_gram):
+    dom, gs = h2_40_gram
+    circles = domain_circles(dom)
+    G, info = boundary_gram(circles, gs.fns)
+    assert np.array_equal(G, gs.G) and info.nodes == gs.quad.nodes
+    # multi-pole witnesses: Cauchy transforms on retracted hole rims, and
+    # their difference, whose poles carry coefficients of both signs
+    rings = [c + 0.5 * rho * np.exp(2j * math.pi * np.arange(8) / 8) for c, rho in TWO_HOLES]
+    f1 = RationalFunction.from_nodes(rings[0], np.linspace(0.05, 0.2, 8))
+    f2 = RationalFunction.from_nodes(rings[1], np.full(8, 0.125))
+    fns = [f1 - f2, f1, RationalFunction.monomial(2)]
+    G, _ = boundary_gram(TWO_HOLE_REGION.circles(), fns)
+    G_packed, _ = boundary_gram(TWO_HOLE_REGION.circles(), Basis.of(fns))
+    assert np.array_equal(G, G_packed)
+
+
 def test_deep_frame_entries_finite():
     # r_10 is far below the resolution of x_10 here: x_10 + r_10 e^{it}
     # rounds to x_10, and only the circle's own frame keeps the pole apart
@@ -248,6 +265,46 @@ def test_hole_poles_match_area_oracle(fns):
     A = area_gram(TWO_HOLE_REGION, fns, level=3)
     root = np.sqrt(np.real(np.diag(A)))
     assert np.max(np.abs(G - A) / np.outer(root, root)) <= 2e-6
+
+
+@st.composite
+def bases_and_points(draw):
+    """A BasisSpec-shaped basis (monomials up to a degree, then orders
+    1..m at each center with coefficient scale**(order-1)) plus one
+    multi-pole Cauchy transform on the centers, sometimes without the
+    monomials, and a point at least 1e-3 of the basis's size away from
+    every center, so no term leaves double range."""
+    size = 10.0 ** draw(st.floats(-6.0, 0.0))
+    cplx = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    centers = tuple(size * c for c in draw(st.lists(cplx, max_size=40)))
+    scales = tuple(10.0 ** draw(st.floats(-12.0, 0.0)) for _ in centers)
+    spec = bergman.BasisSpec(
+        degree=draw(st.integers(0, 10)),
+        pole_centers=centers,
+        pole_order=draw(st.integers(1, 3)),
+        pole_scales=scales,
+    )
+    fns = spec.functions()
+    if centers:
+        fns.append(RationalFunction.from_nodes(np.array(centers), np.array(scales)))
+        if draw(st.booleans()):
+            fns = fns[spec.degree + 1 :]  # poles only: no polynomial rows to pack
+    w = 2.0 * size * draw(cplx)
+    assume(all(abs(w - c) >= 1e-3 * size for c in centers))
+    return fns, w
+
+
+@settings(max_examples=200, deadline=None)
+@given(bases_and_points())
+def test_packed_basis_evaluates_like_each_function(case):
+    # the per-function loop the point sweeps ran before the basis was packed
+    fns, w = case
+    v = np.array([f.eval(w) for f in fns])
+    u = np.array([f.eval_deriv(w) for f in fns])
+    basis = Basis.of(fns)
+    values, derivs = basis.values_and_derivs(w)
+    assert np.array_equal(basis.values(w), v)
+    assert np.array_equal(values, v) and np.array_equal(derivs, u)
 
 
 def test_pole_inside_domain_raises():
