@@ -56,12 +56,6 @@ from .perfectness import (
     pommerenke_construct,
     uc_report,
 )
-from .quadrature import (
-    RationalFunction,
-    boundary_gram,
-    integrate_hermitian,
-    mc_integral,
-    partition_for,
-)
+from .quadrature import RationalFunction, boundary_gram, mc_integral
 
 __version__ = "0.1.0"

@@ -39,6 +39,14 @@ from .quadrature import Basis, QuadratureInfo, RationalFunction, boundary_gram, 
 
 TWO_PI = 2.0 * math.pi
 
+#: pole order at each hole center of ``default_basis`` on Zalcman domains
+POLE_ORDER = 2
+#: equilibrated Gram eigenvalues at or below this fraction of the largest are dropped
+DROP_TOL = 1e-12
+#: retraction of equilibrium-cluster poles inside their holes, as a fraction
+#: of the hole radius
+ETA = 0.5
+
 
 # ---------------------------------------------------------------------------
 # basis and Gram systems
@@ -74,17 +82,8 @@ class BasisSpec:
                 fns.append(RationalFunction.pole(complex(c), m, coeff=s ** (m - 1)))
         return fns
 
-    def reduced(self) -> "BasisSpec":
-        """Coarsened spec for saturation diagnostics."""
-        return BasisSpec(
-            degree=max(0, self.degree - 2),
-            pole_centers=self.pole_centers,
-            pole_order=max(1, self.pole_order - 1),
-            pole_scales=self.pole_scales,
-        )
 
-
-def default_basis(domain: CircleDomain, degree: int = 8, pole_order: int = 2) -> BasisSpec:
+def default_basis(domain: CircleDomain, degree: int = 8) -> BasisSpec:
     """Poles at every center the domain variant keeps outside itself."""
     if isinstance(domain, ZalcmanDomain):
         if domain.variant == "superset":
@@ -97,11 +96,11 @@ def default_basis(domain: CircleDomain, degree: int = 8, pole_order: int = 2) ->
                 float(domain.inner_radius),
             )
         return BasisSpec(
-            degree=degree, pole_centers=centers, pole_order=pole_order, pole_scales=scales
+            degree=degree, pole_centers=centers, pole_order=POLE_ORDER, pole_scales=scales
         )
     if domain.inner_radius is not None:
         return BasisSpec(degree=degree, pole_centers=(0j,), pole_order=degree)
-    return BasisSpec(degree=degree, pole_centers=(), pole_order=pole_order)
+    return BasisSpec(degree=degree, pole_centers=(), pole_order=POLE_ORDER)
 
 
 @dataclass
@@ -117,7 +116,6 @@ class GramSystem:
     kept: np.ndarray  # eigenvalue mask above the drop tolerance
     effective_rank: int
     quad: QuadratureInfo
-    drop_tol: float = 1e-12
 
     def report(self) -> dict:
         """The boundary rule's record plus the rank the factorization kept
@@ -155,8 +153,7 @@ def assemble_gram(domain: CircleDomain, spec: Optional[BasisSpec] = None) -> Gra
     Gt = (scale[:, None] * G) * scale[None, :]
     Gt = 0.5 * (Gt + Gt.conj().T)
     eigvals, eigvecs = np.linalg.eigh(Gt)
-    drop = 1e-12
-    kept = eigvals > drop * eigvals.max()
+    kept = eigvals > DROP_TOL * eigvals.max()
     rank = int(kept.sum())
     if rank < len(fns) / 2:
         raise RankCollapseError(f"effective rank {rank} below half of {len(fns)}")
@@ -172,7 +169,6 @@ def assemble_gram(domain: CircleDomain, spec: Optional[BasisSpec] = None) -> Gra
         kept=kept,
         effective_rank=rank,
         quad=info,
-        drop_tol=drop,
     )
 
 
@@ -186,7 +182,6 @@ class KernelEstimate:
     w: complex
     K_low: float
     basis_size: int
-    saturation: float = math.nan
     certified: bool = False
 
 
@@ -213,7 +208,7 @@ def _is_certified(domain: CircleDomain) -> bool:
     return True  # reference domains are exact
 
 
-def subspace_kernel(gs: GramSystem, w: complex, saturation_check: bool = False) -> KernelEstimate:
+def subspace_kernel(gs: GramSystem, w: complex) -> KernelEstimate:
     """sup |f(w)|^2 over unit-norm f in the basis span: conj(v)^H G^+ conj(v).
 
     On a superset truncation this certifies a lower bound for the true
@@ -228,16 +223,10 @@ def subspace_kernel(gs: GramSystem, w: complex, saturation_check: bool = False) 
     # normalize before the quadratic form: |b|^2 entries can pass 1e154
     nb = _safe_scale(b)
     K = float(np.real(gs.quadratic(b / nb, b / nb))) * nb * nb
-    sat = math.nan
-    if saturation_check:
-        sub = assemble_gram(gs.domain, gs.spec.reduced())
-        K_red = subspace_kernel(sub, w).K_low
-        sat = abs(K - K_red) / K if K > 0 else math.inf
     return KernelEstimate(
         w=complex(w),
         K_low=K,
         basis_size=len(gs.fns),
-        saturation=sat,
         certified=_is_certified(gs.domain),
     )
 
@@ -326,7 +315,9 @@ def witness_metric_bound(domain: ZalcmanDomain, w: complex, variant: str = "two_
             pole_orders=np.array([1, 1]),
             pole_coeffs=np.array([1.0, -lam]),
         )
-        fprime = abs(xk - xk1) / (abs(w - xk1) * abs(w - xk) ** 2)
+        # one quotient at a time: the product of the distances underflows
+        # to 0 at deep scales
+        fprime = abs(xk - xk1) / abs(w - xk1) / abs(w - xk) / abs(w - xk)
         extra = {"lambda": lam}
     elif variant == "three_pole":
         if k < 2 or k + 1 > domain.K:
@@ -367,26 +358,25 @@ def retracted_cluster_nodes(
     domain: ZalcmanDomain,
     center: complex,
     radius: float,
-    nodes_per_circle: int = 16,
-    eta: float = 0.5,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(pole nodes, boundary nodes) representing the set
     (closed disk(center, radius) minus domain).
 
     Boundary nodes sit on the hole rims and carry the measure (weights and
     capacity estimates); pole nodes are the same angles retracted inward by
-    factor eta of each hole radius, because poles on the rim itself would
+    ``ETA`` of each hole radius, because poles on the rim itself would
     make the witness norm divergent.  Both arrays stay aligned; circles too
     deep for double resolution collapse to a single representative node.
-    The angles are ``CircleDomain.arc_angles`` (at least 6 on a partial arc).
+    The angles are ``CircleDomain.arc_angles``: 16 on a whole rim, at least
+    6 on a partial arc.
     """
     poles, bnds = [], []
     for i, (c0, rho) in enumerate(zip(domain.centers.tolist(), domain.radii.tolist())):
-        theta = domain.arc_angles(i, center, radius, nodes_per_circle, 6)
+        theta = domain.arc_angles(i, center, radius, 16, 6)
         if theta is None:
             continue
         ring = np.exp(1j * theta)
-        poles.append(c0 + (1.0 - eta) * rho * ring)
+        poles.append(c0 + (1.0 - ETA) * rho * ring)
         bnds.append(c0 + rho * ring)
     if not poles:
         return np.empty(0, dtype=complex), np.empty(0, dtype=complex)
@@ -412,20 +402,15 @@ def _cluster_measure(nodes: np.ndarray):
     return equilibrium_measure(nodes)
 
 
-def equilibrium_witness_bound(
-    domain: ZalcmanDomain,
-    w: complex,
-    c: float = 1.0,
-    nodes_per_circle: int = 16,
-    eta: float = 0.5,
-) -> dict:
+def equilibrium_witness_bound(domain: ZalcmanDomain, w: complex) -> dict:
     """Kernel lower bound at w from the difference of two equilibrium
     Cauchy transforms.
 
     Construction: nearest boundary point w', second point w'' at distance
-    in [8 delta, r] with c*h(r) = 8 delta; clusters E1 (around w', split
-    into three sectors as seen from w, best-capacity sector kept) and E2
-    (around w''), each discretized by retracted hole arcs; the witness is
+    in [8 delta, r] with c h(r) = 8 delta at the annulus constant c = 1;
+    clusters E1 (around w', split into three sectors as seen from w,
+    best-capacity sector kept) and E2 (around w''), each discretized by
+    retracted hole arcs (``retracted_cluster_nodes``); the witness is
     f = f_{E11} - f_{E2} and the bound |f(w)|^2 / ||f||^2 is valid for any
     discrete weights, so optimizer quality only affects sharpness.
     """
@@ -434,9 +419,9 @@ def equilibrium_witness_bound(
         raise OutsideDomainError(f"{w} is outside the domain")
     wprime, _, _ = domain.nearest_boundary_point(w)
     try:
-        r = domain.h.inverse(8.0 * delta / c)
+        r = domain.h.inverse(8.0 * delta)
     except Exception as exc:
-        raise NoSecondPointError(f"no radius with c*h(r) = 8 delta: {exc}") from exc
+        raise NoSecondPointError(f"no radius with h(r) = 8 delta: {exc}") from exc
     try:
         wsecond, _, _ = domain.witness_at_distance(wprime, 8.0 * delta, r)
     except ValueError as exc:
@@ -444,8 +429,8 @@ def equilibrium_witness_bound(
             f"no boundary point in [8 delta, r] = [{8 * delta}, {r}] around {wprime}"
         ) from exc
 
-    e1_poles, e1_bnd = retracted_cluster_nodes(domain, wprime, delta, nodes_per_circle, eta)
-    e2_poles, e2_bnd = retracted_cluster_nodes(domain, wsecond, delta, nodes_per_circle, eta)
+    e1_poles, e1_bnd = retracted_cluster_nodes(domain, wprime, delta)
+    e2_poles, e2_bnd = retracted_cluster_nodes(domain, wsecond, delta)
     if e1_poles.size < 2 or e2_poles.size < 2:
         raise NoSecondPointError("clusters too thin to carry a measure")
 
@@ -493,24 +478,20 @@ def equilibrium_witness_bound(
 # ---------------------------------------------------------------------------
 
 
-def cauchy_transform_norm_check(
-    holes: Sequence[tuple[complex, float]],
-    nodes_per_circle: int = 64,
-    eta: float = 0.5,
-    t: float = 0.5,
-    seed: int = 11,
-) -> dict:
+def cauchy_transform_norm_check(holes: Sequence[tuple[complex, float]]) -> dict:
     """Compare the L2 mass of an equilibrium Cauchy transform outside its
-    carrier against log(1 / capacity), inside the quarter disk.
+    carrier against log(1 / capacity), inside the quarter disk.  Each hole
+    rim carries 64 nodes, with poles retracted by ``ETA``.
 
-    Also verifies the dilatation identity f_{tE}(w) = f_E(w/t) / t with a
-    freshly solved measure on the dilated copy, at 16 seeded sample points.
+    Also verifies the dilatation identity f_{tE}(w) = f_E(w/t) / t at
+    t = 1/2 with a freshly solved measure on the dilated copy, at 16 sample
+    points drawn from seed 11.
     """
     for c0, rho in holes:
         if abs(c0) + rho >= 0.25:
             raise ValueError("carrier must sit inside the quarter disk")
-    n = nodes_per_circle
-    poles = np.concatenate([circle_nodes(complex(c0), (1.0 - eta) * rho, n) for c0, rho in holes])
+    n, t = 64, 0.5
+    poles = np.concatenate([circle_nodes(complex(c0), (1.0 - ETA) * rho, n) for c0, rho in holes])
     bnds = np.concatenate([circle_nodes(complex(c0), rho, n) for c0, rho in holes])
     sol = equilibrium_measure(bnds)  # capacity of the true carrier rims
     f = RationalFunction.from_nodes(poles, sol.measure.weights)
@@ -519,7 +500,7 @@ def cauchy_transform_norm_check(
     rhs = math.log(1.0 / sol.capacity)
     sol_t = equilibrium_measure(t * bnds)
     f_t = RationalFunction.from_nodes(t * poles, sol_t.measure.weights)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(11)
     zs = 0.3 + rng.uniform(0.0, 0.5, 16) + 1j * rng.uniform(-0.3, 0.3, 16)
     lhs_vals = f_t.eval(zs)
     rhs_vals = f.eval(zs / t) / t
@@ -538,7 +519,7 @@ def cauchy_transform_norm_check(
 # ---------------------------------------------------------------------------
 
 
-def band_sample_points(domain: ZalcmanDomain, k_range: Sequence[int], per_band: int = 8) -> np.ndarray:
+def band_sample_points(domain: ZalcmanDomain, k_range: Sequence[int], per_band: int) -> np.ndarray:
     """Log-spaced x samples inside each retained band (x_{k+1}, x_k).
 
     Deep bands span many decades (width (alpha-1) log(1/x_k) for power
@@ -559,7 +540,7 @@ def band_sample_points(domain: ZalcmanDomain, k_range: Sequence[int], per_band: 
 def distance_profile(
     domain: ZalcmanDomain,
     k_range: Sequence[int],
-    per_band: int = 8,
+    per_band: int,
     *,
     gram: GramSystem,
 ) -> list[dict]:

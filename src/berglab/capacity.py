@@ -262,7 +262,7 @@ def supported_n(n: int, grid_size: int) -> int:
     return max(fits)
 
 
-def capacity_via_transfinite(candidates: np.ndarray, n: int = 64) -> CapacityEstimate:
+def capacity_via_transfinite(candidates: np.ndarray, n: int) -> CapacityEstimate:
     """Capacity estimate from one n-th diameter search.
 
     The raw diameter (the one entry of ``diagnostics``) decreases toward the
@@ -289,7 +289,6 @@ class EquilibriumSolution:
     kkt_residual: float  # stationarity of the regularized objective
     raw_energy: float = 0.0
     iterations: int = 0  # linear solves
-    converged: bool = True
     raw_potential_spread: float = 0.0
 
 

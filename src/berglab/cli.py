@@ -275,7 +275,7 @@ def run_perfect(cfg: dict, profile: dict) -> tuple[dict, dict]:
         raise ConfigInvalidError(f"eps_list must be a non-empty list of numbers > 0, got {eps_list!r}")
     domain = _domain(cfg)
     if isinstance(domain, CantorSet):
-        rep = perfectness.cantor_U_check(domain, alpha=domain.alpha)
+        rep = perfectness.cantor_U_check(domain)
         return {"passed": rep["passed"]}, {"perfect_report.json": rep}
     # the scale family before the domain kind: a disk names no family
     family, param, h = _scale_family(cfg, eps_list)
@@ -348,7 +348,9 @@ def run_kernel(cfg: dict, profile: dict) -> tuple[dict, dict]:
     column = cfg.get("fit_column", "K_low")
     if column not in ("K_low", "witness_bound", "equilibrium_bound"):
         raise ConfigInvalidError(f"fit_column {column!r} is not K_low, witness_bound or equilibrium_bound")
-    with_eq = bool(cfg.get("equilibrium", False))
+    with_eq = cfg.get("equilibrium", False)
+    if type(with_eq) is not bool:
+        raise ConfigInvalidError(f"equilibrium must be true or false, got {with_eq!r}")
     domain, ks, mids, gs = _band_sweep(cfg, (3, 10))
     rows = []
     for k, x in zip(ks, mids):

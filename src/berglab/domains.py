@@ -118,7 +118,7 @@ class ScaleFunction:
     def value(self, r: float) -> float:
         return math.exp(self.log_value(math.log(r)))
 
-    def inverse(self, t: float, rel_tol: float = 1e-13) -> float:
+    def inverse(self, t: float) -> float:
         """g(t) = h^{-1}(t) by bisection in the log domain."""
         if t <= 0:
             raise BisectionFailureError("inverse target must be positive")
@@ -138,7 +138,7 @@ class ScaleFunction:
             if hi - lo < 1e-15 * max(1.0, abs(hi)):
                 break
         g = 0.5 * (lo + hi)
-        if abs(self.log_value(g) - log_t) > max(rel_tol, 1e-12):
+        if abs(self.log_value(g) - log_t) > 1e-12:
             raise BisectionFailureError("bisection did not converge")
         return math.exp(g)
 
@@ -345,17 +345,17 @@ class CircleDomain:
             inside &= z != 0
         return inside if z.ndim else bool(inside)
 
-    def is_boundary(self, z: complex, tol: float = BOUNDARY_TOL) -> bool:
-        return self.unsigned_boundary_distance(z) <= tol
+    def is_boundary(self, z: complex) -> bool:
+        return self.unsigned_boundary_distance(z) <= BOUNDARY_TOL
 
-    def distance_spectrum(self, a: complex, tol: float = BOUNDARY_TOL) -> IntervalUnion:
+    def distance_spectrum(self, a: complex) -> IntervalUnion:
         """Exact set of distances {|z - a| : z on the boundary}.
 
         Every circle (center c, radius rho) contributes the closed interval
         [| |a-c| - rho |, |a-c| + rho]; the isolated origin contributes {|a|}.
         Requires a on the boundary.
         """
-        if not self.is_boundary(a, tol):
+        if not self.is_boundary(a):
             raise NotBoundaryPointError(f"point {a} is off the boundary")
         intervals = []
         for c, rho in self._circles():
@@ -363,7 +363,7 @@ class CircleDomain:
             lo = abs(d - rho)
             # |d - rho| below rounding resolution of the positions is
             # noise from a point sitting on this circle; true gap is 0
-            if lo <= tol * (abs(a) + abs(c) + rho):
+            if lo <= BOUNDARY_TOL * (abs(a) + abs(c) + rho):
                 lo = 0.0
             intervals.append((lo, d + rho))
         return IntervalUnion.build(intervals, [abs(a)] if self.include_origin else [])
@@ -605,28 +605,6 @@ class CantorSet:
     def total_length(self, level: Optional[int] = None) -> float:
         lefts, lj = self.intervals(level)
         return lefts.size * lj
-
-    def distance_spectrum(self, a: float, mode: str = "intervals") -> IntervalUnion:
-        """Distances from a to the depth-J approximant.
-
-        mode="intervals": distances to the full level-J intervals (a superset
-        of the limit-set distances; error at most l_J).
-        mode="endpoints": distances to interval endpoints, all of which lie in
-        the limit set (an exact subset).
-        """
-        lefts, lj = self.intervals()
-        if mode == "endpoints":
-            return IntervalUnion.build([], np.abs(self.endpoints() - a))
-        los, his = lefts, lefts + lj
-        ivs = []
-        for lo, hi in zip(los, his):
-            if a < lo:
-                ivs.append((lo - a, hi - a))
-            elif a > hi:
-                ivs.append((a - hi, a - lo))
-            else:
-                ivs.append((0.0, max(a - lo, hi - a)))
-        return IntervalUnion.build(ivs)
 
     def endpoint_distances(self) -> tuple[list[tuple], np.ndarray]:
         """(words, distances) of the level-J interval endpoints, left to right;

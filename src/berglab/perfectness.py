@@ -33,6 +33,14 @@ from .errors import (
 
 TWO_PI = 2.0 * math.pi
 
+#: boundary samples of the c* profile on each circle
+SAMPLES_PER_CIRCLE = 8
+#: annulus constants c at which a weakened condition must fail
+C_GRID = (1.0, 0.5, 0.25)
+#: hole-rim and outer-circle nodes of the condition-C grid before densifying
+PROBE_NODES_PER_CIRCLE = 16
+PROBE_OUTER_NODES = 512
+
 
 # ---------------------------------------------------------------------------
 # annulus condition
@@ -78,10 +86,10 @@ def annulus_condition(
     )
 
 
-def default_boundary_samples(domain: CircleDomain, per_circle: int = 8) -> np.ndarray:
-    """Deterministic boundary sample set: origin (when boundary), per-circle
-    points on each hole, and per_circle points on the outer circle."""
-    ring = np.exp(1j * TWO_PI * np.arange(per_circle) / per_circle)
+def default_boundary_samples(domain: CircleDomain) -> np.ndarray:
+    """Deterministic boundary sample set: origin (when boundary) and
+    ``SAMPLES_PER_CIRCLE`` points on every circle."""
+    ring = np.exp(1j * TWO_PI * np.arange(SAMPLES_PER_CIRCLE) / SAMPLES_PER_CIRCLE)
     samples = [c0 + rho * ring for c0, rho in zip(domain.circle_centers, domain.circle_radii)]
     if domain.include_origin:
         samples.insert(0, np.array([0j]))
@@ -107,15 +115,11 @@ def resolved_r_min(domain: CircleDomain) -> float:
     return 1e-6
 
 
-def best_constant_profile(
-    domain: CircleDomain,
-    h: ScaleFunction,
-    r0: Optional[float] = None,
-    a_samples: Optional[np.ndarray] = None,
-    r_per_decade: int = 16,
-    r_min: Optional[float] = None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Tabulate c_star(a, r) over boundary samples and log-spaced radii.
+def best_constant_profile(domain: CircleDomain, h: ScaleFunction) -> tuple[float, dict[str, np.ndarray]]:
+    """Tabulate c_star(a, r) over ``default_boundary_samples`` and radii
+    log-spaced at 16 per decade from ``resolved_r_min`` up to r0: x1/2 on
+    Zalcman domains, twice the largest hole radius on other holed domains,
+    0.5 otherwise.
 
     Returns (inf over the table, table).  The table holds the columns
     ``a_re``, ``a_im``, ``r`` and ``c_star`` as equal-length arrays, one row
@@ -123,18 +127,14 @@ def best_constant_profile(
     only make true c_star larger, so the inf is a certified lower profile of
     the underlying domain's constant over the probed range.
     """
-    if a_samples is None:
-        a_samples = default_boundary_samples(domain)
-    if r0 is None:
+    a_samples = default_boundary_samples(domain)
+    if isinstance(domain, ZalcmanDomain):
+        r0 = domain.x1 / 2.0
+    else:
         r0 = (domain.radii.max() * 2.0) if domain.centers.size else 0.5
-        if isinstance(domain, ZalcmanDomain):
-            r0 = domain.x1 / 2.0
-    if r_min is None:
-        r_min = resolved_r_min(domain)
-    radii = log_spaced_radii(r_min, r0, r_per_decade)
+    radii = log_spaced_radii(resolved_r_min(domain), r0)
     # scalar h.value per radius: np.log/np.exp may differ from math in the last ulp
     hr = np.array([h.value(r) for r in radii.tolist()])
-    a_samples = np.asarray(a_samples, dtype=complex).ravel()
     c_star = np.empty((a_samples.size, radii.size))
     for i, a in enumerate(a_samples):
         c_star[i] = domain.distance_spectrum(a).sup_at_most(radii) / hr
@@ -184,14 +184,13 @@ def classify_weak_perfectness(
     family: str,
     param: float,
     eps_list: Sequence[float],
-    c_grid: Sequence[float] = (1.0, 0.5, 0.25),
     profile: Optional[tuple[float, dict]] = None,
 ) -> dict:
     """Check the annulus condition for h_{family,param} and exhibit exact
     failure witnesses for each weakened parameter in eps_list.
 
     Failure policy: the weakened condition is flagged failed when, for every
-    c in c_grid, some resolved scale carries a certified empty annulus, and
+    c in ``C_GRID``, some resolved scale carries a certified empty annulus, and
     the c_star profile along the witness radii x_k/2 is strictly decreasing
     at the tail.  All comparisons are plain interval arithmetic.
 
@@ -216,7 +215,7 @@ def classify_weak_perfectness(
         h_weak = ScaleFunction.of(family, param - eps)
         witnesses = []
         per_c_ok = []
-        for c in c_grid:
+        for c in C_GRID:
             found = None
             for k in range(1, domain.K):
                 cert = exact_empty_annulus(domain, k, c, h_weak)
@@ -250,8 +249,8 @@ def hole_arc_nodes(
     domain: CircleDomain,
     a: complex,
     r: float,
-    nodes_per_circle: int = 16,
-    outer_nodes: int = 512,
+    nodes_per_circle: int,
+    outer_nodes: int,
 ) -> np.ndarray:
     """Discretize the complement set (closed disk(a, r) minus the domain)
     by the boundary arcs of the holes, the inner barrier, and the outer
@@ -278,11 +277,10 @@ def condition_C_probe(
     h: ScaleFunction,
     a: complex,
     r: float,
-    n: int = 64,
-    nodes_per_circle: int = 16,
-    outer_nodes: int = 512,
+    n: int,
 ) -> tuple[float, float]:
     """Capacity of the complement piece in disk(a, r), and its ratio to h(r)."""
+    nodes_per_circle, outer_nodes = PROBE_NODES_PER_CIRCLE, PROBE_OUTER_NODES
     grid = hole_arc_nodes(domain, a, r, nodes_per_circle, outer_nodes)
     if grid.size == 0:
         raise EmptySetError(f"no complement nodes within {r} of {a}")
@@ -301,7 +299,7 @@ def condition_C_profile(
     h: ScaleFunction,
     a: complex,
     radii: Sequence[float],
-    n: int = 64,
+    n: int,
 ) -> dict:
     """Probe Cap(disk(a,r) \\ domain)/h(r) over a radius grid; least-squares
     slope of log cap against log r comes along for exponent diagnostics."""
@@ -502,7 +500,7 @@ def chain_capacity_comparison(
     domain: CircleDomain,
     cert: PommerenkeCertificate,
     h: ScaleFunction,
-    n: int = 64,
+    n: int,
 ) -> dict:
     """Measure the complement capacity on the ball containing the chain
     (radius 2*seed) and compare with the chain floor."""
@@ -523,8 +521,8 @@ def uc_report(
     domain: ZalcmanDomain,
     family: str,
     param: float,
-    eps_list: Sequence[float] = (0.1,),
-    n: int = 64,
+    eps_list: Sequence[float],
+    n: int,
     profile: Optional[tuple[float, dict]] = None,
 ) -> dict:
     """One-page diagnostic: annulus-condition classification on one side,
@@ -561,13 +559,9 @@ def uc_report(
     return out
 
 
-def cantor_U_check(
-    C: CantorSet,
-    alpha: float,
-    c: Optional[float] = None,
-    r_grid: Optional[np.ndarray] = None,
-) -> dict:
-    """Exact annulus checks for the complement of a nested-interval set.
+def cantor_U_check(C: CantorSet) -> dict:
+    """Exact annulus checks for the complement of a nested-interval set, with
+    h(r) = r**C.alpha and c = 2**(-2 - alpha).
 
     Base points and witnesses are interval endpoints, which all belong to
     the limit set, so every satisfied flag is a certificate.  Distances are
@@ -575,29 +569,21 @@ def cantor_U_check(
     ``CantorSet.endpoint_distances``).  Radii are restricted to the range the
     finite depth resolves (r > 2 l_{J-1}).
     """
-    if c is None:
-        c = 0.5 * 2.0 ** (-1.0 - alpha)
-    if r_grid is None:
-        r_lo = 2.0 * float(C.lengths[C.J - 1]) * 1.0001
-        r_hi = 1.9 * C.l0
-        r_grid = log_spaced_radii(r_lo, r_hi, per_decade=8)
+    alpha = C.alpha
+    c = 0.5 * 2.0 ** (-1.0 - alpha)
+    r_grid = log_spaced_radii(2.0 * float(C.lengths[C.J - 1]) * 1.0001, 1.9 * C.l0, per_decade=8)
+    lo = np.array([c * r**alpha for r in r_grid])
     words, dist = C.endpoint_distances()
-    checks = 0
     failures = []
-    for i in range(len(words)):
-        d = np.sort(dist[i])
-        d = d[d > 0.0]
-        for r in r_grid:
-            lo, hi = c * r**alpha, r
-            j = np.searchsorted(d, lo, side="left")
-            ok = j < d.size and d[j] <= hi
-            checks += 1
-            if not ok:
-                failures.append({"word": words[i], "r": float(r)})
+    for word, d in zip(words, np.sort(dist, axis=1)):
+        # the smallest positive distance >= c h(r), inf if none, must be <= r
+        d = np.append(d[d > 0.0], math.inf)
+        missed = r_grid[d[np.searchsorted(d, lo, side="left")] > r_grid]
+        failures.extend({"word": word, "r": float(r)} for r in missed)
     return {
         "alpha": alpha,
         "c": c,
-        "checks": checks,
+        "checks": len(words) * r_grid.size,
         "passed": not failures,
         "failures": failures[:10],
     }

@@ -350,7 +350,7 @@ def test_criterion_10_cantor():
     deep = capacity.cantor_transfinite_estimate(c4, 512)
     small_ok = deep.value < 1e-3
     caps.append(deep.value)
-    ucheck = perfectness.cantor_U_check(build_cantor(0.1, 2.0, J=6), alpha=2.0)
+    ucheck = perfectness.cantor_U_check(build_cantor(0.1, 2.0, J=6))
     assert report(
         "10 cantor",
         bound_ok and decreasing and small_ok and ucheck["passed"],

@@ -114,12 +114,6 @@ def test_domain_monotonicity_superset_vs_sandwich():
         assert k_sup <= k_sand * (1 + 1e-3)
 
 
-def test_saturation_reporting(h15_domain, h15_gram):
-    est = subspace_kernel(h15_gram, complex(-0.005), saturation_check=True)
-    assert np.isfinite(est.saturation)
-    assert est.saturation >= 0
-
-
 # ---------------------------------------------------------------------------
 # explicit witnesses
 # ---------------------------------------------------------------------------
@@ -158,6 +152,17 @@ def test_two_pole_witness_hand_derivative():
     assert rep["fprime"] == pytest.approx(0.09 / (0.06 * 0.15**2), rel=1e-12)
     assert rep["zero_residual"] <= 1e-10
     assert rep["ratio"] > 0
+
+
+def test_two_pole_derivative_matches_the_product_formula():
+    # the former formula, one product in the denominator: it underflows to
+    # 0 at deep scales, but at shallow ones it is the oracle
+    dom = build_zalcman(ScaleFunction.h2(1.0), 1e-3, K=24)
+    for k in range(1, 21):
+        xk, xk1 = complex(dom.xs[k - 1]), complex(dom.xs[k])
+        w = complex(-math.sqrt(float(dom.xs[k - 1] * dom.xs[k])))
+        want = abs(xk - xk1) / (abs(w - xk1) * abs(w - xk) ** 2)
+        assert witness_metric_bound(dom, w, "two_pole")["fprime"] == pytest.approx(want, rel=1e-15, abs=0)
 
 
 def test_three_pole_witness_h2():

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,20 @@ def test_metric_on_sandwich_records_nan_witness(tmp_path, capsys):
     assert lines[0].split(",")[-1] == "witness_ratio"
     assert len(lines) == 4
     assert all(ln.split(",")[-1] == "nan" for ln in lines[1:])
+
+
+def test_metric_two_pole_witness_at_deep_scales(tmp_path, capsys):
+    # |w - x_{k+1}| |w - x_k|^2 underflows to 0 in these bands: the
+    # two-pole derivative raised ZeroDivisionError and the run exited 1
+    h2_deep = {"type": "zalcman", "family": "h2", "beta": 1.0, "x1": 1e-3, "K": 80}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"pipeline": "metric", "domain": h2_deep, "k_range": [55, 60]}))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    lines = (tmp_path / "o" / "metric_sweep.csv").read_text().splitlines()
+    assert lines[0].split(",")[-1] == "witness_ratio"
+    ratios = [float(ln.split(",")[-1]) for ln in lines[1:]]
+    assert len(ratios) == 6 and all(math.isfinite(v) and v > 0 for v in ratios)
 
 
 def test_perfect_pipeline_cantor(tmp_path):
@@ -369,17 +384,21 @@ def test_pommerenke_config_errors(tmp_path, capsys, extra, code, message):
         ({"pipeline": "pommerenke", "domain": H1_K10, "k": -2}, "k must be"),
         ({"pipeline": "perfect", "domain": SMALL_H1, "eps_list": [-0.1]}, "eps_list"),
         ({"pipeline": "distance", "domain": {**SMALL_H1, "K": 3}}, "k_range"),
+        ({"pipeline": "kernel", "domain": SMALL_H1, "equilibrium": "no"}, "equilibrium"),
+        ({"pipeline": "kernel", "domain": SMALL_H1, "equilibrium": 1}, "equilibrium"),
     ],
     ids=[
         "kernel-fit-column", "kernel-models", "distance-models", "fit-models", "metric-witness",
         "domain-not-an-object", "fit-missing-csv", "fit-triple", "capacity-cantor-l0",
         "selfcheck-seed", "pommerenke-negative-k", "perfect-negative-eps", "distance-default-k-range",
+        "kernel-equilibrium-string", "kernel-equilibrium-integer",
     ],
 )
 def test_unreadable_config_is_a_config_error(tmp_path, capsys, cfg, message):
     # each exited 1 with a traceback (KeyError, ValueError, AttributeError,
     # FileNotFoundError, negative dimensions), or, for a negative eps,
-    # exited 0 having "weakened" h1(1.5) to h1(1.6)
+    # exited 0 having "weakened" h1(1.5) to h1(1.6); an equilibrium of "no"
+    # or 1 passed bool() and turned the equilibrium witnesses on
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
@@ -397,8 +416,6 @@ def test_perfect_weakened_scale_family_is_validated(tmp_path, capsys):
 
 
 def test_fit_pipeline_from_csv(tmp_path):
-    import math
-
     csv = tmp_path / "samples.csv"
     rows = ["x,value"]
     for x in (1e-3, 1e-5, 1e-8, 1e-12, 1e-18, 1e-25):

@@ -1,7 +1,8 @@
 """The benchmark's tracer patches berglab functions and methods by name and
-reads attributes of their results.  One traced round of the ``gram``
-workload checks that every hook still resolves, so a refactor that removes
-one fails here rather than only in a traced benchmark run."""
+reads attributes of their results.  One traced round of each workload checks
+that every hook still resolves and counts what it counted before, so a
+refactor that removes one fails here rather than only in a traced benchmark
+run."""
 
 import json
 import os
@@ -12,16 +13,34 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_gram_round_reports_its_layers(tmp_path):
+def traced_round(workload: str, out: Path) -> dict:
+    """The per-layer metrics of one traced round of ``workload`` at seed 1,
+    after checking that every pipeline in it ran."""
     cmd = [
         sys.executable, str(ROOT / "perfbench" / "workload.py"),
-        "--workload", "gram", "--seed", "1", "--out", str(tmp_path), "--trace",
+        "--workload", workload, "--seed", "1", "--out", str(out), "--trace",
     ]
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    result = json.loads((tmp_path / "result.json").read_text())
+    result = json.loads((out / "result.json").read_text())
     assert all(op["ok"] for op in result["ops"]), result["ops"]
-    trace = result["trace"]
+    return result["trace"]
+
+
+def test_traced_gram_round_reports_its_layers(tmp_path):
+    trace = traced_round("gram", tmp_path)
     assert trace["bergman.assemble_gram.calls"] == 3
     assert trace["bergman.basis_size"] == 89
+
+
+def test_traced_annulus_round_reports_its_layers(tmp_path):
+    trace = traced_round("annulus", tmp_path)
+    assert trace["perfectness.best_constant_profile.calls"] == 2
+    assert trace["perfectness.condition_C_probe.calls"] == 15
+
+
+def test_traced_capacity_round_reports_its_layers(tmp_path):
+    trace = traced_round("capacity", tmp_path)
+    assert trace["capacity.equilibrium_measure.calls"] == 18
+    assert trace["capacity.equilibrium_measure.iterations"] == 18

@@ -9,6 +9,7 @@ from berglab.domains import (
     ScaleFunction,
     ZalcmanDomain,
     build_cantor,
+    build_cantor_table,
     build_zalcman,
 )
 from berglab.errors import AnnulusEmptyError, NotBoundaryPointError, PreconditionViolatedError
@@ -21,6 +22,7 @@ from berglab.perfectness import (
     condition_C_probe,
     condition_C_profile,
     exact_empty_annulus,
+    log_spaced_radii,
     pommerenke_construct,
     uc_report,
 )
@@ -49,7 +51,7 @@ def test_annulus_satisfied_at_origin():
     assert rep.satisfied
     # h(0.09) = 0.0081 <= witness distance <= 0.09; disk 2 rim qualifies
     assert 0.0081 <= rep.witness_distance <= r
-    assert dom.is_boundary(rep.witness, tol=1e-9)
+    assert dom.unsigned_boundary_distance(rep.witness) <= 1e-9
 
 
 def test_annulus_unit_disk_always_satisfied():
@@ -110,14 +112,14 @@ def test_annulus_exactness_vs_dense_sampling(h1_domain):
 
 def test_profile_positive_for_matching_family():
     dom = build_zalcman(ScaleFunction.h1(2.0), 0.1, K=6)
-    cs, table = best_constant_profile(dom, ScaleFunction.h1(2.0), r0=0.05)
+    cs, table = best_constant_profile(dom, ScaleFunction.h1(2.0))
     assert cs > 0.0
     assert len(table["c_star"]) > 100
 
 
 def test_profile_unit_disk_uniformly_perfect():
     dom = CircleDomain.build()
-    cs, _ = best_constant_profile(dom, ScaleFunction.h1(2.0), r0=0.5, r_min=1e-6)
+    cs, _ = best_constant_profile(dom, ScaleFunction.h1(2.0))
     assert cs >= 1.0
 
 
@@ -152,8 +154,13 @@ def test_classify_h2(h2_domain):
 def test_classify_annulus_complement_domain():
     dom = CircleDomain.build(inner_radius=0.5)
     for h in (ScaleFunction.h1(1.5), ScaleFunction.h2(1.0)):
-        cs, _ = best_constant_profile(dom, h, r0=0.25, r_min=1e-8)
-        assert cs >= 1.0  # full circles give c_star = r/h(r) >= 1
+        cs, table = best_constant_profile(dom, h)
+        # every sample lies on a whole circle that reaches every r: c_star = r/h(r)
+        want = [r / h.value(r) for r in table["r"].tolist()]
+        assert table["c_star"].tolist() == want and cs == min(want)
+    # the radii run up to 0.5, where h1(1.5) stays below r; h2 is only
+    # defined below 1/e
+    assert best_constant_profile(dom, ScaleFunction.h1(1.5))[0] >= 1.0
 
 
 def test_exact_empty_annulus_bounds(h1_domain):
@@ -164,7 +171,7 @@ def test_exact_empty_annulus_bounds(h1_domain):
 
 def test_exact_empty_annulus_cross_checks_spectrum(h1_domain, monkeypatch):
     inhabited = IntervalUnion.build([(0.0, 1.0)])
-    monkeypatch.setattr(ZalcmanDomain, "distance_spectrum", lambda self, a, tol=0.0: inhabited)
+    monkeypatch.setattr(ZalcmanDomain, "distance_spectrum", lambda self, a: inhabited)
     with pytest.raises(PreconditionViolatedError):
         exact_empty_annulus(h1_domain, h1_domain.K - 1, 1.0, ScaleFunction.h1(1.4))
 
@@ -261,9 +268,45 @@ def test_uc_report_h2(h2_domain):
 
 def test_cantor_U_check_passes():
     c = build_cantor(0.1, 2.0, J=6)
-    rep = cantor_U_check(c, alpha=2.0)
+    rep = cantor_U_check(c)
     assert rep["passed"]
     assert rep["checks"] > 1000
+
+
+def reference_cantor_U_check(C):
+    """The former check: one scalar searchsorted per (endpoint, radius)."""
+    alpha = C.alpha
+    c = 0.5 * 2.0 ** (-1.0 - alpha)
+    r_grid = log_spaced_radii(2.0 * float(C.lengths[C.J - 1]) * 1.0001, 1.9 * C.l0, per_decade=8)
+    words, dist = C.endpoint_distances()
+    checks = 0
+    failures = []
+    for i in range(len(words)):
+        d = np.sort(dist[i])
+        d = d[d > 0.0]
+        for r in r_grid:
+            lo, hi = c * r**alpha, r
+            j = np.searchsorted(d, lo, side="left")
+            checks += 1
+            if not (j < d.size and d[j] <= hi):
+                failures.append({"word": words[i], "r": float(r)})
+    return {"alpha": alpha, "c": c, "checks": checks, "passed": not failures, "failures": failures[:10]}
+
+
+@pytest.mark.parametrize(
+    "C",
+    [
+        build_cantor(0.1, 2.0, J=4),
+        build_cantor(0.1, 2.0, J=6),
+        build_cantor(0.2, 1.5, J=5),
+        build_cantor(0.1, 1.5, J=8),
+        build_cantor_table([0.1, 0.04, 0.01, 0.002, 4e-4]),  # h = 1, c = 1/4: every check fails
+        build_cantor_table([0.4, 0.1, 0.02, 0.004]),  # fails only at r below 1/4
+    ],
+    ids=["power-J4", "power-J6", "power-alpha1.5", "power-J8", "table-all-fail", "table-some-fail"],
+)
+def test_cantor_U_check_matches_former_loop(C):
+    assert cantor_U_check(C) == reference_cantor_U_check(C)
 
 
 def test_cantor_capacity_floor_vanishes():
