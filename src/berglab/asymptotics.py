@@ -52,10 +52,19 @@ def _validate(samples: Sequence[tuple[float, float]]) -> tuple[np.ndarray, np.nd
     # x < 1 first, so the logs below stay finite; "not all >" also rejects NaN
     if not np.all(xs < 1.0) or not np.all(np.log(np.log(1.0 / xs)) > 0.5):
         raise InsufficientSpanError("x too large: need x < 1 and log log (1/x) > 0.5")
+    if not np.all(np.isfinite(vs)):
+        raise InsufficientSpanError("sample values must be finite")
     span = np.log(np.log(1.0 / xs.min())) - np.log(np.log(1.0 / xs.max()))
     if span <= 0.0:
         raise InsufficientSpanError("degenerate x span")
     return xs, vs
+
+
+def _median(a: np.ndarray) -> float:
+    """``np.median``'s arithmetic, without its first call's import of numpy.ma."""
+    s = np.sort(a)
+    mid = s.size // 2
+    return float(s[mid] if s.size % 2 else (s[mid - 1] + s[mid]) / 2)
 
 
 def fit_model(samples: Sequence[tuple[float, float]], model: str) -> AsymptoticFit:
@@ -66,7 +75,7 @@ def fit_model(samples: Sequence[tuple[float, float]], model: str) -> AsymptoticF
     shape = MODELS[model](xs)
     log_ratio = np.log(vs / shape)
     C = math.exp(float(np.mean(log_ratio)))
-    resid = float(np.median(np.abs(log_ratio - math.log(C))))
+    resid = _median(np.abs(log_ratio - math.log(C)))
     ratios = vs / (C * shape)
     return AsymptoticFit(model=model, C=C, rel_residual=resid, band=(float(ratios.min()), float(ratios.max())))
 

@@ -35,7 +35,7 @@ from .errors import (
     RankCollapseError,
     ScaleNotRetainedError,
 )
-from .quadrature import Basis, QuadratureInfo, RationalFunction, boundary_gram, domain_circles
+from .quadrature import Basis, QuadratureInfo, RationalFunction, boundary_gram, domain_circles, norm_sq
 
 TWO_PI = 2.0 * math.pi
 
@@ -105,7 +105,6 @@ def default_basis(domain: CircleDomain, degree: int = 8) -> BasisSpec:
 
 @dataclass
 class GramSystem:
-    spec: BasisSpec
     domain: CircleDomain
     fns: list
     basis: Basis  # fns packed, for evaluating all of them at a point
@@ -126,10 +125,12 @@ class GramSystem:
             "min_kept_eigenvalue": float(self.eigvals[self.kept].min()),
         }
 
-    def quadratic(self, u: np.ndarray, v: np.ndarray) -> complex:
-        """u^H G^+ v through the equilibrated eigendecomposition."""
-        uu = self.eigvecs.conj().T @ (self.scale * u)
-        vv = self.eigvecs.conj().T @ (self.scale * v)
+    def project(self, u: np.ndarray) -> np.ndarray:
+        """u in the equilibrated eigenbasis, the input of ``quadratic``."""
+        return self.eigvecs.conj().T @ (self.scale * u)
+
+    def quadratic(self, uu: np.ndarray, vv: np.ndarray) -> complex:
+        """u^H G^+ v from the projections uu and vv of u and v."""
         return complex(np.sum(np.where(self.kept, np.conj(uu) * vv / self.eigvals, 0.0)))
 
 
@@ -158,7 +159,6 @@ def assemble_gram(domain: CircleDomain, spec: Optional[BasisSpec] = None) -> Gra
     if rank < len(fns) / 2:
         raise RankCollapseError(f"effective rank {rank} below half of {len(fns)}")
     return GramSystem(
-        spec=spec,
         domain=domain,
         fns=fns,
         basis=basis,
@@ -179,19 +179,15 @@ def assemble_gram(domain: CircleDomain, spec: Optional[BasisSpec] = None) -> Gra
 
 @dataclass(frozen=True)
 class KernelEstimate:
-    w: complex
     K_low: float
-    basis_size: int
-    certified: bool = False
+    certified: bool
 
 
 @dataclass(frozen=True)
 class MetricEstimate:
-    w: complex
     S_low: float
     K_low: float
     b_est: float
-    certified: bool = False  # metric needs an upper kernel bound to certify
 
 
 def _safe_scale(vec: np.ndarray) -> float:
@@ -202,12 +198,6 @@ def _safe_scale(vec: np.ndarray) -> float:
     return m * float(np.linalg.norm(vec / m))
 
 
-def _is_certified(domain: CircleDomain) -> bool:
-    if isinstance(domain, ZalcmanDomain):
-        return domain.variant == "superset"
-    return True  # reference domains are exact
-
-
 def subspace_kernel(gs: GramSystem, w: complex) -> KernelEstimate:
     """sup |f(w)|^2 over unit-norm f in the basis span: conj(v)^H G^+ conj(v).
 
@@ -216,19 +206,16 @@ def subspace_kernel(gs: GramSystem, w: complex) -> KernelEstimate:
     ``QuadratureInfo``): the subspace sup is below the truncated-domain sup,
     which is below the untruncated one by domain monotonicity.
     """
-    inside, _ = gs.domain.delta_and_membership(w)
-    if not inside:
+    if not gs.domain.contains(w):
         raise OutsideDomainError(f"{w} is not inside the domain")
     b = np.conj(gs.basis.values(w))
     # normalize before the quadratic form: |b|^2 entries can pass 1e154
     nb = _safe_scale(b)
-    K = float(np.real(gs.quadratic(b / nb, b / nb))) * nb * nb
-    return KernelEstimate(
-        w=complex(w),
-        K_low=K,
-        basis_size=len(gs.fns),
-        certified=_is_certified(gs.domain),
-    )
+    bb = gs.project(b / nb)
+    K = float(np.real(gs.quadratic(bb, bb))) * nb * nb
+    # reference domains are exact; a sandwich truncation is a subdomain
+    certified = not isinstance(gs.domain, ZalcmanDomain) or gs.domain.variant == "superset"
+    return KernelEstimate(K_low=K, certified=certified)
 
 
 def subspace_metric(gs: GramSystem, w: complex) -> MetricEstimate:
@@ -237,25 +224,24 @@ def subspace_metric(gs: GramSystem, w: complex) -> MetricEstimate:
     S^2 = sup{|f'(w)|^2 : f(w) = 0, ||f|| = 1}; the estimate divides by the
     subspace kernel, b_est = S / sqrt(K).
     """
-    inside, _ = gs.domain.delta_and_membership(w)
-    if not inside:
+    if not gs.domain.contains(w):
         raise OutsideDomainError(f"{w} is not inside the domain")
     v, u = gs.basis.values_and_derivs(w)
     q, p = np.conj(v), np.conj(u)
     # all quadratic forms on unit vectors; norms carried as scalar factors
     # so nothing squares past double range at deep scales
     nq, np_ = _safe_scale(q), _safe_scale(p)
-    qh, ph = q / nq, p / np_
-    b_form = float(np.real(gs.quadratic(qh, qh)))
+    qq, pp = gs.project(q / nq), gs.project(p / np_)
+    b_form = float(np.real(gs.quadratic(qq, qq)))
     K = b_form * nq * nq
     if K <= 0.0 or b_form <= 0.0:
         raise DegenerateConstraintError("kernel value vanished at w")
-    a_form = float(np.real(gs.quadratic(ph, ph)))
-    c_form = gs.quadratic(ph, qh)
+    a_form = float(np.real(gs.quadratic(pp, pp)))
+    c_form = gs.quadratic(pp, qq)
     S2_hat = a_form - abs(c_form) ** 2 / b_form
     S = np_ * math.sqrt(max(0.0, S2_hat))
     b_est = (np_ / nq) * math.sqrt(max(0.0, S2_hat) / b_form)
-    return MetricEstimate(w=complex(w), S_low=S, K_low=K, b_est=b_est)
+    return MetricEstimate(S_low=S, K_low=K, b_est=b_est)
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +320,14 @@ def witness_metric_bound(domain: ZalcmanDomain, w: complex, variant: str = "two_
     else:
         raise ValueError(f"unknown witness variant {variant!r}")
     residual = abs(f.eval(w)) * abs(w - xk1)  # scale-free zero check
-    G, _ = boundary_gram(domain_circles(domain), [f])
-    norm_sq = float(G[0, 0].real)
+    norm2 = norm_sq(domain_circles(domain), f)
     out = {
         "w": complex(w),
         "k": k,
         "variant": variant,
         "fprime": float(fprime),
-        "norm_sq": norm_sq,
-        "ratio": float(fprime) / math.sqrt(norm_sq),
+        "norm_sq": norm2,
+        "ratio": float(fprime) / math.sqrt(norm2),
         "zero_residual": float(residual),
     }
     out.update(extra)
@@ -414,9 +399,9 @@ def equilibrium_witness_bound(domain: ZalcmanDomain, w: complex) -> dict:
     f = f_{E11} - f_{E2} and the bound |f(w)|^2 / ||f||^2 is valid for any
     discrete weights, so optimizer quality only affects sharpness.
     """
-    inside, delta = domain.delta_and_membership(w)
-    if not inside:
+    if not domain.contains(w):
         raise OutsideDomainError(f"{w} is outside the domain")
+    delta = domain.unsigned_boundary_distance(w)
     wprime, _, _ = domain.nearest_boundary_point(w)
     try:
         r = domain.h.inverse(8.0 * delta)
@@ -452,19 +437,18 @@ def equilibrium_witness_bound(domain: ZalcmanDomain, w: complex) -> dict:
     f11_w = complex(f11.eval(w))
     f2_w = complex(f2.eval(w))
     fw = abs(complex(f.eval(w)))
-    G, _ = boundary_gram(domain_circles(domain), [f])
-    norm_sq = float(G[0, 0].real)
+    norm2 = norm_sq(domain_circles(domain), f)
     return {
         "w": complex(w),
         "delta": delta,
         "w_prime": complex(wprime),
         "w_second": complex(wsecond),
         "r": r,
-        "bound": fw**2 / norm_sq,
+        "bound": fw**2 / norm2,
         "f_w": fw,
         "f11_w_abs": abs(f11_w),
         "f2_w_abs": abs(f2_w),
-        "norm_sq": norm_sq,
+        "norm_sq": norm2,
         "sector_caps": caps,
         "cap_E11": mu11.capacity,
         "cap_E1": mu1_full.capacity,
@@ -495,8 +479,7 @@ def cauchy_transform_norm_check(holes: Sequence[tuple[complex, float]]) -> dict:
     bnds = np.concatenate([circle_nodes(complex(c0), rho, n) for c0, rho in holes])
     sol = equilibrium_measure(bnds)  # capacity of the true carrier rims
     f = RationalFunction.from_nodes(poles, sol.measure.weights)
-    G, _ = boundary_gram([(0j, 0.25, 1)] + [(complex(c0), rho, -1) for c0, rho in holes], [f])
-    lhs = float(G[0, 0].real)
+    lhs = norm_sq([(0j, 0.25, 1)] + [(complex(c0), rho, -1) for c0, rho in holes], f)
     rhs = math.log(1.0 / sol.capacity)
     sol_t = equilibrium_measure(t * bnds)
     f_t = RationalFunction.from_nodes(t * poles, sol_t.measure.weights)

@@ -316,7 +316,7 @@ def _bordered_solve(A: np.ndarray) -> np.ndarray:
     return np.linalg.solve(K, rhs)[:m]
 
 
-def equilibrium_measure(candidates) -> EquilibriumSolution:
+def equilibrium_measure(nodes) -> EquilibriumSolution:
     """Maximize the regularized discrete energy w^T A w over the weight simplex.
 
     A is the pairwise log-distance matrix plus the ``self_scales`` diagonal
@@ -332,7 +332,6 @@ def equilibrium_measure(candidates) -> EquilibriumSolution:
     ``raw_potential_spread`` the spread of its potential over the support,
     which is not zero at the optimum.
     """
-    nodes = candidates.nodes if isinstance(candidates, WeightedPointSet) else candidates
     nodes = np.asarray(nodes, dtype=complex).ravel()
     if nodes.size < 2:
         raise PreconditionViolatedError("need at least two candidate nodes")

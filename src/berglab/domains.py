@@ -327,10 +327,6 @@ class CircleDomain:
             d = min(d, float(np.min(np.abs(np.abs(z - self.centers) - self.radii))))
         return d
 
-    def delta_and_membership(self, z: complex) -> tuple[bool, float]:
-        """(inside, distance to boundary). Boundary points report (False, 0)."""
-        return self.contains(z), self.unsigned_boundary_distance(z)
-
     def contains(self, z):
         """Open-domain membership of a point (bool) or of an array of points
         (bool array of the same shape)."""
@@ -494,12 +490,12 @@ class ZalcmanDomain(CircleDomain):
     logx: np.ndarray = field(default=None)
     logr: np.ndarray = field(default=None)
 
-    @property
+    @cached_property
     def xs(self) -> np.ndarray:
         """x_k for k = 1..K+2."""
         return np.exp(self.logx)
 
-    @property
+    @cached_property
     def rs(self) -> np.ndarray:
         """r_k for k = 1..K+1."""
         return np.exp(self.logr)

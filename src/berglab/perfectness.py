@@ -119,7 +119,7 @@ def best_constant_profile(domain: CircleDomain, h: ScaleFunction) -> tuple[float
     """Tabulate c_star(a, r) over ``default_boundary_samples`` and radii
     log-spaced at 16 per decade from ``resolved_r_min`` up to r0: x1/2 on
     Zalcman domains, twice the largest hole radius on other holed domains,
-    0.5 otherwise.
+    0.5 otherwise, and at most epsilon0 / 2 of h.
 
     Returns (inf over the table, table).  The table holds the columns
     ``a_re``, ``a_im``, ``r`` and ``c_star`` as equal-length arrays, one row
@@ -132,6 +132,8 @@ def best_constant_profile(domain: CircleDomain, h: ScaleFunction) -> tuple[float
         r0 = domain.x1 / 2.0
     else:
         r0 = (domain.radii.max() * 2.0) if domain.centers.size else 0.5
+    # h is defined below epsilon0 only; x1 / 2 already lies below epsilon0 / 2
+    r0 = min(r0, h.epsilon0 / 2.0)
     radii = log_spaced_radii(resolved_r_min(domain), r0)
     # scalar h.value per radius: np.log/np.exp may differ from math in the last ulp
     hr = np.array([h.value(r) for r in radii.tolist()])
@@ -315,12 +317,10 @@ def condition_C_profile(
     if len(good) >= 2:
         lx, ly = np.array([g[0] for g in good]), np.array([g[1] for g in good])
         slope = float(np.polyfit(lx, ly, 1)[0])
-    ratios = [x["ratio"] for x in rows if x["ratio"] > 0]
     return {
         "rows": rows,
         "slope": slope,
-        "ratio_inf": min(ratios) if ratios else 0.0,
-        "ratio_sup": max(ratios) if ratios else 0.0,
+        "ratio_inf": min((x["ratio"] for x in rows if x["ratio"] > 0), default=0.0),
     }
 
 

@@ -18,6 +18,10 @@ factor is evaluated in the circle's own frame, (c_circle - c_pole) +
 rho e^{i theta}, so holes far below the resolution of their centers stay
 exact.
 
+Every rational function is evaluated by :class:`Basis`, which packs a list
+of them into arrays (``RationalFunction.eval`` packs one), and every pole
+power a / U^m by the sequential divisions of ``_pole_powers``.
+
 The polar Gauss-Legendre area rule of :class:`PolarRegion` and a seeded
 Monte-Carlo estimator are kept as independent oracles.
 """
@@ -119,51 +123,27 @@ class RationalFunction:
         )
 
     def eval(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros_like(z)
-        if self.poly.size:
-            out += np.polynomial.polynomial.polyval(z, self.poly)
-        for c, m, a in zip(self.pole_centers, self.pole_orders, self.pole_coeffs):
-            # sequential products: (z-c)**m alone can under/overflow at deep
-            # scales even when a/(z-c)**m is comfortably representable
-            t = a / (z - c)
-            for _ in range(m - 1):
-                t = t / (z - c)
-            out = out + t
-        return out
+        return Basis.of([self]).values(z)[..., 0]
 
     def eval_deriv(self, z):
-        # derivative poles exceed order 2, so the derivative is evaluated
-        # directly instead of being represented
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros_like(z)
-        if self.poly.size > 1:
-            out += np.polynomial.polynomial.polyval(
-                z, np.polynomial.polynomial.polyder(self.poly)
-            )
-        for c, m, a in zip(self.pole_centers, self.pole_orders, self.pole_coeffs):
-            t = a / (z - c)
-            for _ in range(m):
-                t = t / (z - c)
-            out = out - m * t
-        return out
+        return Basis.of([self]).values_and_derivs(z)[1][..., 0]
 
 
 @dataclass(frozen=True)
 class Basis:
     """A list of rational functions packed into arrays, for evaluating all of
-    them at once: on a circle's nodes (``boundary_gram``) or at one point
-    (``values``, ``values_and_derivs``).
+    them at once: on a circle's nodes (``boundary_gram``) or at any array of
+    points (``values``, ``values_and_derivs``, function axis last).
 
     ``poly`` holds the coefficient rows zero-padded to a common length,
     ``antideriv`` the coefficients of z^1 .. z^n_coef of their
     antiderivatives and ``deriv`` those of their derivatives.  The poles of
     every function are concatenated, function by function, into
     ``centers``, ``orders`` and ``coeffs``.  The pole-to-function map comes
-    in two forms: ``owner_matrix``, one 0/1 row per pole, and ``layers``,
-    (pole indices, function indices) pairs where layer r holds the r-th pole
-    of every function that has one, so adding the layers in turn sums each
-    function's poles in the order ``RationalFunction.eval`` does.
+    in two forms: ``owner_matrix``, one 0/1 row per pole, for the Gram
+    engine's matrix products, and ``slots``, whose row i indexes the stack
+    [pole terms, polynomial values, 0] so that its running sum is function
+    i's 0 + p(z) + t_1 + t_2 + ..., in pole order whatever the basis.
     """
 
     poly: np.ndarray
@@ -173,19 +153,24 @@ class Basis:
     orders: np.ndarray
     coeffs: np.ndarray
     owner_matrix: np.ndarray
-    layers: tuple
+    slots: np.ndarray
 
     @classmethod
     def of(cls, fns: Sequence[RationalFunction]) -> "Basis":
         n = len(fns)
-        n_coef = max(f.poly.size for f in fns)
+        # one zero column at least, so that _horner has no empty case
+        n_coef = max(1, max(f.poly.size for f in fns))
         poly = np.zeros((n, n_coef), dtype=complex)
         for i, f in enumerate(fns):
             poly[i, : f.poly.size] = f.poly
-        owner = np.repeat(np.arange(n), [f.pole_centers.size for f in fns])
-        owner_matrix = np.zeros((owner.size, n))
-        owner_matrix[np.arange(owner.size), owner] = 1.0
-        rank = np.arange(owner.size) - np.searchsorted(owner, owner)
+        counts = np.array([f.pole_centers.size for f in fns])
+        owner = np.repeat(np.arange(n), counts)
+        n_poles = owner.size
+        # row i: zeros, then function i's polynomial value, then its poles
+        width = int(counts.max(initial=0)) + 2
+        slots = np.full((n, width), n_poles + n)
+        slots[np.arange(n), width - 1 - counts] = n_poles + np.arange(n)
+        slots[owner, np.arange(n_poles) + (width - np.cumsum(counts))[owner]] = np.arange(n_poles)
         return cls(
             poly=poly,
             antideriv=poly / np.arange(1, n_coef + 1),
@@ -193,55 +178,51 @@ class Basis:
             centers=np.concatenate([f.pole_centers for f in fns]),
             orders=np.concatenate([f.pole_orders for f in fns]),
             coeffs=np.concatenate([f.pole_coeffs for f in fns]),
-            owner_matrix=owner_matrix,
-            layers=tuple(
-                (np.flatnonzero(rank == r), owner[rank == r]) for r in range(int(rank.max(initial=-1)) + 1)
-            ),
+            owner_matrix=(owner[:, None] == np.arange(n)).astype(float),
+            slots=slots,
         )
 
-    def __len__(self) -> int:
-        return self.poly.shape[0]
-
-    def values(self, w: complex) -> np.ndarray:
-        """f_i(w) for every function, bit for bit ``RationalFunction.eval``."""
+    def values(self, w) -> np.ndarray:
+        """f_i(w) for every function, on the last axis."""
         z = np.asarray(w, dtype=complex)
-        out = _horner(self.poly, z)
-        self._add_poles(out, self._pole_powers(z)[0])
-        return out
+        T, _ = _pole_powers(z[..., None] - self.centers, self.coeffs, self.orders)
+        return self._sum(_horner(self.poly, z), T)
 
-    def values_and_derivs(self, w: complex) -> tuple[np.ndarray, np.ndarray]:
-        """(f_i(w), f_i'(w)) for every function, bit for bit
-        ``RationalFunction.eval`` and ``eval_deriv``."""
+    def values_and_derivs(self, w) -> tuple[np.ndarray, np.ndarray]:
+        """(f_i(w), f_i'(w)) for every function, on the last axis; the poles
+        of order m + 1 give a / U**(m+1) and a / U**m in one pass."""
         z = np.asarray(w, dtype=complex)
-        T, U = self._pole_powers(z)
-        out = _horner(self.poly, z)
-        self._add_poles(out, T)
-        der = _horner(self.deriv, z)
-        # adding -(m t) is exactly eval_deriv's subtraction of m t
-        self._add_poles(der, -(self.orders * (T / U)))
-        return out, der
+        D, T = _pole_powers(z[..., None] - self.centers, self.coeffs, self.orders + 1)
+        return self._sum(_horner(self.poly, z), T), self._sum(_horner(self.deriv, z), -(self.orders * D))
 
-    def _pole_powers(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(a / U**m, U) for every pole, U = z - c, with the m sequential
-        divisions of ``RationalFunction.eval``."""
-        U = z - self.centers
-        T = self.coeffs / U
-        for k in range(2, int(self.orders.max(initial=1)) + 1):
-            cols = self.orders >= k
-            T[cols] = T[cols] / U[cols]
-        return T, U
+    def _sum(self, values: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        """values[..., i] plus function i's pole terms, added in pole order."""
+        zero = np.zeros(values.shape[:-1] + (1,), dtype=complex)
+        stack = np.concatenate([terms, values, zero], axis=-1)
+        return np.add.accumulate(stack.take(self.slots, axis=-1), axis=-1)[..., -1]
 
-    def _add_poles(self, out: np.ndarray, terms: np.ndarray) -> None:
-        """out[i] += each term of function i's poles, in pole order."""
-        for poles, owners in self.layers:
-            out[owners] += terms[poles]
+
+def _pole_powers(U: np.ndarray, coeffs: np.ndarray, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a / U**m, a / U**(m-1)) for every pole, poles on the last axis, by
+    sequential division: U**m alone can under/overflow at deep scales even
+    when a / U**m is representable.  For a simple pole the second is left 0,
+    which no caller reads: the zero pages of a large array stay unwritten."""
+    T = coeffs / U
+    lower = np.zeros_like(T)
+    for k in range(2, int(orders.max(initial=1)) + 1):
+        cols = orders >= k
+        np.copyto(lower, T, where=cols)
+        np.divide(T, U, out=T, where=cols)
+    return T, lower
 
 
 def _horner(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Each row of ``coef`` evaluated at z by Horner's rule, in the order of
-    ``np.polynomial.polynomial.polyval``; the zero padding leaves the sums
-    unchanged."""
-    out = coef[:, -1] + z * 0 if coef.shape[1] else np.zeros(coef.shape[0], dtype=complex)
+    """Each row of ``coef`` evaluated at z by Horner's rule, rows on the last
+    axis, in the order of ``np.polynomial.polynomial.polyval``; the zero
+    padding leaves the sums unchanged."""
+    # a 0-d z broadcasts against the rows as it is, faster than with shape (1,)
+    z = z[..., None] if z.ndim else z
+    out = coef[:, -1] + z * 0
     for j in range(coef.shape[1] - 2, -1, -1):
         out = coef[:, j] + out * z
     return out
@@ -303,7 +284,7 @@ def boundary_gram(
     above SERIES_MARGIN, QuadratureStallError when the doubling check fails.
     """
     basis = fns if isinstance(fns, Basis) else Basis.of(fns)
-    n = len(basis)
+    n = basis.poly.shape[0]
     centers = basis.centers
 
     cc = np.array([c for c, _, _ in circles], dtype=complex)
@@ -348,6 +329,11 @@ def boundary_gram(
     return 0.5 * (fine + fine.conj().T), info
 
 
+def norm_sq(circles: Sequence[tuple[complex, float, int]], f: RationalFunction) -> float:
+    """||f||^2 over the domain bounded by ``circles``, see ``boundary_gram``."""
+    return float(boundary_gram(circles, [f])[0][0, 0].real)
+
+
 def _boundary_values(c, offsets, basis: Basis):
     """(Phi, F): every function and its Phi at the nodes c + offsets, one
     column per function.  Pole factors are formed as (c - center) + offset."""
@@ -358,15 +344,7 @@ def _boundary_values(c, offsets, basis: Basis):
     Phi = np.conj(powers[:, 1:] @ basis.antideriv.T)
     if centers.size:
         U = (c - centers)[None, :] + offsets[:, None]
-        T = coeffs / U
-        lower = np.zeros_like(T)
-        # sequential divisions: U**m alone can under/overflow at deep scales
-        # even when a / U**m is representable
-        for k in range(2, int(orders.max()) + 1):
-            cols = orders >= k
-            lower[:, cols] = T[:, cols]
-            T[:, cols] /= U[:, cols]
-        # T = a / U**m, lower = a / U**(m-1) for m >= 2
+        T, lower = _pole_powers(U, coeffs, orders)
         simple = orders == 1
         P = np.conj(lower) / np.where(simple, 1, 1 - orders)
         P[:, simple] = np.conj(coeffs[simple]) * (2.0 * np.log(np.abs(U[:, simple])))

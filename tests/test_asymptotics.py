@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from berglab.asymptotics import MODELS, fit_model, linear_fit_r2, select_model
+from berglab.asymptotics import MODELS, _median, fit_model, linear_fit_r2, select_model
 from berglab.domains import ScaleFunction, build_zalcman
 from berglab.errors import InsufficientSpanError
 
@@ -96,6 +98,13 @@ def test_x_at_or_above_one_is_rejected(x):
     samples = [(1e-3, 1.0), (1e-5, 1.0), (1e-8, 1.0), (1e-12, 1.0), (x, 1.0)]
     with pytest.raises(InsufficientSpanError, match="x < 1"):
         fit_model(samples, "K1")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=60))
+def test_median_matches_numpy(values):
+    a = np.array(values)
+    assert _median(a) == float(np.median(a))
 
 
 def test_linear_fit_r2():

@@ -425,6 +425,20 @@ def test_fit_pipeline_from_csv(tmp_path):
     assert man["summary"]["preferred"] == "K2"
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_fit_rejects_non_finite_values(tmp_path, capsys, bad):
+    # both exited 0 and wrote NaN or Infinity into fit_report.json, which is
+    # not valid JSON; inf also warned from log(inf / shape)
+    samples = [[x, 3.0 / (x * x * math.log(1 / x))] for x in (1e-3, 1e-5, 1e-8, 1e-12, 1e-18)]
+    samples[2][1] = bad
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"pipeline": "fit", "samples": samples}))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "InsufficientSpan" in err and "finite" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_fit_rejects_x_at_or_above_one(tmp_path, capsys):
     # kernel_sweep.csv starts with the columns k and x, so fit reads x = k >= 1:
     # this exited 0 and wrote NaN fits, with RuntimeWarnings from log(log(1/x))

@@ -197,15 +197,15 @@ def test_spectrum_min_zero_on_boundary():
 
 def test_delta_unit_disk_center():
     dom = CircleDomain.build()
-    inside, delta = dom.delta_and_membership(0.5 + 0j)
-    assert inside and delta == pytest.approx(0.5, rel=1e-15)
+    assert dom.contains(0.5 + 0j)
+    assert dom.unsigned_boundary_distance(0.5 + 0j) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_delta_zalcman_origin_term():
     dom = build_zalcman(ScaleFunction.h1(2.0), 0.1, K=3)
-    inside, delta = dom.delta_and_membership(-0.05 + 0j)
-    assert inside
-    assert delta == pytest.approx(0.05, rel=1e-14)  # origin is closest
+    assert dom.contains(-0.05 + 0j)
+    # origin is closest
+    assert dom.unsigned_boundary_distance(-0.05 + 0j) == pytest.approx(0.05, rel=1e-14)
 
 
 def test_delta_matches_dense_sampling():
@@ -214,7 +214,7 @@ def test_delta_matches_dense_sampling():
     rng = np.random.default_rng(7)
     zs = rng.uniform(-1, 1, 40) + 1j * rng.uniform(-1, 1, 40)
     for z in zs:
-        _, delta = dom.delta_and_membership(z)
+        delta = dom.unsigned_boundary_distance(z)
         brute = float(np.min(np.abs(cloud - z)))
         assert delta == pytest.approx(brute, abs=1e-6)
 

@@ -32,6 +32,8 @@ def test_traced_gram_round_reports_its_layers(tmp_path):
     trace = traced_round("gram", tmp_path)
     assert trace["bergman.assemble_gram.calls"] == 3
     assert trace["bergman.basis_size"] == 89
+    # the tracer wraps RationalFunction.eval and eval_deriv by name
+    assert trace["quadrature.rational_eval.calls"] == 5
 
 
 def test_traced_annulus_round_reports_its_layers(tmp_path):
@@ -44,3 +46,4 @@ def test_traced_capacity_round_reports_its_layers(tmp_path):
     trace = traced_round("capacity", tmp_path)
     assert trace["capacity.equilibrium_measure.calls"] == 18
     assert trace["capacity.equilibrium_measure.iterations"] == 18
+    assert trace["quadrature.rational_eval.calls"] == 21

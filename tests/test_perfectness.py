@@ -119,8 +119,10 @@ def test_profile_positive_for_matching_family():
 
 def test_profile_unit_disk_uniformly_perfect():
     dom = CircleDomain.build()
-    cs, _ = best_constant_profile(dom, ScaleFunction.h1(2.0))
-    assert cs >= 1.0
+    # h2's radii stop at epsilon0 / 2 = 1/(2e); up to 0.5 the inf was 0.693
+    for h in (ScaleFunction.h1(2.0), ScaleFunction.h2(1.0)):
+        cs, _ = best_constant_profile(dom, h)
+        assert cs >= 1.0
 
 
 def test_profile_decays_for_weakened_exponent():
@@ -158,9 +160,9 @@ def test_classify_annulus_complement_domain():
         # every sample lies on a whole circle that reaches every r: c_star = r/h(r)
         want = [r / h.value(r) for r in table["r"].tolist()]
         assert table["c_star"].tolist() == want and cs == min(want)
-    # the radii run up to 0.5, where h1(1.5) stays below r; h2 is only
-    # defined below 1/e
-    assert best_constant_profile(dom, ScaleFunction.h1(1.5))[0] >= 1.0
+        # the radii stop at epsilon0 / 2: 0.5 for h1, 1/(2e) for h2, whose
+        # h(r) passes r above 1/e
+        assert cs >= 1.0
 
 
 def test_exact_empty_annulus_bounds(h1_domain):

@@ -267,13 +267,43 @@ def test_hole_poles_match_area_oracle(fns):
     assert np.max(np.abs(G - A) / np.outer(root, root)) <= 2e-6
 
 
+def former_eval(f: RationalFunction, z):
+    """f(z) one pole at a time, as ``RationalFunction.eval`` computed it
+    before every evaluation went through a packed ``Basis``."""
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros_like(z)
+    if f.poly.size:
+        out += np.polynomial.polynomial.polyval(z, f.poly)
+    for c, m, a in zip(f.pole_centers, f.pole_orders, f.pole_coeffs):
+        t = a / (z - c)
+        for _ in range(m - 1):
+            t = t / (z - c)
+        out = out + t
+    return out
+
+
+def former_eval_deriv(f: RationalFunction, z):
+    """f'(z) one pole at a time, as ``RationalFunction.eval_deriv`` computed it."""
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros_like(z)
+    if f.poly.size > 1:
+        out += np.polynomial.polynomial.polyval(z, np.polynomial.polynomial.polyder(f.poly))
+    for c, m, a in zip(f.pole_centers, f.pole_orders, f.pole_coeffs):
+        t = a / (z - c)
+        for _ in range(m):
+            t = t / (z - c)
+        out = out - m * t
+    return out
+
+
 @st.composite
 def bases_and_points(draw):
     """A BasisSpec-shaped basis (monomials up to a degree, then orders
     1..m at each center with coefficient scale**(order-1)) plus one
-    multi-pole Cauchy transform on the centers, sometimes without the
-    monomials, and a point at least 1e-3 of the basis's size away from
-    every center, so no term leaves double range."""
+    multi-pole Cauchy transform on the centers and one polynomial with poles
+    of mixed orders there, sometimes without the monomials, and a point or
+    an array of points at least 1e-3 of the basis's size away from every
+    center, so no term leaves double range."""
     size = 10.0 ** draw(st.floats(-6.0, 0.0))
     cplx = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
     centers = tuple(size * c for c in draw(st.lists(cplx, max_size=40)))
@@ -287,24 +317,29 @@ def bases_and_points(draw):
     fns = spec.functions()
     if centers:
         fns.append(RationalFunction.from_nodes(np.array(centers), np.array(scales)))
+        orders = draw(st.lists(st.integers(1, 3), min_size=len(centers), max_size=len(centers)))
+        fns.append(RationalFunction(np.array([0.5, -1j]), np.array(centers), np.array(orders), np.array(scales)))
         if draw(st.booleans()):
             fns = fns[spec.degree + 1 :]  # poles only: no polynomial rows to pack
-    w = 2.0 * size * draw(cplx)
-    assume(all(abs(w - c) >= 1e-3 * size for c in centers))
+    points = draw(st.one_of(cplx, st.lists(cplx, min_size=1, max_size=6)))
+    w = 2.0 * size * np.asarray(points)
+    assume(all(np.all(np.abs(w - c) >= 1e-3 * size) for c in centers))
     return fns, w
 
 
 @settings(max_examples=200, deadline=None)
 @given(bases_and_points())
 def test_packed_basis_evaluates_like_each_function(case):
-    # the per-function loop the point sweeps ran before the basis was packed
+    # the former per-pole loops are the reference; the function axis is last
     fns, w = case
-    v = np.array([f.eval(w) for f in fns])
-    u = np.array([f.eval_deriv(w) for f in fns])
+    v = np.stack([former_eval(f, w) for f in fns], axis=-1)
+    u = np.stack([former_eval_deriv(f, w) for f in fns], axis=-1)
     basis = Basis.of(fns)
     values, derivs = basis.values_and_derivs(w)
     assert np.array_equal(basis.values(w), v)
     assert np.array_equal(values, v) and np.array_equal(derivs, u)
+    for i, f in enumerate(fns):
+        assert np.array_equal(f.eval(w), v[..., i]) and np.array_equal(f.eval_deriv(w), u[..., i])
 
 
 def test_pole_inside_domain_raises():
