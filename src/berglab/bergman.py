@@ -113,7 +113,6 @@ class GramSystem:
     eigvals: np.ndarray  # of the equilibrated matrix, ascending
     eigvecs: np.ndarray
     kept: np.ndarray  # eigenvalue mask above the drop tolerance
-    effective_rank: int
     quad: QuadratureInfo
 
     def report(self) -> dict:
@@ -121,7 +120,7 @@ class GramSystem:
         and its smallest kept eigenvalue."""
         return {
             **self.quad.to_json_dict(),
-            "effective_rank": self.effective_rank,
+            "effective_rank": int(self.kept.sum()),
             "min_kept_eigenvalue": float(self.eigvals[self.kept].min()),
         }
 
@@ -167,7 +166,6 @@ def assemble_gram(domain: CircleDomain, spec: Optional[BasisSpec] = None) -> Gra
         eigvals=eigvals,
         eigvecs=eigvecs,
         kept=kept,
-        effective_rank=rank,
         quad=info,
     )
 

@@ -51,34 +51,29 @@ MAX_PASSES = 40
 
 @dataclass(frozen=True)
 class WeightedPointSet:
-    """Discrete node set, optionally carrying simplex weights."""
+    """Discrete node set carrying simplex weights."""
 
     nodes: np.ndarray
-    weights: Optional[np.ndarray] = None
+    weights: np.ndarray
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=complex).ravel()
         object.__setattr__(self, "nodes", nodes)
         if nodes.size < 1:
             raise ValueError("need at least one node")
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float).ravel()
-            if w.shape != nodes.shape:
-                raise ValueError("weights shape mismatch")
-            if np.any(w < 0):
-                raise ValueError("weights must be nonnegative")
-            if abs(w.sum() - 1.0) > WEIGHT_TOL:
-                raise ValueError("weights must sum to 1")
-            object.__setattr__(self, "weights", w)
+        w = np.asarray(self.weights, dtype=float).ravel()
+        if w.shape != nodes.shape:
+            raise ValueError("weights shape mismatch")
+        if np.any(w < 0):
+            raise ValueError("weights must be nonnegative")
+        if abs(w.sum() - 1.0) > WEIGHT_TOL:
+            raise ValueError("weights must sum to 1")
+        object.__setattr__(self, "weights", w)
 
     @classmethod
     def uniform(cls, nodes) -> "WeightedPointSet":
         nodes = np.asarray(nodes, dtype=complex).ravel()
         return cls(nodes, np.full(nodes.size, 1.0 / nodes.size))
-
-    @property
-    def weighted(self) -> bool:
-        return self.weights is not None
 
 
 def circle_nodes(center: complex, radius: float, n: int) -> np.ndarray:
@@ -97,8 +92,6 @@ def segment_nodes(a: complex, b: complex, n: int) -> np.ndarray:
 
 def potential(mu: WeightedPointSet, z: complex) -> float:
     """sum_i w_i log|z - node_i|; -inf when z sits on a positive-weight node."""
-    if not mu.weighted:
-        raise ValueError("potential needs a weighted set")
     d = np.abs(z - mu.nodes)
     hit = (d == 0.0) & (mu.weights > 0)
     if np.any(hit):
@@ -119,8 +112,6 @@ def log_distance_matrix(nodes: np.ndarray) -> np.ndarray:
 
 def energy(mu: WeightedPointSet) -> float:
     """Raw discrete energy sum_{i != j} w_i w_j log|z_i - z_j|."""
-    if not mu.weighted:
-        raise ValueError("energy needs a weighted set")
     A = log_distance_matrix(mu.nodes)
     return float(mu.weights @ A @ mu.weights)
 
@@ -162,15 +153,16 @@ def regularized_energy(mu: WeightedPointSet) -> float:
 
 @dataclass(frozen=True)
 class CapacityEstimate:
+    """An n-th diameter capacity estimate (see ``capacity_via_transfinite``)."""
+
     value: float
-    method: str  # transfinite | energy | closed_form | cantor_bound
     n: int
     diagnostics: tuple = ()
 
     def to_json_dict(self) -> dict:
         return {
             "value": self.value,
-            "method": self.method,
+            "method": "transfinite",
             "n": self.n,
             "diagnostics": list(self.diagnostics),
         }
@@ -195,9 +187,10 @@ def _leja_seed(candidates: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return chosen, cols
 
 
-def nth_diameter(candidates: np.ndarray, n: int) -> tuple[float, WeightedPointSet]:
+def nth_diameter(candidates: np.ndarray, n: int) -> tuple[float, np.ndarray]:
     """Search the candidate grid for an n-point configuration maximizing
-    prod |z_j - z_k| ** (2/(n(n-1))).
+    prod |z_j - z_k| ** (2/(n(n-1))); returns the attained value and the
+    configuration's nodes.
 
     Leja seeding followed by coordinate-exchange sweeps (each point re-placed
     at its conditional optimum over the grid until a full sweep makes no
@@ -250,7 +243,7 @@ def nth_diameter(candidates: np.ndarray, n: int) -> tuple[float, WeightedPointSe
 
     A = log_distance_matrix(config)
     log_delta = float(np.sum(A)) / (n * (n - 1))
-    return math.exp(log_delta), WeightedPointSet(config)
+    return math.exp(log_delta), config
 
 
 def supported_n(n: int, grid_size: int) -> int:
@@ -271,9 +264,7 @@ def capacity_via_transfinite(candidates: np.ndarray, n: int) -> CapacityEstimate
     circles and to first order elsewhere.
     """
     d, _ = nth_diameter(candidates, n)
-    return CapacityEstimate(
-        value=d / n ** (1.0 / (n - 1)), method="transfinite", n=n, diagnostics=(d,)
-    )
+    return CapacityEstimate(value=d / n ** (1.0 / (n - 1)), n=n, diagnostics=(d,))
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +390,7 @@ def cantor_transfinite_estimate(C: CantorSet, n: int = 512) -> CapacityEstimate:
     within = n_int * (m * (m - 1) / 2.0) * (float(np.log(lengths[J])) + math.log(v_m))
     across = (m * m) * log_across_per_pair
     delta = math.exp(2.0 * (within + across) / (n * (n - 1)))
-    return CapacityEstimate(
-        value=delta / n ** (1.0 / (n - 1)), method="transfinite", n=n, diagnostics=(delta,)
-    )
+    return CapacityEstimate(value=delta / n ** (1.0 / (n - 1)), n=n, diagnostics=(delta,))
 
 
 def cantor_capacity_bound(C: CantorSet, J: Optional[int] = None) -> float:

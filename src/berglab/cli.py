@@ -21,7 +21,7 @@ import numpy as np
 
 from . import asymptotics, bergman, perfectness
 from .capacity import capacity_via_transfinite, circle_nodes, equilibrium_measure, nth_diameter, segment_nodes
-from .domains import CantorSet, CircleDomain, ScaleFunction, ZalcmanDomain, domain_from_json
+from .domains import PARAM_KEY, CantorSet, CircleDomain, ScaleFunction, ZalcmanDomain, domain_from_json
 from .errors import BerglabError, ConfigInvalidError
 from .quadrature import mc_integral
 
@@ -147,16 +147,18 @@ def _bands(cfg: dict, domain: ZalcmanDomain, default: tuple[int, int]) -> range:
     return range(k_lo, k_hi + 1)
 
 
-def _scale_family(cfg: dict, eps_list=()) -> tuple[str, float, ScaleFunction]:
-    """(family, parameter, h) of the scale function of a ``perfect`` or
-    ``pommerenke`` run: the domain's, which ``perfect`` lets the config's own
-    ``family`` and ``param`` override.  The weakened h at ``param - eps``
-    must be valid too for every eps."""
+def _scale_family(cfg: dict, eps_list=()) -> ScaleFunction:
+    """The scale function h of a ``perfect`` or ``pommerenke`` run: the
+    domain's family at the key that family names (``alpha`` for h1, ``beta``
+    for h2), which ``perfect`` lets the config's own ``family`` and ``param``
+    override.  The weakened h at ``param - eps`` must be valid too for every
+    eps."""
     dom = cfg["domain"]
-    family, param = dom.get("family", "h1"), dom.get("alpha", dom.get("beta", 0.0))
-    if cfg["pipeline"] == "perfect":
-        family, param = cfg.get("family") or family, cfg.get("param", param)
+    family = dom.get("family", "h1")
     try:
+        param = dom.get(PARAM_KEY.get(family), 0.0)  # TypeError for an unhashable family
+        if cfg["pipeline"] == "perfect":
+            family, param = cfg.get("family") or family, cfg.get("param", param)
         param = float(param)
         h = ScaleFunction.of(family, param)
         for eps in eps_list:
@@ -167,7 +169,7 @@ def _scale_family(cfg: dict, eps_list=()) -> tuple[str, float, ScaleFunction]:
             "(h1, > 1) or beta (h2, > 0); for perfect the config's family and param override "
             "them, and param - eps must be valid for every eps in eps_list"
         ) from exc
-    return family, param, h
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -278,24 +280,22 @@ def run_perfect(cfg: dict, profile: dict) -> tuple[dict, dict]:
         rep = perfectness.cantor_U_check(domain)
         return {"passed": rep["passed"]}, {"perfect_report.json": rep}
     # the scale family before the domain kind: a disk names no family
-    family, param, h = _scale_family(cfg, eps_list)
+    h = _scale_family(cfg, eps_list)
     if not isinstance(domain, ZalcmanDomain):
         raise ConfigInvalidError("pipeline 'perfect' needs a zalcman or cantor domain")
-    c_star = perfectness.best_constant_profile(domain, h)
-    uc = perfectness.uc_report(domain, family, param, eps_list, n=profile["n_cap"], profile=c_star)
-    rep, rows = uc.pop("classification"), uc.pop("rows")
-    _, table = c_star
+    rep, c_star = perfectness.classify_weak_perfectness(domain, h, eps_list)
+    uc, condition_C = perfectness.uc_report(domain, h, rep, n=profile["n_cap"])
     summary = {"satisfied": rep["satisfied"], "weakened_failed": all(f["failed"] for f in rep["failures"])}
     return summary, {
         "perfect_report.json": {"classification": rep, "uc": uc},
-        "condition_C.csv": {k: [r[k] for r in rows] for k in ["a_re", "a_im", "r", "cap", "ratio"]},
-        "c_star_profile.csv": {k: table[k] for k in ["a_re", "a_im", "r", "c_star"]},
+        "condition_C.csv": condition_C,
+        "c_star_profile.csv": c_star,
     }
 
 
 def run_pommerenke(cfg: dict, profile: dict) -> tuple[dict, dict]:
     domain = _domain(cfg, CircleDomain)
-    _, _, h = _scale_family(cfg)
+    h = _scale_family(cfg)
     if "s1" not in cfg and not isinstance(domain, ZalcmanDomain):
         raise ConfigInvalidError("pipeline 'pommerenke' needs s1 unless the domain is zalcman")
     for key in ("c", "s1"):
@@ -326,7 +326,7 @@ def run_pommerenke(cfg: dict, profile: dict) -> tuple[dict, dict]:
     points = {
         "re": cert.points.real,
         "im": cert.points.imag,
-        "word": ["".join(map(str, wd)) for wd in cert.words],
+        "word": [format(i, f"0{k}b") for i in range(len(cert.points))],
     }
     summary = {"pairwise_ok": cert.pairwise_ok, "floor_below_measured": comp["floor_below_measured"]}
     return summary, {"pommerenke_certificate.json": report, "chain_points.csv": points}

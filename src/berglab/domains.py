@@ -38,6 +38,9 @@ LOG_FLOOR = -690.0
 #: tolerance for "lies on the boundary" queries
 BOUNDARY_TOL = 1e-12
 
+#: the JSON key of each parametric scale family's parameter
+PARAM_KEY = {"h1": "alpha", "h2": "beta"}
+
 
 # ---------------------------------------------------------------------------
 # scale functions
@@ -57,8 +60,7 @@ class ScaleFunction:
     """
 
     family: str
-    alpha: float = 0.0
-    beta: float = 0.0
+    param: float = 0.0  # alpha for h1, beta for h2
     log_r_samples: Optional[np.ndarray] = None
     log_h_samples: Optional[np.ndarray] = None
     epsilon0: float = 1.0
@@ -67,14 +69,14 @@ class ScaleFunction:
     def h1(cls, alpha: float) -> "ScaleFunction":
         if alpha <= 1.0:
             raise ValueError("h1 requires alpha > 1")
-        return cls(family="h1", alpha=float(alpha), epsilon0=1.0)
+        return cls(family="h1", param=float(alpha), epsilon0=1.0)
 
     @classmethod
     def h2(cls, beta: float) -> "ScaleFunction":
         if beta <= 0.0:
             raise ValueError("h2 requires beta > 0")
         # h(r) < r needs log(1/r) > 1
-        return cls(family="h2", beta=float(beta), epsilon0=math.exp(-1.0))
+        return cls(family="h2", param=float(beta), epsilon0=math.exp(-1.0))
 
     @classmethod
     def of(cls, family: str, param: float) -> "ScaleFunction":
@@ -106,9 +108,9 @@ class ScaleFunction:
         """log h(r) from log r; vectorized."""
         log_r = np.asarray(log_r, dtype=float)
         if self.family == "h1":
-            out = self.alpha * log_r
+            out = self.param * log_r
         elif self.family == "h2":
-            out = log_r - self.beta * np.log(-log_r)
+            out = log_r - self.param * np.log(-log_r)
         elif self.family == "table":
             out = np.interp(log_r, self.log_r_samples, self.log_h_samples)
         else:  # pragma: no cover
@@ -143,10 +145,8 @@ class ScaleFunction:
         return math.exp(g)
 
     def to_json_dict(self) -> dict:
-        if self.family == "h1":
-            return {"family": "h1", "alpha": self.alpha}
-        if self.family == "h2":
-            return {"family": "h2", "beta": self.beta}
+        if self.family in PARAM_KEY:
+            return {"family": self.family, PARAM_KEY[self.family]: self.param}
         return {
             "family": "table",
             "r": np.exp(self.log_r_samples).tolist(),
@@ -162,7 +162,7 @@ def scale_inverse_check(h: ScaleFunction, t: float) -> tuple[float, bool]:
     if h.family != "h2":
         raise ValueError("inverse-growth bound is stated for the h2 family")
     g = h.inverse(t)
-    bound = t * (math.log(1.0 / t)) ** h.beta
+    bound = t * (math.log(1.0 / t)) ** h.param
     return g, g <= bound
 
 
@@ -472,8 +472,8 @@ def _triangle_angle(p: float, q: float, r: float) -> float:
 class ZalcmanDomain(CircleDomain):
     """Truncated disk-chain domain with r_k = x_{k+1} = h(x_k).
 
-    ``logx[k-1]`` holds log x_k for k = 1..K+2 and ``logr[k-1]`` holds
-    log r_k for k = 1..K+1; the recursion is evaluated purely in logs.
+    ``logx[k-1]`` holds log x_k for k = 1..K+2, and log r_k = log x_{k+1};
+    the recursion is evaluated purely in logs.
 
     Variants:
       * ``superset``: only the first K disks removed; the origin is kept as
@@ -488,7 +488,6 @@ class ZalcmanDomain(CircleDomain):
     K: int = 0
     variant: str = "superset"
     logx: np.ndarray = field(default=None)
-    logr: np.ndarray = field(default=None)
 
     @cached_property
     def xs(self) -> np.ndarray:
@@ -497,13 +496,12 @@ class ZalcmanDomain(CircleDomain):
 
     @cached_property
     def rs(self) -> np.ndarray:
-        """r_k for k = 1..K+1."""
-        return np.exp(self.logr)
+        """r_k = x_{k+1} for k = 1..K+1."""
+        return self.xs[1:]
 
     def to_json_dict(self) -> dict:
-        d = {"type": "zalcman", **self.h.to_json_dict(), "x1": self.x1,
-             "K": self.K, "variant": self.variant}
-        return d
+        return {"type": "zalcman", **self.h.to_json_dict(), "x1": self.x1,
+                "K": self.K, "variant": self.variant}
 
 
 def build_zalcman(
@@ -527,26 +525,19 @@ def build_zalcman(
             )
         if logx[k] >= logx[k - 1]:
             raise NonDisjointError("scale sequence is not strictly decreasing")
-    logr = logx[1:].copy()  # r_k = x_{k+1}
-
     # disjointness: x_{k+1} + r_{k+1} < x_k - r_k, checked through ratios
-    # relative to x_k so deep scales never underflow.
+    # relative to x_k so deep scales never underflow; r_k = x_{k+1}
     for k in range(K + 1):
-        ratio_next = math.exp(logx[k + 1] - logx[k])  # x_{k+1}/x_k
-        if k + 2 <= K + 1:
-            r_next_over = math.exp(logr[k + 1] - logx[k])  # r_{k+1}/x_k
-        else:
-            r_next_over = 0.0
-        r_over = math.exp(logr[k] - logx[k])  # r_k/x_k
-        if ratio_next + r_next_over >= 1.0 - r_over:
+        ratio_next = math.exp(logx[k + 1] - logx[k])  # x_{k+1}/x_k = r_k/x_k
+        r_next_over = math.exp(logx[k + 2] - logx[k]) if k + 2 <= K + 1 else 0.0  # r_{k+1}/x_k
+        if ratio_next + r_next_over >= 1.0 - ratio_next:
             raise NonDisjointError(f"disks {k + 1} and {k + 2} touch (x1 too large for h)")
-    if x1 + math.exp(logr[0]) >= 1.0:
+    if x1 + math.exp(logx[1]) >= 1.0:
         raise NonDisjointError("first disk reaches the unit circle")
 
     xs = np.exp(logx)
-    rs = np.exp(logr)
     centers = xs[:K].astype(complex)
-    radii = rs[:K]
+    radii = xs[1 : K + 1]
     if variant == "superset":
         include_origin, inner = True, None
     else:
@@ -564,7 +555,6 @@ def build_zalcman(
         K=int(K),
         variant=variant,
         logx=logx,
-        logr=logr,
     )
 
 
@@ -584,7 +574,6 @@ class CantorSet:
     """
 
     l0: float
-    rule: str  # "power" | "table"
     alpha: float
     J: int
     lengths: np.ndarray  # l_0..l_J
@@ -632,7 +621,7 @@ def build_cantor(l0: float, alpha: float, J: int) -> CantorSet:
     for _ in range(J):
         log_l.append(alpha * log_l[-1])
     lengths = np.exp(log_l)
-    return _assemble_cantor(l0, "power", alpha, J, lengths)
+    return _assemble_cantor(l0, alpha, J, lengths)
 
 
 def build_cantor_table(lengths: Sequence[float]) -> CantorSet:
@@ -640,10 +629,10 @@ def build_cantor_table(lengths: Sequence[float]) -> CantorSet:
     lengths = np.asarray(lengths, dtype=float)
     if lengths.ndim != 1 or lengths.size < 2:
         raise ValueError("need l_0..l_J with J >= 1")
-    return _assemble_cantor(float(lengths[0]), "table", 0.0, lengths.size - 1, lengths)
+    return _assemble_cantor(float(lengths[0]), 0.0, lengths.size - 1, lengths)
 
 
-def _assemble_cantor(l0: float, rule: str, alpha: float, J: int, lengths: np.ndarray) -> CantorSet:
+def _assemble_cantor(l0: float, alpha: float, J: int, lengths: np.ndarray) -> CantorSet:
     for j in range(J):
         if not lengths[j + 1] < lengths[j] / 2.0:
             raise RuleViolationError(
@@ -655,7 +644,7 @@ def _assemble_cantor(l0: float, rule: str, alpha: float, J: int, lengths: np.nda
         lj, lprev = lengths[j], lengths[j - 1]
         nxt = np.concatenate([prev, prev + (lprev - lj)])
         lefts.append(np.sort(nxt))
-    return CantorSet(l0=l0, rule=rule, alpha=alpha, J=J, lengths=lengths, lefts=tuple(lefts))
+    return CantorSet(l0=l0, alpha=alpha, J=J, lengths=lengths, lefts=tuple(lefts))
 
 
 # ---------------------------------------------------------------------------
@@ -665,8 +654,8 @@ def _assemble_cantor(l0: float, rule: str, alpha: float, J: int, lengths: np.nda
 
 def scale_from_json(d: dict) -> ScaleFunction:
     fam = d.get("family")
-    if fam in ("h1", "h2"):
-        return ScaleFunction.of(fam, float(d["alpha" if fam == "h1" else "beta"]))
+    if fam in PARAM_KEY:
+        return ScaleFunction.of(fam, float(d[PARAM_KEY[fam]]))
     if fam == "table":
         return ScaleFunction.from_table(d["r"], d["h"])
     raise ValueError(f"unknown scale family {fam!r}")

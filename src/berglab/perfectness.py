@@ -182,29 +182,23 @@ def exact_empty_annulus(domain: ZalcmanDomain, k: int, c: float, h_test: ScaleFu
 
 
 def classify_weak_perfectness(
-    domain: ZalcmanDomain,
-    family: str,
-    param: float,
-    eps_list: Sequence[float],
-    profile: Optional[tuple[float, dict]] = None,
-) -> dict:
-    """Check the annulus condition for h_{family,param} and exhibit exact
-    failure witnesses for each weakened parameter in eps_list.
+    domain: ZalcmanDomain, h: ScaleFunction, eps_list: Sequence[float]
+) -> tuple[dict, dict]:
+    """Check the annulus condition for h (an h1 or h2 scale function) and
+    exhibit exact failure witnesses for each weakened parameter
+    h.param - eps, eps in eps_list.
 
     Failure policy: the weakened condition is flagged failed when, for every
     c in ``C_GRID``, some resolved scale carries a certified empty annulus, and
     the c_star profile along the witness radii x_k/2 is strictly decreasing
     at the tail.  All comparisons are plain interval arithmetic.
 
-    ``profile`` is ``best_constant_profile(domain, h_{family,param})`` when
-    the caller already has it; it is computed here otherwise.
+    Returns (report, the table of ``best_constant_profile(domain, h)``).
     """
-    if profile is None:
-        profile = best_constant_profile(domain, ScaleFunction.of(family, param))
-    cs_global, table = profile
+    cs_global, table = best_constant_profile(domain, h)
     report = {
-        "family": family,
-        "param": param,
+        "family": h.family,
+        "param": h.param,
         "satisfied": bool(cs_global > 0.0),
         "c_star_global": cs_global,
         "table_size": int(table["c_star"].size),
@@ -214,17 +208,11 @@ def classify_weak_perfectness(
     tail_radii = [float(domain.xs[k - 1]) / 2.0 for k in range(max(1, domain.K - 4), domain.K)]
     tail_sup = spec0.sup_at_most(np.asarray(tail_radii)).tolist()
     for eps in eps_list:
-        h_weak = ScaleFunction.of(family, param - eps)
-        witnesses = []
-        per_c_ok = []
+        h_weak = ScaleFunction.of(h.family, h.param - eps)
+        witnesses = []  # the first certified empty annulus for each c that has one
         for c in C_GRID:
-            found = None
-            for k in range(1, domain.K):
-                cert = exact_empty_annulus(domain, k, c, h_weak)
-                if cert is not None:
-                    found = cert
-                    break
-            per_c_ok.append(found is not None)
+            certs = (exact_empty_annulus(domain, k, c, h_weak) for k in range(1, domain.K))
+            found = next((cert for cert in certs if cert is not None), None)
             if found is not None:
                 witnesses.append(found)
         # c_star along witness radii r = x_k/2 decreasing at the tail
@@ -233,13 +221,13 @@ def classify_weak_perfectness(
         report["failures"].append(
             {
                 "eps": eps,
-                "param_weak": param - eps,
-                "failed": bool(all(per_c_ok) and decreasing),
+                "param_weak": h_weak.param,
+                "failed": bool(len(witnesses) == len(C_GRID) and decreasing),
                 "witnesses": witnesses,
                 "c_star_tail": tail,
             }
         )
-    return report
+    return report, table
 
 
 # ---------------------------------------------------------------------------
@@ -304,23 +292,31 @@ def condition_C_profile(
     n: int,
 ) -> dict:
     """Probe Cap(disk(a,r) \\ domain)/h(r) over a radius grid; least-squares
-    slope of log cap against log r comes along for exponent diagnostics."""
-    rows = []
-    for r in radii:
+    slope of log cap against log r comes along for exponent diagnostics.
+
+    ``table`` holds the columns ``a_re``, ``a_im``, ``r``, ``cap`` and
+    ``ratio``, one entry per radius; ``cap`` and ``ratio`` are 0 where the
+    disk holds no complement node."""
+    r = np.asarray(radii, dtype=float)
+    cap, ratio = np.zeros(r.size), np.zeros(r.size)
+    for i, ri in enumerate(r.tolist()):
         try:
-            cap, ratio = condition_C_probe(domain, h, a, float(r), n=n)
+            cap[i], ratio[i] = condition_C_probe(domain, h, a, ri, n=n)
         except EmptySetError:
-            cap, ratio = 0.0, 0.0
-        rows.append({"a_re": a.real, "a_im": a.imag, "r": float(r), "cap": cap, "ratio": ratio})
-    good = [(math.log(x["r"]), math.log(x["cap"])) for x in rows if x["cap"] > 0]
+            pass
+    good = cap > 0
     slope = math.nan
-    if len(good) >= 2:
-        lx, ly = np.array([g[0] for g in good]), np.array([g[1] for g in good])
+    if good.sum() >= 2:
+        # scalar math.log: np.log may differ in the last ulp
+        lx = np.array([math.log(x) for x in r[good].tolist()])
+        ly = np.array([math.log(x) for x in cap[good].tolist()])
         slope = float(np.polyfit(lx, ly, 1)[0])
+    positive = ratio[ratio > 0]
     return {
-        "rows": rows,
+        "table": {"a_re": np.full(r.size, a.real), "a_im": np.full(r.size, a.imag),
+                  "r": r, "cap": cap, "ratio": ratio},
         "slope": slope,
-        "ratio_inf": min((x["ratio"] for x in rows if x["ratio"] > 0), default=0.0),
+        "ratio_inf": float(positive.min()) if positive.size else 0.0,
     }
 
 
@@ -331,13 +327,14 @@ def condition_C_profile(
 
 @dataclass(frozen=True)
 class PommerenkeCertificate:
+    """A branching chain; point i's word, its branch at each level (0 stays,
+    1 moves), is i written in binary with k digits."""
+
     a: complex
     c: float
     seed: float  # starting window top s_0
     s: np.ndarray  # derived scales s_1..s_k, s_{l+1} = (c/5) h(s_l)
     points: np.ndarray  # 2^k chain points (Cartesian display values)
-    chain: tuple  # exact (circle index or None, angle, steps) per point
-    words: tuple  # binary index words, aligned with points
     pairwise_ok: bool  # every pair at prefix length m is >= s_{m+1} apart
     distinct: bool  # all points distinct (exact chord distances > 0)
     within_seed_ball: bool  # all points within 2*seed of a
@@ -401,10 +398,6 @@ def _chain_image(domain: CircleDomain, p: _ChainPoint, lo: float, hi: float) -> 
     return _ChainPoint(i, math.atan2((z - c0).imag, (z - c0).real), (0.0,) * (level + 1), z)
 
 
-def _chain_stay(p: _ChainPoint) -> _ChainPoint:
-    return _ChainPoint(p.circle, p.angle_base, p.steps + (0.0,), p.z)
-
-
 def pommerenke_construct(
     domain: CircleDomain,
     a: complex,
@@ -439,39 +432,31 @@ def pommerenke_construct(
         s[l] = (c / 5.0) * h.value(s[l - 1])
         if not s[l] <= 0.5 * s[l - 1]:
             raise PreconditionViolatedError(f"scales must at least halve per level: s_{l} = {s[l]:g}")
+    # each point stays (word digit 0, one more zero step) or moves (digit 1)
     points = [start]
-    words: list[tuple] = [()]
     for l in range(k):
         lo, hi = 5.0 * s[l + 1], s[l]
         new_points = []
-        new_words = []
-        for p, wd in zip(points, words):
+        for p in points:
             try:
                 img = _chain_image(domain, p, lo, hi)
             except ValueError as exc:
                 raise AnnulusEmptyError(
                     l, f"level {l}: no boundary point in [{lo}, {hi}] around {p.z}"
                 ) from exc
-            new_points.append(_chain_stay(p))
-            new_words.append(wd + (0,))
-            new_points.append(img)
-            new_words.append(wd + (1,))
-        points, words = new_points, new_words
+            new_points += [_ChainPoint(p.circle, p.angle_base, p.steps + (0.0,), p.z), img]
+        points = new_points
 
     m = len(points)
-    pairwise_ok = m == 2**k
-    distinct = True
+    pairwise_ok = distinct = True
     for i in range(m):
         for j in range(i + 1, m):
             dij = _chain_distance(points[i], points[j], domain)
             if dij <= 0.0:
                 distinct = False
-            prefix = 0
-            wi, wj = words[i], words[j]
-            while prefix < k and wi[prefix] == wj[prefix]:
-                prefix += 1
             # words first differ at level prefix, whose window floor is
             # 5 s[prefix+1]; later drift eats at most 4 s[prefix+1]
+            prefix = k - (i ^ j).bit_length()
             if dij < s[prefix + 1]:
                 pairwise_ok = False
     pairwise_ok = pairwise_ok and distinct
@@ -486,8 +471,6 @@ def pommerenke_construct(
         seed=float(s[0]),
         s=s[1 : k + 1].copy(),
         points=pts,
-        chain=tuple((p.circle, p.angle_base, p.steps) for p in points),
-        words=tuple(words),
         pairwise_ok=bool(pairwise_ok),
         distinct=bool(distinct),
         within_seed_ball=within,
@@ -518,45 +501,33 @@ def chain_capacity_comparison(
 
 
 def uc_report(
-    domain: ZalcmanDomain,
-    family: str,
-    param: float,
-    eps_list: Sequence[float],
-    n: int,
-    profile: Optional[tuple[float, dict]] = None,
-) -> dict:
-    """One-page diagnostic: annulus-condition classification on one side,
-    capacity-density constants and exponents on the other.
+    domain: ZalcmanDomain, h: ScaleFunction, classification: dict, n: int
+) -> tuple[dict, dict]:
+    """One-page diagnostic: the annulus-condition ``classification`` of h
+    (from ``classify_weak_perfectness``) on one side, capacity-density
+    constants and exponents on the other.
 
-    The full classification over ``eps_list`` is returned under
-    ``classification``; ``U_weakened_failed`` reports its first entry.
-    ``profile`` is passed on to ``classify_weak_perfectness``.
+    ``U_weakened_failed`` reports the classification's first weakening.
+    Returns (the diagnostic, the ``condition_C_profile`` table at the origin).
     """
-    cls = classify_weak_perfectness(domain, family, param, eps_list, profile=profile)
-    h = ScaleFunction.of(family, param)
-    radii = []
-    xs = domain.xs
-    for k in range(1, domain.K):
-        radii.append(1.25 * float(xs[k - 1] + domain.rs[k - 1]))
-    radii = [r for r in radii if r >= resolved_r_min(domain)]
-    prof = condition_C_profile(domain, h, 0j, radii, n=n)
+    # 1.25 (x_k + r_k) for k = 1..K-1, from resolved_r_min up
+    radii = 1.25 * (domain.xs[: domain.K - 1] + domain.rs[: domain.K - 1])
+    prof = condition_C_profile(domain, h, 0j, radii[radii >= resolved_r_min(domain)], n=n)
     out = {
-        "family": family,
-        "param": param,
-        "U_satisfied": cls["satisfied"],
-        "c_star_global": cls["c_star_global"],
-        "U_weakened_failed": cls["failures"][0]["failed"],
-        "classification": cls,
+        "family": h.family,
+        "param": h.param,
+        "U_satisfied": classification["satisfied"],
+        "c_star_global": classification["c_star_global"],
+        "U_weakened_failed": classification["failures"][0]["failed"],
         "C_ratio_inf": prof["ratio_inf"],
         "C_slope": prof["slope"],
-        "rows": prof["rows"],
     }
-    if family == "h1" and 1.0 < param < 2.0:
-        out["C_exponent_bound"] = 1.0 / (2.0 - param)
-        out["C_slope_ok"] = prof["slope"] <= 1.0 / (2.0 - param) + 0.2
-    if family == "h2":
+    if h.family == "h1" and 1.0 < h.param < 2.0:
+        out["C_exponent_bound"] = 1.0 / (2.0 - h.param)
+        out["C_slope_ok"] = prof["slope"] <= 1.0 / (2.0 - h.param) + 0.2
+    if h.family == "h2":
         out["C_ratio_positive"] = prof["ratio_inf"] > 0.0
-    return out
+    return out, prof["table"]
 
 
 def cantor_U_check(C: CantorSet) -> dict:

@@ -146,14 +146,14 @@ def test_criterion_04_scaling_laws():
 
 
 def test_criterion_05_weak_perfectness(h15_10_domain, h2_40_domain):
-    rep1 = perfectness.classify_weak_perfectness(h15_10_domain, "h1", 1.5, [0.1])
+    rep1, _ = perfectness.classify_weak_perfectness(h15_10_domain, ScaleFunction.h1(1.5), [0.1])
     h1_ok = (
         rep1["satisfied"]
         and rep1["c_star_global"] > 0
         and rep1["failures"][0]["failed"]
         and len(rep1["failures"][0]["witnesses"]) > 0
     )
-    rep2 = perfectness.classify_weak_perfectness(h2_40_domain, "h2", 1.0, [0.5])
+    rep2, _ = perfectness.classify_weak_perfectness(h2_40_domain, ScaleFunction.h2(1.0), [0.5])
     h2_ok = (
         rep2["satisfied"]
         and rep2["c_star_global"] > 0

@@ -81,7 +81,7 @@ def test_nth_diameter_antipodal_pair():
     grid = circle_nodes(0, 1.0, 256)
     d, cfg = nth_diameter(grid, 2)
     assert d == pytest.approx(2.0, rel=1e-12)
-    assert abs(cfg.nodes[0] + cfg.nodes[1]) < 1e-12
+    assert abs(cfg[0] + cfg[1]) < 1e-12
 
 
 def test_nth_diameter_equilateral_triangle():
@@ -207,7 +207,7 @@ def test_nth_diameter_matches_reference_search(case):
     d, cfg = nth_diameter(grid, n)
     d_ref, cfg_ref = reference_nth_diameter(grid, n)
     assert d == d_ref
-    assert np.array_equal(cfg.nodes, cfg_ref)
+    assert np.array_equal(cfg, cfg_ref)
 
 
 def test_nth_diameter_matches_reference_with_repeated_nodes():
@@ -216,7 +216,7 @@ def test_nth_diameter_matches_reference_with_repeated_nodes():
     for n in (8, 32, 64):
         d, cfg = nth_diameter(grid, n)
         d_ref, cfg_ref = reference_nth_diameter(grid, n)
-        assert d == d_ref and np.array_equal(cfg.nodes, cfg_ref)
+        assert d == d_ref and np.array_equal(cfg, cfg_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +475,7 @@ def test_subadditivity_precondition():
 
 
 def test_capacity_estimate_json():
-    est = CapacityEstimate(0.5, "transfinite", 64, (0.6, 0.55, 0.5))
+    est = CapacityEstimate(0.5, 64, (0.6, 0.55, 0.5))
     d = est.to_json_dict()
     assert d["value"] == 0.5 and d["method"] == "transfinite" and len(d["diagnostics"]) == 3
 

@@ -6,6 +6,7 @@ import pytest
 
 from berglab import perfectness
 from berglab.cli import main, run
+from berglab.domains import ScaleFunction
 from berglab.errors import ConfigInvalidError
 
 
@@ -122,6 +123,20 @@ def test_pommerenke_pipeline(tmp_path):
 
 
 SMALL_H1 = {"type": "zalcman", "family": "h1", "alpha": 1.5, "x1": 1e-2, "K": 6}
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_chain_words_match_former_tuple_construction(tmp_path, k):
+    # the former construction: every level appends 0 to the staying point's
+    # word and 1 to its image's, stay first
+    words = [()]
+    for _ in range(k):
+        words = [wd + (bit,) for wd in words for bit in (0, 1)]
+    cfg = {"pipeline": "pommerenke", "domain": {**SMALL_H1, "K": 10}, "k": k, "s1": 1e-3}
+    run(cfg, str(tmp_path), "fast")
+    rows = (tmp_path / "chain_points.csv").read_text().splitlines()
+    assert rows[0] == "re,im,word"
+    assert [row.split(",")[2] for row in rows[1:]] == ["".join(map(str, wd)) for wd in words]
 
 
 def test_perfect_computes_profile_once(tmp_path, monkeypatch):
@@ -405,6 +420,27 @@ def test_unreadable_config_is_a_config_error(tmp_path, capsys, cfg, message):
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("pipeline", ["perfect", "pommerenke"])
+def test_scale_function_is_read_at_the_key_its_family_names(tmp_path, pipeline):
+    # an h2 domain with a stray alpha was built at beta = 1 but tested at
+    # h2(3.0): perfect exited 0 with "param": 3.0, and the chain's scales
+    # followed h2(3.0) until a window missed the boundary (exit 3 at k = 5)
+    domain = {"type": "zalcman", "family": "h2", "beta": 1.0, "alpha": 3.0, "x1": 1e-3, "K": 10}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"pipeline": pipeline, "domain": domain}))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    if pipeline == "perfect":
+        rep = json.loads((tmp_path / "o" / "perfect_report.json").read_text())
+        assert rep["classification"]["param"] == rep["uc"]["param"] == 1.0
+        assert rep["classification"]["failures"][0]["param_weak"] == pytest.approx(0.9)
+    else:
+        cert = json.loads((tmp_path / "o" / "pommerenke_certificate.json").read_text())
+        h, s = ScaleFunction.h2(1.0), [1e-4]  # the seed s1 defaults to x1 / 10
+        for _ in range(5):
+            s.append(0.2 * h.value(s[-1]))
+        assert cert["scales"] == s[1:]
 
 
 def test_perfect_weakened_scale_family_is_validated(tmp_path, capsys):

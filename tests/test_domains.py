@@ -141,6 +141,49 @@ def test_build_rejects_bad_configs():
         build_zalcman(ScaleFunction.h1(2.0), 0.1, K=0)
 
 
+def former_disjointness(logx, x1, K):
+    """The builder's former disjointness check, which read r_k from its own
+    array ``logr = logx[1:].copy()`` (test oracle)."""
+    logr = logx[1:].copy()
+    for k in range(K + 1):
+        ratio_next = math.exp(logx[k + 1] - logx[k])
+        r_next_over = math.exp(logr[k + 1] - logx[k]) if k + 2 <= K + 1 else 0.0
+        r_over = math.exp(logr[k] - logx[k])
+        if ratio_next + r_next_over >= 1.0 - r_over:
+            return False
+    return x1 + math.exp(logr[0]) < 1.0
+
+
+@st.composite
+def zalcman_specs(draw):
+    """(h, x1, K, variant) over both families; many specs are not disjoint."""
+    family = draw(st.sampled_from(["h1", "h2"]))
+    h = ScaleFunction.of(family, draw(st.floats(1.05, 3.0) if family == "h1" else st.floats(0.1, 3.0)))
+    x1 = math.exp(draw(st.floats(math.log(1e-8), math.log(0.9 * h.epsilon0))))
+    return h, x1, draw(st.integers(1, 40)), draw(st.sampled_from(["superset", "sandwich"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(zalcman_specs())
+def test_scales_match_former_log_radius_array(spec):
+    h, x1, K, variant = spec
+    logx = [math.log(x1)]
+    for _ in range(K + 1):
+        logx.append(h.log_value(logx[-1]))
+    try:
+        dom = build_zalcman(h, x1, K, variant)
+    except ScaleUnderflowError:
+        return
+    except NonDisjointError as exc:
+        assert "decreasing" in str(exc) or not former_disjointness(np.asarray(logx), x1, K)
+        return
+    assert np.array_equal(dom.logx, logx) and former_disjointness(dom.logx, x1, K)
+    # r_k = x_{k+1}, bit for bit as the former exp of a separate log r_k array
+    former_rs = np.exp(dom.logx[1:].copy())
+    assert np.array_equal(dom.rs.view(np.int64), former_rs.view(np.int64))
+    assert np.array_equal(dom.radii.view(np.int64), former_rs[:K].view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # distance spectra
 # ---------------------------------------------------------------------------
@@ -436,6 +479,59 @@ def test_contains_array_matches_scalar(dom_zs):
     for z, g in zip(zs.tolist(), got.tolist()):
         scalar = dom.contains(z)
         assert isinstance(scalar, bool) and scalar == g
+
+
+#: samples per circle of the dense boundary oracle below
+SPECTRUM_SAMPLES = 4096
+
+
+@st.composite
+def spectrum_queries(draw):
+    """(domain, boundary point a, radii): radii log-uniform or next to an end
+    of a's spectrum, on Zalcman domains (superset and sandwich), the disk and
+    the annulus."""
+    dom = draw(st.sampled_from(CONTAINS_DOMAINS))
+    a = draw(boundary_points(dom))
+    spec = dom.distance_spectrum(a)
+    ends = [e for e in spec.intervals.ravel().tolist() + spec.points.tolist() if e > 0.0]
+    radius = st.one_of(
+        st.floats(math.log(1e-13), math.log(2.5)).map(math.exp),
+        st.tuples(st.sampled_from(ends), st.floats(-0.01, 0.01)).map(lambda t: t[0] * math.exp(t[1])),
+    )
+    return dom, a, draw(st.lists(radius, min_size=1, max_size=8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(spectrum_queries())
+def test_distance_spectrum_matches_dense_sampling(query):
+    dom, a, radii = query
+    spec = dom.distance_spectrum(a)
+    # per circle: the sampled distances, and the resolution R = pi rho / N
+    # (every point of the circle lies within arc length R of a sample, and
+    # |z - a| is 1-Lipschitz in z)
+    ring = np.exp(2j * math.pi * np.arange(SPECTRUM_SAMPLES) / SPECTRUM_SAMPLES)
+    circles = list(zip(dom.circle_centers.tolist(), dom.circle_radii.tolist()))
+    dists = [np.abs(c + rho * ring - a) for c, rho in circles]
+    res = [math.pi * rho / SPECTRUM_SAMPLES for _, rho in circles]
+    if dom.include_origin:
+        dists.append(np.array([abs(a)]))
+        res.append(0.0)
+    d = np.concatenate(dists)
+    # rounding of the sample positions and of the spectrum ends
+    tol = 16 * np.finfo(float).eps * (abs(a) + d + 1e-300)
+    ivs, pts = spec.intervals, spec.points
+    inside = np.any((ivs[:, :1] - tol <= d) & (d <= ivs[:, 1:] + tol), axis=0)
+    inside |= np.any(np.abs(pts[:, None] - d) <= tol, axis=0)
+    assert inside.all(), d[~inside][:5]
+    sups = spec.sup_at_most(np.asarray(radii))
+    for r, sup in zip(radii, sups.tolist()):
+        # no sampled distance <= r passes sup, and sup is within one
+        # resolution of a sampled distance <= r + resolution
+        best = max((float(x[x <= r].max(initial=0.0)) for x in dists), default=0.0)
+        near = max(float(x[x <= r + R].max(initial=-math.inf)) + R for x, R in zip(dists, res))
+        slack = 16 * np.finfo(float).eps * (abs(a) + r)
+        assert best <= sup + slack
+        assert sup <= max(near, 0.0) + slack
 
 
 # ---------------------------------------------------------------------------

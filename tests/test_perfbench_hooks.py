@@ -38,12 +38,16 @@ def test_traced_gram_round_reports_its_layers(tmp_path):
 
 def test_traced_annulus_round_reports_its_layers(tmp_path):
     trace = traced_round("annulus", tmp_path)
+    # one classification per Zalcman domain, each tabulating its own c* profile
+    assert trace["perfectness.classify.calls"] == 2
     assert trace["perfectness.best_constant_profile.calls"] == 2
     assert trace["perfectness.condition_C_probe.calls"] == 15
 
 
 def test_traced_capacity_round_reports_its_layers(tmp_path):
     trace = traced_round("capacity", tmp_path)
+    # one search per reference set and one for the chain's comparison disk
+    assert trace["capacity.nth_diameter.calls"] == 5
     assert trace["capacity.equilibrium_measure.calls"] == 18
     assert trace["capacity.equilibrium_measure.iterations"] == 18
     assert trace["quadrature.rational_eval.calls"] == 21

@@ -138,7 +138,7 @@ def test_profile_decays_for_weakened_exponent():
 
 
 def test_classify_h1(h1_domain):
-    rep = classify_weak_perfectness(h1_domain, "h1", 1.5, [0.1])
+    rep, _ = classify_weak_perfectness(h1_domain, ScaleFunction.h1(1.5), [0.1])
     assert rep["satisfied"] and rep["c_star_global"] > 0
     f = rep["failures"][0]
     assert f["failed"]
@@ -148,7 +148,7 @@ def test_classify_h1(h1_domain):
 
 
 def test_classify_h2(h2_domain):
-    rep = classify_weak_perfectness(h2_domain, "h2", 1.0, [0.5])
+    rep, _ = classify_weak_perfectness(h2_domain, ScaleFunction.h2(1.0), [0.5])
     assert rep["satisfied"] and rep["c_star_global"] > 0
     assert rep["failures"][0]["failed"]
 
@@ -257,13 +257,15 @@ def test_chain_requires_boundary_start(h1_domain):
 
 
 def test_uc_report_h1(h1_domain):
-    rep = uc_report(h1_domain, "h1", 1.5, eps_list=[0.1], n=48)
+    h = ScaleFunction.h1(1.5)
+    rep, _ = uc_report(h1_domain, h, classify_weak_perfectness(h1_domain, h, [0.1])[0], n=48)
     assert rep["U_satisfied"] and rep["U_weakened_failed"]
     assert rep["C_slope_ok"]
 
 
 def test_uc_report_h2(h2_domain):
-    rep = uc_report(h2_domain, "h2", 1.0, eps_list=[0.5], n=32)
+    h = ScaleFunction.h2(1.0)
+    rep, _ = uc_report(h2_domain, h, classify_weak_perfectness(h2_domain, h, [0.5])[0], n=32)
     assert rep["U_satisfied"] and rep["U_weakened_failed"]
     assert rep["C_ratio_positive"]
 
