@@ -2,7 +2,6 @@
 
 from .asymptotics import MODELS, AsymptoticFit, fit_model, linear_fit_r2, select_model
 from .bergman import (
-    BasisSpec,
     GramSystem,
     KernelEstimate,
     MetricEstimate,

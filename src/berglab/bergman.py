@@ -53,54 +53,32 @@ ETA = 0.5
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BasisSpec:
-    """Polynomials up to ``degree`` plus poles of orders 1..pole_order at the
-    listed centers.  Negative-power monomials (annulus bases) are poles at 0
-    with higher orders allowed.
+def default_basis(domain: CircleDomain, degree: int = 8) -> list[RationalFunction]:
+    """Polynomials up to ``degree``, then poles of orders 1..m at every center
+    the domain keeps outside itself: m = ``POLE_ORDER`` at Zalcman holes, and
+    m = ``degree`` at the center of an annulus (negative-power monomials).
 
-    Each pole function carries the coefficient scale**(order-1): kernel and
-    metric values are exactly invariant under diagonal basis scaling, and
-    this choice keeps deep-scale Gram entries inside double range (a raw
-    order-2 pole at a hole of radius r has norm ~ 1/r^2).
+    A pole of order m carries the coefficient scale**(m-1), scale being the
+    radius of the hole around it (1 on the annulus): kernel and metric values
+    are exactly invariant under diagonal basis scaling, and this keeps
+    deep-scale Gram entries inside double range (a raw order-2 pole at a
+    hole of radius r has norm ~ 1/r^2).
     """
-
-    degree: int = 8
-    pole_centers: tuple = ()
-    pole_order: int = 2
-    pole_scales: tuple = ()
-
-    def _scales(self) -> tuple:
-        if self.pole_scales:
-            return self.pole_scales
-        return tuple(1.0 for _ in self.pole_centers)
-
-    def functions(self) -> list[RationalFunction]:
-        fns = [RationalFunction.monomial(j) for j in range(self.degree + 1)]
-        for c, s in zip(self.pole_centers, self._scales()):
-            for m in range(1, self.pole_order + 1):
-                fns.append(RationalFunction.pole(complex(c), m, coeff=s ** (m - 1)))
-        return fns
-
-
-def default_basis(domain: CircleDomain, degree: int = 8) -> BasisSpec:
-    """Poles at every center the domain variant keeps outside itself."""
+    centers, scales, order = [], [], POLE_ORDER
     if isinstance(domain, ZalcmanDomain):
-        if domain.variant == "superset":
-            centers = tuple(complex(x) for x in domain.xs[: domain.K])
-            scales = tuple(float(r) for r in domain.rs[: domain.K])
-        else:
+        n = domain.K if domain.variant == "superset" else domain.K + 1
+        centers, scales = domain.xs[:n].tolist(), domain.rs[:n].tolist()
+        if domain.variant == "sandwich":
             # the inner barrier swallows x_{K+1} and the origin
-            centers = tuple(complex(x) for x in domain.xs[: domain.K + 1]) + (0j,)
-            scales = tuple(float(r) for r in domain.rs[: domain.K + 1]) + (
-                float(domain.inner_radius),
-            )
-        return BasisSpec(
-            degree=degree, pole_centers=centers, pole_order=POLE_ORDER, pole_scales=scales
-        )
-    if domain.inner_radius is not None:
-        return BasisSpec(degree=degree, pole_centers=(0j,), pole_order=degree)
-    return BasisSpec(degree=degree, pole_centers=(), pole_order=POLE_ORDER)
+            centers.append(0.0)
+            scales.append(float(domain.inner_radius))
+    elif domain.inner_radius is not None:
+        centers, scales, order = [0.0], [1.0], degree
+    fns = [RationalFunction.monomial(j) for j in range(degree + 1)]
+    for c, s in zip(centers, scales):
+        for m in range(1, order + 1):
+            fns.append(RationalFunction.pole(complex(c), m, coeff=s ** (m - 1)))
+    return fns
 
 
 @dataclass
@@ -133,8 +111,9 @@ class GramSystem:
         return complex(np.sum(np.where(self.kept, np.conj(uu) * vv / self.eigvals, 0.0)))
 
 
-def assemble_gram(domain: CircleDomain, spec: Optional[BasisSpec] = None) -> GramSystem:
-    """Gram matrix of the basis over the domain, equilibrated and factorized.
+def assemble_gram(domain: CircleDomain, fns: Optional[list[RationalFunction]] = None) -> GramSystem:
+    """Gram matrix of the basis ``fns`` (default: ``default_basis``) over the
+    domain, equilibrated and factorized.
 
     Deep-scale conditioning comes from exact diagonal equilibration (the
     kernel and metric values are invariant under diagonal basis scaling);
@@ -142,8 +121,7 @@ def assemble_gram(domain: CircleDomain, spec: Optional[BasisSpec] = None) -> Gra
     tolerance, so downstream extrema are taken over the kept eigenspace and
     remain valid subspace bounds.
     """
-    spec = spec if spec is not None else default_basis(domain)
-    fns = spec.functions()
+    fns = fns if fns is not None else default_basis(domain)
     basis = Basis.of(fns)
     G, info = boundary_gram(domain_circles(domain), basis)
     diag = np.real(np.diag(G)).copy()

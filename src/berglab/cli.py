@@ -21,7 +21,7 @@ import numpy as np
 
 from . import asymptotics, bergman, perfectness
 from .capacity import capacity_via_transfinite, circle_nodes, equilibrium_measure, nth_diameter, segment_nodes
-from .domains import PARAM_KEY, CantorSet, CircleDomain, ScaleFunction, ZalcmanDomain, domain_from_json
+from .domains import CantorSet, CircleDomain, ScaleFunction, ZalcmanDomain, domain_from_json
 from .errors import BerglabError, ConfigInvalidError
 from .quadrature import mc_integral
 
@@ -70,10 +70,11 @@ def write_csv(path: Path, table: dict) -> None:
 
 
 def write_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _jsonable(obj):
+    """Plain JSON values; non-finite floats, which JSON cannot hold, become None."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -82,11 +83,11 @@ def _jsonable(obj):
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
+        return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     return obj
@@ -96,7 +97,7 @@ def _jsonable(obj):
 # config readers: each returns a checked value or raises ConfigInvalidError
 # ---------------------------------------------------------------------------
 
-_KIND_NAMES = {ZalcmanDomain: "zalcman", CircleDomain: "circle"}
+_KIND_NAMES = {ZalcmanDomain: "zalcman", CantorSet: "cantor"}
 
 
 def _domain(cfg: dict, *kinds: type):
@@ -147,31 +148,6 @@ def _bands(cfg: dict, domain: ZalcmanDomain, default: tuple[int, int]) -> range:
     return range(k_lo, k_hi + 1)
 
 
-def _scale_family(cfg: dict, eps_list=()) -> ScaleFunction:
-    """The scale function h of a ``perfect`` or ``pommerenke`` run: the
-    domain's family at the key that family names (``alpha`` for h1, ``beta``
-    for h2), which ``perfect`` lets the config's own ``family`` and ``param``
-    override.  The weakened h at ``param - eps`` must be valid too for every
-    eps."""
-    dom = cfg["domain"]
-    family = dom.get("family", "h1")
-    try:
-        param = dom.get(PARAM_KEY.get(family), 0.0)  # TypeError for an unhashable family
-        if cfg["pipeline"] == "perfect":
-            family, param = cfg.get("family") or family, cfg.get("param", param)
-        param = float(param)
-        h = ScaleFunction.of(family, param)
-        for eps in eps_list:
-            ScaleFunction.of(family, param - eps)
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalidError(
-            f"{cfg['pipeline']!r} needs a scale function h: {exc}. h is the domain's family at its alpha "
-            "(h1, > 1) or beta (h2, > 0); for perfect the config's family and param override "
-            "them, and param - eps must be valid for every eps in eps_list"
-        ) from exc
-    return h
-
-
 # ---------------------------------------------------------------------------
 # pipelines: run_<name>(cfg, profile) -> (summary, artifacts); artifacts maps
 # a file name to a JSON object or, for .csv, to a dict of equal-length columns
@@ -187,12 +163,12 @@ def run_selfcheck(cfg: dict, profile: dict) -> tuple[dict, dict]:
         rows.append([name, value, target, rel, "pass" if ok else "fail"])
 
     disk = CircleDomain.build()
-    gs = bergman.assemble_gram(disk, bergman.BasisSpec(degree=8))
+    gs = bergman.assemble_gram(disk)
     check("disk_kernel_center", bergman.subspace_kernel(gs, 0j).K_low, 1.0 / math.pi, 1e-6)
     check("disk_metric_center", bergman.subspace_metric(gs, 0j).b_est, math.sqrt(2.0), 1e-6)
     check("disk_kernel_half", bergman.subspace_kernel(gs, 0.5 + 0j).K_low, 1.0 / (math.pi * 0.75**2), 5e-3)
     ann = CircleDomain.build(inner_radius=0.5)
-    gs_ann = bergman.assemble_gram(ann, bergman.BasisSpec(degree=8, pole_centers=(0j,), pole_order=8))
+    gs_ann = bergman.assemble_gram(ann)
     oracle = 0.0
     for n in range(-8, 9):
         nrm = 2 * math.pi * (math.log(2.0) if n == -1 else (1 - 0.5 ** (2 * n + 2)) / (2 * n + 2))
@@ -272,17 +248,27 @@ def run_capacity(cfg: dict, profile: dict) -> tuple[dict, dict]:
 
 
 def run_perfect(cfg: dict, profile: dict) -> tuple[dict, dict]:
+    for key in ("family", "param"):
+        if key in cfg:
+            raise ConfigInvalidError(
+                f"{key!r} is no longer read: perfect tests the zalcman domain's own h, "
+                "its family at its alpha (h1) or beta (h2)"
+            )
     eps_list = cfg.get("eps_list", [0.1])
     if not (isinstance(eps_list, list) and eps_list and all(map(_positive, eps_list))):
         raise ConfigInvalidError(f"eps_list must be a non-empty list of numbers > 0, got {eps_list!r}")
-    domain = _domain(cfg)
+    domain = _domain(cfg, ZalcmanDomain, CantorSet)
     if isinstance(domain, CantorSet):
         rep = perfectness.cantor_U_check(domain)
         return {"passed": rep["passed"]}, {"perfect_report.json": rep}
-    # the scale family before the domain kind: a disk names no family
-    h = _scale_family(cfg, eps_list)
-    if not isinstance(domain, ZalcmanDomain):
-        raise ConfigInvalidError("pipeline 'perfect' needs a zalcman or cantor domain")
+    h = domain.h
+    try:
+        for eps in eps_list:
+            ScaleFunction.of(h.family, h.param - eps)
+    except ValueError as exc:
+        raise ConfigInvalidError(
+            f"the weakened h at param - eps must be valid for every eps in eps_list, with param = {h.param}: {exc}"
+        ) from exc
     rep, c_star = perfectness.classify_weak_perfectness(domain, h, eps_list)
     uc, condition_C = perfectness.uc_report(domain, h, rep, n=profile["n_cap"])
     summary = {"satisfied": rep["satisfied"], "weakened_failed": all(f["failed"] for f in rep["failures"])}
@@ -294,10 +280,7 @@ def run_perfect(cfg: dict, profile: dict) -> tuple[dict, dict]:
 
 
 def run_pommerenke(cfg: dict, profile: dict) -> tuple[dict, dict]:
-    domain = _domain(cfg, CircleDomain)
-    h = _scale_family(cfg)
-    if "s1" not in cfg and not isinstance(domain, ZalcmanDomain):
-        raise ConfigInvalidError("pipeline 'pommerenke' needs s1 unless the domain is zalcman")
+    domain = _domain(cfg, ZalcmanDomain)
     for key in ("c", "s1"):
         if key in cfg and not _positive(cfg[key]):
             raise ConfigInvalidError(f"pipeline 'pommerenke' needs {key} > 0, got {cfg[key]!r}")
@@ -309,8 +292,8 @@ def run_pommerenke(cfg: dict, profile: dict) -> tuple[dict, dict]:
     k = _integer(cfg, "k", 5, 1)
     c = float(cfg.get("c", 1.0))
     s1 = float(cfg.get("s1", domain.x1 / 10.0))
-    cert = perfectness.pommerenke_construct(domain, a, c, k, s1, h)
-    comp = perfectness.chain_capacity_comparison(domain, cert, h, n=profile["n_cap"])
+    cert = perfectness.pommerenke_construct(domain, a, c, k, s1, domain.h)
+    comp = perfectness.chain_capacity_comparison(domain, cert, domain.h, n=profile["n_cap"])
     report = {
         "depth": cert.depth,
         "points": len(cert.points),
@@ -425,10 +408,17 @@ def run_fit(cfg: dict, profile: dict) -> tuple[dict, dict]:
         if key == "samples":
             pairs = cfg["samples"]
         else:
-            lines = Path(cfg["samples_csv"]).read_text().strip().splitlines()[1:]
-            pairs = [ln.split(",")[:2] for ln in lines]
+            header, *lines = Path(cfg["samples_csv"]).read_text().strip().splitlines()
+            names = header.split(",")
+            if "x" not in names or "value" not in names:
+                raise ConfigInvalidError(
+                    f"samples_csv needs columns named x and value, got {names}; a kernel sweep "
+                    "is fitted by the kernel pipeline itself, in kernel_fits.json"
+                )
+            ix, iv = names.index("x"), names.index("value")
+            pairs = [(row[ix], row[iv]) for row in (ln.split(",") for ln in lines)]
         samples = [(float(x), float(v)) for x, v in pairs]
-    except (OSError, TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError, IndexError) as exc:
         raise ConfigInvalidError(f"{key} must give (x, value) pairs of numbers: {exc}") from exc
     preferred, margin, fits = asymptotics.select_model(samples, models)
     report = {

@@ -38,7 +38,7 @@ LOG_FLOOR = -690.0
 #: tolerance for "lies on the boundary" queries
 BOUNDARY_TOL = 1e-12
 
-#: the JSON key of each parametric scale family's parameter
+#: the JSON key of each scale family's parameter
 PARAM_KEY = {"h1": "alpha", "h2": "beta"}
 
 
@@ -54,55 +54,36 @@ class ScaleFunction:
     Families:
       * ``h1``:  h(r) = r**alpha          (alpha > 1)
       * ``h2``:  h(r) = r * log(1/r)**-beta   (beta > 0)
-      * ``table``: monotone samples, interpolated linearly in log-log space.
 
     h is strictly increasing and satisfies h(r) < r on its validity range.
     """
 
     family: str
-    param: float = 0.0  # alpha for h1, beta for h2
-    log_r_samples: Optional[np.ndarray] = None
-    log_h_samples: Optional[np.ndarray] = None
-    epsilon0: float = 1.0
+    param: float  # alpha for h1, beta for h2
 
     @classmethod
     def h1(cls, alpha: float) -> "ScaleFunction":
         if alpha <= 1.0:
             raise ValueError("h1 requires alpha > 1")
-        return cls(family="h1", param=float(alpha), epsilon0=1.0)
+        return cls(family="h1", param=float(alpha))
 
     @classmethod
     def h2(cls, beta: float) -> "ScaleFunction":
         if beta <= 0.0:
             raise ValueError("h2 requires beta > 0")
-        # h(r) < r needs log(1/r) > 1
-        return cls(family="h2", param=float(beta), epsilon0=math.exp(-1.0))
+        return cls(family="h2", param=float(beta))
 
     @classmethod
     def of(cls, family: str, param: float) -> "ScaleFunction":
         """The h1 family at alpha = param, or the h2 family at beta = param."""
-        if family not in ("h1", "h2"):
+        if family not in PARAM_KEY:
             raise ValueError(f"unknown family {family!r}")
         return getattr(cls, family)(param)
 
-    @classmethod
-    def from_table(cls, r_samples: Sequence[float], h_samples: Sequence[float]) -> "ScaleFunction":
-        r = np.asarray(r_samples, dtype=float)
-        h = np.asarray(h_samples, dtype=float)
-        if r.ndim != 1 or r.shape != h.shape or r.size < 2:
-            raise ValueError("table needs matching 1-d sample arrays, length >= 2")
-        if np.any(r <= 0) or np.any(h <= 0):
-            raise ValueError("table samples must be positive")
-        if np.any(np.diff(r) <= 0) or np.any(np.diff(h) <= 0):
-            raise ValueError("table samples must be strictly increasing")
-        if np.any(h >= r):
-            raise ValueError("table must satisfy h(r) < r")
-        return cls(
-            family="table",
-            log_r_samples=np.log(r),
-            log_h_samples=np.log(h),
-            epsilon0=float(r[-1]),
-        )
+    @property
+    def epsilon0(self) -> float:
+        # h2(r) < r needs log(1/r) > 1
+        return 1.0 if self.family == "h1" else math.exp(-1.0)
 
     def log_value(self, log_r):
         """log h(r) from log r; vectorized."""
@@ -111,8 +92,6 @@ class ScaleFunction:
             out = self.param * log_r
         elif self.family == "h2":
             out = log_r - self.param * np.log(-log_r)
-        elif self.family == "table":
-            out = np.interp(log_r, self.log_r_samples, self.log_h_samples)
         else:  # pragma: no cover
             raise ValueError(f"unknown family {self.family!r}")
         return out if out.shape else float(out)
@@ -143,15 +122,6 @@ class ScaleFunction:
         if abs(self.log_value(g) - log_t) > 1e-12:
             raise BisectionFailureError("bisection did not converge")
         return math.exp(g)
-
-    def to_json_dict(self) -> dict:
-        if self.family in PARAM_KEY:
-            return {"family": self.family, PARAM_KEY[self.family]: self.param}
-        return {
-            "family": "table",
-            "r": np.exp(self.log_r_samples).tolist(),
-            "h": np.exp(self.log_h_samples).tolist(),
-        }
 
 
 def scale_inverse_check(h: ScaleFunction, t: float) -> tuple[float, bool]:
@@ -500,8 +470,8 @@ class ZalcmanDomain(CircleDomain):
         return self.xs[1:]
 
     def to_json_dict(self) -> dict:
-        return {"type": "zalcman", **self.h.to_json_dict(), "x1": self.x1,
-                "K": self.K, "variant": self.variant}
+        return {"type": "zalcman", "family": self.h.family, PARAM_KEY[self.h.family]: self.h.param,
+                "x1": self.x1, "K": self.K, "variant": self.variant}
 
 
 def build_zalcman(
@@ -652,20 +622,14 @@ def _assemble_cantor(l0: float, alpha: float, J: int, lengths: np.ndarray) -> Ca
 # ---------------------------------------------------------------------------
 
 
-def scale_from_json(d: dict) -> ScaleFunction:
-    fam = d.get("family")
-    if fam in PARAM_KEY:
-        return ScaleFunction.of(fam, float(d[PARAM_KEY[fam]]))
-    if fam == "table":
-        return ScaleFunction.from_table(d["r"], d["h"])
-    raise ValueError(f"unknown scale family {fam!r}")
-
-
 def domain_from_json(d: dict):
     """Build a domain object from its JSON description."""
     t = d.get("type")
     if t == "zalcman":
-        h = scale_from_json(d)
+        fam = d.get("family")
+        if fam not in PARAM_KEY:
+            raise ValueError(f"unknown scale family {fam!r}")
+        h = ScaleFunction.of(fam, float(d[PARAM_KEY[fam]]))
         return build_zalcman(h, float(d["x1"]), int(d["K"]), d.get("variant", "superset"))
     if t == "cantor":
         return build_cantor(float(d["l0"]), float(d["alpha"]), int(d["J"]))

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from basis_oracle import spec_functions
 from berglab import asymptotics, bergman, capacity, cli, perfectness
 from berglab.capacity import (
     cantor_capacity_bound,
@@ -69,12 +70,12 @@ def mid_band(dom, k):
 
 def test_criterion_01_closed_form_suite():
     t0 = time.monotonic()
-    gs = bergman.assemble_gram(CircleDomain.build(), bergman.BasisSpec(degree=8))
+    gs = bergman.assemble_gram(CircleDomain.build(), spec_functions(degree=8))
     k0 = bergman.subspace_kernel(gs, 0j).K_low
     b0 = bergman.subspace_metric(gs, 0j).b_est
     k_half = bergman.subspace_kernel(gs, 0.5 + 0j).K_low
     ann = CircleDomain.build(inner_radius=0.5)
-    gs_ann = bergman.assemble_gram(ann, bergman.BasisSpec(degree=8, pole_centers=(0j,), pole_order=8))
+    gs_ann = bergman.assemble_gram(ann, spec_functions(degree=8, pole_centers=(0j,), pole_order=8))
     k_ann = bergman.subspace_kernel(gs_ann, 0.7 + 0j).K_low
     oracle = 0.0
     for n in range(-8, 9):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from basis_oracle import spec_functions
 from berglab.bergman import (
-    BasisSpec,
+    POLE_ORDER,
     assemble_gram,
     band_increments,
     cauchy_transform_norm_check,
@@ -16,13 +17,13 @@ from berglab.bergman import (
     witness_kernel_bound,
     witness_metric_bound,
 )
-from berglab.domains import CircleDomain, ScaleFunction, build_zalcman
+from berglab.domains import CircleDomain, ScaleFunction, ZalcmanDomain, build_zalcman
 from berglab.errors import OutsideDomainError, ScaleNotRetainedError
 
 
 @pytest.fixture(scope="module")
 def disk_gram():
-    return assemble_gram(CircleDomain.build(), BasisSpec(degree=8))
+    return assemble_gram(CircleDomain.build(), spec_functions(degree=8))
 
 
 @pytest.fixture(scope="module")
@@ -60,14 +61,14 @@ def test_disk_metric_center(disk_gram):
 
 
 def test_disk_metric_half():
-    gs = assemble_gram(CircleDomain.build(), BasisSpec(degree=10))
+    gs = assemble_gram(CircleDomain.build(), spec_functions(degree=10))
     est = subspace_metric(gs, 0.5 + 0j)
     assert est.b_est == pytest.approx(math.sqrt(2.0) / 0.75, rel=0.01)
 
 
 def test_annulus_kernel_vs_laurent_oracle():
     dom = CircleDomain.build(inner_radius=0.5)
-    gs = assemble_gram(dom, BasisSpec(degree=8, pole_centers=(0j,), pole_order=8))
+    gs = assemble_gram(dom, spec_functions(degree=8, pole_centers=(0j,), pole_order=8))
     w = 0.7 + 0j
     est = subspace_kernel(gs, w)
     # oracle at matched truncation |n| <= 8: sum |w|^(2n) / ||z^n||^2
@@ -82,6 +83,41 @@ def test_annulus_kernel_vs_laurent_oracle():
     assert est.K_low == pytest.approx(oracle, rel=1e-6)  # matched bases agree tightly
 
 
+def former_default_basis(domain, degree):
+    """``default_basis`` as it was stated through the former ``BasisSpec``."""
+    if isinstance(domain, ZalcmanDomain):
+        n = domain.K if domain.variant == "superset" else domain.K + 1
+        centers = tuple(complex(x) for x in domain.xs[:n])
+        scales = tuple(float(r) for r in domain.rs[:n])
+        if domain.variant == "sandwich":
+            centers, scales = centers + (0j,), scales + (float(domain.inner_radius),)
+        return spec_functions(degree, centers, POLE_ORDER, scales)
+    if domain.inner_radius is not None:
+        return spec_functions(degree, (0j,), degree)
+    return spec_functions(degree, (), POLE_ORDER)
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        build_zalcman(ScaleFunction.h1(1.5), 0.01, K=10),
+        build_zalcman(ScaleFunction.h2(1.0), 1e-3, K=12, variant="sandwich"),
+        CircleDomain.build(),
+        CircleDomain.build(inner_radius=0.5),
+    ],
+    ids=["zalcman-superset", "zalcman-sandwich", "disk", "annulus"],
+)
+@pytest.mark.parametrize("degree", [0, 3, 8])
+def test_default_basis_matches_former_spec(domain, degree):
+    got, want = default_basis(domain, degree), former_default_basis(domain, degree)
+    assert len(got) == len(want)
+    for f, g in zip(got, want):
+        for attr in ("poly", "pole_centers", "pole_orders", "pole_coeffs"):
+            a, b = getattr(f, attr), getattr(g, attr)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
 def test_outside_domain_guard(disk_gram):
     with pytest.raises(OutsideDomainError):
         subspace_kernel(disk_gram, 1.5 + 0j)
@@ -93,8 +129,8 @@ def test_outside_domain_guard(disk_gram):
 
 
 def test_basis_monotonicity(h15_domain):
-    small = assemble_gram(h15_domain, BasisSpec(degree=4, pole_centers=tuple(h15_domain.xs[:10]), pole_order=1))
-    big = assemble_gram(h15_domain, BasisSpec(degree=8, pole_centers=tuple(h15_domain.xs[:10]), pole_order=2))
+    small = assemble_gram(h15_domain, spec_functions(degree=4, pole_centers=tuple(h15_domain.xs[:10]), pole_order=1))
+    big = assemble_gram(h15_domain, spec_functions(degree=8, pole_centers=tuple(h15_domain.xs[:10]), pole_order=2))
     for x in (0.3, 0.05, 0.003):
         k_small = subspace_kernel(small, complex(-x)).K_low
         k_big = subspace_kernel(big, complex(-x)).K_low
@@ -105,9 +141,9 @@ def test_domain_monotonicity_superset_vs_sandwich():
     h = ScaleFunction.h1(1.5)
     sup = build_zalcman(h, 0.01, K=6, variant="superset")
     sand = build_zalcman(h, 0.01, K=6, variant="sandwich")
-    spec = BasisSpec(degree=6, pole_centers=tuple(sup.xs[:6]), pole_order=2)
-    gs_sup = assemble_gram(sup, spec)
-    gs_sand = assemble_gram(sand, spec)
+    fns = spec_functions(degree=6, pole_centers=tuple(sup.xs[:6]), pole_order=2)
+    gs_sup = assemble_gram(sup, fns)
+    gs_sand = assemble_gram(sand, fns)
     for x in (0.3, 0.05, 0.004):
         k_sup = subspace_kernel(gs_sup, complex(-x)).K_low
         k_sand = subspace_kernel(gs_sand, complex(-x)).K_low
@@ -255,7 +291,7 @@ def test_distance_profile_smoke(h15_domain, h15_gram):
 def test_disk_distance_matches_arctanh_oracle():
     # Bergman length along [0, x] in the unit disk is sqrt(2) * atanh(x);
     # trapezoid of b_est over a fine grid must track it for x <= 0.85
-    gs = assemble_gram(CircleDomain.build(), BasisSpec(degree=24))
+    gs = assemble_gram(CircleDomain.build(), spec_functions(degree=24))
     xs = np.linspace(0.0, 0.85, 35)
     b = np.array([bergman_metric_b(gs, x) for x in xs])
     d = np.concatenate([[0.0], np.cumsum(0.5 * (b[1:] + b[:-1]) * np.diff(xs))])

@@ -1,11 +1,16 @@
 import json
 import math
+import struct
 from pathlib import Path
 
 import pytest
 
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from berglab import perfectness
-from berglab.cli import main, run
+from berglab.cli import main, run, write_json
 from berglab.domains import ScaleFunction
 from berglab.errors import ConfigInvalidError
 
@@ -334,12 +339,13 @@ def test_capacity_grid_below_the_profile_floor_is_a_config_error(tmp_path, capsy
 )
 def test_scale_family_is_validated(tmp_path, capsys, pipeline, extra):
     # neither domain carries a scale family: the runners fell back to h1 with
-    # alpha 0 and exited 1 with a ValueError traceback
+    # alpha 0 and exited 1 with a ValueError traceback; h is now the zalcman
+    # domain's own
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"pipeline": pipeline, **extra}))
     assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "scale function" in err and "alpha > 1" in err and "Traceback" not in err
+    assert "needs a zalcman" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 
@@ -347,9 +353,10 @@ def test_scale_family_is_validated(tmp_path, capsys, pipeline, extra):
     "domain", [{"type": "disk"}, {"type": "annulus", "r0": 0.5}], ids=["disk", "annulus"]
 )
 def test_perfect_needs_a_zalcman_or_cantor_domain(tmp_path, capsys, domain):
-    # with a valid family and param the run started, probed the annulus
-    # condition at the origin and exited 3 with NotBoundaryPointError
-    cfg = {"pipeline": "perfect", "domain": domain, "family": "h1", "param": 1.5}
+    # given an h (through the since retired family and param keys) the run
+    # started, probed the annulus condition at the origin and exited 3 with
+    # NotBoundaryPointError
+    cfg = {"pipeline": "perfect", "domain": domain}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
@@ -364,8 +371,8 @@ H1_K10 = {**SMALL_H1, "K": 10}
 @pytest.mark.parametrize(
     "extra, code, message",
     [
-        ({"domain": {"type": "cantor", "l0": 0.1, "alpha": 2.0, "J": 4}}, 2, "circle domain"),
-        ({"domain": {"type": "disk", "family": "h1", "alpha": 1.5}}, 2, "needs s1"),
+        ({"domain": {"type": "cantor", "l0": 0.1, "alpha": 2.0, "J": 4}}, 2, "zalcman domain"),
+        ({"domain": {"type": "disk", "family": "h1", "alpha": 1.5}}, 2, "zalcman domain"),
         ({"domain": H1_K10, "c": -1}, 2, "c > 0"),
         ({"domain": H1_K10, "s1": -0.001}, 2, "s1 > 0"),
         ({"domain": H1_K10, "c": 100, "s1": 0.1}, 3, "halve"),
@@ -444,11 +451,52 @@ def test_scale_function_is_read_at_the_key_its_family_names(tmp_path, pipeline):
 
 
 def test_perfect_weakened_scale_family_is_validated(tmp_path, capsys):
-    # param 1.05 is a valid h1, but the eps = 0.1 weakening is h1(0.95)
+    # the domain's h1(1.5) is valid, but the eps = 0.6 weakening is h1(0.9)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"pipeline": "perfect", "domain": SMALL_H1, "param": 1.05}))
+    cfg_path.write_text(json.dumps({"pipeline": "perfect", "domain": SMALL_H1, "eps_list": [0.6]}))
     assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     assert "param - eps" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, value", [("family", "h2"), ("param", 1.2)])
+def test_perfect_retired_scale_keys_are_config_errors(tmp_path, capsys, key, value):
+    # perfect's own family and param overrode the domain's h, so the run
+    # tested an h that the domain was not built from
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"pipeline": "perfect", "domain": SMALL_H1, key: value}))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"'{key}' is no longer read" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("pipeline", ["perfect", "pommerenke", "kernel", "metric", "distance"])
+def test_table_scale_family_is_a_config_error(tmp_path, capsys, pipeline):
+    domain = {"type": "zalcman", "family": "table", "r": [1e-4, 0.1], "h": [1e-6, 0.03], "x1": 1e-2, "K": 6}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"pipeline": pipeline, "domain": domain}))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown scale family 'table'" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_perfect_writes_non_finite_floats_as_null(tmp_path):
+    # with K = 2 fewer than two radii have complement, so the condition-C
+    # slope is NaN; it was written as the bare token NaN, which is not JSON
+    domain = {"type": "zalcman", "family": "h1", "alpha": 1.5, "x1": 1e-2, "K": 2}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"pipeline": "perfect", "domain": domain}))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    text = (tmp_path / "o" / "perfect_report.json").read_text()
+    rep = json.loads(text, parse_constant=_reject_constant)
+    assert rep["uc"]["C_slope"] is None
+    assert '"C_slope": null' in text
 
 
 def test_fit_pipeline_from_csv(tmp_path):
@@ -476,12 +524,102 @@ def test_fit_rejects_non_finite_values(tmp_path, capsys, bad):
 
 
 def test_fit_rejects_x_at_or_above_one(tmp_path, capsys):
-    # kernel_sweep.csv starts with the columns k and x, so fit reads x = k >= 1:
-    # this exited 0 and wrote NaN fits, with RuntimeWarnings from log(log(1/x))
+    # fit read the first two columns whatever their names, so on
+    # kernel_sweep.csv (k, x, ...) it took x = k >= 1: this exited 0 and wrote
+    # NaN fits, and later exited 3 on the x < 1 rule. It now reads the columns
+    # named x and value, which a kernel sweep does not have.
     run({"pipeline": "kernel", "domain": H1_K10, "k_range": [2, 8]}, str(tmp_path / "sweep"), "fast")
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"pipeline": "fit", "samples_csv": str(tmp_path / "sweep" / "kernel_sweep.csv")}))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "x and value" in err and "kernel_fits.json" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+    # an x column at or above one is still a module error
+    csv = tmp_path / "samples.csv"
+    csv.write_text("x,value\n" + "".join(f"{x!r},1.0\n" for x in (1e-3, 1e-5, 1e-8, 1e-12, 2.0)))
+    cfg_path.write_text(json.dumps({"pipeline": "fit", "samples_csv": str(csv)}))
     assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert "InsufficientSpan" in err and "x < 1" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_fit_reads_the_columns_named_x_and_value(tmp_path):
+    xs = (1e-3, 1e-5, 1e-8, 1e-12, 1e-18, 1e-25)
+    values = [2.0 / (x * x * math.log(math.log(1 / x))) for x in xs]
+    plain, shuffled = tmp_path / "plain.csv", tmp_path / "shuffled.csv"
+    plain.write_text("x,value\n" + "".join(f"{x!r},{v!r}\n" for x, v in zip(xs, values)))
+    shuffled.write_text("value,k,x\n" + "".join(f"{v!r},{k},{x!r}\n" for k, (x, v) in enumerate(zip(xs, values))))
+    for csv in (plain, shuffled):
+        run({"pipeline": "fit", "samples_csv": str(csv)}, str(tmp_path / csv.stem), "fast")
+    reports = [(tmp_path / name / "fit_report.json").read_bytes() for name in ("plain", "shuffled")]
+    assert reports[0] == reports[1]
+
+
+def _leaves():
+    floats = st.floats(allow_nan=True, allow_infinity=True)
+    int64 = st.integers(-(2**63), 2**63 - 1)
+    return st.one_of(
+        st.booleans(),
+        st.booleans().map(np.bool_),
+        st.integers(),
+        int64.map(np.int64),
+        floats,
+        floats.map(np.float64),
+        st.floats(width=32).map(np.float32),
+        st.complex_numbers(allow_nan=True, allow_infinity=True),
+        st.lists(floats, max_size=4).map(lambda v: np.array(v, dtype=float)),
+        st.lists(int64, max_size=4).map(lambda v: np.array(v, dtype=np.int64)),
+        st.lists(st.booleans(), max_size=4).map(np.array),
+        st.lists(st.complex_numbers(allow_nan=True, allow_infinity=True), max_size=4).map(
+            lambda v: np.array(v, dtype=complex)
+        ),
+    )
+
+
+ARTIFACTS = st.dictionaries(
+    st.text(max_size=5),
+    st.recursive(
+        _leaves(),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(st.text(max_size=5), inner, max_size=4),
+        ),
+        max_leaves=20,
+    ),
+    max_size=5,
+)
+
+
+def _assert_written_as(orig, out):
+    """``out`` is the strict-JSON reading of ``orig`` as an artifact holds it."""
+    if isinstance(orig, dict):
+        assert type(out) is dict and set(out) == set(orig)
+        for k, v in orig.items():
+            _assert_written_as(v, out[k])
+    elif isinstance(orig, (list, tuple, np.ndarray)):
+        assert type(out) is list and len(out) == len(orig)
+        for a, b in zip(orig, out):
+            _assert_written_as(a, b)
+    elif isinstance(orig, (bool, np.bool_)):
+        assert out is bool(orig)
+    elif isinstance(orig, (int, np.integer)):
+        assert type(out) is int and out == int(orig)
+    elif isinstance(orig, complex):
+        assert type(out) is dict and set(out) == {"re", "im"}
+        _assert_written_as(orig.real, out["re"])
+        _assert_written_as(orig.imag, out["im"])
+    elif math.isfinite(orig):
+        assert type(out) is float and struct.pack("<d", out) == struct.pack("<d", float(orig))
+    else:
+        assert out is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(ARTIFACTS)
+def test_json_artifacts_round_trip(tmp_path_factory, obj):
+    path = tmp_path_factory.getbasetemp() / "artifact.json"
+    write_json(path, obj)
+    _assert_written_as(obj, json.loads(path.read_text(), parse_constant=_reject_constant))

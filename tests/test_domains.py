@@ -58,21 +58,17 @@ def test_h_less_than_r_and_increasing():
         assert np.all(np.diff(hs) > 0)
 
 
-def test_table_family_interpolates_and_validates():
-    rs = np.exp(np.linspace(-20, -1, 40))
-    hs = rs**1.5
-    h = ScaleFunction.from_table(rs, hs)
-    assert h.value(rs[7]) == pytest.approx(hs[7], rel=1e-12)
-    with pytest.raises(ValueError):
-        ScaleFunction.from_table([0.1, 0.2], [0.15, 0.25])  # h >= r
-
-
 def test_scale_family_by_name():
     assert ScaleFunction.of("h1", 1.5) == ScaleFunction.h1(1.5)
     assert ScaleFunction.of("h2", 2.0) == ScaleFunction.h2(2.0)
     for family, param in (("h1", 1.0), ("h2", 0.0), ("table", 1.5), ("h3", 1.5)):
         with pytest.raises(ValueError):
             ScaleFunction.of(family, param)
+    # epsilon0 follows from the family, with the bits it had as a stored field
+    assert ScaleFunction.h1(1.5).epsilon0 == 1.0
+    assert ScaleFunction.h2(2.0).epsilon0 == math.exp(-1.0)
+    with pytest.raises(ValueError, match="unknown scale family 'table'"):
+        domain_from_json({"type": "zalcman", "family": "table", "r": [0.1, 0.2], "h": [0.01, 0.04], "x1": 0.01, "K": 2})
 
 
 def test_scale_inverse_exact_roundtrip():

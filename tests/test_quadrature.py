@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from basis_oracle import spec_functions
 from berglab import bergman, quadrature
 from berglab.domains import CircleDomain, ScaleFunction, build_zalcman
 from berglab.errors import PolesTooCloseError, QuadratureStallError
@@ -233,7 +234,7 @@ def test_deep_frame_entries_finite():
     # rounds to x_10, and only the circle's own frame keeps the pole apart
     dom = build_zalcman(ScaleFunction.h1(1.5), 1e-2, K=10)
     assert float(dom.xs[9]) + float(dom.rs[9]) == float(dom.xs[9])
-    G, _ = boundary_gram(domain_circles(dom), bergman.default_basis(dom).functions())
+    G, _ = boundary_gram(domain_circles(dom), bergman.default_basis(dom))
     assert np.all(np.isfinite(G))
     assert np.all(np.real(np.diag(G)) > 0.0)
 
@@ -298,7 +299,7 @@ def former_eval_deriv(f: RationalFunction, z):
 
 @st.composite
 def bases_and_points(draw):
-    """A BasisSpec-shaped basis (monomials up to a degree, then orders
+    """A ``spec_functions`` basis (monomials up to a degree, then orders
     1..m at each center with coefficient scale**(order-1)) plus one
     multi-pole Cauchy transform on the centers and one polynomial with poles
     of mixed orders there, sometimes without the monomials, and a point or
@@ -308,19 +309,14 @@ def bases_and_points(draw):
     cplx = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
     centers = tuple(size * c for c in draw(st.lists(cplx, max_size=40)))
     scales = tuple(10.0 ** draw(st.floats(-12.0, 0.0)) for _ in centers)
-    spec = bergman.BasisSpec(
-        degree=draw(st.integers(0, 10)),
-        pole_centers=centers,
-        pole_order=draw(st.integers(1, 3)),
-        pole_scales=scales,
-    )
-    fns = spec.functions()
+    degree = draw(st.integers(0, 10))
+    fns = spec_functions(degree, centers, draw(st.integers(1, 3)), scales)
     if centers:
         fns.append(RationalFunction.from_nodes(np.array(centers), np.array(scales)))
         orders = draw(st.lists(st.integers(1, 3), min_size=len(centers), max_size=len(centers)))
         fns.append(RationalFunction(np.array([0.5, -1j]), np.array(centers), np.array(orders), np.array(scales)))
         if draw(st.booleans()):
-            fns = fns[spec.degree + 1 :]  # poles only: no polynomial rows to pack
+            fns = fns[degree + 1 :]  # poles only: no polynomial rows to pack
     points = draw(st.one_of(cplx, st.lists(cplx, min_size=1, max_size=6)))
     w = 2.0 * size * np.asarray(points)
     assume(all(np.all(np.abs(w - c) >= 1e-3 * size) for c in centers))
