@@ -20,7 +20,9 @@ exact.
 
 Every rational function is evaluated by :class:`Basis`, which packs a list
 of them into arrays (``RationalFunction.eval`` packs one), and every pole
-power a / U^m by the sequential divisions of ``_pole_powers``.
+power a / U^m by the sequential divisions of ``_pole_powers``.  Each
+circle's sums are matrix products taken on power-of-two-equilibrated columns
+(``_circle_sums``), which keeps them clear of subnormal arithmetic.
 
 The polar Gauss-Legendre area rule of :class:`PolarRegion` and a seeded
 Monte-Carlo estimator are kept as independent oracles.
@@ -37,7 +39,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss as _leggauss_raw
 
 from .domains import CircleDomain, ZalcmanDomain
-from .errors import PolesTooCloseError, QuadratureStallError
+from .errors import PolesTooCloseError, PreconditionViolatedError, QuadratureStallError
 
 
 @lru_cache(maxsize=None)
@@ -55,6 +57,12 @@ NODES_MIN = 96
 #: largest change, on the scale sqrt(G_ii G_jj), that doubling every
 #: circle's node count may make to a Gram entry
 DOUBLING_TOL = 1e-9
+
+#: ``_circle_sums`` scales each column's largest entry to about 2**256: a sum
+#: of 2N <= 2**11 complex products of two such entries stays below 2**525,
+#: and two entries that lie, together, up to 1534 binades below their
+#: maxima still give a normal product
+EQUILIBRATED_EXP = 256
 
 
 def _terms_for(ratio: float) -> int:
@@ -139,11 +147,15 @@ class Basis:
     ``antideriv`` the coefficients of z^1 .. z^n_coef of their
     antiderivatives and ``deriv`` those of their derivatives.  The poles of
     every function are concatenated, function by function, into
-    ``centers``, ``orders`` and ``coeffs``.  The pole-to-function map comes
-    in two forms: ``owner_matrix``, one 0/1 row per pole, for the Gram
-    engine's matrix products, and ``slots``, whose row i indexes the stack
-    [pole terms, polynomial values, 0] so that its running sum is function
-    i's 0 + p(z) + t_1 + t_2 + ..., in pole order whatever the basis.
+    ``centers``, ``orders`` and ``coeffs``; ``ranks`` selects the poles of
+    order at least 2, 3, ..., one entry for each division that
+    ``_pole_powers`` makes after the first.  The pole-to-function map comes
+    in two forms: ``owner``, the function of each pole, from which the Gram
+    engine adds the term of a one-pole function as a column and sums the
+    terms of the others by a 0/1 matrix product, and ``slots``, whose row i
+    indexes the stack [pole terms, polynomial values, 0] so that its running
+    sum is function i's 0 + p(z) + t_1 + t_2 + ..., in pole order whatever
+    the basis.
     """
 
     poly: np.ndarray
@@ -151,13 +163,16 @@ class Basis:
     deriv: np.ndarray
     centers: np.ndarray
     orders: np.ndarray
+    ranks: tuple
     coeffs: np.ndarray
-    owner_matrix: np.ndarray
+    owner: np.ndarray
     slots: np.ndarray
 
     @classmethod
     def of(cls, fns: Sequence[RationalFunction]) -> "Basis":
         n = len(fns)
+        if n == 0:
+            raise PreconditionViolatedError("a basis needs at least one function")
         # one zero column at least, so that _horner has no empty case
         n_coef = max(1, max(f.poly.size for f in fns))
         poly = np.zeros((n, n_coef), dtype=complex)
@@ -171,28 +186,32 @@ class Basis:
         slots = np.full((n, width), n_poles + n)
         slots[np.arange(n), width - 1 - counts] = n_poles + np.arange(n)
         slots[owner, np.arange(n_poles) + (width - np.cumsum(counts))[owner]] = np.arange(n_poles)
+        orders = np.concatenate([f.pole_orders for f in fns])
         return cls(
             poly=poly,
             antideriv=poly / np.arange(1, n_coef + 1),
             deriv=np.polynomial.polynomial.polyder(poly, axis=1),
             centers=np.concatenate([f.pole_centers for f in fns]),
-            orders=np.concatenate([f.pole_orders for f in fns]),
+            orders=orders,
+            ranks=tuple(_select(np.flatnonzero(orders >= k)) for k in range(2, int(orders.max(initial=1)) + 1)),
             coeffs=np.concatenate([f.pole_coeffs for f in fns]),
-            owner_matrix=(owner[:, None] == np.arange(n)).astype(float),
+            owner=owner,
             slots=slots,
         )
 
     def values(self, w) -> np.ndarray:
         """f_i(w) for every function, on the last axis."""
         z = np.asarray(w, dtype=complex)
-        T, _ = _pole_powers(z[..., None] - self.centers, self.coeffs, self.orders)
+        U = z[..., None] - self.centers
+        T, _ = _pole_powers(U, self.coeffs, self.ranks, np.empty_like(U), np.empty_like(U))
         return self._sum(_horner(self.poly, z), T)
 
     def values_and_derivs(self, w) -> tuple[np.ndarray, np.ndarray]:
         """(f_i(w), f_i'(w)) for every function, on the last axis; the poles
         of order m + 1 give a / U**(m+1) and a / U**m in one pass."""
         z = np.asarray(w, dtype=complex)
-        D, T = _pole_powers(z[..., None] - self.centers, self.coeffs, self.orders + 1)
+        U = z[..., None] - self.centers
+        D, T = _pole_powers(U, self.coeffs, (slice(None), *self.ranks), np.empty_like(U), np.empty_like(U))
         return self._sum(_horner(self.poly, z), T), self._sum(_horner(self.deriv, z), -(self.orders * D))
 
     def _sum(self, values: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -202,18 +221,31 @@ class Basis:
         return np.add.accumulate(stack.take(self.slots, axis=-1), axis=-1)[..., -1]
 
 
-def _pole_powers(U: np.ndarray, coeffs: np.ndarray, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(a / U**m, a / U**(m-1)) for every pole, poles on the last axis, by
-    sequential division: U**m alone can under/overflow at deep scales even
-    when a / U**m is representable.  For a simple pole the second is left 0,
-    which no caller reads: the zero pages of a large array stay unwritten."""
-    T = coeffs / U
-    lower = np.zeros_like(T)
-    for k in range(2, int(orders.max(initial=1)) + 1):
-        cols = orders >= k
-        np.copyto(lower, T, where=cols)
-        np.divide(T, U, out=T, where=cols)
+def _pole_powers(
+    U: np.ndarray, coeffs: np.ndarray, ranks: Sequence, T: np.ndarray, lower: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(a / U**m, a / U**(m-1)) for every pole, poles on the last axis,
+    written into T and lower (arrays shaped like U) by sequential division:
+    U**m alone can under/overflow at deep scales even when a / U**m is
+    representable.  ``ranks`` selects the poles that each further division
+    applies to (``Basis.ranks``); for a simple pole ``lower`` keeps what it
+    held, which no caller reads."""
+    np.divide(coeffs, U, out=T)
+    for cols in ranks:
+        lower[..., cols] = T[..., cols]
+        T[..., cols] /= U[..., cols]
     return T, lower
+
+
+def _select(idx: np.ndarray) -> slice | np.ndarray:
+    """The increasing indices ``idx`` as a slice when they are evenly spaced,
+    so that indexing with them gives a view, else as they are."""
+    if idx.size == 0:
+        return slice(0, 0)
+    step = int(idx[1] - idx[0]) if idx.size > 1 else 1
+    if np.all(np.diff(idx) == step):
+        return slice(int(idx[0]), int(idx[-1]) + 1, step)
+    return idx
 
 
 def _horner(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -278,14 +310,16 @@ def boundary_gram(
     nearest pole (min(d, rho) / max(d, rho) at distance d from its center),
     and its rule is doubled once: the returned matrix is the 2N-point
     result, Hermitian-symmetrised, and the N-point result must agree with
-    it to DOUBLING_TOL on the global scale sqrt(G_ii G_jj).
+    it to DOUBLING_TOL on the global scale sqrt(G_ii G_jj).  Each circle's
+    sums are taken by ``_circle_sums`` on power-of-two-equilibrated columns.
 
-    Raises PolesTooCloseError for a pole inside the domain or with a ratio
-    above SERIES_MARGIN, QuadratureStallError when the doubling check fails.
+    Raises PreconditionViolatedError for an empty basis, PolesTooCloseError
+    for a pole inside the domain or with a ratio above SERIES_MARGIN (or not
+    a number), QuadratureStallError when the doubling check fails.
     """
     basis = fns if isinstance(fns, Basis) else Basis.of(fns)
     n = basis.poly.shape[0]
-    centers = basis.centers
+    centers, orders, coeffs, owner = basis.centers, basis.orders, basis.coeffs, basis.owner
 
     cc = np.array([c for c, _, _ in circles], dtype=complex)
     rr = np.array([rho for _, rho, _ in circles], dtype=float)
@@ -297,22 +331,62 @@ def boundary_gram(
         raise PolesTooCloseError(f"pole {centers[inside][0]} lies inside the domain")
     ratio = np.minimum(dist, rr) / np.maximum(dist, rr)
     worst = ratio.max(axis=0, initial=0.0)
-    if np.any(worst > SERIES_MARGIN):
-        i = int(np.argmax(worst))
+    # written so that a NaN ratio (a NaN pole or circle) fails it too
+    far = worst <= SERIES_MARGIN
+    if not np.all(far):
+        i = int(np.argmin(far))
         raise PolesTooCloseError(
             f"a pole sits at ratio {worst[i]:.3f} of the circle |z - {cc[i]}| = {rr[i]}"
         )
 
+    # the pole-to-function sums: a column add for a function with one pole,
+    # a 0/1 product (BLAS gemm, summing each column in pole order) for those
+    # with several.  numpy sends a one-column product to gemv, which rounds
+    # otherwise, so a single shared function gets a second, zero column; a
+    # one-function basis (norm_sq) stays with gemv, which keeps its bits
+    count = np.bincount(owner, minlength=n)
+    lone = count[owner] == 1
+    lone_fns, lone_poles = _select(owner[lone]), _select(np.flatnonzero(lone))
+    shared = np.flatnonzero(count > 1)
+    shared_fns, shared_poles = _select(shared), _select(np.flatnonzero(~lone))
+    columns = np.append(shared, -1) if shared.size == 1 and n > 1 else shared
+    shared_owner = (owner[~lone][:, None] == columns).astype(complex)
+    simple = _select(np.flatnonzero(orders == 1))
+    higher = basis.ranks[0] if basis.ranks else slice(0, 0)
+    simple_coeffs, higher_div = np.conj(coeffs[simple]), 1 - orders[higher]
+
     nodes = [_terms_for(float(r)) for r in worst]
+    # work arrays for the largest circle, reused by every circle
+    rows = 2 * max(nodes)
+    Phi_work, F_work = np.empty((rows, n), dtype=complex), np.empty((rows, n), dtype=complex)
+    U_work, T_work, P_work = (np.empty((rows, centers.size), dtype=complex) for _ in range(3))
     coarse = np.zeros((n, n), dtype=complex)
     fine = np.zeros((n, n), dtype=complex)
     for c, rho, s, N in zip(cc, rr, sign, nodes):
-        zeta = np.exp(2j * math.pi * np.arange(2 * N) / (2 * N))
-        Phi, F = _boundary_values(c, rho * zeta, basis)
+        zeta = _roots(2 * N)
+        offsets = rho * zeta
+        z = c + offsets
+        Phi, F = Phi_work[: 2 * N], F_work[: 2 * N]
+        # every function and its Phi at the nodes, one column per function;
+        # pole factors are formed as (c - center) + offset
+        powers = np.cumprod(np.column_stack([np.ones_like(z)] + [z] * basis.poly.shape[1]), axis=1)
+        np.matmul(powers[:, :-1], basis.poly.T, out=F)
+        np.conjugate(np.matmul(powers[:, 1:], basis.antideriv.T, out=Phi), out=Phi)
+        if centers.size:
+            U = np.add(c - centers, offsets[:, None], out=U_work[: 2 * N])
+            T, P = _pole_powers(U, coeffs, basis.ranks, T_work[: 2 * N], P_work[: 2 * N])
+            P[:, higher] = np.conj(P[:, higher]) / higher_div
+            P[:, simple] = simple_coeffs * (2.0 * np.log(np.abs(U[:, simple])))
+            F[:, lone_fns] += T[:, lone_poles]
+            Phi[:, lone_fns] += P[:, lone_poles]
+            if shared.size:
+                F[:, shared_fns] += (T[:, shared_poles] @ shared_owner)[:, : shared.size]
+                Phi[:, shared_fns] += (P[:, shared_poles] @ shared_owner)[:, : shared.size]
         # (1/2i) dz = (rho zeta / 2) dtheta, and dtheta = pi / N on 2N nodes
-        WF = (s * math.pi * rho / (2 * N)) * zeta[:, None] * F
-        fine += Phi.T @ WF
-        coarse += Phi[::2].T @ (2.0 * WF[::2])
+        WF = np.multiply((s * math.pi * rho / (2 * N)) * zeta[:, None], F, out=F)
+        fine_c, coarse_c = _circle_sums(Phi, WF)
+        fine += fine_c
+        coarse += coarse_c
 
     root = np.sqrt(np.maximum(np.abs(np.real(np.diag(fine))), 1e-300))
     scale = root[:, None] * root[None, :]
@@ -334,23 +408,52 @@ def norm_sq(circles: Sequence[tuple[complex, float, int]], f: RationalFunction) 
     return float(boundary_gram(circles, [f])[0][0, 0].real)
 
 
-def _boundary_values(c, offsets, basis: Basis):
-    """(Phi, F): every function and its Phi at the nodes c + offsets, one
-    column per function.  Pole factors are formed as (c - center) + offset."""
-    z = c + offsets
-    poly, centers, orders, coeffs = basis.poly, basis.centers, basis.orders, basis.coeffs
-    powers = np.cumprod(np.column_stack([np.ones_like(z)] + [z] * poly.shape[1]), axis=1)
-    F = powers[:, :-1] @ poly.T
-    Phi = np.conj(powers[:, 1:] @ basis.antideriv.T)
-    if centers.size:
-        U = (c - centers)[None, :] + offsets[:, None]
-        T, lower = _pole_powers(U, coeffs, orders)
-        simple = orders == 1
-        P = np.conj(lower) / np.where(simple, 1, 1 - orders)
-        P[:, simple] = np.conj(coeffs[simple]) * (2.0 * np.log(np.abs(U[:, simple])))
-        F += T @ basis.owner_matrix
-        Phi += P @ basis.owner_matrix
-    return Phi, F
+@lru_cache(maxsize=None)
+def _roots(m: int) -> np.ndarray:
+    """The m-th roots of unity, read-only.  The cache stays small: m = 2N
+    with 96 <= N <= 629 (NODES_MIN and SERIES_MARGIN)."""
+    zeta = np.exp(2j * math.pi * np.arange(m) / m)
+    zeta.flags.writeable = False
+    return zeta
+
+
+def _circle_sums(Phi: np.ndarray, WF: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Phi.T @ WF, Phi[::2].T @ (2 WF[::2])): one circle's 2N- and N-point
+    sums, bit for bit wherever those products stay normal numbers.
+
+    Both are taken on columns scaled by powers of two (``_equilibrate``,
+    which overwrites Phi and WF) and scaled back with ldexp, so a product of
+    two column entries is subnormal only far below its columns' maxima (see
+    EQUILIBRATED_EXP): the Gram entries of deep circles keep their relative
+    precision down to the normal floor instead of losing it, slowly, in
+    subnormal arithmetic.
+    """
+    shift = -(_equilibrate(Phi)[:, None] + _equilibrate(WF)[None, :])[..., None]
+    # a strided single column goes to another BLAS kernel than a contiguous
+    # one and rounds otherwise; the copy keeps one-function bases (norm_sq)
+    # on the contiguous path
+    even = WF[::2] if WF.shape[1] > 1 else WF[::2].copy()
+    return _ldexp(Phi.T @ WF, shift), _ldexp(Phi[::2].T @ even, shift + 1)
+
+
+def _equilibrate(A: np.ndarray) -> np.ndarray:
+    """Scale each column of the C-contiguous complex A in place by 2**e, e
+    putting the column's largest real or imaginary part near
+    2**EQUILIBRATED_EXP, clipped so that 2**e is a normal number (a zero
+    column gets the unclipped e); returns e."""
+    parts = A.view(float)
+    top = np.maximum.reduce(np.abs(parts))
+    e = EQUILIBRATED_EXP - np.frexp(np.maximum(top[::2], top[1::2]))[1]
+    e = np.minimum(np.maximum(e, -1022), 1023)
+    parts *= np.ldexp(1.0, e).repeat(2)
+    return e
+
+
+def _ldexp(R: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """R * 2**shift in place, with one rounding where the result is subnormal."""
+    parts = R.view(float).reshape(R.shape + (2,))
+    np.ldexp(parts, shift, out=parts)
+    return R
 
 
 # ---------------------------------------------------------------------------

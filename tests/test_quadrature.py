@@ -3,13 +3,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from basis_oracle import spec_functions
 from berglab import bergman, quadrature
 from berglab.domains import CircleDomain, ScaleFunction, build_zalcman
-from berglab.errors import PolesTooCloseError, QuadratureStallError
+from berglab.errors import (
+    BerglabError,
+    NonDisjointError,
+    PolesTooCloseError,
+    QuadratureStallError,
+    ScaleUnderflowError,
+)
 from berglab.quadrature import (
     AnnulusRegion,
     Basis,
@@ -355,3 +361,275 @@ def test_doubling_check_raises_stall(monkeypatch):
     monkeypatch.setattr(quadrature, "DOUBLING_TOL", 1e-12)
     with pytest.raises(QuadratureStallError):
         boundary_gram(circles, fns)
+
+
+# ---------------------------------------------------------------------------
+# the circle loop against the engine it replaced
+# ---------------------------------------------------------------------------
+
+
+def former_pole_powers(U, coeffs, orders):
+    """``quadrature._pole_powers`` before it wrote into given arrays: masked
+    divisions, and zeros for the lower power of a simple pole."""
+    T = coeffs / U
+    lower = np.zeros_like(T)
+    for k in range(2, int(orders.max(initial=1)) + 1):
+        cols = orders >= k
+        np.copyto(lower, T, where=cols)
+        np.divide(T, U, out=T, where=cols)
+    return T, lower
+
+
+def former_boundary_values(c, offsets, basis, owner_matrix):
+    """(Phi, F) at the nodes c + offsets, as ``_boundary_values`` formed them:
+    every pole term summed into its function by a 0/1 matrix product."""
+    z = c + offsets
+    poly, centers, orders, coeffs = basis.poly, basis.centers, basis.orders, basis.coeffs
+    powers = np.cumprod(np.column_stack([np.ones_like(z)] + [z] * poly.shape[1]), axis=1)
+    F = powers[:, :-1] @ poly.T
+    Phi = np.conj(powers[:, 1:] @ basis.antideriv.T)
+    if centers.size:
+        U = (c - centers)[None, :] + offsets[:, None]
+        T, lower = former_pole_powers(U, coeffs, orders)
+        simple = orders == 1
+        P = np.conj(lower) / np.where(simple, 1, 1 - orders)
+        P[:, simple] = np.conj(coeffs[simple]) * (2.0 * np.log(np.abs(U[:, simple])))
+        F += T @ owner_matrix
+        Phi += P @ owner_matrix
+    return Phi, F
+
+
+#: the smallest normal double
+TINY = np.finfo(float).tiny
+
+
+def former_boundary_gram(circles, fns):
+    """(G, info, underflow): ``boundary_gram`` as it was before its circle
+    loop took products on equilibrated columns, with fresh arrays for every
+    circle and the dense 0/1 owner matrix cast to complex in each product.
+
+    ``underflow`` marks the entries whose per-circle sums may have met a
+    subnormal number: on some circle, the smallest nonzero real or imaginary
+    parts of the two columns multiply below the normal floor, or a part of
+    the sum itself is subnormal."""
+    basis = fns if isinstance(fns, Basis) else Basis.of(fns)
+    n = basis.poly.shape[0]
+    owner_matrix = (basis.owner[:, None] == np.arange(n)).astype(float)
+    centers = basis.centers
+    cc = np.array([c for c, _, _ in circles], dtype=complex)
+    rr = np.array([rho for _, rho, _ in circles], dtype=float)
+    sign = np.array([s for _, _, s in circles], dtype=float)
+    dist = np.abs(centers[:, None] - cc[None, :])
+    inside = (sign * (dist < rr)).sum(axis=1) > 0
+    if np.any(inside):
+        raise PolesTooCloseError(f"pole {centers[inside][0]} lies inside the domain")
+    ratio = np.minimum(dist, rr) / np.maximum(dist, rr)
+    worst = ratio.max(axis=0, initial=0.0)
+    if np.any(worst > quadrature.SERIES_MARGIN):
+        raise PolesTooCloseError("a pole sits too close to a circle")
+
+    def smallest_part(A):
+        # per column, the smallest nonzero magnitude of a real or imaginary part
+        parts = np.abs(A.view(float)).reshape(A.shape[0], -1, 2)
+        return np.where(parts > 0.0, parts, np.inf).min(axis=(0, 2))
+
+    nodes = [quadrature._terms_for(float(r)) for r in worst]
+    coarse = np.zeros((n, n), dtype=complex)
+    fine = np.zeros((n, n), dtype=complex)
+    underflow = np.zeros((n, n), dtype=bool)
+    for c, rho, s, N in zip(cc, rr, sign, nodes):
+        zeta = np.exp(2j * math.pi * np.arange(2 * N) / (2 * N))
+        Phi, F = former_boundary_values(c, rho * zeta, basis, owner_matrix)
+        WF = (s * math.pi * rho / (2 * N)) * zeta[:, None] * F
+        fine_c = Phi.T @ WF
+        coarse_c = Phi[::2].T @ (2.0 * WF[::2])
+        with np.errstate(under="ignore"):
+            tiny = np.outer(smallest_part(Phi), smallest_part(WF)) < TINY
+        for R in (fine_c, coarse_c):
+            parts = np.abs(R.view(float)).reshape(n, n, 2)
+            tiny |= ((parts > 0.0) & (parts < TINY)).any(axis=2)
+        underflow |= tiny
+        fine += fine_c
+        coarse += coarse_c
+    root = np.sqrt(np.maximum(np.abs(np.real(np.diag(fine))), 1e-300))
+    scale = root[:, None] * root[None, :]
+    info = quadrature.QuadratureInfo(
+        nodes=nodes,
+        doubling_change=float(np.max(np.abs(fine - coarse) / scale)),
+        hermitian_defect=float(np.max(np.abs(fine - fine.conj().T) / scale)),
+    )
+    return 0.5 * (fine + fine.conj().T), info, underflow
+
+
+EPS = np.finfo(float).eps
+
+
+def assert_matches_former(circles, fns):
+    """G and QuadratureInfo bit for bit as the former engine gave them; an
+    entry where the former engine met subnormal arithmetic may instead move
+    by 4 eps sqrt(G_ii G_jj), and the info's ratios by 8 eps."""
+    G, info = boundary_gram(circles, fns)
+    G0, info0, underflow = former_boundary_gram(circles, fns)
+    root = np.sqrt(np.abs(np.real(np.diag(G0))))
+    close = np.abs(G - G0) <= 4 * EPS * np.outer(root, root)
+    assert np.all((G == G0) | (underflow & close))
+    assert info.nodes == info0.nodes
+    slack = 8 * EPS if underflow.any() else 0.0
+    assert abs(info.doubling_change - info0.doubling_change) <= slack
+    assert abs(info.hermitian_defect - info0.hermitian_defect) <= slack
+
+
+@st.composite
+def zalcman_domains(draw):
+    """h1 and h2 Zalcman domains, superset or sandwich, K <= 40, halving K
+    until the scale recursion stays above its floor."""
+    if draw(st.booleans()):
+        h, x1 = ScaleFunction.h1(draw(st.floats(1.2, 2.0))), 10.0 ** draw(st.floats(-3.0, -2.0))
+    else:
+        h, x1 = ScaleFunction.h2(draw(st.floats(0.8, 1.5))), 10.0 ** draw(st.floats(-4.0, -2.5))
+    K, variant = draw(st.integers(1, 40)), draw(st.sampled_from(["superset", "sandwich"]))
+    while True:
+        try:
+            return build_zalcman(h, x1, K, variant)
+        except ScaleUnderflowError:
+            K //= 2
+        except NonDisjointError:
+            assume(False)
+
+
+@settings(max_examples=20, deadline=None)
+@given(zalcman_domains(), st.integers(0, 8))
+@example(build_zalcman(ScaleFunction.h2(1.0), 1e-3, 40, "sandwich"), 8)
+@example(build_zalcman(ScaleFunction.h1(1.5), 1e-2, 10), 8)
+def test_circle_loop_matches_former_engine_on_zalcman_domains(dom, degree):
+    assert_matches_former(domain_circles(dom), bergman.default_basis(dom, degree))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.floats(0.05, 0.9), st.integers(0, 8))
+def test_circle_loop_matches_former_engine_on_the_annulus(r0, degree):
+    dom = CircleDomain.build(inner_radius=r0)
+    assert_matches_former(domain_circles(dom), bergman.default_basis(dom, degree))
+
+
+@st.composite
+def multi_pole_bases(draw):
+    """Bases on TWO_HOLE_REGION drawn from one-pole functions, Cauchy transforms
+    on rings inside a hole, their differences (coefficients of both signs),
+    polynomials with poles of mixed orders, and monomials."""
+    def ring(count):
+        c, rho = TWO_HOLES[draw(st.integers(0, 1))]
+        t = draw(st.floats(0.0, 2 * math.pi))
+        return c + draw(st.floats(0.1, 0.6)) * rho * np.exp(1j * (t + 2 * math.pi * np.arange(count) / count))
+
+    fns = draw(hole_poles())
+    for _ in range(draw(st.integers(1, 3))):
+        count = draw(st.integers(2, 12))
+        fns.append(RationalFunction.from_nodes(ring(count), np.linspace(0.05, 0.2, count)))
+    if draw(st.booleans()):
+        fns.append(fns[-1] - fns[-2])
+    count = draw(st.integers(2, 5))
+    orders = draw(st.lists(st.integers(1, 3), min_size=count, max_size=count))
+    fns.append(RationalFunction(np.array([0.5, -1j]), ring(count), np.array(orders), np.full(count, 0.01)))
+    fns += [RationalFunction.monomial(j) for j in range(draw(st.integers(0, 3)))]
+    # down to one function, as ``norm_sq`` integrates
+    return draw(st.permutations(fns))[: draw(st.integers(1, len(fns)))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(multi_pole_bases())
+def test_circle_loop_matches_former_engine_on_multi_pole_bases(fns):
+    assert_matches_former(TWO_HOLE_REGION.circles(), fns)
+
+
+def test_deep_collar_moments_match_closed_forms():
+    # collar 9 of the h1 metric domain at the gram workload's seed 2: its
+    # second moment is subnormal, and the former engine's subnormal products
+    # left it 1.75e-12 off the closed form
+    r_in, r_out = 2.4184548242686697e-78, 3.07803341270558e-78
+    c, rho = 2.7482441184871245e-78, 3.297892942184549e-79
+    region = PolarRegion(0j, r_in, r_out, ((complex(c), rho),))
+    G, _ = boundary_gram(region.circles(), [RationalFunction.monomial(0), RationalFunction.monomial(1)])
+    # the closed forms in units of 2**-259, scaled back with one rounding
+    R, r, d, p = (math.ldexp(v, 259) for v in (r_out, r_in, c, rho))
+    area = math.ldexp(math.pi * (R**2 - r**2 - p**2), -518)
+    moment2 = math.ldexp(math.pi / 2 * (R**4 - r**4) - math.pi * p**2 * (d**2 + p**2 / 2), -1036)
+    assert moment2 < np.finfo(float).tiny
+    assert G[0, 0].real == pytest.approx(area, rel=1e-13)
+    assert G[1, 1].real == pytest.approx(moment2, rel=1e-13)
+
+
+def scaled_matrix(rng, rows, cols, low, high):
+    """A complex matrix whose parts have random signs, mantissas in [0.5, 1)
+    and binary exponents in [low, high]."""
+    size = 2 * rows * cols
+    parts = rng.choice([-1.0, 1.0], size) * np.ldexp(rng.uniform(0.5, 1.0, size), rng.integers(low, high + 1, size))
+    return parts.view(complex).reshape(rows, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_circle_sums_are_the_plain_products_bit_for_bit(half, m, n, seed):
+    rng = np.random.default_rng(seed)
+    A, B = scaled_matrix(rng, 2 * half, m, -300, 300), scaled_matrix(rng, 2 * half, n, -300, 300)
+    fine, coarse = quadrature._circle_sums(A.copy(), B.copy())
+    assert np.array_equal(fine, A.T @ B)
+    assert np.array_equal(coarse, A[::2].T @ (2.0 * B[::2]))
+
+
+def exact_products(A, B):
+    """A.T @ B and A[::2].T @ (2 B[::2]) in exact rational arithmetic, each
+    entry rounded once."""
+    from fractions import Fraction
+
+    def dot(a, b):
+        re = sum(Fraction(x.real) * Fraction(y.real) - Fraction(x.imag) * Fraction(y.imag) for x, y in zip(a, b))
+        im = sum(Fraction(x.real) * Fraction(y.imag) + Fraction(x.imag) * Fraction(y.real) for x, y in zip(a, b))
+        return complex(float(re), float(im))
+
+    fine = np.array([[dot(A[:, i], B[:, j]) for j in range(B.shape[1])] for i in range(A.shape[1])])
+    coarse = np.array([[2 * dot(A[::2, i], B[::2, j]) for j in range(B.shape[1])] for i in range(A.shape[1])])
+    return fine, coarse
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_circle_sums_on_zero_subnormal_and_huge_columns(half, seed):
+    # A's column 0 is zero, column 1 has a subnormal maximum, whose scaling
+    # exponent must be clipped to stay a normal power of two, and column 2 a
+    # maximum near 2**1010; B's columns are tiny, moderate and tiny.  The
+    # results are compared with exact sums, to a dot product's rounding
+    # error plus a few subnormal units
+    rng, rows = np.random.default_rng(seed), 2 * half
+    A = np.column_stack([
+        np.zeros(rows, dtype=complex),
+        scaled_matrix(rng, rows, 1, -1074, -1040)[:, 0],
+        scaled_matrix(rng, rows, 1, 990, 1010)[:, 0],
+    ])
+    B = np.column_stack([
+        scaled_matrix(rng, rows, 1, -1040, -1022)[:, 0],
+        scaled_matrix(rng, rows, 1, -40, 0)[:, 0],
+        scaled_matrix(rng, rows, 1, -1060, -1000)[:, 0],
+    ])
+    fine, coarse = quadrature._circle_sums(A.copy(), B.copy())
+    want_fine, want_coarse = exact_products(A, B)
+    bound = (2 * rows + 4) * EPS * (np.abs(A).T @ np.abs(B)) + 4 * np.finfo(float).smallest_subnormal
+    assert np.all(np.abs(fine - want_fine) <= bound)
+    assert np.all(np.abs(coarse - want_coarse) <= 2 * bound)
+    assert np.all(fine[0] == 0) and np.all(coarse[0] == 0)
+
+
+def test_empty_basis_raises():
+    circles = domain_circles(CircleDomain.build())
+    with pytest.raises(BerglabError):
+        boundary_gram(circles, [])
+    with pytest.raises(BerglabError):
+        Basis.of([])
+
+
+def test_nan_pole_raises():
+    circles = domain_circles(CircleDomain.build([(0.5 + 0j, 0.1)]))
+    with pytest.raises(PolesTooCloseError):
+        boundary_gram(circles, [RationalFunction.pole(complex(math.nan, 0.0), 1)])
+    with pytest.raises(PolesTooCloseError):
+        boundary_gram(circles, [RationalFunction.monomial(1), RationalFunction.pole(complex(0.5, math.nan), 2)])
