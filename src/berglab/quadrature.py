@@ -51,9 +51,6 @@ def leggauss(n: int):
 #: largest nearest-singularity ratio a boundary circle accepts
 SERIES_MARGIN = 0.95
 
-#: fewest trapezoidal nodes on a circle; SERIES_MARGIN caps the count at 629
-NODES_MIN = 96
-
 #: largest change, on the scale sqrt(G_ii G_jj), that doubling every
 #: circle's node count may make to a Gram entry
 DOUBLING_TOL = 1e-9
@@ -64,12 +61,32 @@ DOUBLING_TOL = 1e-9
 #: maxima still give a normal product
 EQUILIBRATED_EXP = 256
 
+#: the smallest unit 2**unit that ``_circle_sums`` gives a diagonal sum: its
+#: two column exponents are clipped at 1023 each
+MIN_UNIT = -2 * 1023
 
-def _terms_for(ratio: float) -> int:
-    """Trapezoidal nodes driving the geometric error ratio**N below 1e-14."""
+
+def _terms_for(ratio: float, s: int) -> int:
+    """Trapezoidal nodes N on a circle: s + ceil(14 ln 10 / -ln ratio), and
+    s + 1 at ratio 0, for s = n_coef + m + 1.
+
+    On the circle z = c + rho zeta, |zeta| = 1, a basis with n_coef
+    polynomial coefficients and poles of order at most m gives an integrand
+    Phi_i f_j dz that is a Laurent series in zeta: a finite part, with modes
+    |k| <= n_coef + m (polynomials, their antiderivatives, poles at the
+    circle's own center), plus tails that decay like ratio**|k| (poles off
+    the center, the logarithm of a simple pole).  The N-point rule
+    integrates zeta**k exactly unless k is a nonzero multiple of N, so it is
+    exact on the finite part, and a tail mode aliases onto the integral only
+    at an order of at least N - s, where it has decayed by ratio**(N - s) <=
+    1e-14.  The tail of an order-m pole carries a further factor of about
+    k**(m-1) / (m-1)!, which the count leaves to the doubling check (the
+    returned 2N-point rule squares the decay).  SERIES_MARGIN caps N at
+    s + 629.
+    """
     if ratio <= 0.0:
-        return NODES_MIN
-    return max(NODES_MIN, math.ceil(14.0 * math.log(10.0) / -math.log(ratio)))
+        return s + 1
+    return s + math.ceil(14.0 * math.log(10.0) / -math.log(ratio))
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +323,15 @@ def boundary_gram(
     ``circles`` holds (center, radius, orientation) triples, orientation +1
     for counter-clockwise and -1 for clockwise, with the domain on the left;
     ``fns`` is a packed :class:`Basis` or a list of functions to pack.
-    Each circle gets N = _terms_for(ratio) nodes from the ratio of its
-    nearest pole (min(d, rho) / max(d, rho) at distance d from its center),
-    and its rule is doubled once: the returned matrix is the 2N-point
-    result, Hermitian-symmetrised, and the N-point result must agree with
-    it to DOUBLING_TOL on the global scale sqrt(G_ii G_jj).  Each circle's
-    sums are taken by ``_circle_sums`` on power-of-two-equilibrated columns.
+    Each circle gets N = _terms_for(ratio, s) nodes from the ratio of its
+    nearest pole (min(d, rho) / max(d, rho) at distance d from its center)
+    and the basis's mode bound s = n_coef + m + 1 (n_coef polynomial
+    coefficients, highest pole order m), and its rule is doubled once: the
+    returned matrix is the 2N-point result, Hermitian-symmetrised, and the
+    N-point result must agree with it to DOUBLING_TOL on the global scale
+    sqrt(G_ii G_jj).  Each circle's sums are taken by ``_circle_sums`` on
+    power-of-two-equilibrated columns, and G_ii for that scale is summed in
+    a unit of its own, so the check sees subnormal and underflowed norms.
 
     Raises PreconditionViolatedError for an empty basis, PolesTooCloseError
     for a pole inside the domain or with a ratio above SERIES_MARGIN (or not
@@ -355,13 +375,15 @@ def boundary_gram(
     higher = basis.ranks[0] if basis.ranks else slice(0, 0)
     simple_coeffs, higher_div = np.conj(coeffs[simple]), 1 - orders[higher]
 
-    nodes = [_terms_for(float(r)) for r in worst]
+    s_modes = basis.poly.shape[1] + int(orders.max(initial=0)) + 1
+    nodes = [_terms_for(float(r), s_modes) for r in worst]
     # work arrays for the largest circle, reused by every circle
     rows = 2 * max(nodes)
     Phi_work, F_work = np.empty((rows, n), dtype=complex), np.empty((rows, n), dtype=complex)
     U_work, T_work, P_work = (np.empty((rows, centers.size), dtype=complex) for _ in range(3))
     coarse = np.zeros((n, n), dtype=complex)
     fine = np.zeros((n, n), dtype=complex)
+    diags, units = [], []
     for c, rho, s, N in zip(cc, rr, sign, nodes):
         zeta = _roots(2 * N)
         offsets = rho * zeta
@@ -384,13 +406,24 @@ def boundary_gram(
                 Phi[:, shared_fns] += (P[:, shared_poles] @ shared_owner)[:, : shared.size]
         # (1/2i) dz = (rho zeta / 2) dtheta, and dtheta = pi / N on 2N nodes
         WF = np.multiply((s * math.pi * rho / (2 * N)) * zeta[:, None], F, out=F)
-        fine_c, coarse_c = _circle_sums(Phi, WF)
+        fine_c, coarse_c, diag, unit = _circle_sums(Phi, WF)
         fine += fine_c
         coarse += coarse_c
+        diags.append(diag)
+        units.append(unit)
 
-    root = np.sqrt(np.maximum(np.abs(np.real(np.diag(fine))), 1e-300))
+    # G_ii = norm_i * 4**half_i, each circle's diagonal sum rescaled to the
+    # largest unit that one of them needs (even, so that sqrt is exact): the
+    # norm stays a normal number where G_ii is subnormal or underflows to 0
+    diag, unit = np.array(diags), np.array(units)
+    half = (np.max(unit, axis=0, where=diag != 0.0, initial=MIN_UNIT) + 1) // 2
+    norm = np.abs(np.add.reduce(np.ldexp(diag, unit - 2 * half), axis=0))
+    root = np.sqrt(norm)
     scale = root[:, None] * root[None, :]
-    change = float(np.max(np.abs(fine - coarse) / scale))
+    # a zero function has exactly zero rows, whatever they are divided by
+    scale[scale == 0.0] = 1.0
+    shift = -(half[:, None] + half[None, :])
+    change = float(np.max(np.ldexp(np.abs(fine - coarse), shift) / scale))
     if not change <= DOUBLING_TOL:
         raise QuadratureStallError(
             f"doubling the boundary rule changed the Gram matrix by {change:.2e} (tolerance {DOUBLING_TOL})"
@@ -398,7 +431,7 @@ def boundary_gram(
     info = QuadratureInfo(
         nodes=nodes,
         doubling_change=change,
-        hermitian_defect=float(np.max(np.abs(fine - fine.conj().T) / scale)),
+        hermitian_defect=float(np.max(np.ldexp(np.abs(fine - fine.conj().T), shift) / scale)),
     )
     return 0.5 * (fine + fine.conj().T), info
 
@@ -411,29 +444,38 @@ def norm_sq(circles: Sequence[tuple[complex, float, int]], f: RationalFunction) 
 @lru_cache(maxsize=None)
 def _roots(m: int) -> np.ndarray:
     """The m-th roots of unity, read-only.  The cache stays small: m = 2N
-    with 96 <= N <= 629 (NODES_MIN and SERIES_MARGIN)."""
+    with s + 1 <= N <= s + 629 (``_terms_for``), s the mode bound of a
+    basis."""
     zeta = np.exp(2j * math.pi * np.arange(m) / m)
     zeta.flags.writeable = False
     return zeta
 
 
-def _circle_sums(Phi: np.ndarray, WF: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Phi.T @ WF, Phi[::2].T @ (2 WF[::2])): one circle's 2N- and N-point
-    sums, bit for bit wherever those products stay normal numbers.
+def _circle_sums(
+    Phi: np.ndarray, WF: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(Phi.T @ WF, Phi[::2].T @ (2 WF[::2]), diag, unit): one circle's 2N-
+    and N-point sums, bit for bit wherever those products stay normal
+    numbers, and the real part of the first one's (leading) diagonal as
+    diag * 2**unit, with diag taken before scaling back.
 
-    Both are taken on columns scaled by powers of two (``_equilibrate``,
+    Both sums are taken on columns scaled by powers of two (``_equilibrate``,
     which overwrites Phi and WF) and scaled back with ldexp, so a product of
     two column entries is subnormal only far below its columns' maxima (see
     EQUILIBRATED_EXP): the Gram entries of deep circles keep their relative
     precision down to the normal floor instead of losing it, slowly, in
-    subnormal arithmetic.
+    subnormal arithmetic.  ``unit`` is at least MIN_UNIT.
     """
-    shift = -(_equilibrate(Phi)[:, None] + _equilibrate(WF)[None, :])[..., None]
+    a, b = _equilibrate(Phi), _equilibrate(WF)
+    shift = -(a[:, None] + b[None, :])[..., None]
     # a strided single column goes to another BLAS kernel than a contiguous
     # one and rounds otherwise; the copy keeps one-function bases (norm_sq)
     # on the contiguous path
     even = WF[::2] if WF.shape[1] > 1 else WF[::2].copy()
-    return _ldexp(Phi.T @ WF, shift), _ldexp(Phi[::2].T @ even, shift + 1)
+    fine = Phi.T @ WF
+    diag = fine.diagonal().real.copy()
+    unit = -(a[: diag.size] + b[: diag.size])
+    return _ldexp(fine, shift), _ldexp(Phi[::2].T @ even, shift + 1), diag, unit
 
 
 def _equilibrate(A: np.ndarray) -> np.ndarray:

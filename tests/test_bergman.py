@@ -316,6 +316,18 @@ GOLDEN_WITNESS_RATIO = {2: 459275.8758608851, 4: 121304209113251.33, 6: 8.179930
 GOLDEN_EQUILIBRIUM_BOUND = {3: 1422797478.8381326, 5: 9.253571085267632e22, 7: 1.8085224530497728e54}
 
 
+#: equilibrium_bound at the same points as the boundary rule wrote it with at
+#: least 96 nodes on every circle; the counts derived from the basis keep it
+#: to 1e-12
+FLOOR_RULE_EQUILIBRIUM_BOUND = {3: 1422799777.7399707, 5: 9.253572500196096e22, 7: 1.8085214384190623e54}
+
+
+def test_equilibrium_bound_matches_the_former_node_counts(h15_domain):
+    for k, want in FLOOR_RULE_EQUILIBRIUM_BOUND.items():
+        z = complex(-math.sqrt(float(h15_domain.xs[k - 1] * h15_domain.xs[k])))
+        assert equilibrium_witness_bound(h15_domain, z)["bound"] == pytest.approx(want, rel=1e-12)
+
+
 def test_metric_and_witnesses_match_golden_values(h15_domain, h15_gram):
     def mid(k):
         return complex(-math.sqrt(float(h15_domain.xs[k - 1] * h15_domain.xs[k])))

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from berglab import perfectness
 from berglab.cli import main, run, write_json
-from berglab.domains import ScaleFunction
+from berglab.domains import ScaleFunction, build_zalcman
 from berglab.errors import ConfigInvalidError
+from berglab.quadrature import domain_circles
 
 
 def read_manifest(out: Path) -> dict:
@@ -86,7 +87,17 @@ def test_kernel_manifest_records_the_boundary_rule(tmp_path):
     quad = run(cfg, str(tmp_path))["summary"]["quad"]
     assert quad == read_manifest(tmp_path)["summary"]["quad"]
     assert len(quad["circle_nodes"]) == 7  # six holes and the outer circle
-    assert all(isinstance(n, int) and n >= 96 for n in quad["circle_nodes"])
+    assert all(isinstance(n, int) for n in quad["circle_nodes"])
+    # the documented rule: N = s + ceil(14 ln 10 / -ln ratio), s + 1 at ratio
+    # 0, with s = 9 polynomial coefficients + pole order 2 + 1, and ratio that
+    # of each circle's nearest pole (the six hole centers)
+    dom = build_zalcman(ScaleFunction.h1(1.5), 1e-2, 6)
+    s, poles, want = 12, dom.xs[:6], []
+    for c, rho, _ in domain_circles(dom):
+        d = np.abs(poles - c)
+        ratio = float(np.max(np.minimum(d, rho) / np.maximum(d, rho)))
+        want.append(s + 1 if ratio == 0.0 else s + math.ceil(14.0 * math.log(10.0) / -math.log(ratio)))
+    assert quad["circle_nodes"] == want
     assert 0.0 <= quad["doubling_change"] <= 1e-9
     assert 0.0 <= quad["hermitian_defect"] <= 1e-12
     n_fns = 9 + 2 * 6  # degree 8 plus two pole orders per hole

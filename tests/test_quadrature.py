@@ -1,5 +1,6 @@
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -219,6 +220,19 @@ def test_h2_kernel_matches_golden_values(h2_40_gram):
         assert bergman.subspace_kernel(gs, complex(-x)).K_low == pytest.approx(want, rel=1e-6)
 
 
+#: K_low at the same points as the boundary rule wrote it with at least 96
+#: nodes on every circle; the counts derived from the basis keep it to 1e-12
+FLOOR_RULE_K_LOW = {5: 20577531072140.023, 20: 3.6673701249101994e60, 35: 5.158784765059018e120}
+
+
+def test_h2_kernel_matches_the_former_node_counts(h2_40_gram):
+    dom, gs = h2_40_gram
+    assert sum(gs.quad.nodes) < 1000
+    for k, want in FLOOR_RULE_K_LOW.items():
+        x = math.sqrt(float(dom.xs[k - 1] * dom.xs[k]))
+        assert bergman.subspace_kernel(gs, complex(-x)).K_low == pytest.approx(want, rel=1e-12)
+
+
 def test_gram_from_a_packed_basis_keeps_its_bits(h2_40_gram):
     dom, gs = h2_40_gram
     circles = domain_circles(dom)
@@ -250,13 +264,14 @@ TWO_HOLE_REGION = PolarRegion(0j, 0.0, 1.0, TWO_HOLES)
 
 
 @st.composite
-def hole_poles(draw):
-    """Off-centre poles of orders 1-3 inside the holes, scaled by the
-    hole radius so each function has an O(1) norm."""
+def hole_poles(draw, low=0.0, high=0.6):
+    """Off-centre poles of orders 1-3 inside the holes, at low-high of the
+    hole radius from its center, scaled by the hole radius so each function
+    has an O(1) norm."""
     fns = []
     for _ in range(draw(st.integers(1, 3))):
         c, rho = TWO_HOLES[draw(st.integers(0, 1))]
-        offset = draw(st.floats(0.0, 0.6)) * rho * np.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+        offset = draw(st.floats(low, high)) * rho * np.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
         m = draw(st.integers(1, 3))
         fns.append(RationalFunction.pole(c + offset, m, coeff=rho ** (m - 1)))
     return fns
@@ -403,10 +418,11 @@ def former_boundary_values(c, offsets, basis, owner_matrix):
 TINY = np.finfo(float).tiny
 
 
-def former_boundary_gram(circles, fns):
+def former_boundary_gram(circles, fns, nodes):
     """(G, info, underflow): ``boundary_gram`` as it was before its circle
     loop took products on equilibrated columns, with fresh arrays for every
-    circle and the dense 0/1 owner matrix cast to complex in each product.
+    circle and the dense 0/1 owner matrix cast to complex in each product,
+    on the node counts ``nodes`` that the engine chose.
 
     ``underflow`` marks the entries whose per-circle sums may have met a
     subnormal number: on some circle, the smallest nonzero real or imaginary
@@ -433,7 +449,6 @@ def former_boundary_gram(circles, fns):
         parts = np.abs(A.view(float)).reshape(A.shape[0], -1, 2)
         return np.where(parts > 0.0, parts, np.inf).min(axis=(0, 2))
 
-    nodes = [quadrature._terms_for(float(r)) for r in worst]
     coarse = np.zeros((n, n), dtype=complex)
     fine = np.zeros((n, n), dtype=complex)
     underflow = np.zeros((n, n), dtype=bool)
@@ -469,11 +484,10 @@ def assert_matches_former(circles, fns):
     entry where the former engine met subnormal arithmetic may instead move
     by 4 eps sqrt(G_ii G_jj), and the info's ratios by 8 eps."""
     G, info = boundary_gram(circles, fns)
-    G0, info0, underflow = former_boundary_gram(circles, fns)
+    G0, info0, underflow = former_boundary_gram(circles, fns, info.nodes)
     root = np.sqrt(np.abs(np.real(np.diag(G0))))
     close = np.abs(G - G0) <= 4 * EPS * np.outer(root, root)
     assert np.all((G == G0) | (underflow & close))
-    assert info.nodes == info0.nodes
     slack = 8 * EPS if underflow.any() else 0.0
     assert abs(info.doubling_change - info0.doubling_change) <= slack
     assert abs(info.hermitian_defect - info0.hermitian_defect) <= slack
@@ -542,14 +556,81 @@ def test_circle_loop_matches_former_engine_on_multi_pole_bases(fns):
     assert_matches_former(TWO_HOLE_REGION.circles(), fns)
 
 
+# ---------------------------------------------------------------------------
+# the derived node counts against rules four times as fine
+# ---------------------------------------------------------------------------
+
+
+def assert_converged(circles, fns):
+    """G at the engine's node counts within 1e-13 sqrt(G_ii G_jj) of G with
+    every circle's count multiplied by 4."""
+    G, info = boundary_gram(circles, fns)
+    terms_for = quadrature._terms_for
+    with mock.patch.object(quadrature, "_terms_for", lambda ratio, s: 4 * terms_for(ratio, s)):
+        fine, fine_info = boundary_gram(circles, fns)
+    assert fine_info.nodes == [4 * N for N in info.nodes]
+    root = np.sqrt(np.abs(np.real(np.diag(fine))))
+    assert np.max(np.abs(G - fine) / np.outer(root, root)) <= 1e-13
+
+
+@settings(max_examples=20, deadline=None)
+@given(zalcman_domains(), st.integers(0, 8))
+@example(build_zalcman(ScaleFunction.h2(1.0), 1e-3, 40), 8)
+@example(build_zalcman(ScaleFunction.h2(1.0), 1e-3, 40, "sandwich"), 8)
+@example(build_zalcman(ScaleFunction.h1(1.5), 1e-2, 10), 8)
+@example(build_zalcman(ScaleFunction.h1(1.2), 1e-2, 12), 8)
+# the nearest poles of this domain sit at ratio 0.74
+@example(build_zalcman(ScaleFunction.h1(1.2), 0.0136, 6), 8)
+def test_node_count_converged_on_zalcman_domains(dom, degree):
+    assert_converged(domain_circles(dom), bergman.default_basis(dom, degree))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.floats(0.05, 0.9), st.integers(0, 8))
+def test_node_count_converged_on_the_annulus(r0, degree):
+    # poles of order up to ``degree`` at the center of both circles
+    dom = CircleDomain.build(inner_radius=r0)
+    assert_converged(domain_circles(dom), bergman.default_basis(dom, degree))
+
+
+@settings(max_examples=40, deadline=None)
+@given(multi_pole_bases())
+def test_node_count_converged_on_multi_pole_bases(fns):
+    assert_converged(TWO_HOLE_REGION.circles(), fns)
+
+
+@settings(max_examples=25, deadline=None)
+@given(hole_poles(low=0.8, high=0.949), st.integers(0, 3))
+def test_node_count_converged_near_the_series_margin(fns, degree):
+    # poles of orders 1-3 at ratio 0.8-0.949 of their hole's circle, below
+    # SERIES_MARGIN after rounding
+    fns = fns + [RationalFunction.monomial(j) for j in range(degree + 1)]
+    assert_converged(TWO_HOLE_REGION.circles(), fns)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 1), st.integers(1, 12), st.floats(0.1, 0.9), st.floats(0.0, 2 * math.pi))
+def test_node_count_converged_for_cauchy_transforms(hole, count, reach, t):
+    # one Cauchy transform on a ring inside a hole: the one-function path
+    # of ``norm_sq``
+    c, rho = TWO_HOLES[hole]
+    ring = c + reach * rho * np.exp(1j * (t + 2 * math.pi * np.arange(count) / count))
+    assert_converged(TWO_HOLE_REGION.circles(), [RationalFunction.from_nodes(ring, np.linspace(0.05, 0.2, count))])
+
+
+#: collar 9 of the h1 metric domain at the gram workload's seed 2
+DEEP_COLLAR = PolarRegion(
+    0j, 2.4184548242686697e-78, 3.07803341270558e-78, ((complex(2.7482441184871245e-78), 3.297892942184549e-79),)
+)
+
+
 def test_deep_collar_moments_match_closed_forms():
-    # collar 9 of the h1 metric domain at the gram workload's seed 2: its
-    # second moment is subnormal, and the former engine's subnormal products
-    # left it 1.75e-12 off the closed form
-    r_in, r_out = 2.4184548242686697e-78, 3.07803341270558e-78
-    c, rho = 2.7482441184871245e-78, 3.297892942184549e-79
-    region = PolarRegion(0j, r_in, r_out, ((complex(c), rho),))
-    G, _ = boundary_gram(region.circles(), [RationalFunction.monomial(0), RationalFunction.monomial(1)])
+    # the collar's second moment is subnormal, and the former engine's
+    # subnormal products left it 1.75e-12 off the closed form
+    r_in, r_out = DEEP_COLLAR.r_in, DEEP_COLLAR.r_out
+    ((c, rho),) = DEEP_COLLAR.holes
+    c = c.real
+    G, _ = boundary_gram(DEEP_COLLAR.circles(), [RationalFunction.monomial(0), RationalFunction.monomial(1)])
     # the closed forms in units of 2**-259, scaled back with one rounding
     R, r, d, p = (math.ldexp(v, 259) for v in (r_out, r_in, c, rho))
     area = math.ldexp(math.pi * (R**2 - r**2 - p**2), -518)
@@ -557,6 +638,48 @@ def test_deep_collar_moments_match_closed_forms():
     assert moment2 < np.finfo(float).tiny
     assert G[0, 0].real == pytest.approx(area, rel=1e-13)
     assert G[1, 1].real == pytest.approx(moment2, rel=1e-13)
+
+
+def corrupt_one_coarse_sum(monkeypatch, call, entry, rel):
+    """Make the ``call``-th circle's N-point sum of Gram ``entry`` (and its
+    mirror) off by ``rel`` relative."""
+    sums, calls = quadrature._circle_sums, []
+
+    def corrupted(Phi, WF):
+        fine, coarse, diag, unit = sums(Phi, WF)
+        if len(calls) == call:
+            coarse[entry] *= 1.0 + rel
+            coarse[entry[::-1]] *= 1.0 + rel
+        calls.append(call)
+        return fine, coarse, diag, unit
+
+    monkeypatch.setattr(quadrature, "_circle_sums", corrupted)
+
+
+def test_doubling_check_sees_subnormal_and_underflowed_norms(monkeypatch):
+    # on the deep collar, G_11 of z is subnormal and G_22 of z^2 underflows
+    # to 0; the check judged both on the floored scale sqrt(1e-300), where
+    # these corruptions moved its ratio by about 1e-16 and not at all
+    fns = [RationalFunction.monomial(j) for j in range(3)]
+    G, info = boundary_gram(DEEP_COLLAR.circles(), fns)
+    assert 0.0 < G[1, 1].real < np.finfo(float).tiny and G[2, 2] == 0.0
+    assert info.doubling_change <= 1e-13 and info.hermitian_defect <= 1e-13
+    # the outer circle's sum of the z entry, 1e-6 off
+    corrupt_one_coarse_sum(monkeypatch, 0, (1, 1), 1e-6)
+    with pytest.raises(QuadratureStallError):
+        boundary_gram(DEEP_COLLAR.circles(), fns)
+    # the hole's sum of the (1, z^2) entry, 1e-3 off: 3e-5 on the scale
+    # sqrt(G_00 G_22)
+    monkeypatch.undo()
+    corrupt_one_coarse_sum(monkeypatch, 2, (0, 2), 1e-3)
+    with pytest.raises(QuadratureStallError):
+        boundary_gram(DEEP_COLLAR.circles(), fns)
+
+
+def test_zero_function_passes_the_doubling_check():
+    G, info = boundary_gram(DEEP_COLLAR.circles(), [RationalFunction(), RationalFunction.monomial(0)])
+    assert np.all(G[0] == 0.0) and G[1, 1].real > 0.0
+    assert info.doubling_change <= 1e-13 and info.hermitian_defect <= 1e-13
 
 
 def scaled_matrix(rng, rows, cols, low, high):
@@ -572,7 +695,7 @@ def scaled_matrix(rng, rows, cols, low, high):
 def test_circle_sums_are_the_plain_products_bit_for_bit(half, m, n, seed):
     rng = np.random.default_rng(seed)
     A, B = scaled_matrix(rng, 2 * half, m, -300, 300), scaled_matrix(rng, 2 * half, n, -300, 300)
-    fine, coarse = quadrature._circle_sums(A.copy(), B.copy())
+    fine, coarse, _, _ = quadrature._circle_sums(A.copy(), B.copy())
     assert np.array_equal(fine, A.T @ B)
     assert np.array_equal(coarse, A[::2].T @ (2.0 * B[::2]))
 
@@ -611,7 +734,7 @@ def test_circle_sums_on_zero_subnormal_and_huge_columns(half, seed):
         scaled_matrix(rng, rows, 1, -40, 0)[:, 0],
         scaled_matrix(rng, rows, 1, -1060, -1000)[:, 0],
     ])
-    fine, coarse = quadrature._circle_sums(A.copy(), B.copy())
+    fine, coarse, _, _ = quadrature._circle_sums(A.copy(), B.copy())
     want_fine, want_coarse = exact_products(A, B)
     bound = (2 * rows + 4) * EPS * (np.abs(A).T @ np.abs(B)) + 4 * np.finfo(float).smallest_subnormal
     assert np.all(np.abs(fine - want_fine) <= bound)
