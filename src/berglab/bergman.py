@@ -28,6 +28,7 @@ import numpy as np
 from .capacity import circle_nodes, equilibrium_measure
 from .domains import CircleDomain, ZalcmanDomain
 from .errors import (
+    BerglabError,
     DegenerateConstraintError,
     NoSecondPointError,
     OutsideDomainError,
@@ -103,12 +104,13 @@ class GramSystem:
         }
 
     def project(self, u: np.ndarray) -> np.ndarray:
-        """u in the equilibrated eigenbasis, the input of ``quadratic``."""
-        return self.eigvecs.conj().T @ (self.scale * u)
+        """Each row of u in the equilibrated eigenbasis, the input of
+        ``quadratic``: one matrix product for all the rows."""
+        return (self.scale * u) @ self.eigvecs.conj()
 
-    def quadratic(self, uu: np.ndarray, vv: np.ndarray) -> complex:
-        """u^H G^+ v from the projections uu and vv of u and v."""
-        return complex(np.sum(np.where(self.kept, np.conj(uu) * vv / self.eigvals, 0.0)))
+    def quadratic(self, uu: np.ndarray, vv: np.ndarray) -> np.ndarray:
+        """u^H G^+ v for each row pair of the projections uu and vv."""
+        return np.sum(np.where(self.kept, np.conj(uu) * vv / self.eigvals, 0.0), axis=-1)
 
 
 def assemble_gram(domain: CircleDomain, fns: Optional[list[RationalFunction]] = None) -> GramSystem:
@@ -155,69 +157,94 @@ def assemble_gram(domain: CircleDomain, fns: Optional[list[RationalFunction]] = 
 
 @dataclass(frozen=True)
 class KernelEstimate:
-    K_low: float
+    """Values at the points asked for: a float for one point, an array of
+    the points' shape for an array of them."""
+
+    K_low: float | np.ndarray
     certified: bool
 
 
 @dataclass(frozen=True)
 class MetricEstimate:
-    S_low: float
-    K_low: float
-    b_est: float
+    """Values at the points asked for, shaped as in ``KernelEstimate``."""
+
+    S_low: float | np.ndarray
+    K_low: float | np.ndarray
+    b_est: float | np.ndarray
 
 
-def _safe_scale(vec: np.ndarray) -> float:
-    """Norm of vec computed without squaring huge entries."""
-    m = float(np.max(np.abs(vec)))
-    if m == 0.0:
-        return 1.0
-    return m * float(np.linalg.norm(vec / m))
+def _points(gs: GramSystem, w) -> np.ndarray:
+    """The points w as a flat complex array, all of them inside the domain."""
+    z = np.asarray(w, dtype=complex).ravel()
+    inside = gs.domain.contains(z)
+    if not inside.all():
+        raise OutsideDomainError(f"{z[~inside][0]} is not inside the domain")
+    return z
 
 
-def subspace_kernel(gs: GramSystem, w: complex) -> KernelEstimate:
-    """sup |f(w)|^2 over unit-norm f in the basis span: conj(v)^H G^+ conj(v).
+def _shaped(values: np.ndarray, w) -> float | np.ndarray:
+    """Per-point values in the shape of the points w: a float for one point."""
+    shape = np.shape(w)
+    return values.reshape(shape) if shape else float(values[0])
+
+
+def _safe_scale(rows: np.ndarray) -> np.ndarray:
+    """Norm of each row, computed without squaring huge entries; 1 for a
+    zero row, so that dividing by it is safe."""
+    m = np.max(np.abs(rows), axis=-1)
+    zero = m == 0.0
+    m[zero] = 1.0
+    norm = m * np.linalg.norm(rows / m[:, None], axis=-1)
+    norm[zero] = 1.0
+    return norm
+
+
+def subspace_kernel(gs: GramSystem, w) -> KernelEstimate:
+    """sup |f(w)|^2 over unit-norm f in the basis span: conj(v)^H G^+ conj(v),
+    at a point w or at every point of an array w, all in one pass.
 
     On a superset truncation this certifies a lower bound for the true
     kernel, up to the boundary rule's error (checked by one doubling, see
     ``QuadratureInfo``): the subspace sup is below the truncated-domain sup,
     which is below the untruncated one by domain monotonicity.
     """
-    if not gs.domain.contains(w):
-        raise OutsideDomainError(f"{w} is not inside the domain")
-    b = np.conj(gs.basis.values(w))
+    z = _points(gs, w)
+    b = np.conj(gs.basis.values(z))
     # normalize before the quadratic form: |b|^2 entries can pass 1e154
     nb = _safe_scale(b)
-    bb = gs.project(b / nb)
-    K = float(np.real(gs.quadratic(bb, bb))) * nb * nb
+    bb = gs.project(b / nb[:, None])
+    K = gs.quadratic(bb, bb).real * nb * nb
     # reference domains are exact; a sandwich truncation is a subdomain
     certified = not isinstance(gs.domain, ZalcmanDomain) or gs.domain.variant == "superset"
-    return KernelEstimate(K_low=K, certified=certified)
+    return KernelEstimate(K_low=_shaped(K, w), certified=certified)
 
 
-def subspace_metric(gs: GramSystem, w: complex) -> MetricEstimate:
-    """Constrained derivative extremum over the basis span.
+def subspace_metric(gs: GramSystem, w) -> MetricEstimate:
+    """Constrained derivative extremum over the basis span, at a point w or
+    at every point of an array w, all in one pass.
 
     S^2 = sup{|f'(w)|^2 : f(w) = 0, ||f|| = 1}; the estimate divides by the
     subspace kernel, b_est = S / sqrt(K).
     """
-    if not gs.domain.contains(w):
-        raise OutsideDomainError(f"{w} is not inside the domain")
-    v, u = gs.basis.values_and_derivs(w)
+    z = _points(gs, w)
+    v, u = gs.basis.values_and_derivs(z)
     q, p = np.conj(v), np.conj(u)
     # all quadratic forms on unit vectors; norms carried as scalar factors
     # so nothing squares past double range at deep scales
     nq, np_ = _safe_scale(q), _safe_scale(p)
-    qq, pp = gs.project(q / nq), gs.project(p / np_)
-    b_form = float(np.real(gs.quadratic(qq, qq)))
+    qq, pp = gs.project(q / nq[:, None]), gs.project(p / np_[:, None])
+    b_form = gs.quadratic(qq, qq).real
     K = b_form * nq * nq
-    if K <= 0.0 or b_form <= 0.0:
-        raise DegenerateConstraintError("kernel value vanished at w")
-    a_form = float(np.real(gs.quadratic(pp, pp)))
+    vanished = (K <= 0.0) | (b_form <= 0.0)
+    if vanished.any():
+        raise DegenerateConstraintError(f"kernel value vanished at {z[vanished][0]}")
+    a_form = gs.quadratic(pp, pp).real
     c_form = gs.quadratic(pp, qq)
-    S2_hat = a_form - abs(c_form) ** 2 / b_form
-    S = np_ * math.sqrt(max(0.0, S2_hat))
-    b_est = (np_ / nq) * math.sqrt(max(0.0, S2_hat) / b_form)
-    return MetricEstimate(S_low=S, K_low=K, b_est=b_est)
+    S2_hat = a_form - np.abs(c_form) ** 2 / b_form
+    S2_hat = np.where(S2_hat > 0.0, S2_hat, 0.0)
+    S = np_ * np.sqrt(S2_hat)
+    b_est = (np_ / nq) * np.sqrt(S2_hat / b_form)
+    return MetricEstimate(S_low=_shaped(S, w), K_low=_shaped(K, w), b_est=_shaped(b_est, w))
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +252,21 @@ def subspace_metric(gs: GramSystem, w: complex) -> MetricEstimate:
 # ---------------------------------------------------------------------------
 
 
-def band_index(domain: ZalcmanDomain, x: float) -> int:
-    """k with x in (x_{k+1}, x_k); 1-based; error outside retained bands."""
-    xs = domain.xs
-    for k in range(1, domain.K + 1):
-        if xs[k] < x < xs[k - 1]:
-            return k
-    raise ScaleNotRetainedError(f"x = {x} not inside a retained scale band")
+def band_index(domain: ZalcmanDomain, x):
+    """k with x_{k+1} < x < x_k, 1-based, for a float x (an int) or for each
+    entry of an array x (an int array); ScaleNotRetainedError unless every x
+    lies inside a retained band, its ends excluded."""
+    up = domain.xs[domain.K :: -1]  # x_{K+1} < ... < x_1
+    q = np.asarray(x, dtype=float)
+    # up[j - 1] < q <= up[j] (a NaN counts 0): np.searchsorted's search as a
+    # count, because searchsorted's first call in a process alone adds about
+    # 62 KB to its resident memory
+    j = (up < q[..., None]).sum(axis=-1)
+    inside = (j >= 1) & (q < up[np.minimum(j, domain.K)])
+    if not inside.all():
+        raise ScaleNotRetainedError(f"x = {q[~inside][0] if q.ndim else x} not inside a retained scale band")
+    k = domain.K + 1 - j
+    return k if q.ndim else int(k)
 
 
 def witness_kernel_bound(domain: ZalcmanDomain, x: float) -> dict:
@@ -263,6 +298,37 @@ def witness_metric_bound(domain: ZalcmanDomain, w: complex, variant: str = "two_
     untruncated domain, so the ratio lower-bounds the derivative extremum
     b(w) * sqrt(K(w)) there.
     """
+    f, out = _metric_witness(domain, w, variant)
+    norm2 = norm_sq(domain_circles(domain), f)
+    return {**out, "norm_sq": norm2, "ratio": out["fprime"] / math.sqrt(norm2)}
+
+
+def witness_metric_ratios(domain: ZalcmanDomain, ws: np.ndarray, variant: str = "two_pole") -> np.ndarray:
+    """The ratio of ``witness_metric_bound`` at each point of ws, every norm
+    read from the diagonal of one boundary Gram of all the witnesses.
+
+    A point whose witness cannot be built (any BerglabError, such as a hole
+    that is not retained) gets NaN; an error of the Gram itself is raised.
+    """
+    ratio = np.full(len(ws), math.nan)
+    rows, fns, fprime = [], [], []
+    for i, w in enumerate(ws):
+        try:
+            f, out = _metric_witness(domain, complex(w), variant)
+        except BerglabError:
+            continue
+        rows.append(i)
+        fns.append(f)
+        fprime.append(out["fprime"])
+    if fns:
+        G, _ = boundary_gram(domain_circles(domain), fns)
+        ratio[rows] = np.array(fprime) / np.sqrt(G.diagonal().real)
+    return ratio
+
+
+def _metric_witness(domain: ZalcmanDomain, w: complex, variant: str) -> tuple[RationalFunction, dict]:
+    """The witness f of ``witness_metric_bound`` and its report without the
+    norm: no quadrature."""
     if domain.variant != "superset":
         raise PreconditionViolatedError("witness norms are integrated on the superset variant")
     k = band_index(domain, abs(w))
@@ -296,18 +362,15 @@ def witness_metric_bound(domain: ZalcmanDomain, w: complex, variant: str = "two_
     else:
         raise ValueError(f"unknown witness variant {variant!r}")
     residual = abs(f.eval(w)) * abs(w - xk1)  # scale-free zero check
-    norm2 = norm_sq(domain_circles(domain), f)
     out = {
         "w": complex(w),
         "k": k,
         "variant": variant,
         "fprime": float(fprime),
-        "norm_sq": norm2,
-        "ratio": float(fprime) / math.sqrt(norm2),
         "zero_residual": float(residual),
     }
     out.update(extra)
-    return out
+    return f, out
 
 
 # ---------------------------------------------------------------------------
@@ -505,34 +568,20 @@ def distance_profile(
 ) -> list[dict]:
     """Metric samples along the negative real axis and the running length.
 
-    One Gram system serves every sample; the cumulative trapezoid of b_est
-    along the segment estimates the upper path integral from -x_1 inward.
-    Returns one row per sample with the band index, per-band increments
-    accumulating in "d_est".
+    One Gram system and one ``subspace_metric`` call serve every sample; the
+    cumulative trapezoid of b_est along the segment estimates the upper path
+    integral from -x_1 inward.  Returns one row per sample with the band
+    index, per-band increments accumulating in "d_est".
     """
-    x_grid = band_sample_points(domain, k_range, per_band)
-    x_grid = np.sort(x_grid)[::-1]  # from outer scale inward
-    rows = []
-    d_est = 0.0
-    prev_x = None
-    prev_b = None
-    for x in x_grid:
-        est = subspace_metric(gram, complex(-x))
-        if prev_x is not None:
-            d_est += 0.5 * (prev_b + est.b_est) * (prev_x - x)
-        k = band_index(domain, float(x))
-        rows.append(
-            {
-                "k": k,
-                "x": float(x),
-                "b_est": est.b_est,
-                "K_low": est.K_low,
-                "S_low": est.S_low,
-                "d_est": d_est,
-            }
-        )
-        prev_x, prev_b = x, est.b_est
-    return rows
+    x = np.sort(band_sample_points(domain, k_range, per_band))[::-1]  # from outer scale inward
+    est = subspace_metric(gram, -x)
+    b = est.b_est
+    # the running sum, added in sample order
+    d_est = np.zeros(x.size)
+    d_est[1:] = np.cumsum(0.5 * (b[:-1] + b[1:]) * (x[:-1] - x[1:]))
+    columns = (band_index(domain, x), x, b, est.K_low, est.S_low, d_est)
+    names = ("k", "x", "b_est", "K_low", "S_low", "d_est")
+    return [dict(zip(names, row)) for row in zip(*(c.tolist() for c in columns))]
 
 
 def band_increments(rows: list[dict]) -> dict[int, float]:

@@ -195,7 +195,8 @@ def nth_diameter(candidates: np.ndarray, n: int) -> tuple[float, np.ndarray]:
     Leja seeding followed by coordinate-exchange sweeps (each point re-placed
     at its conditional optimum over the grid until a full sweep makes no
     change, at most ``MAX_PASSES`` sweeps).  The attained value is a
-    certified lower bound for the true n-th diameter.
+    certified lower bound for the true n-th diameter; it is 0.0 on a grid
+    with fewer than n distinct points.
 
     Each configuration point keeps its column of log-distances to the grid,
     so a step takes a few passes over the grid and a move computes one new
@@ -241,7 +242,9 @@ def nth_diameter(candidates: np.ndarray, n: int) -> tuple[float, np.ndarray]:
             if not moved:
                 break
 
-    A = log_distance_matrix(config)
+        # a grid with fewer than n distinct points repeats a node: log 0 =
+        # -inf, and the value 0.0 is still a lower bound
+        A = log_distance_matrix(config)
     log_delta = float(np.sum(A)) / (n * (n - 1))
     return math.exp(log_delta), config
 

@@ -316,12 +316,15 @@ def run_pommerenke(cfg: dict, profile: dict) -> tuple[dict, dict]:
 
 
 def _band_sweep(cfg: dict, default: tuple[int, int]):
-    """(domain, bands, mid-band points sqrt(x_{k-1} x_k), Gram system) of
-    ``kernel``, ``metric`` and ``distance``; ``default`` goes to ``_bands``."""
+    """(domain, bands, array of mid-band points sqrt(x_k x_{k+1}), Gram
+    system) of ``kernel``, ``metric`` and ``distance``; ``default`` goes to
+    ``_bands``.  Their tables hold lists: ``format_column`` writes a short
+    list cell by cell, without the sort of its array path."""
     domain = _domain(cfg, ZalcmanDomain)
     ks = _bands(cfg, domain, default)
     degree = _integer(cfg, "degree", 8, 0)
-    mids = [math.sqrt(float(domain.xs[k - 1] * domain.xs[k])) for k in ks]
+    xs = domain.xs
+    mids = np.sqrt(xs[ks.start - 1 : ks.stop - 1] * xs[ks.start : ks.stop])
     gs = bergman.assemble_gram(domain, bergman.default_basis(domain, degree=degree))
     return domain, ks, mids, gs
 
@@ -335,18 +338,22 @@ def run_kernel(cfg: dict, profile: dict) -> tuple[dict, dict]:
     if type(with_eq) is not bool:
         raise ConfigInvalidError(f"equilibrium must be true or false, got {with_eq!r}")
     domain, ks, mids, gs = _band_sweep(cfg, (3, 10))
-    rows = []
-    for k, x in zip(ks, mids):
-        wit = bergman.witness_kernel_bound(domain, x)["value"]
-        sub = bergman.subspace_kernel(gs, complex(-x)).K_low
-        eq = math.nan
-        if with_eq:
+    xs = mids.tolist()
+    eq = [math.nan] * len(xs)
+    if with_eq:
+        # per point: their 45-131 poles make one Gram of all of them slower
+        for i, x in enumerate(xs):
             try:
-                eq = bergman.equilibrium_witness_bound(domain, complex(-x))["bound"]
+                eq[i] = bergman.equilibrium_witness_bound(domain, complex(-x))["bound"]
             except BerglabError:
                 pass
-        rows.append([k, x, sub, wit, eq])
-    table = dict(zip(["k", "x", "K_low", "witness_bound", "equilibrium_bound"], zip(*rows)))
+    table = {
+        "k": list(ks),
+        "x": xs,
+        "K_low": bergman.subspace_kernel(gs, -mids).K_low.tolist(),
+        "witness_bound": [bergman.witness_kernel_bound(domain, x)["value"] for x in xs],
+        "equilibrium_bound": eq,
+    }
     samples = [(x, v) for x, v in zip(table["x"], table[column]) if np.isfinite(v)]
     preferred, margin, fits = None, None, {}
     if len(samples) >= 5:
@@ -366,16 +373,16 @@ def run_metric(cfg: dict, profile: dict) -> tuple[dict, dict]:
     if witness not in ("two_pole", "three_pole"):
         raise ConfigInvalidError(f"witness must be two_pole or three_pole, got {witness!r}")
     domain, ks, mids, gs = _band_sweep(cfg, (2, 6))
-    rows = []
-    for k, x in zip(ks, mids):
-        est = bergman.subspace_metric(gs, complex(-x))
-        try:
-            ratio = bergman.witness_metric_bound(domain, complex(-x), witness)["ratio"]
-        except BerglabError:
-            ratio = math.nan
-        rows.append([k, x, est.K_low, est.S_low, est.b_est, ratio])
-    table = dict(zip(["k", "x", "K_low", "S_low", "b_est", "witness_ratio"], zip(*rows)))
-    return {"points": len(rows), "quad": gs.report()}, {"metric_sweep.csv": table}
+    est = bergman.subspace_metric(gs, -mids)
+    table = {
+        "k": list(ks),
+        "x": mids.tolist(),
+        "K_low": est.K_low.tolist(),
+        "S_low": est.S_low.tolist(),
+        "b_est": est.b_est.tolist(),
+        "witness_ratio": bergman.witness_metric_ratios(domain, -mids, witness).tolist(),
+    }
+    return {"points": mids.size, "quad": gs.report()}, {"metric_sweep.csv": table}
 
 
 def run_distance(cfg: dict, profile: dict) -> tuple[dict, dict]:

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from basis_oracle import spec_functions
 from berglab.bergman import (
     POLE_ORDER,
     assemble_gram,
     band_increments,
+    band_index,
     cauchy_transform_norm_check,
     default_basis,
     distance_profile,
@@ -272,6 +275,175 @@ def test_norm_lemma_two_disks_uniform_constant():
     double = cauchy_transform_norm_check([(-0.1 + 0j, 0.01), (0.1 + 0j, 0.01)])
     assert double["ratio"] <= 20.0 * single["ratio"]
     assert double["ratio"] >= single["ratio"] / 20.0
+
+
+# ---------------------------------------------------------------------------
+# point sweeps: one call for an array of points
+# ---------------------------------------------------------------------------
+
+#: relative bounds of an array call against one-point calls and against the
+#: former one-point formulas: K_low, and S_low and b_est (the metric's
+#: a - |c|^2 / b cancels to about 1e-8 of a at band 6 of h1(1.5))
+KERNEL_REL = 1e-13
+METRIC_REL = 1e-6
+
+
+def former_kernel(gs, w):
+    """K_low as the one-point path computed it: a matrix-vector product."""
+    b = np.conj(gs.basis.values(w))
+    m = float(np.max(np.abs(b)))
+    nb = m * float(np.linalg.norm(b / m)) if m else 1.0
+    bb = gs.eigvecs.conj().T @ (gs.scale * b / nb)
+    return float(np.real(np.sum(np.where(gs.kept, np.conj(bb) * bb / gs.eigvals, 0.0)))) * nb * nb
+
+
+def former_metric(gs, w):
+    """(S_low, K_low, b_est) as the one-point path computed them."""
+    v, u = gs.basis.values_and_derivs(w)
+    q, p = np.conj(v), np.conj(u)
+
+    def unit(vec):
+        m = float(np.max(np.abs(vec)))
+        n = m * float(np.linalg.norm(vec / m)) if m else 1.0
+        return gs.eigvecs.conj().T @ (gs.scale * vec / n), n
+
+    def form(a, b):
+        return complex(np.sum(np.where(gs.kept, np.conj(a) * b / gs.eigvals, 0.0)))
+
+    (qq, nq), (pp, np_) = unit(q), unit(p)
+    b_form, a_form, c_form = form(qq, qq).real, form(pp, pp).real, form(pp, qq)
+    S2 = max(0.0, a_form - abs(c_form) ** 2 / b_form)
+    return np_ * math.sqrt(S2), b_form * nq * nq, (np_ / nq) * math.sqrt(S2 / b_form)
+
+
+def _sweep_pool(domain, bands=None):
+    """Points inside the domain: three per band of a Zalcman domain (bands
+    1..``bands``, at angles pi and 2 pi / 3), or on circles of a disk or
+    annulus."""
+    if isinstance(domain, ZalcmanDomain):
+        logx = domain.logx
+        radii = [math.exp(logx[k] + t * (logx[k - 1] - logx[k])) for k in range(1, bands + 1) for t in (0.2, 0.5, 0.8)]
+        angles = (math.pi, 2 * math.pi / 3)
+    else:
+        lo = domain.inner_radius or 0.0
+        radii = [lo + t * (1.0 - lo) for t in (0.1, 0.5, 0.85)]
+        angles = (0.0, 1.0, 2.5)
+    pool = np.array([r * complex(math.cos(a), math.sin(a)) for r in radii for a in angles])
+    assert domain.contains(pool).all()
+    return pool
+
+
+@pytest.fixture(scope="module")
+def sweep_cases(h15_domain, h15_gram):
+    """Per domain: Gram system, kernel points, metric points and each
+    point's one-point values."""
+    disk, annulus = CircleDomain.build(), CircleDomain.build(inner_radius=0.5)
+    cases = {}
+    for name, dom, gs, kernel_bands, metric_bands in (
+        ("h1(1.5)", h15_domain, h15_gram, 9, 6),
+        ("disk", disk, assemble_gram(disk), None, None),
+        ("annulus", annulus, assemble_gram(annulus), None, None),
+    ):
+        kpts, mpts = _sweep_pool(dom, kernel_bands), _sweep_pool(dom, metric_bands)
+        kernel = [subspace_kernel(gs, w).K_low for w in kpts.tolist()]
+        metric = [subspace_metric(gs, w) for w in mpts.tolist()]
+        cases[name] = (gs, kpts, mpts, kernel, metric)
+    return cases
+
+
+def _close(got, want, rel):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return bool(np.all(np.abs(got - want) <= rel * np.abs(want)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_array_sweep_matches_one_point_calls(sweep_cases, data):
+    gs, kpts, mpts, kernel, metric = sweep_cases[data.draw(st.sampled_from(sorted(sweep_cases)))]
+    # any order, repeats allowed; an even count also runs as a 2 x n array
+    ki = data.draw(st.lists(st.integers(0, kpts.size - 1), max_size=12))
+    mi = data.draw(st.lists(st.integers(0, mpts.size - 1), max_size=12))
+    shape_k = (2, len(ki) // 2) if len(ki) % 2 == 0 and data.draw(st.booleans()) else (len(ki),)
+    K = subspace_kernel(gs, kpts[ki].reshape(shape_k)).K_low
+    assert isinstance(K, np.ndarray) and K.shape == shape_k
+    assert _close(K.ravel(), [kernel[i] for i in ki], KERNEL_REL)
+    assert _close(K.ravel(), [former_kernel(gs, kpts[i]) for i in ki], KERNEL_REL)
+    est = subspace_metric(gs, mpts[mi])
+    for name, j, rel in (("S_low", 0, METRIC_REL), ("K_low", 1, KERNEL_REL), ("b_est", 2, METRIC_REL)):
+        got = getattr(est, name)
+        assert isinstance(got, np.ndarray) and got.shape == (len(mi),)
+        assert _close(got, [getattr(metric[i], name) for i in mi], rel)
+        assert _close(got, [former_metric(gs, mpts[i])[j] for i in mi], rel)
+
+
+def test_point_sweeps_on_empty_and_scalar_input(disk_gram):
+    empty = np.empty(0, dtype=complex)
+    assert subspace_kernel(disk_gram, empty).K_low.shape == (0,)
+    est = subspace_metric(disk_gram, empty)
+    assert est.S_low.shape == est.K_low.shape == est.b_est.shape == (0,)
+    # a scalar, complex or real, gives Python floats
+    for w in (0.3 + 0.1j, 0.3):
+        assert type(subspace_kernel(disk_gram, w).K_low) is float
+        est = subspace_metric(disk_gram, w)
+        assert all(type(v) is float for v in (est.S_low, est.K_low, est.b_est))
+
+
+def test_point_sweeps_reject_an_outside_point(disk_gram):
+    pts = np.array([0.1, 0.5j, 1.5, -0.2])
+    with pytest.raises(OutsideDomainError, match=r"1\.5"):
+        subspace_kernel(disk_gram, pts)
+    with pytest.raises(OutsideDomainError):
+        subspace_metric(disk_gram, pts)
+
+
+def loop_band_index(domain, x):
+    """The former band search: the first k with x_{k+1} < x < x_k, or None."""
+    xs = domain.xs
+    for k in range(1, domain.K + 1):
+        if xs[k] < x < xs[k - 1]:
+            return k
+    return None
+
+
+BAND_DOMAINS = [
+    build_zalcman(ScaleFunction.h1(1.5), 0.01, K=10),
+    build_zalcman(ScaleFunction.h2(1.0), 1e-3, K=12),
+    build_zalcman(ScaleFunction.h1(2.0), 0.1, K=4),
+]
+
+
+@st.composite
+def band_queries(draw):
+    """(domain, x values): exact band ends, their neighbouring doubles,
+    log-uniform values from below x_{K+1} to above x_1, and 0, 1 and NaN."""
+    dom = draw(st.sampled_from(BAND_DOMAINS))
+    ends = dom.xs[: dom.K + 1].tolist()
+    x = st.one_of(
+        st.sampled_from(ends),
+        st.tuples(st.sampled_from(ends), st.sampled_from([-math.inf, math.inf])).map(lambda t: math.nextafter(*t)),
+        st.floats(math.log(ends[-1]) - 3.0, 0.5).map(math.exp),
+        st.sampled_from([0.0, 1.0, math.nan]),
+    )
+    return dom, draw(st.lists(x, min_size=1, max_size=10))
+
+
+@settings(max_examples=150, deadline=None)
+@given(band_queries())
+def test_band_index_matches_the_loop(query):
+    dom, xs = query
+    want = [loop_band_index(dom, x) for x in xs]
+    for x, k in zip(xs, want):
+        if k is None:
+            with pytest.raises(ScaleNotRetainedError):
+                band_index(dom, x)
+        else:
+            got = band_index(dom, x)
+            assert type(got) is int and got == k
+    if None in want:
+        with pytest.raises(ScaleNotRetainedError):
+            band_index(dom, np.array(xs))
+    else:
+        assert band_index(dom, np.array(xs)).tolist() == want
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,9 @@ def reference_nth_diameter(candidates, n, max_passes=40):
                     moved = True
         if not moved:
             break
-    A = log_distance_matrix(config)
+    # a repeated node (fewer than n distinct points) gives log 0 and the value 0.0
+    with np.errstate(divide="ignore"):
+        A = log_distance_matrix(config)
     return math.exp(float(np.sum(A)) / (n * (n - 1))), config
 
 
@@ -207,6 +209,18 @@ def test_nth_diameter_matches_reference_search(case):
     d, cfg = nth_diameter(grid, n)
     d_ref, cfg_ref = reference_nth_diameter(grid, n)
     assert d == d_ref
+    assert np.array_equal(cfg, cfg_ref)
+
+
+def test_nth_diameter_is_zero_on_fewer_than_n_distinct_points():
+    # 8 points on each interval of a deep Cantor set: most of them round to
+    # the same double, and 64 candidates hold 15 distinct values
+    lefts, lj = build_cantor(0.125, 3.0, 3).intervals()
+    grid = np.concatenate([np.linspace(lo, lo + lj, 8) for lo in lefts]).astype(complex)
+    assert grid.size == 64 and np.unique(grid).size == 15
+    d, cfg = nth_diameter(grid, 16)
+    d_ref, cfg_ref = reference_nth_diameter(grid, 16)
+    assert d == d_ref == 0.0
     assert np.array_equal(cfg, cfg_ref)
 
 

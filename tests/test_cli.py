@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from berglab import perfectness
+from berglab import bergman, perfectness, quadrature
 from berglab.cli import main, run, write_json
 from berglab.domains import ScaleFunction, build_zalcman
 from berglab.errors import ConfigInvalidError
@@ -103,6 +103,60 @@ def test_kernel_manifest_records_the_boundary_rule(tmp_path):
     n_fns = 9 + 2 * 6  # degree 8 plus two pole orders per hole
     assert n_fns // 2 <= quad["effective_rank"] <= n_fns
     assert quad["min_kept_eigenvalue"] > 0.0
+
+
+H15_K10 = {"type": "zalcman", "family": "h1", "alpha": 1.5, "x1": 1e-2, "K": 10}
+
+
+def count_calls(monkeypatch, owner, name: str, counts: dict) -> None:
+    """Replace owner.name by a wrapper that counts its calls in counts[name]."""
+    orig = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize(
+    "pipeline, want",
+    [("kernel", {"values": 1}), ("distance", {"values_and_derivs": 1}), ("metric", {"values_and_derivs": 1})],
+)
+def test_band_sweeps_evaluate_the_basis_once(tmp_path, monkeypatch, pipeline, want):
+    counts = {}
+    for name in ("values", "values_and_derivs"):
+        count_calls(monkeypatch, quadrature.Basis, name, counts)
+    run({"pipeline": pipeline, "domain": H15_K10, "k_range": [2, 6]}, str(tmp_path), "fast")
+    if pipeline == "metric":
+        # each two-pole witness checks its zero with one evaluation of itself
+        assert counts.pop("values") == 5
+    assert counts == want
+
+
+def test_metric_sweep_builds_two_grams(tmp_path, monkeypatch):
+    # the assembly, and one Gram of every witness; norm_sq would go through
+    # quadrature's own binding
+    counts = {}
+    count_calls(monkeypatch, bergman, "boundary_gram", counts)
+    count_calls(monkeypatch, quadrature, "boundary_gram", counts)
+    run({"pipeline": "metric", "domain": H15_K10, "k_range": [2, 6]}, str(tmp_path))
+    assert counts == {"boundary_gram": 2}
+
+
+def test_metric_sweep_to_K_leaves_nan_only_where_hole_K_plus_1_is_needed(tmp_path):
+    dom = {**H15_K10, "K": 6}
+    run({"pipeline": "metric", "domain": dom, "k_range": [2, 6]}, str(tmp_path))
+    header, *lines = (tmp_path / "metric_sweep.csv").read_text().splitlines()
+    rows = [dict(zip(header.split(","), map(float, line.split(",")))) for line in lines]
+    assert [r["k"] for r in rows] == [2, 3, 4, 5, 6]
+    assert all(math.isfinite(r[c]) for r in rows for c in ("K_low", "S_low", "b_est"))
+    # the two-pole witness of band 6 needs hole 7, which K = 6 does not keep
+    assert math.isnan(rows[-1]["witness_ratio"])
+    domain = build_zalcman(ScaleFunction.h1(1.5), 1e-2, 6)
+    for r in rows[:-1]:
+        want = bergman.witness_metric_bound(domain, complex(-r["x"]))["ratio"]
+        assert r["witness_ratio"] == pytest.approx(want, rel=1e-13)
 
 
 def test_kernel_runs_where_no_collar_partition_exists(tmp_path):
