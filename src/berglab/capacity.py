@@ -101,13 +101,20 @@ def potential(mu: WeightedPointSet, z: complex) -> float:
     return float(np.dot(mu.weights, logs))
 
 
+def _pair_distances(nodes: np.ndarray) -> np.ndarray:
+    """|z_i - z_j|, a fresh array whose diagonal the callers overwrite."""
+    return np.abs(nodes[:, None] - nodes[None, :])
+
+
 def log_distance_matrix(nodes: np.ndarray) -> np.ndarray:
     """log|z_i - z_j| with zeros on the diagonal."""
-    d = np.abs(nodes[:, None] - nodes[None, :])
+    return _log_in_place(_pair_distances(nodes))
+
+
+def _log_in_place(d: np.ndarray) -> np.ndarray:
+    """log of the distances d off the diagonal and 0 on it, written over d."""
     np.fill_diagonal(d, 1.0)
-    out = np.log(d)
-    np.fill_diagonal(out, 0.0)
-    return out
+    return np.log(d, out=d)
 
 
 def energy(mu: WeightedPointSet) -> float:
@@ -124,7 +131,11 @@ def self_scales(nodes: np.ndarray) -> np.ndarray:
     n uniform nodes on a circle of radius rho equal log(rho) exactly (up to
     the chord/arc defect sin(x)/x, which is O(1/n^2)).
     """
-    d = np.abs(nodes[:, None] - nodes[None, :])
+    return _scales(_pair_distances(nodes))
+
+
+def _scales(d: np.ndarray) -> np.ndarray:
+    """``self_scales`` from the pairwise distances d, whose diagonal it overwrites."""
     np.fill_diagonal(d, np.inf)
     nearest = d.min(axis=1)
     if np.any(~np.isfinite(nearest)) or np.any(nearest <= 0.0):
@@ -133,9 +144,11 @@ def self_scales(nodes: np.ndarray) -> np.ndarray:
 
 
 def _energy_matrix(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(log_distance_matrix with the self_scales diagonal, the scales)."""
-    scales = self_scales(nodes)
-    A = log_distance_matrix(nodes)
+    """(log_distance_matrix with the self_scales diagonal, the scales), from
+    one matrix of pairwise distances."""
+    d = _pair_distances(nodes)
+    scales = _scales(d)
+    A = _log_in_place(d)
     A[np.diag_indices(nodes.size)] = scales
     return A, scales
 

@@ -62,15 +62,20 @@ def format_column(col) -> list[str]:
     return [v if isinstance(v, str) else format_float(v) for v in col]
 
 
-def write_csv(path: Path, table: dict) -> None:
+def write_csv(path: Path, table: dict) -> bytes:
     """One CSV line per row of ``table``, a dict of equal-length columns
-    whose keys are the header."""
+    whose keys are the header; returns the bytes written."""
     lines = [",".join(table), *map(",".join, zip(*map(format_column, table.values()), strict=True))]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    path.write_bytes(data)
+    return data
 
 
-def write_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
+def write_json(path: Path, obj: dict) -> bytes:
+    """``obj`` as strict, key-sorted JSON; returns the bytes written."""
+    data = (json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
+    path.write_bytes(data)
+    return data
 
 
 def _jsonable(obj):
@@ -470,9 +475,7 @@ def run(cfg: dict, out_dir: str, tolerance_profile: str = "default") -> dict:
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
     for name, content in artifacts.items():
-        p = out / name
-        (write_csv if name.endswith(".csv") else write_json)(p, content)
-        data = p.read_bytes()
+        data = (write_csv if name.endswith(".csv") else write_json)(out / name, content)
         outputs.append({"path": name, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)})
     wall = time.monotonic() - start
     manifest = {

@@ -467,7 +467,8 @@ def _circle_sums(
     subnormal arithmetic.  ``unit`` is at least MIN_UNIT.
     """
     a, b = _equilibrate(Phi), _equilibrate(WF)
-    shift = -(a[:, None] + b[None, :])[..., None]
+    # one exponent per real and imaginary part, contiguous like the parts
+    shift = -(a[:, None] + b.repeat(2)[None, :])
     # a strided single column goes to another BLAS kernel than a contiguous
     # one and rounds otherwise; the copy keeps one-function bases (norm_sq)
     # on the contiguous path
@@ -492,8 +493,10 @@ def _equilibrate(A: np.ndarray) -> np.ndarray:
 
 
 def _ldexp(R: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """R * 2**shift in place, with one rounding where the result is subnormal."""
-    parts = R.view(float).reshape(R.shape + (2,))
+    """R * 2**shift in place, with one rounding where the result is
+    subnormal; R is C-contiguous complex (n, m) and shift holds the (n, 2m)
+    exponents of its real and imaginary parts."""
+    parts = R.view(float)
     np.ldexp(parts, shift, out=parts)
     return R
 

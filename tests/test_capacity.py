@@ -401,6 +401,31 @@ def test_equilibrium_maximizes_regularized_energy(nodes, seed):
         assert regularized_energy(WeightedPointSet(nodes, p / p.sum())) <= sol.energy + 1e-12 * scale
 
 
+def former_energy_matrix(nodes):
+    """The energy matrix and scales as two calls formed them: each built
+    its own matrix of pairwise distances."""
+    d = np.abs(nodes[:, None] - nodes[None, :])
+    np.fill_diagonal(d, np.inf)
+    scales = np.log(d.min(axis=1) / (2.0 * math.pi))
+    d = np.abs(nodes[:, None] - nodes[None, :])
+    np.fill_diagonal(d, 1.0)
+    A = np.log(d)
+    np.fill_diagonal(A, scales)
+    return A, scales
+
+
+@settings(max_examples=30, deadline=None)
+@given(equilibrium_sets())
+def test_energy_matrix_keeps_the_two_call_bits(nodes):
+    A, scales = capacity._energy_matrix(nodes)
+    want_A, want_scales = former_energy_matrix(nodes)
+    assert np.array_equal(A.view(np.int64), want_A.view(np.int64))
+    assert np.array_equal(scales.view(np.int64), want_scales.view(np.int64))
+    assert np.array_equal(self_scales(nodes).view(np.int64), want_scales.view(np.int64))
+    np.fill_diagonal(want_A, 0.0)
+    assert np.array_equal(log_distance_matrix(nodes).view(np.int64), want_A.view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # Cantor bound
 # ---------------------------------------------------------------------------

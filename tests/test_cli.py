@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import struct
@@ -295,8 +296,9 @@ def test_manifest_lists_hashes(tmp_path):
     man = run({"pipeline": "capacity", "set": {"type": "segment", "grid": 512}, "seed": 2}, str(tmp_path))
     assert man["outputs"]
     for entry in man["outputs"]:
-        assert len(entry["sha256"]) == 64
-        assert (tmp_path / entry["path"]).exists()
+        data = (tmp_path / entry["path"]).read_bytes()
+        assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+        assert entry["bytes"] == len(data)
 
 
 def test_config_validation_errors(tmp_path):

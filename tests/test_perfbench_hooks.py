@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from test_threads import BLAS_THREAD_VARIABLES
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -20,7 +22,9 @@ def traced_round(workload: str, out: Path) -> dict:
         sys.executable, str(ROOT / "perfbench" / "workload.py"),
         "--workload", workload, "--seed", "1", "--out", str(out), "--trace",
     ]
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    # without the thread-count variables the round runs berglab's own
+    # one-thread default, whatever the calling shell has set
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
     proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads((out / "result.json").read_text())

@@ -715,15 +715,10 @@ def exact_products(A, B):
     return fine, coarse
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
-def test_circle_sums_on_zero_subnormal_and_huge_columns(half, seed):
-    # A's column 0 is zero, column 1 has a subnormal maximum, whose scaling
-    # exponent must be clipped to stay a normal power of two, and column 2 a
-    # maximum near 2**1010; B's columns are tiny, moderate and tiny.  The
-    # results are compared with exact sums, to a dot product's rounding
-    # error plus a few subnormal units
-    rng, rows = np.random.default_rng(seed), 2 * half
+def zero_subnormal_huge_columns(rng, rows):
+    """A's column 0 is zero, column 1 has a subnormal maximum, whose scaling
+    exponent must be clipped to stay a normal power of two, and column 2 a
+    maximum near 2**1010; B's columns are tiny, moderate and tiny."""
     A = np.column_stack([
         np.zeros(rows, dtype=complex),
         scaled_matrix(rng, rows, 1, -1074, -1040)[:, 0],
@@ -734,12 +729,50 @@ def test_circle_sums_on_zero_subnormal_and_huge_columns(half, seed):
         scaled_matrix(rng, rows, 1, -40, 0)[:, 0],
         scaled_matrix(rng, rows, 1, -1060, -1000)[:, 0],
     ])
+    return A, B
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_circle_sums_on_zero_subnormal_and_huge_columns(half, seed):
+    # the results are compared with exact sums, to a dot product's rounding
+    # error plus a few subnormal units
+    rows = 2 * half
+    A, B = zero_subnormal_huge_columns(np.random.default_rng(seed), rows)
     fine, coarse, _, _ = quadrature._circle_sums(A.copy(), B.copy())
     want_fine, want_coarse = exact_products(A, B)
     bound = (2 * rows + 4) * EPS * (np.abs(A).T @ np.abs(B)) + 4 * np.finfo(float).smallest_subnormal
     assert np.all(np.abs(fine - want_fine) <= bound)
     assert np.all(np.abs(coarse - want_coarse) <= 2 * bound)
     assert np.all(fine[0] == 0) and np.all(coarse[0] == 0)
+
+
+def former_circle_sums(Phi, WF):
+    """``_circle_sums``' two sums as they were scaled back before: by one
+    exponent per complex entry, broadcast over its real and imaginary part."""
+    a, b = quadrature._equilibrate(Phi), quadrature._equilibrate(WF)
+    shift = -(a[:, None] + b[None, :])[..., None]
+    even = WF[::2] if WF.shape[1] > 1 else WF[::2].copy()
+    sums = Phi.T @ WF, Phi[::2].T @ even
+    for R, e in zip(sums, (shift, shift + 1)):
+        parts = R.view(float).reshape(R.shape + (2,))
+        np.ldexp(parts, e, out=parts)
+    return sums
+
+
+def test_circle_sums_keep_the_broadcast_exponents_bits():
+    # one exponent per real and imaginary part gives the bits of one per
+    # complex entry, on scaled-back entries that are zero, subnormal and normal
+    seen = np.zeros(3, dtype=bool)
+    rng = np.random.default_rng(19)
+    for half in (1, 2, 3, 6) * 5:
+        A, B = zero_subnormal_huge_columns(rng, 2 * half)
+        got = quadrature._circle_sums(A.copy(), B.copy())[:2]
+        for R, want in zip(got, former_circle_sums(A.copy(), B.copy())):
+            assert np.array_equal(R.view(np.int64), want.view(np.int64))
+            parts, tiny = np.abs(R.view(float)), np.finfo(float).tiny
+            seen |= [np.any(parts == 0.0), np.any((parts > 0.0) & (parts < tiny)), np.any(parts >= tiny)]
+    assert np.all(seen)
 
 
 def test_empty_basis_raises():
