@@ -26,7 +26,6 @@ from .bergman import (
     MetricEstimate,
     assemble_gram,
     band_increments,
-    cauchy_transform_norm_check,
     default_basis,
     distance_profile,
     equilibrium_witness_bound,
@@ -39,17 +38,11 @@ from .capacity import (
     CapacityEstimate,
     EquilibriumSolution,
     WeightedPointSet,
-    cantor_capacity_bound,
-    cantor_transfinite_estimate,
     capacity_via_transfinite,
     circle_nodes,
-    energy,
     equilibrium_measure,
     nth_diameter,
-    potential,
-    scaling_law_check,
     segment_nodes,
-    subadditivity_check,
 )
 from .domains import (
     CantorSet,
@@ -58,15 +51,11 @@ from .domains import (
     ScaleFunction,
     ZalcmanDomain,
     build_cantor,
-    build_cantor_table,
     build_zalcman,
     domain_from_json,
-    scale_inverse_check,
 )
 from .perfectness import (
-    AnnulusTestReport,
     PommerenkeCertificate,
-    annulus_condition,
     best_constant_profile,
     cantor_U_check,
     classify_weak_perfectness,

@@ -25,10 +25,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .capacity import circle_nodes, equilibrium_measure
+from .capacity import equilibrium_measure
 from .domains import CircleDomain, ZalcmanDomain
 from .errors import (
     BerglabError,
+    BisectionFailureError,
     DegenerateConstraintError,
     NoSecondPointError,
     OutsideDomainError,
@@ -444,7 +445,7 @@ def equilibrium_witness_bound(domain: ZalcmanDomain, w: complex) -> dict:
     wprime, _, _ = domain.nearest_boundary_point(w)
     try:
         r = domain.h.inverse(8.0 * delta)
-    except Exception as exc:
+    except BisectionFailureError as exc:
         raise NoSecondPointError(f"no radius with h(r) = 8 delta: {exc}") from exc
     try:
         wsecond, _, _ = domain.witness_at_distance(wprime, 8.0 * delta, r)
@@ -493,46 +494,6 @@ def equilibrium_witness_bound(domain: ZalcmanDomain, w: complex) -> dict:
         "cap_E1": mu1_full.capacity,
         "facing_floor": 1.0 / (4.0 * delta),
         "second_ceiling": 1.0 / (6.0 * delta),
-    }
-
-
-# ---------------------------------------------------------------------------
-# Cauchy-transform norm lemma check
-# ---------------------------------------------------------------------------
-
-
-def cauchy_transform_norm_check(holes: Sequence[tuple[complex, float]]) -> dict:
-    """Compare the L2 mass of an equilibrium Cauchy transform outside its
-    carrier against log(1 / capacity), inside the quarter disk.  Each hole
-    rim carries 64 nodes, with poles retracted by ``ETA``.
-
-    Also verifies the dilatation identity f_{tE}(w) = f_E(w/t) / t at
-    t = 1/2 with a freshly solved measure on the dilated copy, at 16 sample
-    points drawn from seed 11.
-    """
-    for c0, rho in holes:
-        if abs(c0) + rho >= 0.25:
-            raise ValueError("carrier must sit inside the quarter disk")
-    n, t = 64, 0.5
-    poles = np.concatenate([circle_nodes(complex(c0), (1.0 - ETA) * rho, n) for c0, rho in holes])
-    bnds = np.concatenate([circle_nodes(complex(c0), rho, n) for c0, rho in holes])
-    sol = equilibrium_measure(bnds)  # capacity of the true carrier rims
-    f = RationalFunction.from_nodes(poles, sol.measure.weights)
-    lhs = norm_sq([(0j, 0.25, 1)] + [(complex(c0), rho, -1) for c0, rho in holes], f)
-    rhs = math.log(1.0 / sol.capacity)
-    sol_t = equilibrium_measure(t * bnds)
-    f_t = RationalFunction.from_nodes(t * poles, sol_t.measure.weights)
-    rng = np.random.default_rng(11)
-    zs = 0.3 + rng.uniform(0.0, 0.5, 16) + 1j * rng.uniform(-0.3, 0.3, 16)
-    lhs_vals = f_t.eval(zs)
-    rhs_vals = f.eval(zs / t) / t
-    dil_err = float(np.max(np.abs(lhs_vals - rhs_vals) / np.abs(rhs_vals)))
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "ratio": lhs / rhs if rhs != 0 else math.inf,
-        "capacity": sol.capacity,
-        "dilatation_error": dil_err,
     }
 
 

@@ -1,6 +1,6 @@
 """Logarithmic capacity machinery.
 
-Three estimator routes live here:
+Two estimator routes live here:
 
 * ``nth_diameter`` / ``capacity_via_transfinite``: greedy Leja seeding plus
   coordinate-exchange search for n-point configurations maximizing the
@@ -19,8 +19,6 @@ Three estimator routes live here:
   atoms), so the objective carries a local self-energy diagonal
   log(spacing/(2*pi)) -- the unique choice that reproduces circle energies
   exactly.  The raw pairwise sum is kept alongside.
-* ``cantor_capacity_bound``: closed-form partial product for nested
-  interval sets, evaluated in the log domain.
 
 All searches are deterministic: fixed starts, fixed tie-breaks.
 """
@@ -29,11 +27,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
-from .domains import CantorSet
 from .errors import EquilibriumSolveError, GridTooSmallError, PreconditionViolatedError
 
 WEIGHT_TOL = 1e-12
@@ -70,11 +66,6 @@ class WeightedPointSet:
             raise ValueError("weights must sum to 1")
         object.__setattr__(self, "weights", w)
 
-    @classmethod
-    def uniform(cls, nodes) -> "WeightedPointSet":
-        nodes = np.asarray(nodes, dtype=complex).ravel()
-        return cls(nodes, np.full(nodes.size, 1.0 / nodes.size))
-
 
 def circle_nodes(center: complex, radius: float, n: int) -> np.ndarray:
     theta = 2.0 * math.pi * np.arange(n) / n
@@ -86,19 +77,8 @@ def segment_nodes(a: complex, b: complex, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# potential and energy
+# energy matrix
 # ---------------------------------------------------------------------------
-
-
-def potential(mu: WeightedPointSet, z: complex) -> float:
-    """sum_i w_i log|z - node_i|; -inf when z sits on a positive-weight node."""
-    d = np.abs(z - mu.nodes)
-    hit = (d == 0.0) & (mu.weights > 0)
-    if np.any(hit):
-        return -math.inf
-    with np.errstate(divide="ignore"):
-        logs = np.log(d)
-    return float(np.dot(mu.weights, logs))
 
 
 def _pair_distances(nodes: np.ndarray) -> np.ndarray:
@@ -117,25 +97,15 @@ def _log_in_place(d: np.ndarray) -> np.ndarray:
     return np.log(d, out=d)
 
 
-def energy(mu: WeightedPointSet) -> float:
-    """Raw discrete energy sum_{i != j} w_i w_j log|z_i - z_j|."""
-    A = log_distance_matrix(mu.nodes)
-    return float(mu.weights @ A @ mu.weights)
-
-
-def self_scales(nodes: np.ndarray) -> np.ndarray:
-    """Per-node self-energy term log(d_i / (2*pi)), d_i = nearest-node gap.
+def _scales(d: np.ndarray) -> np.ndarray:
+    """Per-node self-energy term log(d_i / (2*pi)), d_i = nearest-node gap,
+    from the pairwise distances d, whose diagonal it overwrites.
 
     Models node i as carrying its weight spread over a boundary piece of
     length d_i; the 1/(2*pi) normalization makes the regularized energy of
     n uniform nodes on a circle of radius rho equal log(rho) exactly (up to
     the chord/arc defect sin(x)/x, which is O(1/n^2)).
     """
-    return _scales(_pair_distances(nodes))
-
-
-def _scales(d: np.ndarray) -> np.ndarray:
-    """``self_scales`` from the pairwise distances d, whose diagonal it overwrites."""
     np.fill_diagonal(d, np.inf)
     nearest = d.min(axis=1)
     if np.any(~np.isfinite(nearest)) or np.any(nearest <= 0.0):
@@ -144,19 +114,13 @@ def _scales(d: np.ndarray) -> np.ndarray:
 
 
 def _energy_matrix(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(log_distance_matrix with the self_scales diagonal, the scales), from
-    one matrix of pairwise distances."""
+    """(log_distance_matrix with the self-energy scales on the diagonal, the
+    scales), from one matrix of pairwise distances."""
     d = _pair_distances(nodes)
     scales = _scales(d)
     A = _log_in_place(d)
     A[np.diag_indices(nodes.size)] = scales
     return A, scales
-
-
-def regularized_energy(mu: WeightedPointSet) -> float:
-    """Pairwise energy plus the self-energy diagonal; continuum estimate."""
-    A, _ = _energy_matrix(mu.nodes)
-    return float(mu.weights @ A @ mu.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +290,8 @@ def _bordered_solve(A: np.ndarray) -> np.ndarray:
 def equilibrium_measure(nodes) -> EquilibriumSolution:
     """Maximize the regularized discrete energy w^T A w over the weight simplex.
 
-    A is the pairwise log-distance matrix plus the ``self_scales`` diagonal
-    (without it the maximizer is near-atomic, not the continuum equilibrium).
+    A is the pairwise log-distance matrix plus the self-energy diagonal of
+    ``_scales`` (without it the maximizer is near-atomic, not the continuum equilibrium).
     A is concave on sum-zero weights, so the maximizer is unique and solves
     the bordered system on its support: one solve, repeated without the
     nodes whose weight comes out negative; each dropped node must then
@@ -371,126 +335,3 @@ def equilibrium_measure(nodes) -> EquilibriumSolution:
         iterations=solves,
         raw_potential_spread=float(np.max(np.abs(raw_pots[support] - raw))),
     )
-
-
-# ---------------------------------------------------------------------------
-# Cantor bound and the capacity laws
-# ---------------------------------------------------------------------------
-
-
-def cantor_transfinite_estimate(C: CantorSet, n: int = 512) -> CapacityEstimate:
-    """Transfinite-diameter estimate for a nested-interval set.
-
-    Level-J intervals sit at positions whose doubles cannot resolve the
-    interval interiors (length l_J far below eps * position), so raw point
-    grids starve the search.  Instead the configuration product factorizes:
-    put m = n / 2^J segment-extremal points in every interval; the
-    within-interval part is m-point diameters of [0, 1] scaled by l_J, the
-    across part uses the exact distances between the intervals' left ends
-    from ``CantorSet.endpoint_distances``.  Offsets perturb across distances
-    by at most l_J / gap, far below the reported precision.  The attained
-    value remains a certified lower bound for the true n-th diameter.
-    """
-    J = C.J
-    n_int = 2**J
-    lengths = C.lengths
-    _, dist = C.endpoint_distances()
-    dmat = dist[::2, ::2]  # between left ends (side 0)
-    iu = np.triu_indices(n_int, k=1)
-    log_across_per_pair = float(np.sum(np.log(dmat[iu])))
-
-    m = n // n_int
-    if m < 2:
-        raise GridTooSmallError(f"n = {n} puts fewer than 2 points per interval")
-    v_m, _ = nth_diameter(np.linspace(0.0, 1.0, max(16 * m, 64)).astype(complex), m)
-    within = n_int * (m * (m - 1) / 2.0) * (float(np.log(lengths[J])) + math.log(v_m))
-    across = (m * m) * log_across_per_pair
-    delta = math.exp(2.0 * (within + across) / (n * (n - 1)))
-    return CapacityEstimate(value=delta / n ** (1.0 / (n - 1)), n=n, diagnostics=(delta,))
-
-
-def cantor_capacity_bound(C: CantorSet, J: Optional[int] = None) -> float:
-    """(1/2) * prod_{j<J} (2 l_{j+1} / l_j) ** (1/2**j), in the log domain.
-
-    A finite partial product; an upper bound for the full product whenever
-    the factors stay below 1.
-    """
-    J = C.J if J is None else J
-    if J < 1 or J > C.J:
-        raise ValueError("need 1 <= J <= depth")
-    log_l = np.log(C.lengths)
-    log_sum = 0.0
-    for j in range(J):
-        log_sum += (math.log(2.0) + log_l[j + 1] - log_l[j]) / (2.0**j)
-    return 0.5 * math.exp(log_sum)
-
-
-def scaling_law_check(
-    candidates: np.ndarray,
-    t: Optional[float] = None,
-    holder: Optional[tuple] = None,
-    n: int = 64,
-    slack: float = 0.02,
-) -> dict:
-    """Check the dilatation law Cap(tE) = t Cap(E) and/or the distortion
-    inequality Cap(T(E)) <= A * Cap(E)**c at matched n."""
-    candidates = np.asarray(candidates, dtype=complex).ravel()
-    n = supported_n(n, candidates.size)
-    base = capacity_via_transfinite(candidates, n)
-    report: dict = {"cap_E": base.value, "n": base.n}
-    if t is not None:
-        dil = capacity_via_transfinite(t * candidates, n)
-        report["t"] = t
-        report["cap_tE"] = dil.value
-        report["dilatation_ok"] = abs(dil.value - t * base.value) <= slack * t * base.value
-    if holder is not None:
-        A_const, c_const, T = holder
-        img = capacity_via_transfinite(T(candidates), n)
-        report["cap_TE"] = img.value
-        report["holder_ok"] = img.value <= A_const * base.value**c_const * (1.0 + slack)
-        report["A"] = A_const
-        report["c"] = c_const
-    return report
-
-
-def measure_dilatation_check(nodes: np.ndarray, t: float) -> dict:
-    """Solve the equilibrium problem on E and tE and compare weights node
-    for node (the dilated measure of a dilated set is the pushforward)."""
-    sol = equilibrium_measure(np.asarray(nodes, dtype=complex))
-    sol_t = equilibrium_measure(t * np.asarray(nodes, dtype=complex))
-    dev = float(np.max(np.abs(sol.measure.weights - sol_t.measure.weights)))
-    return {
-        "t": t,
-        "max_weight_deviation": dev,
-        "cap_E": sol.capacity,
-        "cap_tE": sol_t.capacity,
-    }
-
-
-def subadditivity_check(
-    parts: Sequence[np.ndarray],
-    d: Optional[float] = None,
-    n: int = 64,
-    slack: float = 0.05,
-) -> dict:
-    """Check 1/log(d/Cap(union)) <= (1+slack) * sum_n 1/log(d/Cap(E_n))."""
-    parts = [np.asarray(p, dtype=complex).ravel() for p in parts]
-    union = np.concatenate(parts)
-    diam = float(np.max(np.abs(union[:, None] - union[None, :])))
-    if d is None:
-        d = 2.0 * diam
-    n = supported_n(n, min(p.size for p in parts))
-    cap_union = capacity_via_transfinite(union, n).value
-    if diam > d or cap_union > d:
-        raise PreconditionViolatedError("d must dominate both diam(E) and Cap(E)")
-    caps = [capacity_via_transfinite(p, n).value for p in parts]
-    lhs = 1.0 / math.log(d / cap_union)
-    rhs = sum(1.0 / math.log(d / c) for c in caps)
-    return {
-        "d": d,
-        "cap_union": cap_union,
-        "cap_parts": caps,
-        "lhs": lhs,
-        "rhs": rhs,
-        "holds": lhs <= rhs * (1.0 + slack),
-    }

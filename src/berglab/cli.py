@@ -468,6 +468,10 @@ def run(cfg: dict, out_dir: str, tolerance_profile: str = "default") -> dict:
         raise ConfigInvalidError("config must be a JSON object")
     if cfg.get("pipeline") not in tuple(RUNNERS):  # a tuple: the name may be unhashable JSON
         raise ConfigInvalidError(f"pipeline must be one of {tuple(RUNNERS)}, got {cfg.get('pipeline')!r}")
+    if tolerance_profile not in tuple(TOLERANCE_PROFILES):
+        raise ConfigInvalidError(
+            f"tolerance profile must be one of {tuple(TOLERANCE_PROFILES)}, got {tolerance_profile!r}"
+        )
     profile = TOLERANCE_PROFILES[tolerance_profile]
     start = time.monotonic()
     summary, artifacts = RUNNERS[cfg["pipeline"]](cfg, profile)

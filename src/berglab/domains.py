@@ -124,18 +124,6 @@ class ScaleFunction:
         return math.exp(g)
 
 
-def scale_inverse_check(h: ScaleFunction, t: float) -> tuple[float, bool]:
-    """Invert h at t and test the inverse-growth bound g(t) <= t*log(1/t)**beta.
-
-    Only meaningful for the h2 family (the bound involves beta).
-    """
-    if h.family != "h2":
-        raise ValueError("inverse-growth bound is stated for the h2 family")
-    g = h.inverse(t)
-    bound = t * (math.log(1.0 / t)) ** h.param
-    return g, g <= bound
-
-
 # ---------------------------------------------------------------------------
 # interval unions
 # ---------------------------------------------------------------------------
@@ -167,16 +155,6 @@ class IntervalUnion:
         arr = np.asarray(merged, dtype=float).reshape(-1, 2)
         keep = [p for p in pts if not _inside_any(p, arr)]
         return cls(intervals=arr, points=np.asarray(sorted(set(keep)), dtype=float))
-
-    def min(self) -> float:
-        vals = []
-        if self.intervals.size:
-            vals.append(float(self.intervals[0, 0]))
-        if self.points.size:
-            vals.append(float(self.points[0]))
-        if not vals:
-            raise ValueError("empty union")
-        return min(vals)
 
     def contains(self, x: float, tol: float = 0.0) -> bool:
         if self.intervals.size and bool(
@@ -553,14 +531,6 @@ class CantorSet:
         j = self.J if level is None else level
         return self.lefts[j], float(self.lengths[j])
 
-    def endpoints(self, level: Optional[int] = None) -> np.ndarray:
-        lefts, lj = self.intervals(level)
-        return np.unique(np.concatenate([lefts, lefts + lj]))
-
-    def total_length(self, level: Optional[int] = None) -> float:
-        lefts, lj = self.intervals(level)
-        return lefts.size * lj
-
     def endpoint_distances(self) -> tuple[list[tuple], np.ndarray]:
         """(words, distances) of the level-J interval endpoints, left to right;
         the word (b_1..b_J, side) is the endpoint sum_j b_j (l_{j-1} - l_j) +
@@ -594,14 +564,6 @@ def build_cantor(l0: float, alpha: float, J: int) -> CantorSet:
     return _assemble_cantor(l0, alpha, J, lengths)
 
 
-def build_cantor_table(lengths: Sequence[float]) -> CantorSet:
-    """Explicit-lengths set; lengths[j] = l_j, depth J = len - 1."""
-    lengths = np.asarray(lengths, dtype=float)
-    if lengths.ndim != 1 or lengths.size < 2:
-        raise ValueError("need l_0..l_J with J >= 1")
-    return _assemble_cantor(float(lengths[0]), 0.0, lengths.size - 1, lengths)
-
-
 def _assemble_cantor(l0: float, alpha: float, J: int, lengths: np.ndarray) -> CantorSet:
     for j in range(J):
         if not lengths[j + 1] < lengths[j] / 2.0:
@@ -622,6 +584,14 @@ def _assemble_cantor(l0: float, alpha: float, J: int, lengths: np.ndarray) -> Ca
 # ---------------------------------------------------------------------------
 
 
+def _count(d: dict, key: str) -> int:
+    """d[key], which must be a JSON integer: a float or a bool is not truncated."""
+    value = d[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def domain_from_json(d: dict):
     """Build a domain object from its JSON description."""
     t = d.get("type")
@@ -630,9 +600,9 @@ def domain_from_json(d: dict):
         if fam not in PARAM_KEY:
             raise ValueError(f"unknown scale family {fam!r}")
         h = ScaleFunction.of(fam, float(d[PARAM_KEY[fam]]))
-        return build_zalcman(h, float(d["x1"]), int(d["K"]), d.get("variant", "superset"))
+        return build_zalcman(h, float(d["x1"]), _count(d, "K"), d.get("variant", "superset"))
     if t == "cantor":
-        return build_cantor(float(d["l0"]), float(d["alpha"]), int(d["J"]))
+        return build_cantor(float(d["l0"]), float(d["alpha"]), _count(d, "J"))
     if t == "disk":
         return CircleDomain.build()
     if t == "annulus":

@@ -47,45 +47,6 @@ PROBE_OUTER_NODES = 512
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AnnulusTestReport:
-    a: complex
-    r: float
-    c: float
-    satisfied: bool
-    c_star: float
-    witness: Optional[complex] = None
-    witness_distance: float = math.nan
-
-
-def annulus_condition(
-    domain: CircleDomain, a: complex, r: float, c: float, h: ScaleFunction
-) -> AnnulusTestReport:
-    """Exact annulus test at (a, r) with inner radius c*h(r)."""
-    if r <= 0:
-        raise ValueError("r must be positive")
-    # c_star(a, r) is the largest achievable boundary distance <= r over h(r):
-    # shrinking the annulus inward, the last c for which it still meets the
-    # boundary is reached when c*h(r) hits the top achievable distance
-    best = domain.distance_spectrum(a).sup_at_most(r)  # may raise NotBoundaryPointError
-    hr = h.value(r)
-    lo = c * hr
-    satisfied = best >= lo and best > 0.0
-    witness = None
-    wd = math.nan
-    if satisfied:
-        witness, wd, _ = domain.witness_at_distance(a, lo, r)
-    return AnnulusTestReport(
-        a=complex(a),
-        r=float(r),
-        c=float(c),
-        satisfied=satisfied,
-        c_star=best / hr,
-        witness=witness,
-        witness_distance=wd,
-    )
-
-
 def default_boundary_samples(domain: CircleDomain) -> np.ndarray:
     """Deterministic boundary sample set: origin (when boundary) and
     ``SAMPLES_PER_CIRCLE`` points on every circle."""
@@ -119,7 +80,9 @@ def best_constant_profile(domain: CircleDomain, h: ScaleFunction) -> tuple[float
     """Tabulate c_star(a, r) over ``default_boundary_samples`` and radii
     log-spaced at 16 per decade from ``resolved_r_min`` up to r0: x1/2 on
     Zalcman domains, twice the largest hole radius on other holed domains,
-    0.5 otherwise, and at most epsilon0 / 2 of h.
+    0.5 otherwise, and at most epsilon0 / 2 of h.  c_star(a, r), the largest
+    boundary distance from a at most r over h(r), is the largest c for which
+    the annulus {c*h(r) <= |z-a| <= r} meets the boundary.
 
     Returns (inf over the table, table).  The table holds the columns
     ``a_re``, ``a_im``, ``r`` and ``c_star`` as equal-length arrays, one row

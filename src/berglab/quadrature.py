@@ -514,9 +514,6 @@ class AnnulusRegion:
     r_in: float
     r_out: float
 
-    def area(self) -> float:
-        return math.pi * (self.r_out**2 - self.r_in**2)
-
     def circles(self) -> list[tuple[complex, float, int]]:
         inner = [(self.center, self.r_in, -1)] if self.r_in > 0.0 else []
         return [(self.center, self.r_out, 1), *inner]
@@ -536,12 +533,6 @@ class PolarRegion:
     r_in: float
     r_out: float
     holes: tuple  # (center, radius) pairs to exclude
-
-    def area(self) -> float:
-        a = math.pi * (self.r_out**2 - self.r_in**2)
-        for _, rho in self.holes:
-            a -= math.pi * rho**2  # holes assumed fully inside the band
-        return a
 
     def nodes_weights(self, level: int = 0) -> tuple[np.ndarray, np.ndarray]:
         n_rad = 24 * 2**level
@@ -706,11 +697,6 @@ def integrate_hermitian(
     is run once each way and cancels)."""
     analytic, numeric = partition
     return boundary_gram([c for reg in (*analytic, *numeric) for c in reg.circles()], fns)
-
-
-def partition_area(partition: tuple[list, list]) -> float:
-    analytic, numeric = partition
-    return sum(r.area() for r in analytic) + sum(r.area() for r in numeric)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from berglab.bergman import (
     assemble_gram,
     band_increments,
     band_index,
-    cauchy_transform_norm_check,
     default_basis,
     distance_profile,
     equilibrium_witness_bound,
@@ -21,7 +20,8 @@ from berglab.bergman import (
     witness_metric_bound,
 )
 from berglab.domains import CircleDomain, ScaleFunction, ZalcmanDomain, build_zalcman
-from berglab.errors import OutsideDomainError, ScaleNotRetainedError
+from berglab.errors import NoSecondPointError, OutsideDomainError, ScaleNotRetainedError
+from claim_checks import cauchy_transform_norm_check
 
 
 @pytest.fixture(scope="module")
@@ -254,6 +254,21 @@ def test_equilibrium_vs_one_pole_witness(h15_domain):
         eq = equilibrium_witness_bound(h15_domain, complex(-x))["bound"]
         wit = witness_kernel_bound(h15_domain, x)["value"]
         assert eq <= 50.0 * wit and wit <= 50.0 * eq
+
+
+def test_equilibrium_witness_far_from_the_boundary_has_no_second_point(h15_domain):
+    # delta = 0.5 puts 8 delta above h(epsilon0) = 1, so h has no inverse there
+    with pytest.raises(NoSecondPointError, match="no radius"):
+        equilibrium_witness_bound(h15_domain, -0.5 + 0j)
+
+
+def test_equilibrium_witness_lets_a_programming_error_through(h15_domain, monkeypatch):
+    def broken_inverse(self, t):
+        raise TypeError("broken")
+
+    monkeypatch.setattr(ScaleFunction, "inverse", broken_inverse)
+    with pytest.raises(TypeError, match="broken"):
+        equilibrium_witness_bound(h15_domain, -0.5 + 0j)
 
 
 # ---------------------------------------------------------------------------

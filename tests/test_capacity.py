@@ -8,68 +8,59 @@ from hypothesis import strategies as st
 from berglab import capacity
 from berglab.capacity import (
     CapacityEstimate,
-    WeightedPointSet,
-    cantor_capacity_bound,
     capacity_via_transfinite,
     circle_nodes,
-    energy,
     equilibrium_measure,
     log_distance_matrix,
-    measure_dilatation_check,
     nth_diameter,
-    potential,
-    regularized_energy,
-    scaling_law_check,
     segment_nodes,
-    self_scales,
+)
+from berglab.domains import _assemble_cantor, build_cantor
+from berglab.errors import EquilibriumSolveError, GridTooSmallError, PreconditionViolatedError
+from claim_checks import (
+    cantor_capacity_bound,
+    cantor_transfinite_estimate,
+    scaling_law_check,
     subadditivity_check,
 )
-from berglab.domains import build_cantor, build_cantor_table
-from berglab.errors import EquilibriumSolveError, GridTooSmallError, PreconditionViolatedError
 
 
 # ---------------------------------------------------------------------------
-# potential / energy
+# energy
 # ---------------------------------------------------------------------------
 
 
-def test_potential_circle_center_and_exterior():
-    mu = WeightedPointSet.uniform(circle_nodes(0, 0.5, 256))
-    assert potential(mu, 0j) == pytest.approx(math.log(0.5), abs=1e-6)
-    assert potential(mu, 2.0 + 0j) == pytest.approx(math.log(2.0), abs=1e-4)
-
-
-def test_potential_point_mass_singularity():
-    mu = WeightedPointSet(np.array([1.0 + 0j]), np.array([1.0]))
-    assert potential(mu, 1.0 + 0j) == -math.inf
+def raw_energy(nodes: np.ndarray) -> float:
+    """sum_{i != j} w_i w_j log|z_i - z_j| at uniform weights w."""
+    w = np.full(nodes.size, 1.0 / nodes.size)
+    return w @ log_distance_matrix(nodes) @ w
 
 
 def test_energy_two_symmetric_atoms():
-    mu = WeightedPointSet.uniform(np.array([-0.5 + 0j, 0.5 + 0j]))
-    assert energy(mu) == pytest.approx(0.0, abs=1e-15)
+    assert raw_energy(np.array([-0.5 + 0j, 0.5 + 0j])) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_energy_discrete_sum_oracle_unit_circle():
     # diagonal exclusion makes the raw value log(n)/n exactly
     for n in (256, 1024):
-        mu = WeightedPointSet.uniform(circle_nodes(0, 1.0, n))
-        assert energy(mu) == pytest.approx(math.log(n) / n, abs=1e-10)
-    assert abs(energy(WeightedPointSet.uniform(circle_nodes(0, 1.0, 1024)))) <= 1e-2
+        assert raw_energy(circle_nodes(0, 1.0, n)) == pytest.approx(math.log(n) / n, abs=1e-10)
+    assert abs(raw_energy(circle_nodes(0, 1.0, 1024))) <= 1e-2
 
 
 def test_energy_radius_half_circle():
     n = 1024
-    mu = WeightedPointSet.uniform(circle_nodes(0, 0.5, n))
+    energy = raw_energy(circle_nodes(0, 0.5, n))
     expected = (1 - 1 / n) * math.log(0.5) + math.log(n) / n
-    assert energy(mu) == pytest.approx(expected, abs=1e-10)
-    assert energy(mu) == pytest.approx(math.log(0.5), abs=1e-2)
+    assert energy == pytest.approx(expected, abs=1e-10)
+    assert energy == pytest.approx(math.log(0.5), abs=1e-2)
 
 
 def test_regularized_energy_near_exact_on_circles():
     # chord/arc defect is O(1/n^2); at n = 128 that is ~1e-4 absolute
     for r in (0.25, 0.5, 1.0):
-        mu = WeightedPointSet.uniform(circle_nodes(0, r, 128))
-        assert regularized_energy(mu) == pytest.approx(math.log(r), abs=1e-4)
+        w = np.full(128, 1.0 / 128)
+        A, _ = capacity._energy_matrix(circle_nodes(0, r, 128))
+        assert w @ A @ w == pytest.approx(math.log(r), abs=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +332,7 @@ def test_equilibrium_active_set_drops_interior_point():
     assert sol.iterations == 2
     assert w[-1] == 0.0
     assert np.all(np.abs(w[:64] * 64 - 1.0) <= 1e-13)
-    A = log_distance_matrix(nodes) + np.diag(self_scales(nodes))
+    A = log_distance_matrix(nodes) + np.diag(capacity._energy_matrix(nodes)[1])
     assert (A @ w)[-1] <= sol.energy
     assert sol.kkt_residual <= 1e-14
 
@@ -393,12 +384,14 @@ def test_equilibrium_maximizes_regularized_energy(nodes, seed):
     scale = max(1.0, abs(sol.energy))
     assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
     assert sol.kkt_residual <= 1e-12 * scale
-    assert regularized_energy(sol.measure) == pytest.approx(sol.energy, abs=1e-12 * scale)
+    A, _ = capacity._energy_matrix(nodes)
+    assert w @ A @ w == pytest.approx(sol.energy, abs=1e-12 * scale)
     rng = np.random.default_rng(seed)
     trials = [np.full(nodes.size, 1.0 / nodes.size), *rng.dirichlet(np.ones(nodes.size), 8)]
     trials += [0.5 * (w + p) for p in trials]  # near the optimum too
     for p in trials:
-        assert regularized_energy(WeightedPointSet(nodes, p / p.sum())) <= sol.energy + 1e-12 * scale
+        p = p / p.sum()
+        assert p @ A @ p <= sol.energy + 1e-12 * scale
 
 
 def former_energy_matrix(nodes):
@@ -421,7 +414,6 @@ def test_energy_matrix_keeps_the_two_call_bits(nodes):
     want_A, want_scales = former_energy_matrix(nodes)
     assert np.array_equal(A.view(np.int64), want_A.view(np.int64))
     assert np.array_equal(scales.view(np.int64), want_scales.view(np.int64))
-    assert np.array_equal(self_scales(nodes).view(np.int64), want_scales.view(np.int64))
     np.fill_diagonal(want_A, 0.0)
     assert np.array_equal(log_distance_matrix(nodes).view(np.int64), want_A.view(np.int64))
 
@@ -447,8 +439,6 @@ def test_cantor_bound_polar_limit():
 
 
 def test_cantor_transfinite_estimator():
-    from berglab.capacity import cantor_transfinite_estimate
-
     # J = 1 is two intervals of length 1e-2 at gap ~0.08; sanity against a
     # raw-grid search at matched n (positions there still resolve in doubles)
     c1 = build_cantor(0.1, 2.0, J=1)
@@ -464,7 +454,7 @@ def test_cantor_transfinite_estimator():
 
 def test_cantor_bound_quarter_ratio_limit():
     lengths = [0.1 * 0.25**j for j in range(12)]
-    c = build_cantor_table(lengths)
+    c = _assemble_cantor(0.1, 0.0, 11, np.array(lengths))
     vals = [cantor_capacity_bound(c, J=j) for j in range(1, 12)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     # closed form: (1/8) * 2 ** (2 ** (1 - J)) decreasing to 1/8
@@ -491,8 +481,11 @@ def test_holder_law_square_map():
 
 
 def test_measure_dilatation_node_for_node():
-    rep = measure_dilatation_check(circle_nodes(0, 0.5, 64), t=0.3)
-    assert rep["max_weight_deviation"] <= 1e-9
+    # the dilated measure of a dilated set is the pushforward
+    nodes = circle_nodes(0, 0.5, 64)
+    w = equilibrium_measure(nodes).measure.weights
+    w_t = equilibrium_measure(0.3 * nodes).measure.weights
+    assert np.max(np.abs(w - w_t)) <= 1e-9
 
 
 def test_subadditivity_two_disks():

@@ -308,6 +308,8 @@ def test_config_validation_errors(tmp_path):
         run({"pipeline": "kernel"}, str(tmp_path))  # missing domain
     with pytest.raises(ConfigInvalidError):
         run({"pipeline": "selfcheck"}, str(tmp_path))  # missing seed for MC
+    with pytest.raises(ConfigInvalidError, match="'fast', 'default', 'strict'"):
+        run({"pipeline": "selfcheck", "seed": 0}, str(tmp_path), "turbo")  # was a bare KeyError
     with pytest.raises(ConfigInvalidError):
         run(
             {"pipeline": "kernel", "domain": {"type": "zalcman", "family": "h9", "x1": 0.1, "K": 2}},
@@ -475,19 +477,27 @@ def test_pommerenke_config_errors(tmp_path, capsys, extra, code, message):
         ({"pipeline": "distance", "domain": {**SMALL_H1, "K": 3}}, "k_range"),
         ({"pipeline": "kernel", "domain": SMALL_H1, "equilibrium": "no"}, "equilibrium"),
         ({"pipeline": "kernel", "domain": SMALL_H1, "equilibrium": 1}, "equilibrium"),
+        ({"pipeline": "kernel", "domain": {**H1_K10, "K": 8.9}}, "K must be an integer, got 8.9"),
+        ({"pipeline": "kernel", "domain": {**SMALL_H1, "K": True}}, "K must be an integer, got True"),
+        (
+            {"pipeline": "capacity", "set": {"type": "cantor", "l0": 0.1, "alpha": 1.5, "J": 3.9, "grid": 2048}},
+            "J must be an integer, got 3.9",
+        ),
     ],
     ids=[
         "kernel-fit-column", "kernel-models", "distance-models", "fit-models", "metric-witness",
         "domain-not-an-object", "fit-missing-csv", "fit-triple", "capacity-cantor-l0",
         "selfcheck-seed", "pommerenke-negative-k", "perfect-negative-eps", "distance-default-k-range",
-        "kernel-equilibrium-string", "kernel-equilibrium-integer",
+        "kernel-equilibrium-string", "kernel-equilibrium-integer", "zalcman-float-K", "zalcman-bool-K",
+        "cantor-float-J",
     ],
 )
 def test_unreadable_config_is_a_config_error(tmp_path, capsys, cfg, message):
     # each exited 1 with a traceback (KeyError, ValueError, AttributeError,
     # FileNotFoundError, negative dimensions), or, for a negative eps,
     # exited 0 having "weakened" h1(1.5) to h1(1.6); an equilibrium of "no"
-    # or 1 passed bool() and turned the equilibrium witnesses on
+    # or 1 passed bool() and turned the equilibrium witnesses on; a float K
+    # or J was truncated and a bool K read as 1
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2

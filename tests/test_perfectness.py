@@ -8,13 +8,12 @@ from berglab.domains import (
     IntervalUnion,
     ScaleFunction,
     ZalcmanDomain,
+    _assemble_cantor,
     build_cantor,
-    build_cantor_table,
     build_zalcman,
 )
 from berglab.errors import AnnulusEmptyError, NotBoundaryPointError, PreconditionViolatedError
 from berglab.perfectness import (
-    annulus_condition,
     best_constant_profile,
     cantor_U_check,
     chain_capacity_comparison,
@@ -26,6 +25,7 @@ from berglab.perfectness import (
     pommerenke_construct,
     uc_report,
 )
+from claim_checks import cantor_capacity_bound
 
 
 @pytest.fixture(scope="module")
@@ -43,23 +43,29 @@ def h2_domain():
 # ---------------------------------------------------------------------------
 
 
+def annulus_met(domain, a, r, c, h) -> bool:
+    """The exact annulus test at (a, r): the largest boundary distance at
+    most r from a reaches the inner radius c*h(r)."""
+    return domain.distance_spectrum(a).sup_at_most(r) >= c * h.value(r)
+
+
 def test_annulus_satisfied_at_origin():
     dom = build_zalcman(ScaleFunction.h1(2.0), 0.1, K=4)
     h = ScaleFunction.h1(2.0)
     r = dom.xs[0] - dom.rs[0]  # 0.09
-    rep = annulus_condition(dom, 0j, r, c=1.0, h=h)
-    assert rep.satisfied
+    assert annulus_met(dom, 0j, r, 1.0, h)
+    witness, witness_distance, _ = dom.witness_at_distance(0j, h.value(r), r)
     # h(0.09) = 0.0081 <= witness distance <= 0.09; disk 2 rim qualifies
-    assert 0.0081 <= rep.witness_distance <= r
-    assert dom.unsigned_boundary_distance(rep.witness) <= 1e-9
+    assert 0.0081 <= witness_distance <= r
+    assert dom.unsigned_boundary_distance(witness) <= 1e-9
 
 
 def test_annulus_unit_disk_always_satisfied():
     dom = CircleDomain.build()
     h = ScaleFunction.h1(2.0)
-    rep = annulus_condition(dom, 1.0 + 0j, 0.1, c=1.0, h=h)
-    assert rep.satisfied
-    assert rep.c_star >= 1.0
+    assert annulus_met(dom, 1.0 + 0j, 0.1, 1.0, h)
+    # c_star = sup_at_most(r) / h(r)
+    assert dom.distance_spectrum(1.0 + 0j).sup_at_most(0.1) / h.value(0.1) >= 1.0
 
 
 def test_annulus_fails_in_scale_gap():
@@ -69,8 +75,7 @@ def test_annulus_fails_in_scale_gap():
     k = 5
     r = dom.xs[k - 1] / 2.0
     c = 1.0 / k
-    rep = annulus_condition(dom, 0j, r, c=c, h=h_weak)
-    assert not rep.satisfied
+    assert not annulus_met(dom, 0j, r, c, h_weak)
     assert c * h_weak.value(r) > dom.xs[k] + dom.rs[k]  # annulus floats above disk k+1
 
 
@@ -96,12 +101,11 @@ def test_annulus_exactness_vs_dense_sampling(h1_domain):
         dists = np.abs(cloud - a)
         for r in np.exp(rng.uniform(math.log(1e-6), math.log(0.4), 13)):
             c = float(rng.uniform(0.1, 1.0))
-            rep = annulus_condition(dom, a, float(r), c, h)
             lo = c * h.value(float(r))
                   # dense-sampling verdict; resolution 2pi*rho/4e4 per circle
             brute = bool(np.any((dists >= lo * (1 - 1e-9)) & (dists <= r * (1 + 1e-9))))
             total += 1
-            agree += int(rep.satisfied == brute)
+            agree += int(annulus_met(dom, a, float(r), c, h) == brute)
     assert agree == total
 
 
@@ -304,8 +308,8 @@ def reference_cantor_U_check(C):
         build_cantor(0.1, 2.0, J=6),
         build_cantor(0.2, 1.5, J=5),
         build_cantor(0.1, 1.5, J=8),
-        build_cantor_table([0.1, 0.04, 0.01, 0.002, 4e-4]),  # h = 1, c = 1/4: every check fails
-        build_cantor_table([0.4, 0.1, 0.02, 0.004]),  # fails only at r below 1/4
+        _assemble_cantor(0.1, 0.0, 4, np.array([0.1, 0.04, 0.01, 0.002, 4e-4])),  # h = 1, c = 1/4: every check fails
+        _assemble_cantor(0.4, 0.0, 3, np.array([0.4, 0.1, 0.02, 0.004])),  # fails only at r below 1/4
     ],
     ids=["power-J4", "power-J6", "power-alpha1.5", "power-J8", "table-all-fail", "table-some-fail"],
 )
@@ -315,8 +319,6 @@ def test_cantor_U_check_matches_former_loop(C):
 
 def test_cantor_capacity_floor_vanishes():
     # deeper truncations certify ever-smaller capacity for the alpha=2 set
-    from berglab.capacity import cantor_capacity_bound
-
     vals = [cantor_capacity_bound(build_cantor(0.1, 2.0, J=j)) for j in (2, 4, 6, 8)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 1e-7

@@ -26,7 +26,6 @@ from berglab.quadrature import (
     domain_circles,
     integrate_hermitian,
     mc_integral,
-    partition_area,
     partition_for,
 )
 
@@ -95,13 +94,6 @@ def test_mixed_pole_poly_entries_match_numeric():
     G = reg.gram(fns)
     num = area_gram(PolarRegion(0j, 0.3, 0.9, ()), fns)
     assert np.allclose(G, num, rtol=2e-6, atol=1e-9)
-
-
-def test_partition_area_zalcman():
-    dom = build_zalcman(ScaleFunction.h1(1.5), 0.01, K=6)
-    part = partition_for(dom)
-    exact = math.pi * (1.0 - float(np.sum(dom.radii**2)))
-    assert partition_area(part) == pytest.approx(exact, rel=1e-12)
 
 
 def test_partition_area_quadrature_of_one():
