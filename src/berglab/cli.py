@@ -14,16 +14,20 @@ import json
 import math
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from . import asymptotics, bergman, perfectness
+from . import asymptotics, bergman, config, perfectness
 from .capacity import capacity_via_transfinite, circle_nodes, equilibrium_measure, nth_diameter, segment_nodes
-from .domains import CantorSet, CircleDomain, ScaleFunction, ZalcmanDomain, domain_from_json
+from .domains import CantorSet, CircleDomain, ScaleFunction, ZalcmanDomain, build_cantor, domain_from_json
 from .errors import BerglabError, ConfigInvalidError
 from .quadrature import mc_integral
+
+#: rows that ``write_csv`` builds, encodes, hashes and writes at a time
+CSV_BLOCK_ROWS = 4096
 
 TOLERANCE_PROFILES = {
     "fast": {"n_cap": 32, "per_band": 4},
@@ -62,20 +66,35 @@ def format_column(col) -> list[str]:
     return [v if isinstance(v, str) else format_float(v) for v in col]
 
 
-def write_csv(path: Path, table: dict) -> bytes:
+def write_csv(path: Path, table: dict) -> tuple[str, int]:
     """One CSV line per row of ``table``, a dict of equal-length columns
-    whose keys are the header; returns the bytes written."""
-    lines = [",".join(table), *map(",".join, zip(*map(format_column, table.values()), strict=True))]
-    data = ("\n".join(lines) + "\n").encode("utf-8")
-    path.write_bytes(data)
-    return data
+    whose keys are the header, written ``CSV_BLOCK_ROWS`` rows at a time
+    from columns formatted once; returns the sha256 and size of the file."""
+    cols = list(map(format_column, table.values()))
+    rows = {len(c) for c in cols}
+    if len(rows) > 1:
+        raise ValueError(f"CSV columns of unequal lengths {sorted(rows)}")
+    blocks = (
+        "\n".join(map(",".join, zip(*(c[i : i + CSV_BLOCK_ROWS] for c in cols)))) + "\n"
+        for i in range(0, max(rows, default=0), CSV_BLOCK_ROWS)
+    )
+    return _write(path, chain([",".join(table) + "\n"], blocks))
 
 
-def write_json(path: Path, obj: dict) -> bytes:
-    """``obj`` as strict, key-sorted JSON; returns the bytes written."""
-    data = (json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
-    path.write_bytes(data)
-    return data
+def write_json(path: Path, obj: dict) -> tuple[str, int]:
+    """``obj`` as strict, key-sorted JSON; returns the sha256 and size of the file."""
+    return _write(path, [json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"])
+
+
+def _write(path: Path, chunks) -> tuple[str, int]:
+    """Encode, hash and write each text chunk in turn."""
+    digest, size = hashlib.sha256(), 0
+    with open(path, "wb") as f:
+        for chunk in chunks:
+            data = chunk.encode("utf-8")
+            digest.update(data)
+            size += f.write(data)
+    return digest.hexdigest(), size
 
 
 def _jsonable(obj):
@@ -102,65 +121,28 @@ def _jsonable(obj):
 # config readers: each returns a checked value or raises ConfigInvalidError
 # ---------------------------------------------------------------------------
 
-_KIND_NAMES = {ZalcmanDomain: "zalcman", CantorSet: "cantor"}
-
-
-def _domain(cfg: dict, *kinds: type):
-    """The config's domain, built once; it must be one of ``kinds`` if any are given."""
-    spec = cfg.get("domain")
-    if not isinstance(spec, dict):
-        raise ConfigInvalidError(f"pipeline {cfg['pipeline']!r} requires a domain spec (a JSON object)")
-    try:
-        domain = domain_from_json(spec)
-    except (KeyError, TypeError, ValueError, BerglabError) as exc:
-        raise ConfigInvalidError(f"invalid domain spec: {exc}") from exc
-    if kinds and not isinstance(domain, kinds):
-        names = " or ".join(_KIND_NAMES[k] for k in kinds)
-        raise ConfigInvalidError(f"pipeline {cfg['pipeline']!r} needs a {names} domain")
-    return domain
-
-
-def _integer(spec: dict, key: str, default, least: int) -> int:
-    value = spec.get(key, default)
-    if type(value) is not int or value < least:
-        raise ConfigInvalidError(f"{key} must be an integer >= {least}, got {value!r}")
-    return value
-
-
-def _positive(value) -> bool:
-    return type(value) in (int, float) and 0 < value < math.inf
-
-
-def _models(cfg: dict, default: list[str]) -> list[str]:
-    models = cfg.get("models", default)
-    if not (isinstance(models, list) and models and all(m in asymptotics.MODELS for m in map(str, models))):
-        raise ConfigInvalidError(f"models {models!r} is not a non-empty list of {list(asymptotics.MODELS)}")
-    return models
-
 
 def _bands(cfg: dict, domain: ZalcmanDomain, default: tuple[int, int]) -> range:
-    """Scale bands k_lo..k_hi of ``k_range``: integers with 1 <= k_lo <= k_hi <= K.
+    """Scale bands k_lo..k_hi of ``k_range``, which need 1 <= k_lo <= k_hi <= K.
 
     Without ``k_range`` they are ``default[0]..min(default[1], K - 1)``,
     checked by the same rule."""
-    k_range = cfg.get("k_range", [default[0], min(default[1], domain.K - 1)])
-    if not (isinstance(k_range, list) and len(k_range) == 2 and all(type(k) is int for k in k_range)):
-        raise ConfigInvalidError(f"k_range must be two integers [k_lo, k_hi], got {k_range!r}")
-    k_lo, k_hi = k_range
+    k_lo, k_hi = cfg["k_range"] or (default[0], min(default[1], domain.K - 1))
     if not 1 <= k_lo <= k_hi <= domain.K:
-        given = "" if "k_range" in cfg else " (the default)"
-        raise ConfigInvalidError(f"k_range {k_range!r}{given} needs 1 <= k_lo <= k_hi <= K = {domain.K}")
+        given = "" if cfg["k_range"] else " (the default)"
+        raise ConfigInvalidError(f"k_range {[k_lo, k_hi]}{given} needs 1 <= k_lo <= k_hi <= K = {domain.K}")
     return range(k_lo, k_hi + 1)
 
 
 # ---------------------------------------------------------------------------
-# pipelines: run_<name>(cfg, profile) -> (summary, artifacts); artifacts maps
-# a file name to a JSON object or, for .csv, to a dict of equal-length columns
+# pipelines: run_<name>(cfg, profile) -> (summary, artifacts), where cfg holds
+# every key of the pipeline's table in ``config.PIPELINES``; artifacts maps a
+# file name to a JSON object or, for .csv, to a dict of equal-length columns
 # ---------------------------------------------------------------------------
 
 
 def run_selfcheck(cfg: dict, profile: dict) -> tuple[dict, dict]:
-    seed = _integer(cfg, "seed", None, 0)
+    seed = cfg["seed"]
     rows = []
 
     def check(name: str, value: float, target: float, rel: float):
@@ -196,38 +178,24 @@ def run_selfcheck(cfg: dict, profile: dict) -> tuple[dict, dict]:
 
 
 def _config_set_nodes(cfg: dict) -> np.ndarray:
-    spec = cfg.get("set", {"type": "circle", "r": 0.5})
-    if not isinstance(spec, dict):
-        raise ConfigInvalidError(f"set must be a JSON object, got {spec!r}")
-    t = spec.get("type")
-    n = _integer(spec, "grid", 512, 1)
+    t, spec = config.check(cfg["set"], config.SETS, "set", "the capacity config")
+    n = spec["grid"]
+    if t == "circle":
+        return circle_nodes(complex(spec["center"]), spec["r"], n)
+    if t == "segment":
+        return segment_nodes(complex(spec["a"]), complex(spec["b"]), n)
+    if t == "two_disks":
+        return np.concatenate([circle_nodes(-spec["d"], spec["r"], n // 2), circle_nodes(spec["d"], spec["r"], n // 2)])
     try:
-        if t == "circle":
-            return circle_nodes(complex(spec.get("center", 0)), float(spec["r"]), n)
-        if t == "segment":
-            return segment_nodes(complex(spec.get("a", -1.0)), complex(spec.get("b", 1.0)), n)
-        if t == "two_disks":
-            r = float(spec.get("r", 0.1))
-            d = float(spec.get("d", 0.5))
-            return np.concatenate([circle_nodes(-d, r, n // 2), circle_nodes(d, r, n // 2)])
-        if t == "cantor":
-            cset = domain_from_json({"type": "cantor", **spec})
-            lefts, lj = cset.intervals()
-            per = max(4, n // (2 * lefts.size))
-            pieces = [np.linspace(lo, lo + lj, per) for lo in lefts]
-            return np.unique(np.concatenate(pieces)).astype(complex)
-    except (KeyError, TypeError, ValueError, BerglabError) as exc:
-        raise ConfigInvalidError(f"invalid {t} set spec: {exc}") from exc
-    raise ConfigInvalidError(f"unknown set type {t!r}")
+        lefts, lj = build_cantor(spec["l0"], spec["alpha"], spec["J"]).intervals()
+    except BerglabError as exc:
+        raise ConfigInvalidError(f"the cantor set does not build: {exc}") from exc
+    per = max(4, n // (2 * lefts.size))
+    pieces = [np.linspace(lo, lo + lj, per) for lo in lefts]
+    return np.unique(np.concatenate(pieces)).astype(complex)
 
 
 def run_capacity(cfg: dict, profile: dict) -> tuple[dict, dict]:
-    if "schedule" in cfg:
-        raise ConfigInvalidError(
-            "'schedule' is no longer read: the capacity estimate runs one search at the "
-            "tolerance profile's n_cap (fast 32, default 64, strict 128); choose it with "
-            "--tolerance-profile"
-        )
     nodes = _config_set_nodes(cfg)
     floor = 4 * profile["n_cap"]
     if nodes.size < floor:
@@ -253,16 +221,8 @@ def run_capacity(cfg: dict, profile: dict) -> tuple[dict, dict]:
 
 
 def run_perfect(cfg: dict, profile: dict) -> tuple[dict, dict]:
-    for key in ("family", "param"):
-        if key in cfg:
-            raise ConfigInvalidError(
-                f"{key!r} is no longer read: perfect tests the zalcman domain's own h, "
-                "its family at its alpha (h1) or beta (h2)"
-            )
-    eps_list = cfg.get("eps_list", [0.1])
-    if not (isinstance(eps_list, list) and eps_list and all(map(_positive, eps_list))):
-        raise ConfigInvalidError(f"eps_list must be a non-empty list of numbers > 0, got {eps_list!r}")
-    domain = _domain(cfg, ZalcmanDomain, CantorSet)
+    eps_list = cfg["eps_list"]
+    domain = domain_from_json(cfg["domain"])
     if isinstance(domain, CantorSet):
         rep = perfectness.cantor_U_check(domain)
         return {"passed": rep["passed"]}, {"perfect_report.json": rep}
@@ -285,19 +245,10 @@ def run_perfect(cfg: dict, profile: dict) -> tuple[dict, dict]:
 
 
 def run_pommerenke(cfg: dict, profile: dict) -> tuple[dict, dict]:
-    domain = _domain(cfg, ZalcmanDomain)
-    for key in ("c", "s1"):
-        if key in cfg and not _positive(cfg[key]):
-            raise ConfigInvalidError(f"pipeline 'pommerenke' needs {key} > 0, got {cfg[key]!r}")
-    try:
-        a = complex(cfg.get("a", 0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalidError(f"a must be a number, got {cfg['a']!r}") from exc
-    # k = 0 would certify only the vacuous floor 1
-    k = _integer(cfg, "k", 5, 1)
-    c = float(cfg.get("c", 1.0))
-    s1 = float(cfg.get("s1", domain.x1 / 10.0))
-    cert = perfectness.pommerenke_construct(domain, a, c, k, s1, domain.h)
+    domain = domain_from_json(cfg["domain"])
+    k = cfg["k"]
+    s1 = domain.x1 / 10.0 if cfg["s1"] is None else cfg["s1"]
+    cert = perfectness.pommerenke_construct(domain, complex(cfg["a"]), cfg["c"], k, s1, domain.h)
     comp = perfectness.chain_capacity_comparison(domain, cert, domain.h, n=profile["n_cap"])
     report = {
         "depth": cert.depth,
@@ -325,27 +276,20 @@ def _band_sweep(cfg: dict, default: tuple[int, int]):
     system) of ``kernel``, ``metric`` and ``distance``; ``default`` goes to
     ``_bands``.  Their tables hold lists: ``format_column`` writes a short
     list cell by cell, without the sort of its array path."""
-    domain = _domain(cfg, ZalcmanDomain)
+    domain = domain_from_json(cfg["domain"])
     ks = _bands(cfg, domain, default)
-    degree = _integer(cfg, "degree", 8, 0)
     xs = domain.xs
     mids = np.sqrt(xs[ks.start - 1 : ks.stop - 1] * xs[ks.start : ks.stop])
-    gs = bergman.assemble_gram(domain, bergman.default_basis(domain, degree=degree))
+    gs = bergman.assemble_gram(domain, bergman.default_basis(domain, degree=cfg["degree"]))
     return domain, ks, mids, gs
 
 
 def run_kernel(cfg: dict, profile: dict) -> tuple[dict, dict]:
-    models = _models(cfg, ["K1", "K2"])
-    column = cfg.get("fit_column", "K_low")
-    if column not in ("K_low", "witness_bound", "equilibrium_bound"):
-        raise ConfigInvalidError(f"fit_column {column!r} is not K_low, witness_bound or equilibrium_bound")
-    with_eq = cfg.get("equilibrium", False)
-    if type(with_eq) is not bool:
-        raise ConfigInvalidError(f"equilibrium must be true or false, got {with_eq!r}")
+    column = cfg["fit_column"]
     domain, ks, mids, gs = _band_sweep(cfg, (3, 10))
     xs = mids.tolist()
     eq = [math.nan] * len(xs)
-    if with_eq:
+    if cfg["equilibrium"]:
         # per point: their 45-131 poles make one Gram of all of them slower
         for i, x in enumerate(xs):
             try:
@@ -362,7 +306,7 @@ def run_kernel(cfg: dict, profile: dict) -> tuple[dict, dict]:
     samples = [(x, v) for x, v in zip(table["x"], table[column]) if np.isfinite(v)]
     preferred, margin, fits = None, None, {}
     if len(samples) >= 5:
-        preferred, margin, fits = asymptotics.select_model(samples, models)
+        preferred, margin, fits = asymptotics.select_model(samples, cfg["models"])
     fit_report = {
         "fit_column": column,
         "preferred": preferred,
@@ -374,9 +318,6 @@ def run_kernel(cfg: dict, profile: dict) -> tuple[dict, dict]:
 
 
 def run_metric(cfg: dict, profile: dict) -> tuple[dict, dict]:
-    witness = cfg.get("witness", "two_pole")
-    if witness not in ("two_pole", "three_pole"):
-        raise ConfigInvalidError(f"witness must be two_pole or three_pole, got {witness!r}")
     domain, ks, mids, gs = _band_sweep(cfg, (2, 6))
     est = bergman.subspace_metric(gs, -mids)
     table = {
@@ -385,13 +326,12 @@ def run_metric(cfg: dict, profile: dict) -> tuple[dict, dict]:
         "K_low": est.K_low.tolist(),
         "S_low": est.S_low.tolist(),
         "b_est": est.b_est.tolist(),
-        "witness_ratio": bergman.witness_metric_ratios(domain, -mids, witness).tolist(),
+        "witness_ratio": bergman.witness_metric_ratios(domain, -mids, cfg["witness"]).tolist(),
     }
     return {"points": mids.size, "quad": gs.report()}, {"metric_sweep.csv": table}
 
 
 def run_distance(cfg: dict, profile: dict) -> tuple[dict, dict]:
-    models = _models(cfg, ["D1", "D2"])
     domain, ks, _, gs = _band_sweep(cfg, (3, 10))
     rows = bergman.distance_profile(domain, ks, per_band=profile["per_band"], gram=gs)
     table = {k: [r[k] for r in rows] for k in ["k", "x", "b_est", "K_low", "d_est"]}
@@ -399,7 +339,7 @@ def run_distance(cfg: dict, profile: dict) -> tuple[dict, dict]:
     samples = [(r["x"], r["d_est"]) for r in rows if r["d_est"] > 0]
     fit_report = {"band_increments": {str(k): v for k, v in incr.items()}}
     if len(samples) >= 5:
-        preferred, margin, fits = asymptotics.select_model(samples, models)
+        preferred, margin, fits = asymptotics.select_model(samples, cfg["models"])
         fit_report.update(
             preferred=preferred,
             margin=margin,
@@ -412,27 +352,25 @@ def run_distance(cfg: dict, profile: dict) -> tuple[dict, dict]:
 
 
 def run_fit(cfg: dict, profile: dict) -> tuple[dict, dict]:
-    models = _models(cfg, ["K1", "K2"])
-    key = "samples" if "samples" in cfg else "samples_csv"
-    if key not in cfg:
+    key = "samples" if cfg["samples"] is not None else "samples_csv"
+    if cfg[key] is None:
         raise ConfigInvalidError("fit pipeline needs samples or samples_csv")
     try:
-        if key == "samples":
-            pairs = cfg["samples"]
-        else:
+        pairs = cfg["samples"]
+        if pairs is None:
             header, *lines = Path(cfg["samples_csv"]).read_text().strip().splitlines()
             names = header.split(",")
             if "x" not in names or "value" not in names:
-                raise ConfigInvalidError(
-                    f"samples_csv needs columns named x and value, got {names}; a kernel sweep "
+                raise ValueError(
+                    f"it needs columns named x and value, got {names}; a kernel sweep "
                     "is fitted by the kernel pipeline itself, in kernel_fits.json"
                 )
             ix, iv = names.index("x"), names.index("value")
             pairs = [(row[ix], row[iv]) for row in (ln.split(",") for ln in lines)]
         samples = [(float(x), float(v)) for x, v in pairs]
-    except (OSError, TypeError, ValueError, IndexError) as exc:
+    except (OSError, ValueError, IndexError) as exc:
         raise ConfigInvalidError(f"{key} must give (x, value) pairs of numbers: {exc}") from exc
-    preferred, margin, fits = asymptotics.select_model(samples, models)
+    preferred, margin, fits = asymptotics.select_model(samples, cfg["models"])
     report = {
         "preferred": preferred,
         "margin": margin,
@@ -464,26 +402,23 @@ def run(cfg: dict, out_dir: str, tolerance_profile: str = "default") -> dict:
 
     The output directory is made only once the runner has returned, so a
     run that raises leaves none behind."""
-    if not isinstance(cfg, dict):
-        raise ConfigInvalidError("config must be a JSON object")
-    if cfg.get("pipeline") not in tuple(RUNNERS):  # a tuple: the name may be unhashable JSON
-        raise ConfigInvalidError(f"pipeline must be one of {tuple(RUNNERS)}, got {cfg.get('pipeline')!r}")
+    name, params = config.check(cfg, config.PIPELINES, "config", "berglab", selector="pipeline")
     if tolerance_profile not in tuple(TOLERANCE_PROFILES):
         raise ConfigInvalidError(
             f"tolerance profile must be one of {tuple(TOLERANCE_PROFILES)}, got {tolerance_profile!r}"
         )
     profile = TOLERANCE_PROFILES[tolerance_profile]
     start = time.monotonic()
-    summary, artifacts = RUNNERS[cfg["pipeline"]](cfg, profile)
+    summary, artifacts = RUNNERS[name](params, profile)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
-    for name, content in artifacts.items():
-        data = (write_csv if name.endswith(".csv") else write_json)(out / name, content)
-        outputs.append({"path": name, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)})
+    for path, content in artifacts.items():
+        sha256, size = (write_csv if path.endswith(".csv") else write_json)(out / path, content)
+        outputs.append({"path": path, "sha256": sha256, "bytes": size})
     wall = time.monotonic() - start
     manifest = {
-        "pipeline": cfg["pipeline"],
+        "pipeline": name,
         "config": cfg,
         "config_sha256": hashlib.sha256(
             json.dumps(_jsonable(cfg), sort_keys=True).encode()

@@ -24,8 +24,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import DOMAINS, check
 from .errors import (
+    BerglabError,
     BisectionFailureError,
+    ConfigInvalidError,
     NonDisjointError,
     NotBoundaryPointError,
     RuleViolationError,
@@ -584,27 +587,17 @@ def _assemble_cantor(l0: float, alpha: float, J: int, lengths: np.ndarray) -> Ca
 # ---------------------------------------------------------------------------
 
 
-def _count(d: dict, key: str) -> int:
-    """d[key], which must be a JSON integer: a float or a bool is not truncated."""
-    value = d[key]
-    if type(value) is not int:
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
 def domain_from_json(d: dict):
-    """Build a domain object from its JSON description."""
-    t = d.get("type")
-    if t == "zalcman":
-        fam = d.get("family")
-        if fam not in PARAM_KEY:
-            raise ValueError(f"unknown scale family {fam!r}")
-        h = ScaleFunction.of(fam, float(d[PARAM_KEY[fam]]))
-        return build_zalcman(h, float(d["x1"]), _count(d, "K"), d.get("variant", "superset"))
-    if t == "cantor":
-        return build_cantor(float(d["l0"]), float(d["alpha"]), _count(d, "J"))
-    if t == "disk":
-        return CircleDomain.build()
-    if t == "annulus":
-        return CircleDomain.build(inner_radius=float(d["r0"]))
-    raise ValueError(f"unknown domain type {t!r}")
+    """Build a Zalcman domain or a Cantor set from its JSON spec, read through
+    the tables of ``config.DOMAINS``; a spec that does not build is a
+    ConfigInvalidError too."""
+    t, p = check(d, DOMAINS, "domain", "a domain spec")
+    try:
+        if t == "cantor":
+            return build_cantor(p["l0"], p["alpha"], p["J"])
+        key = PARAM_KEY[p["family"]]
+        if p[key] is None:
+            raise ValueError(f"family {p['family']} needs {key}")
+        return build_zalcman(ScaleFunction.of(p["family"], p[key]), p["x1"], p["K"], p["variant"])
+    except (ValueError, BerglabError) as exc:
+        raise ConfigInvalidError(f"the {t} domain does not build: {exc}") from exc

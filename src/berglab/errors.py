@@ -81,7 +81,7 @@ class PolesTooCloseError(BerglabError):
     """A pole lies inside the integration domain or too close to its boundary."""
 
 
-class ConfigInvalidError(BerglabError):
+class ConfigInvalidError(BerglabError, ValueError):
     """Experiment configuration failed validation."""
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berglab import bergman, perfectness, quadrature
-from berglab.cli import main, run, write_json
+from berglab.cli import CSV_BLOCK_ROWS, format_column, main, run, write_csv, write_json
 from berglab.domains import ScaleFunction, build_zalcman
 from berglab.errors import ConfigInvalidError
 from berglab.quadrature import domain_circles
@@ -301,6 +301,34 @@ def test_manifest_lists_hashes(tmp_path):
         assert entry["bytes"] == len(data)
 
 
+def test_csv_blocks_write_the_bytes_of_one_join(tmp_path):
+    n = 2 * CSV_BLOCK_ROWS + 3
+    rng = np.random.default_rng(0)
+    table = {
+        "k": list(range(n)),
+        "x": np.r_[np.nan, -0.0, 0.0, np.inf, rng.standard_normal(n - 4)],
+        "word": ["ab"] * n,
+        "r": np.repeat(rng.random(n // 3 + 1), 3)[:n],
+    }
+    sha256, size = write_csv(tmp_path / "t.csv", table)
+    lines = [",".join(table), *map(",".join, zip(*map(format_column, table.values())))]
+    want = ("\n".join(lines) + "\n").encode()
+    assert (tmp_path / "t.csv").read_bytes() == want
+    assert (sha256, size) == (hashlib.sha256(want).hexdigest(), len(want))
+
+
+def test_csv_of_an_empty_table_is_its_header(tmp_path):
+    write_csv(tmp_path / "rows.csv", {"a": [], "b": np.array([])})
+    assert (tmp_path / "rows.csv").read_bytes() == b"a,b\n"
+    write_csv(tmp_path / "cols.csv", {})
+    assert (tmp_path / "cols.csv").read_bytes() == b"\n"
+
+
+def test_csv_columns_of_unequal_length_are_an_error(tmp_path):
+    with pytest.raises(ValueError, match="unequal"):
+        write_csv(tmp_path / "t.csv", {"a": np.arange(CSV_BLOCK_ROWS + 1.0), "b": list(range(CSV_BLOCK_ROWS))})
+
+
 def test_config_validation_errors(tmp_path):
     with pytest.raises(ConfigInvalidError):
         run({"pipeline": "bogus"}, str(tmp_path))
@@ -435,6 +463,7 @@ def test_perfect_needs_a_zalcman_or_cantor_domain(tmp_path, capsys, domain):
 
 
 H1_K10 = {**SMALL_H1, "K": 10}
+K1_SAMPLES = [[x, 3.0 / (x * x * math.log(1 / x))] for x in (1e-3, 1e-5, 1e-8, 1e-12, 1e-18)]
 
 
 @pytest.mark.parametrize(
@@ -483,13 +512,24 @@ def test_pommerenke_config_errors(tmp_path, capsys, extra, code, message):
             {"pipeline": "capacity", "set": {"type": "cantor", "l0": 0.1, "alpha": 1.5, "J": 3.9, "grid": 2048}},
             "J must be an integer, got 3.9",
         ),
+        ({"pipeline": "kernel", "domain": SMALL_H1, "k_rnage": [2, 3]}, "unknown key 'k_rnage'"),
+        ({"pipeline": "perfect", "domain": SMALL_H1, "eps": [0.3]}, "unknown key 'eps'"),
+        ({"pipeline": "kernel", "domain": {**SMALL_H1, "bogus": 1}}, "unknown key 'bogus'"),
+        (
+            {"pipeline": "kernel", "domain": {"type": "zalcman", "family": "h2", "beta": True, "x1": "1e-3", "K": 5}},
+            "beta must be a number, got True; x1 must be a number, got '1e-3'",
+        ),
+        ({"pipeline": "capacity", "set": {"type": "circle", "r": 0.5, "gird": 64}}, "unknown key 'gird'"),
+        ({"pipeline": "selfcheck", "seed": 0, "sed": 1}, "unknown key 'sed'"),
+        ({"pipeline": "fit", "samples": K1_SAMPLES, "model": ["K2"]}, "unknown key 'model'"),
     ],
     ids=[
         "kernel-fit-column", "kernel-models", "distance-models", "fit-models", "metric-witness",
         "domain-not-an-object", "fit-missing-csv", "fit-triple", "capacity-cantor-l0",
         "selfcheck-seed", "pommerenke-negative-k", "perfect-negative-eps", "distance-default-k-range",
         "kernel-equilibrium-string", "kernel-equilibrium-integer", "zalcman-float-K", "zalcman-bool-K",
-        "cantor-float-J",
+        "cantor-float-J", "kernel-misspelt-k-range", "perfect-misspelt-eps-list", "zalcman-unknown-key",
+        "zalcman-bool-and-string-reals", "set-misspelt-grid", "selfcheck-misspelt-seed", "fit-misspelt-models",
     ],
 )
 def test_unreadable_config_is_a_config_error(tmp_path, capsys, cfg, message):
@@ -497,7 +537,8 @@ def test_unreadable_config_is_a_config_error(tmp_path, capsys, cfg, message):
     # FileNotFoundError, negative dimensions), or, for a negative eps,
     # exited 0 having "weakened" h1(1.5) to h1(1.6); an equilibrium of "no"
     # or 1 passed bool() and turned the equilibrium witnesses on; a float K
-    # or J was truncated and a bool K read as 1
+    # or J was truncated and a bool K read as 1; an unknown key was ignored,
+    # and a real given as true or as a string was read by float()
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2

@@ -780,7 +780,3 @@ def test_domain_json_roundtrip():
     assert np.allclose(again.logx, dom.logx)
     cant = domain_from_json({"type": "cantor", "l0": 0.1, "alpha": 2.0, "J": 3})
     assert cant.J == 3
-    disk = domain_from_json({"type": "disk"})
-    assert disk.contains(0.5 + 0j)
-    ann = domain_from_json({"type": "annulus", "r0": 0.5})
-    assert not ann.contains(0.2 + 0j) and ann.contains(0.7 + 0j)
