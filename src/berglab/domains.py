@@ -222,7 +222,7 @@ class CircleDomain:
 
     The boundary is the isolated origin (when ``include_origin``) plus the
     circles ``circle_centers``/``circle_radii``: removed-disk circles, the
-    inner barrier circle (when present), and the outer circle, in that
+    inner barrier circle (when present), and the unit circle, in that
     order.  Queries visit the origin first, then the circles in order, so
     ties break the same way everywhere.  A component is named by its circle
     index, or None for the origin.
@@ -232,7 +232,6 @@ class CircleDomain:
     radii: np.ndarray  # hole radii
     include_origin: bool = False
     inner_radius: Optional[float] = None
-    outer_radius: float = 1.0
 
     @classmethod
     def build(
@@ -240,13 +239,12 @@ class CircleDomain:
         disks: Sequence[tuple[complex, float]] = (),
         include_origin: bool = False,
         inner_radius: Optional[float] = None,
-        outer_radius: float = 1.0,
     ) -> "CircleDomain":
         centers = np.asarray([c for c, _ in disks], dtype=complex)
         radii = np.asarray([r for _, r in disks], dtype=float)
         if np.any(radii <= 0):
             raise ValueError("hole radii must be positive")
-        return cls(centers, radii, include_origin, inner_radius, outer_radius)
+        return cls(centers, radii, include_origin, inner_radius)
 
     @cached_property
     def circle_centers(self) -> np.ndarray:
@@ -258,7 +256,7 @@ class CircleDomain:
     def circle_radii(self) -> np.ndarray:
         """Radii aligned with ``circle_centers``."""
         inner = [] if self.inner_radius is None else [self.inner_radius]
-        return np.concatenate([self.radii, np.asarray(inner + [self.outer_radius], dtype=float)])
+        return np.concatenate([self.radii, np.asarray(inner + [1.0], dtype=float)])
 
     def _circles(self) -> list[tuple[complex, float]]:
         # Python scalars: distances are taken with abs() on them, because
@@ -269,7 +267,7 @@ class CircleDomain:
     # --- geometry queries ---------------------------------------------------
 
     def unsigned_boundary_distance(self, z: complex) -> float:
-        d = abs(abs(z) - self.outer_radius)
+        d = abs(abs(z) - 1.0)
         if self.include_origin:
             d = min(d, abs(z))
         if self.inner_radius is not None:
@@ -283,7 +281,7 @@ class CircleDomain:
         (bool array of the same shape)."""
         z = np.asarray(z, dtype=complex)
         az = np.abs(z)
-        inside = az < self.outer_radius
+        inside = az < 1.0
         if self.inner_radius is not None:
             inside &= az > self.inner_radius
         for c, rho in zip(self.centers.tolist(), self.radii.tolist()):
@@ -500,7 +498,6 @@ def build_zalcman(
         radii=radii,
         include_origin=include_origin,
         inner_radius=inner,
-        outer_radius=1.0,
         h=h,
         x1=float(x1),
         K=int(K),

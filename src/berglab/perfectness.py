@@ -37,6 +37,8 @@ TWO_PI = 2.0 * math.pi
 SAMPLES_PER_CIRCLE = 8
 #: annulus constants c at which a weakened condition must fail
 C_GRID = (1.0, 0.5, 0.25)
+#: radii per decade of the Cantor annulus check
+CANTOR_RADII_PER_DECADE = 8
 #: hole-rim and outer-circle nodes of the condition-C grid before densifying
 PROBE_NODES_PER_CIRCLE = 16
 PROBE_OUTER_NODES = 512
@@ -57,9 +59,9 @@ def default_boundary_samples(domain: CircleDomain) -> np.ndarray:
     return np.concatenate(samples)
 
 
-def log_spaced_radii(r_min: float, r_max: float, per_decade: int = 16) -> np.ndarray:
+def log_spaced_radii(r_min: float, r_max: float) -> np.ndarray:
     decades = math.log10(r_max / r_min)
-    n = max(2, int(math.ceil(decades * per_decade)) + 1)
+    n = max(2, int(math.ceil(decades * CANTOR_RADII_PER_DECADE)) + 1)
     return np.exp(np.linspace(math.log(r_min), math.log(r_max), n))
 
 
@@ -77,20 +79,29 @@ def resolved_r_min(domain: CircleDomain) -> float:
 
 
 def best_constant_profile(domain: CircleDomain, h: ScaleFunction) -> tuple[float, dict[str, np.ndarray]]:
-    """Tabulate c_star(a, r) over ``default_boundary_samples`` and radii
-    log-spaced at 16 per decade from ``resolved_r_min`` up to r0: x1/2 on
-    Zalcman domains, twice the largest hole radius on other holed domains,
-    0.5 otherwise, and at most epsilon0 / 2 of h.  c_star(a, r), the largest
-    boundary distance from a at most r over h(r), is the largest c for which
-    the annulus {c*h(r) <= |z-a| <= r} meets the boundary.
+    """Tabulate c_star(a, r), the largest boundary distance from a at most r
+    over h(r), at its breakpoints: the largest c for which the annulus
+    {c*h(r) <= |z-a| <= r} meets the boundary.  Samples a are
+    ``default_boundary_samples``; radii run over [r_min, r0], r_min from
+    ``resolved_r_min`` and r0 = x1/2 on Zalcman domains, twice the largest
+    hole radius on other holed domains, 0.5 otherwise, and at most
+    epsilon0 / 2 of h.
+
+    Between the component starts of a's distance spectrum the largest
+    distance at most r is constant or equal to r, while h(r) and h(r)/r grow
+    (h1 and h2 alike), so c_star(a, .) falls; it jumps up only at a start.
+    Its infimum over [r_min, r0] is therefore its left limit at some start
+    t in (r_min, r0], or its value at r0.  Each sample gets one row at
+    r = nextafter(t, 0) per such start t, in increasing order, then one at
+    r0; every row is exact at its own r.  A row one ulp below t lies above
+    the left limit at t by h's change over that ulp: about 1e-16 relative
+    times d log h / d log r, which is alpha for h1 and near 1 for h2.
 
     Returns (min over the table, table).  The table holds the columns
-    ``a_re``, ``a_im``, ``r`` and ``c_star`` as equal-length arrays, one row
-    per (sample, radius) pair, samples outer.  Each c_star is exact at its
-    radius, but the sampled radii can only miss dips of c_star(a, .), so the
-    min lies at or above the infimum over [r_min, r0] at these boundary
-    samples (h2(1), x1 = 1e-3, K = 40: 1.00896 sampled, 1.00660 exact); it is
-    not a certified lower bound.
+    ``a_re``, ``a_im``, ``r`` and ``c_star`` as equal-length arrays, samples
+    outer.  The min is the infimum over [r_min, r0] at these boundary
+    samples, up to that ulp; boundary points between the samples are not
+    probed.
     """
     a_samples = default_boundary_samples(domain)
     if isinstance(domain, ZalcmanDomain):
@@ -99,51 +110,30 @@ def best_constant_profile(domain: CircleDomain, h: ScaleFunction) -> tuple[float
         r0 = (domain.radii.max() * 2.0) if domain.centers.size else 0.5
     # h is defined below epsilon0 only; x1 / 2 already lies below epsilon0 / 2
     r0 = min(r0, h.epsilon0 / 2.0)
-    radii = log_spaced_radii(resolved_r_min(domain), r0)
-    # scalar h.value per radius: np.log/np.exp may differ from math in the last ulp
-    hr = np.array([h.value(r) for r in radii.tolist()])
-    c_star = np.empty((a_samples.size, radii.size))
-    for i, a in enumerate(a_samples):
-        c_star[i] = domain.distance_spectrum(a).sup_at_most(radii) / hr
+    r_min = resolved_r_min(domain)
+    radii, c_star = [], []
+    for a in a_samples.tolist():
+        spec = domain.distance_spectrum(a)
+        starts = np.concatenate([spec.intervals[:, 0], spec.points])
+        starts = np.sort(starts[(starts > r_min) & (starts <= r0)])
+        r = np.append(np.nextafter(starts, 0.0), r0)
+        radii.append(r)
+        # scalar h.value per radius: np.log/np.exp may differ from math in the last ulp
+        c_star.append(spec.sup_at_most(r) / np.array([h.value(x) for x in r.tolist()]))
+    counts = [r.size for r in radii]
     table = {
-        "a_re": np.repeat(a_samples.real, radii.size),
-        "a_im": np.repeat(a_samples.imag, radii.size),
-        "r": np.tile(radii, a_samples.size),
-        "c_star": c_star.ravel(),
+        "a_re": np.repeat(a_samples.real, counts),
+        "a_im": np.repeat(a_samples.imag, counts),
+        "r": np.concatenate(radii),
+        "c_star": np.concatenate(c_star),
     }
     # NaN-skipping, like a running min(); inf for an empty table
-    return float(np.fmin.reduce(c_star.ravel(), initial=math.inf)), table
+    return float(np.fmin.reduce(table["c_star"], initial=math.inf)), table
 
 
 # ---------------------------------------------------------------------------
 # classification of the weak conditions
 # ---------------------------------------------------------------------------
-
-
-def exact_empty_annulus(domain: ZalcmanDomain, k: int, c: float, h_test: ScaleFunction) -> Optional[dict]:
-    """Certificate that [c*h_test(x_k/2), x_k/2] around a=0 misses the full
-    (untruncated) boundary; None when the annulus is inhabited or when the
-    truncation cannot decide.
-
-    Valid for k <= K-1: everything unresolved lies within x_{K+1}+r_{K+1}
-    of the origin, which is below the resolved disk k+1 edge.
-    """
-    if k < 1 or k > domain.K - 1:
-        return None
-    xs, rs = domain.xs, domain.rs
-    r = float(xs[k - 1]) / 2.0
-    lo = c * h_test.value(r)
-    # structure below r from the origin: disks j >= k+1 reach up to
-    # x_{k+1} + r_{k+1}; disk k begins at x_k - r_k
-    upper_inhabited = xs[k] + rs[k]  # x_{k+1} + r_{k+1}
-    lower_clear = xs[k - 1] - rs[k - 1]  # x_k - r_k
-    if lo > upper_inhabited and r < lower_clear:
-        if domain.distance_spectrum(0j).intersects(lo, r):
-            raise PreconditionViolatedError(
-                f"scale {k}: certified empty annulus [{lo}, {r}] meets the distance spectrum of 0"
-            )
-        return {"k": k, "r": r, "c": c, "annulus_lo": lo, "gap_top": float(upper_inhabited)}
-    return None
 
 
 def classify_weak_perfectness(
@@ -153,10 +143,18 @@ def classify_weak_perfectness(
     exhibit exact failure witnesses for each weakened parameter
     h.param - eps, eps in eps_list.
 
-    Failure policy: the weakened condition is flagged failed when, for every
-    c in ``C_GRID``, some resolved scale carries a certified empty annulus, and
-    the c_star profile along the witness radii x_k/2 is strictly decreasing
-    at the tail.  All comparisons are plain interval arithmetic.
+    The witnesses are read from one array: the origin's largest boundary
+    distance at most r_k = x_k/2, k = 1..K-1.  r_k lies below disk k's
+    nearest edge x_k - r_k, so that distance is the top x_{k+1} + r_{k+1} of
+    disk k+1, or r_k itself when disk k+1 reaches past r_k; every disk
+    deeper than K lies within x_{K+1} + r_{K+1} of the origin, below it, so
+    the truncation does not change it.  For each c in ``C_GRID`` the witness
+    is the first k with c*h_weak(r_k) above that distance: the annulus
+    [c*h_weak(r_k), r_k] around 0 misses the untruncated boundary.
+
+    Failure policy: the weakened condition is flagged failed when every c in
+    ``C_GRID`` has a witness and c_star_tail, the last four of
+    sup / h_weak(r_k), is strictly decreasing.
 
     Returns (report, the table of ``best_constant_profile(domain, h)``).
     """
@@ -169,25 +167,22 @@ def classify_weak_perfectness(
         "table_size": int(table["c_star"].size),
         "failures": [],
     }
-    spec0 = domain.distance_spectrum(0j)
-    tail_radii = [float(domain.xs[k - 1]) / 2.0 for k in range(max(1, domain.K - 4), domain.K)]
-    tail_sup = spec0.sup_at_most(np.asarray(tail_radii)).tolist()
+    radii = (domain.xs[: domain.K - 1] / 2.0).tolist()
+    sup = domain.distance_spectrum(0j).sup_at_most(np.asarray(radii)).tolist()
     for eps in eps_list:
         h_weak = ScaleFunction.of(h.family, h.param - eps)
-        witnesses = []  # the first certified empty annulus for each c that has one
+        h_r = [h_weak.value(r) for r in radii]
+        witnesses = []  # the first empty annulus for each c that has one
         for c in C_GRID:
-            certs = (exact_empty_annulus(domain, k, c, h_weak) for k in range(1, domain.K))
-            found = next((cert for cert in certs if cert is not None), None)
-            if found is not None:
-                witnesses.append(found)
-        # c_star along witness radii r = x_k/2 decreasing at the tail
-        tail = [s / h_weak.value(r) for s, r in zip(tail_sup, tail_radii)]
-        decreasing = all(a > b for a, b in zip(tail, tail[1:]))
+            k = next((k for k in range(len(radii)) if c * h_r[k] > sup[k]), None)
+            if k is not None:
+                witnesses.append({"k": k + 1, "r": radii[k], "c": c, "annulus_lo": c * h_r[k], "gap_top": sup[k]})
+        tail = [s / hr for s, hr in zip(sup[-4:], h_r[-4:])]
         report["failures"].append(
             {
                 "eps": eps,
                 "param_weak": h_weak.param,
-                "failed": bool(len(witnesses) == len(C_GRID) and decreasing),
+                "failed": bool(len(witnesses) == len(C_GRID) and all(a > b for a, b in zip(tail, tail[1:]))),
                 "witnesses": witnesses,
                 "c_star_tail": tail,
             }
@@ -213,7 +208,7 @@ def hole_arc_nodes(
     least 8 nodes on a partial arc)."""
     pts = []
     # hole rims get nodes_per_circle nodes, the inner barrier and the outer
-    # circle (the complement includes |z| >= outer_radius) outer_nodes
+    # circle (the complement includes |z| >= 1) outer_nodes
     circles = zip(domain.circle_centers.tolist(), domain.circle_radii.tolist())
     for i, (c0, rho) in enumerate(circles):
         n_full = nodes_per_circle if i < domain.centers.size else outer_nodes
@@ -490,8 +485,6 @@ def uc_report(
     if h.family == "h1" and 1.0 < h.param < 2.0:
         out["C_exponent_bound"] = 1.0 / (2.0 - h.param)
         out["C_slope_ok"] = prof["slope"] <= 1.0 / (2.0 - h.param) + 0.2
-    if h.family == "h2":
-        out["C_ratio_positive"] = prof["ratio_inf"] > 0.0
     return out, prof["table"]
 
 
@@ -507,7 +500,7 @@ def cantor_U_check(C: CantorSet) -> dict:
     """
     alpha = C.alpha
     c = 0.5 * 2.0 ** (-1.0 - alpha)
-    r_grid = log_spaced_radii(2.0 * float(C.lengths[C.J - 1]) * 1.0001, 1.9 * C.l0, per_decade=8)
+    r_grid = log_spaced_radii(2.0 * float(C.lengths[C.J - 1]) * 1.0001, 1.9 * C.l0)
     lo = np.array([c * r**alpha for r in r_grid])
     words, dist = C.endpoint_distances()
     failures = []

@@ -708,8 +708,8 @@ def mc_integral(
     contains: Callable[[np.ndarray], np.ndarray],
     integrand: Callable[[np.ndarray], np.ndarray],
     radius: float,
-    n_samples: int = 1_000_000,
-    seed: int = 0,
+    n_samples: int,
+    seed: int,
 ) -> float:
     """Rejection-sampled area integral over {inside the domain, |z| < radius}."""
     rng = np.random.default_rng(seed)

@@ -229,6 +229,14 @@ def test_perfect_computes_profile_once(tmp_path, monkeypatch):
     assert rep["uc"]["U_weakened_failed"] == rep["classification"]["failures"][0]["failed"]
 
 
+def test_perfect_h2_profile_stays_small(tmp_path):
+    # one row per component start below r0 and one at r0 per sample: 8,922 rows
+    domain = {"type": "zalcman", "family": "h2", "beta": 1.0, "x1": 1e-3, "K": 40}
+    manifest = run({"pipeline": "perfect", "domain": domain}, str(tmp_path), "fast")
+    size = next(o["bytes"] for o in manifest["outputs"] if o["path"] == "c_star_profile.csv")
+    assert size == (tmp_path / "c_star_profile.csv").stat().st_size < 1_000_000
+
+
 def test_json_booleans_stay_booleans(tmp_path):
     run({"pipeline": "perfect", "domain": SMALL_H1}, str(tmp_path / "p"), "fast")
     rep = json.loads((tmp_path / "p" / "perfect_report.json").read_text())

@@ -2,17 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from berglab.domains import (
     CircleDomain,
-    IntervalUnion,
     ScaleFunction,
-    ZalcmanDomain,
     _assemble_cantor,
     build_cantor,
     build_zalcman,
 )
-from berglab.errors import AnnulusEmptyError, NotBoundaryPointError, PreconditionViolatedError
+from berglab.errors import AnnulusEmptyError, NonDisjointError, NotBoundaryPointError, ScaleUnderflowError
 from berglab.perfectness import (
     best_constant_profile,
     cantor_U_check,
@@ -20,9 +20,10 @@ from berglab.perfectness import (
     classify_weak_perfectness,
     condition_C_probe,
     condition_C_profile,
-    exact_empty_annulus,
+    default_boundary_samples,
     log_spaced_radii,
     pommerenke_construct,
+    resolved_r_min,
     uc_report,
 )
 from claim_checks import cantor_capacity_bound
@@ -169,17 +170,135 @@ def test_classify_annulus_complement_domain():
         assert cs >= 1.0
 
 
-def test_exact_empty_annulus_bounds(h1_domain):
-    assert exact_empty_annulus(h1_domain, h1_domain.K, 1.0, ScaleFunction.h1(1.4)) is None
-    cert = exact_empty_annulus(h1_domain, h1_domain.K - 1, 1.0, ScaleFunction.h1(1.4))
-    assert cert is not None and cert["annulus_lo"] > cert["gap_top"]
+def test_classify_witnesses_are_empty_gaps_below_each_disk(h1_domain, h2_domain):
+    # the closed form: r = x_k/2 lies in the gap between disk k+1
+    # (top x_{k+1} + r_{k+1}) and disk k (bottom x_k - r_k) seen from 0
+    for dom, h, eps in ((h1_domain, ScaleFunction.h1(1.5), 0.1), (h2_domain, ScaleFunction.h2(1.0), 0.5)):
+        rep, _ = classify_weak_perfectness(dom, h, [eps])
+        witnesses = rep["failures"][0]["witnesses"]
+        assert [w["c"] for w in witnesses] == [1.0, 0.5, 0.25]
+        deeper = build_zalcman(h, dom.x1, dom.K + 1).distance_spectrum(0j)
+        h_weak = ScaleFunction.of(h.family, h.param - eps)
+        xs, rs = dom.xs, dom.rs
+        for w in witnesses:
+            k = w["k"]
+            assert 1 <= k <= dom.K - 1 and w["r"] == xs[k - 1] / 2.0
+            assert w["gap_top"] == xs[k] + rs[k]
+            assert w["r"] < xs[k - 1] - rs[k - 1]
+            assert w["annulus_lo"] == w["c"] * h_weak.value(w["r"]) and w["annulus_lo"] > w["gap_top"]
+            # the annulus also misses the disks the truncation cut
+            assert not deeper.intersects(w["annulus_lo"], w["r"])
+            # and it is the first such scale for this c
+            for j in range(1, k):
+                r = xs[j - 1] / 2.0
+                assert dom.distance_spectrum(0j).sup_at_most(r) >= w["c"] * h_weak.value(r)
 
 
-def test_exact_empty_annulus_cross_checks_spectrum(h1_domain, monkeypatch):
-    inhabited = IntervalUnion.build([(0.0, 1.0)])
-    monkeypatch.setattr(ZalcmanDomain, "distance_spectrum", lambda self, a: inhabited)
-    with pytest.raises(PreconditionViolatedError):
-        exact_empty_annulus(h1_domain, h1_domain.K - 1, 1.0, ScaleFunction.h1(1.4))
+def test_classify_tail_is_c_star_at_the_last_witness_radii(h1_domain):
+    h_weak = ScaleFunction.h1(1.4)
+    rep, _ = classify_weak_perfectness(h1_domain, ScaleFunction.h1(1.5), [0.1])
+    spec0 = h1_domain.distance_spectrum(0j)
+    radii = [h1_domain.xs[k - 1] / 2.0 for k in range(h1_domain.K - 4, h1_domain.K)]
+    assert rep["failures"][0]["c_star_tail"] == [spec0.sup_at_most(r) / h_weak.value(r) for r in radii]
+
+
+def test_classify_one_hole_has_no_witness_scale():
+    dom = build_zalcman(ScaleFunction.h1(1.5), 0.01, K=1)
+    f = classify_weak_perfectness(dom, ScaleFunction.h1(1.5), [0.1])[0]["failures"][0]
+    assert f["witnesses"] == [] and f["c_star_tail"] == [] and not f["failed"]
+
+
+# ---------------------------------------------------------------------------
+# the c* profile at its breakpoints
+# ---------------------------------------------------------------------------
+
+
+def profile_rows(dom, h):
+    """(samples, table, per-sample row slices) of ``best_constant_profile``."""
+    cs, table = best_constant_profile(dom, h)
+    a = default_boundary_samples(dom)
+    a_rows = table["a_re"] + 1j * table["a_im"]
+    # rows come samples outer, and each sample's last row sits at r0
+    ends = np.flatnonzero(table["r"] == table["r"][-1]) + 1
+    assert ends.size == a.size and np.array_equal(a_rows[ends - 1], a)
+    return cs, table, a, [slice(lo, hi) for lo, hi in zip(np.r_[0, ends[:-1]], ends)]
+
+
+@st.composite
+def profile_domains(draw):
+    """A random h1 or h2 scale function, on its own Zalcman domain or on a
+    CircleDomain with up to four holes."""
+    if draw(st.booleans()):
+        h = ScaleFunction.h1(draw(st.floats(1.2, 3.0)))
+    else:
+        h = ScaleFunction.h2(draw(st.floats(0.3, 2.0)))
+    if draw(st.booleans()):
+        disks = []
+        for _ in range(draw(st.integers(1, 4))):
+            c = complex(draw(st.floats(-0.7, 0.7)), draw(st.floats(-0.7, 0.7)))
+            rho = draw(st.floats(1e-3, 0.2))
+            assume(abs(c) + rho < 0.99 and all(abs(c - c2) > rho + r2 for c2, r2 in disks))
+            disks.append((c, rho))
+        return CircleDomain.build(disks, include_origin=draw(st.booleans())), h
+    try:
+        return build_zalcman(h, draw(st.floats(1e-4, 0.05)), draw(st.integers(2, 12))), h
+    except (NonDisjointError, ScaleUnderflowError):
+        assume(False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=profile_domains(), seed=st.integers(0, 2**32 - 1))
+def test_dense_radii_never_go_below_the_profile(case, seed):
+    dom, h = case
+    _, table, a, rows = profile_rows(dom, h)
+    r_min, rng = resolved_r_min(dom), np.random.default_rng(seed)
+    for ai, sl in zip(a.tolist(), rows):
+        r0 = table["r"][sl][-1]
+        r = np.exp(rng.uniform(math.log(r_min), math.log(r0), 4000))
+        dense = dom.distance_spectrum(ai).sup_at_most(r) / np.exp(h.log_value(np.log(r)))
+        assert dense.min() >= table["c_star"][sl].min() * (1.0 - 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=profile_domains())
+def test_rows_sit_one_ulp_below_each_start(case):
+    dom, h = case
+    cs, table, a, rows = profile_rows(dom, h)
+    assert cs == table["c_star"].min()
+    r_min = resolved_r_min(dom)
+    for ai, sl in zip(a.tolist(), rows):
+        spec = dom.distance_spectrum(ai)
+        r, c_star = table["r"][sl], table["c_star"][sl]
+        # every row is c* at its own r
+        assert c_star.tolist() == [spec.sup_at_most(x) / h.value(x) for x in r.tolist()]
+        starts = np.sort(np.concatenate([spec.intervals[:, 0], spec.points]))
+        t = np.nextafter(r[:-1], math.inf)
+        assert np.array_equal(t, starts[(starts > r_min) & (starts <= r[-1])])
+        # each row is within 1e-12 above the left limit p / h(t) of c* at t
+        left = spec.sup_at_most(r[:-1]) / np.array([h.value(x) for x in t.tolist()])
+        assert np.all(c_star[:-1] >= left) and np.all(c_star[:-1] <= left * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("h, x1, K", [(ScaleFunction.h1(1.5), 1e-2, 7), (ScaleFunction.h2(1.0), 1e-3, 40)])
+def test_origin_rows_match_the_closed_form(h, x1, K):
+    # below disk k's start x_k - r_k the origin sees disk k+1's top
+    # x_{k+1} + r_{k+1}; since x_{k+1} = h(x_k) the ratio tends to 1 from above
+    dom = build_zalcman(h, x1, K)
+    _, table, _, rows = profile_rows(dom, h)
+    r, c_star = table["r"][rows[0]][:-1], table["c_star"][rows[0]][:-1]
+    xs = dom.xs
+    ks = range(K - 1, 1, -1)  # disks 2..K-1 start inside (x_K, x1/2], deepest first
+    want = [(xs[k] + xs[k + 1]) / h.value(xs[k - 1] - xs[k]) for k in ks]
+    assert np.array_equal(np.nextafter(r, 1.0), [xs[k - 1] - xs[k] for k in ks])
+    assert np.allclose(c_star, want, rtol=1e-12, atol=0.0)
+    assert np.all(c_star > 1.0) and c_star[0] - 1.0 < 0.1 * (c_star[-1] - 1.0)
+
+
+@pytest.mark.parametrize("K, c_star_global", [(40, 1.00660), (120, 1.00161)])
+def test_h2_profile_minimum_pinned(K, c_star_global):
+    h = ScaleFunction.h2(1.0)
+    cs, _ = best_constant_profile(build_zalcman(h, 1e-3, K), h)
+    assert cs == pytest.approx(c_star_global, abs=5e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +390,7 @@ def test_uc_report_h2(h2_domain):
     h = ScaleFunction.h2(1.0)
     rep, _ = uc_report(h2_domain, h, classify_weak_perfectness(h2_domain, h, [0.5])[0], n=32)
     assert rep["U_satisfied"] and rep["U_weakened_failed"]
-    assert rep["C_ratio_positive"]
+    assert rep["C_ratio_inf"] > 0.0 and "C_ratio_positive" not in rep
 
 
 def test_cantor_U_check_passes():
@@ -285,7 +404,7 @@ def reference_cantor_U_check(C):
     """The former check: one scalar searchsorted per (endpoint, radius)."""
     alpha = C.alpha
     c = 0.5 * 2.0 ** (-1.0 - alpha)
-    r_grid = log_spaced_radii(2.0 * float(C.lengths[C.J - 1]) * 1.0001, 1.9 * C.l0, per_decade=8)
+    r_grid = log_spaced_radii(2.0 * float(C.lengths[C.J - 1]) * 1.0001, 1.9 * C.l0)
     words, dist = C.endpoint_distances()
     checks = 0
     failures = []
