@@ -4,9 +4,10 @@ Two estimator routes live here:
 
 * ``nth_diameter`` / ``capacity_via_transfinite``: greedy Leja seeding plus
   coordinate-exchange search for n-point configurations maximizing the
-  geometric-mean pairwise distance (the discrete Fekete problem).  The
-  attained value is always a valid lower bound for the true n-th diameter,
-  which itself decreases to the capacity from above by a factor that equals
+  geometric-mean pairwise distance (the discrete Fekete problem).  For a
+  grid on a set E, the attained value is a lower bound for the n-th
+  diameter of E up to the rounding of its log sum; that diameter
+  decreases to the capacity from above by a factor that equals
   n**(1/(n-1)) exactly on circles; the capacity estimate runs one search at
   its n, divides that factor out and keeps the raw diameter as its
   diagnostic.
@@ -145,6 +146,13 @@ class CapacityEstimate:
         }
 
 
+def _log_column(grid: np.ndarray, z: complex, diff: np.ndarray, out: np.ndarray) -> None:
+    """Write log|grid - z| into ``out``, using ``diff`` as work space."""
+    np.subtract(grid, z, out=diff)
+    np.abs(diff, out=out)
+    np.log(out, out=out)
+
+
 def _leja_seed(candidates: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Greedy product-of-distances seeding; first point = max modulus.
 
@@ -152,15 +160,16 @@ def _leja_seed(candidates: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     column log|candidates - z_m|."""
     chosen = np.empty(n, dtype=int)
     cols = np.empty((n, candidates.size))
+    diff = np.empty_like(candidates)
     chosen[0] = int(np.argmax(np.abs(candidates)))
     with np.errstate(divide="ignore"):
-        cols[0] = np.log(np.abs(candidates - candidates[chosen[0]]))
-        score = cols[0]
+        _log_column(candidates, candidates[chosen[0]], diff, cols[0])
+        score = cols[0].copy()
         for m in range(1, n):
-            chosen[m] = int(np.argmax(score))
-            cols[m] = np.log(np.abs(candidates - candidates[chosen[m]]))
+            chosen[m] = int(score.argmax())
+            _log_column(candidates, candidates[chosen[m]], diff, cols[m])
             if m < n - 1:
-                score = score + cols[m]
+                np.add(score, cols[m], out=score)
     return chosen, cols
 
 
@@ -170,60 +179,80 @@ def nth_diameter(candidates: np.ndarray, n: int) -> tuple[float, np.ndarray]:
     configuration's nodes.
 
     Leja seeding followed by coordinate-exchange sweeps (each point re-placed
-    at its conditional optimum over the grid until a full sweep makes no
-    change, at most ``MAX_PASSES`` sweeps).  The attained value is a
-    certified lower bound for the true n-th diameter; it is 0.0 on a grid
-    with fewer than n distinct points.
+    at its conditional optimum over the grid until n steps in a row make no
+    change, at most ``MAX_PASSES`` sweeps of n steps).  The configuration is
+    n grid points, so when the grid lies on a set E the exact value is at
+    most the n-th diameter of E; the returned value rounds its log sum in
+    floating point.  It is 0.0 on a grid with fewer than n distinct points.
 
-    Each configuration point keeps its column of log-distances to the grid,
-    so a step takes a few passes over the grid and a move computes one new
-    column of logs.
+    The search runs on the distinct grid points in order of first
+    occurrence: a repeated point ties with its first copy, which argmax
+    prefers.  Each configuration point keeps its column of log-distances to
+    the grid, with 0.0 at its own grid point, and S holds the column sums,
+    -inf exactly at the occupied points.  A step is one subtraction S -
+    column, an argmax and one compare against the point's threshold; a move
+    computes one new column of logs, updates S and re-sums S at the vacated
+    point.
     """
     candidates = np.asarray(candidates, dtype=complex).ravel()
     if n < 2:
         raise ValueError("n >= 2 required")
     if candidates.size < 4 * n:
         raise GridTooSmallError(f"grid of {candidates.size} points < 4n = {4 * n}")
-    idx, cols = _leja_seed(candidates, n)
-    config = candidates[idx]
+    grid = candidates[np.sort(np.unique(candidates, return_index=True)[1])]
+    idx, cols = _leja_seed(grid, n)
+    rows = list(cols)
     # others[i]: the configuration slots other than i, in order
     others = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
     # running sums S[c] = sum_i cols[i][c] over the configuration, each one
-    # contiguous pairwise sum along a row of the grid-major copy; entries at
-    # occupied grid points are -inf, which self-excludes them
+    # contiguous pairwise sum along a row of the grid-major copy
     S = np.sum(np.ascontiguousarray(cols.T), axis=1)
+    # pair[i]: log|z_k - z_i| over the other slots k, read from column i;
+    # row sum i is the current value at slot i
+    pair = cols[np.arange(n)[:, None], idx[others]]
+    cols[np.arange(n), idx] = 0.0
+    thresholds = _thresholds(pair)
+    buf = np.empty_like(S)
+    diff = np.empty_like(grid)
+    idle = 0
+    with np.errstate(divide="ignore"):
+        for step in range(MAX_PASSES * n):
+            i = step % n
+            col = rows[i]
+            np.subtract(S, col, out=buf)
+            j = int(buf.argmax())
+            # False at a NaN threshold: a slot sharing its point with another never moves
+            if not buf[j] > thresholds[i]:
+                idle += 1
+                if idle == n:
+                    break
+                continue
+            idle = 0
+            vacated = idx[i]
+            _log_column(grid, grid[j], diff, col)
+            np.add(buf, col, out=S)
+            col[j] = 0.0
+            S[vacated] = cols[:, vacated].sum()
+            idx[i] = j
+            pair[i] = col[idx[others[i]]]
+            # slot i sits in column i - 1 of the rows above it, i of those below
+            pair[:i, i - 1] = cols[:i, j]
+            if i < n - 1:
+                pair[i + 1 :, i] = cols[i + 1 :, j]
+            thresholds = _thresholds(pair)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(MAX_PASSES):
-            moved = False
-            for i in range(n):
-                col = cols[i]
-                # -inf - -inf at the point's own grid position is NaN: make it -inf
-                resid = np.fmax(S - col, -np.inf)
-                j = int(resid.argmax())
-                cand = candidates[j]
-                if cand == config[i]:
-                    continue
-                cur = col[idx[others[i]]].sum()
-                if resid[j] > cur + 1e-14 * abs(cur):
-                    old = config[i]
-                    new = np.log(np.abs(candidates - cand))
-                    S = S - col + new
-                    cols[i] = new
-                    config[i], idx[i] = cand, j
-                    # only the vacated point is poisoned (-inf - -inf); entries
-                    # at occupied points are -inf, as they should be
-                    bad = np.isnan(S) | (candidates == old)
-                    S[bad] = np.sum(np.log(np.abs(candidates[bad, None] - config[None, :])), axis=1)
-                    moved = True
-            if not moved:
-                break
-
+        config = grid[idx]
         # a grid with fewer than n distinct points repeats a node: log 0 =
         # -inf, and the value 0.0 is still a lower bound
         A = log_distance_matrix(config)
     log_delta = float(np.sum(A)) / (n * (n - 1))
     return math.exp(log_delta), config
+
+
+def _thresholds(pair: np.ndarray) -> list[float]:
+    """cur + 1e-14*|cur| for each row sum cur of ``pair``: the value a move
+    must beat.  Python floats, so a -inf row gives NaN without a warning."""
+    return [cur + 1e-14 * abs(cur) for cur in pair.sum(axis=1).tolist()]
 
 
 def supported_n(n: int, grid_size: int) -> int:

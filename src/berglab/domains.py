@@ -102,6 +102,13 @@ class ScaleFunction:
     def value(self, r: float) -> float:
         return math.exp(self.log_value(math.log(r)))
 
+    def values(self, radii: list[float]) -> list[float]:
+        """``value`` at each radius, bit for bit, with one ``log_value`` call:
+        math.log and math.exp per entry, as np.log and np.exp may differ
+        from them in the last ulp."""
+        log_r = np.array([math.log(r) for r in radii], dtype=float)
+        return [math.exp(v) for v in self.log_value(log_r).tolist()]
+
     def inverse(self, t: float) -> float:
         """g(t) = h^{-1}(t) by bisection in the log domain."""
         if t <= 0:

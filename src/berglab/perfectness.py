@@ -111,21 +111,21 @@ def best_constant_profile(domain: CircleDomain, h: ScaleFunction) -> tuple[float
     # h is defined below epsilon0 only; x1 / 2 already lies below epsilon0 / 2
     r0 = min(r0, h.epsilon0 / 2.0)
     r_min = resolved_r_min(domain)
-    radii, c_star = [], []
+    radii, sups = [], []
     for a in a_samples.tolist():
         spec = domain.distance_spectrum(a)
         starts = np.concatenate([spec.intervals[:, 0], spec.points])
         starts = np.sort(starts[(starts > r_min) & (starts <= r0)])
         r = np.append(np.nextafter(starts, 0.0), r0)
         radii.append(r)
-        # scalar h.value per radius: np.log/np.exp may differ from math in the last ulp
-        c_star.append(spec.sup_at_most(r) / np.array([h.value(x) for x in r.tolist()]))
+        sups.append(spec.sup_at_most(r))
     counts = [r.size for r in radii]
+    r = np.concatenate(radii)
     table = {
         "a_re": np.repeat(a_samples.real, counts),
         "a_im": np.repeat(a_samples.imag, counts),
-        "r": np.concatenate(radii),
-        "c_star": np.concatenate(c_star),
+        "r": r,
+        "c_star": np.concatenate(sups) / np.array(h.values(r.tolist())),
     }
     # NaN-skipping, like a running min(); inf for an empty table
     return float(np.fmin.reduce(table["c_star"], initial=math.inf)), table
@@ -171,7 +171,7 @@ def classify_weak_perfectness(
     sup = domain.distance_spectrum(0j).sup_at_most(np.asarray(radii)).tolist()
     for eps in eps_list:
         h_weak = ScaleFunction.of(h.family, h.param - eps)
-        h_r = [h_weak.value(r) for r in radii]
+        h_r = h_weak.values(radii)
         witnesses = []  # the first empty annulus for each c that has one
         for c in C_GRID:
             k = next((k for k in range(len(radii)) if c * h_r[k] > sup[k]), None)

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from berglab import capacity
@@ -222,6 +223,46 @@ def test_nth_diameter_matches_reference_with_repeated_nodes():
         d, cfg = nth_diameter(grid, n)
         d_ref, cfg_ref = reference_nth_diameter(grid, n)
         assert d == d_ref and np.array_equal(cfg, cfg_ref)
+
+
+@pytest.mark.parametrize("passes", [1, 2, 8, 9])
+def test_nth_diameter_stops_where_the_pass_cap_cuts(monkeypatch, passes):
+    # on a 1024-node segment at n = 128 the search moves in each of its
+    # first 9 passes and makes none in the 10th
+    grid = segment_nodes(-1.0, 1.0, 1024)
+    d_ref, cfg_ref = reference_nth_diameter(grid, 128, max_passes=passes)
+    assert np.array_equal(cfg_ref, reference_nth_diameter(grid, 128)[1]) == (passes == 9)
+    monkeypatch.setattr(capacity, "MAX_PASSES", passes)
+    d, cfg = nth_diameter(grid, 128)
+    assert d == d_ref and np.array_equal(cfg, cfg_ref)
+
+
+def test_nth_diameter_retests_the_slot_that_moved_last():
+    # the search may stop only once every slot, the last to move included,
+    # has been tested since the last move: stopping one step earlier ends
+    # at another configuration here
+    r = 35 ** (-1.0 / 34)
+    grid = segment_nodes(-2.0 * r, 2.0 * r, 280)
+    d, cfg = nth_diameter(grid, 35)
+    d_ref, cfg_ref = reference_nth_diameter(grid, 35)
+    assert d == d_ref and np.array_equal(cfg, cfg_ref)
+
+
+def _cantor_grid():
+    """The 64-point grid with 15 distinct values of the test above."""
+    lefts, lj = build_cantor(0.125, 3.0, 3).intervals()
+    return np.concatenate([np.linspace(lo, lo + lj, 8) for lo in lefts]).astype(complex)
+
+
+@settings(max_examples=40, deadline=None)
+@given(diameter_grids())
+@example((_cantor_grid(), 16))
+@example((np.concatenate([circle_nodes(0, 0.1, 128), circle_nodes(0, 0.1, 128)]), 64))
+def test_nth_diameter_warns_nothing(case):
+    # the threshold of a slot sharing its point with another is NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nth_diameter(*case)
 
 
 # ---------------------------------------------------------------------------

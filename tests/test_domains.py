@@ -57,6 +57,18 @@ def test_h_less_than_r_and_increasing():
         assert np.all(np.diff(hs) > 0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["h1", "h2"]),
+    st.floats(0.01, 2.0),
+    st.lists(st.floats(1e-300, 0.36), min_size=1, max_size=40),
+)
+def test_values_match_scalar_value_bit_for_bit(family, param, radii):
+    h = ScaleFunction.of(family, 1.0 + param if family == "h1" else param)
+    assert h.values(radii) == [h.value(r) for r in radii]
+    assert h.values([]) == []
+
+
 def test_scale_family_by_name():
     assert ScaleFunction.of("h1", 1.5) == ScaleFunction.h1(1.5)
     assert ScaleFunction.of("h2", 2.0) == ScaleFunction.h2(2.0)
