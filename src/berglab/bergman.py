@@ -441,8 +441,7 @@ def equilibrium_witness_bound(domain: ZalcmanDomain, w: complex) -> dict:
     """
     if not domain.contains(w):
         raise OutsideDomainError(f"{w} is outside the domain")
-    delta = domain.unsigned_boundary_distance(w)
-    wprime, _, _ = domain.nearest_boundary_point(w)
+    wprime, delta, _ = domain.nearest_boundary_point(w)
     try:
         r = domain.h.inverse(8.0 * delta)
     except BisectionFailureError as exc:

@@ -223,7 +223,13 @@ def run_capacity(cfg: dict, profile: dict) -> tuple[dict, dict]:
 def run_perfect(cfg: dict, profile: dict) -> tuple[dict, dict]:
     eps_list = cfg["eps_list"]
     domain = domain_from_json(cfg["domain"])
-    if isinstance(domain, CantorSet):
+    cantor = isinstance(domain, CantorSet)
+    # an empty range would pass or fail the check vacuously
+    lo, hi = perfectness._cantor_range(domain) if cantor else perfectness._profile_range(domain, domain.h)
+    if lo > hi:
+        rule = "2.0002 l_{J-1} up to 1.9 l0" if cantor else "1.0001 x_K up to x1/2"
+        raise ConfigInvalidError(f"perfect has no radius to check on this domain: {rule} is [{lo:g}, {hi:g}]")
+    if cantor:
         rep = perfectness.cantor_U_check(domain)
         return {"passed": rep["passed"]}, {"perfect_report.json": rep}
     h = domain.h
@@ -284,6 +290,12 @@ def _band_sweep(cfg: dict, default: tuple[int, int]):
     return domain, ks, mids, gs
 
 
+def _fits(samples: list[tuple[float, float]], models: list[str]) -> dict:
+    """The preferred model, margin and fits of ``select_model``, as JSON."""
+    preferred, margin, fits = asymptotics.select_model(samples, models)
+    return {"preferred": preferred, "margin": margin, "fits": {m: f.to_json_dict() for m, f in fits.items()}}
+
+
 def run_kernel(cfg: dict, profile: dict) -> tuple[dict, dict]:
     column = cfg["fit_column"]
     domain, ks, mids, gs = _band_sweep(cfg, (3, 10))
@@ -304,16 +316,10 @@ def run_kernel(cfg: dict, profile: dict) -> tuple[dict, dict]:
         "equilibrium_bound": eq,
     }
     samples = [(x, v) for x, v in zip(table["x"], table[column]) if np.isfinite(v)]
-    preferred, margin, fits = None, None, {}
+    fit_report = {"fit_column": column, "preferred": None, "margin": None, "fits": {}}
     if len(samples) >= 5:
-        preferred, margin, fits = asymptotics.select_model(samples, cfg["models"])
-    fit_report = {
-        "fit_column": column,
-        "preferred": preferred,
-        "margin": margin,
-        "fits": {m: f.to_json_dict() for m, f in fits.items()},
-    }
-    summary = {"preferred": preferred, "margin": margin, "quad": gs.report()}
+        fit_report.update(_fits(samples, cfg["models"]))
+    summary = {"preferred": fit_report["preferred"], "margin": fit_report["margin"], "quad": gs.report()}
     return summary, {"kernel_sweep.csv": table, "kernel_fits.json": fit_report}
 
 
@@ -339,12 +345,7 @@ def run_distance(cfg: dict, profile: dict) -> tuple[dict, dict]:
     samples = [(r["x"], r["d_est"]) for r in rows if r["d_est"] > 0]
     fit_report = {"band_increments": {str(k): v for k, v in incr.items()}}
     if len(samples) >= 5:
-        preferred, margin, fits = asymptotics.select_model(samples, cfg["models"])
-        fit_report.update(
-            preferred=preferred,
-            margin=margin,
-            fits={m: f.to_json_dict() for m, f in fits.items()},
-        )
+        fit_report.update(_fits(samples, cfg["models"]))
     slope, intercept, r2 = asymptotics.linear_fit_r2(table["k"], table["d_est"])
     fit_report["d_vs_k"] = {"slope": slope, "intercept": intercept, "r2": r2}
     summary = {"bands": len(incr), "r2_linear_in_k": r2, "quad": gs.report()}
@@ -370,14 +371,9 @@ def run_fit(cfg: dict, profile: dict) -> tuple[dict, dict]:
         samples = [(float(x), float(v)) for x, v in pairs]
     except (OSError, ValueError, IndexError) as exc:
         raise ConfigInvalidError(f"{key} must give (x, value) pairs of numbers: {exc}") from exc
-    preferred, margin, fits = asymptotics.select_model(samples, cfg["models"])
-    report = {
-        "preferred": preferred,
-        "margin": margin,
-        "inconclusive": margin > 0.8,
-        "fits": {m: f.to_json_dict() for m, f in fits.items()},
-    }
-    return {"preferred": preferred}, {"fit_report.json": report}
+    report = _fits(samples, cfg["models"])
+    report["inconclusive"] = report["margin"] > 0.8
+    return {"preferred": report["preferred"]}, {"fit_report.json": report}
 
 
 RUNNERS = {

@@ -265,23 +265,29 @@ class CircleDomain:
         inner = [] if self.inner_radius is None else [self.inner_radius]
         return np.concatenate([self.radii, np.asarray(inner + [1.0], dtype=float)])
 
-    def _circles(self) -> list[tuple[complex, float]]:
-        # Python scalars: distances are taken with abs() on them, because
-        # np.abs on complex arrays may differ in the last bit and would move
-        # the written spectra and witnesses
-        return list(zip(self.circle_centers.tolist(), self.circle_radii.tolist()))
+    def _reach(self, a: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per circle, in order: d = |a - c|, and the nearest and farthest
+        distances |d - rho| and d + rho from a.  np.hypot of the parts is abs()
+        of each complex bit for bit; np.abs of a complex array is not."""
+        diff = a - self.circle_centers
+        d = np.hypot(diff.real, diff.imag)
+        return d, np.abs(d - self.circle_radii), d + self.circle_radii
+
+    def _gaps(self, a: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_reach`` from a boundary point a (else NotBoundaryPointError), with
+        nearest distances up to BOUNDARY_TOL (|a| + |c| + rho), the rounding
+        noise of a sitting on the circle, set to 0."""
+        d, near, far = self._reach(a)
+        if not min(near.min(), abs(a) if self.include_origin else math.inf) <= BOUNDARY_TOL:
+            raise NotBoundaryPointError(f"point {a} is off the boundary")
+        c = self.circle_centers
+        on = near <= BOUNDARY_TOL * (abs(a) + np.hypot(c.real, c.imag) + self.circle_radii)
+        return d, np.where(on, 0.0, near), far
 
     # --- geometry queries ---------------------------------------------------
 
     def unsigned_boundary_distance(self, z: complex) -> float:
-        d = abs(abs(z) - 1.0)
-        if self.include_origin:
-            d = min(d, abs(z))
-        if self.inner_radius is not None:
-            d = min(d, abs(abs(z) - self.inner_radius))
-        if self.centers.size:
-            d = min(d, float(np.min(np.abs(np.abs(z - self.centers) - self.radii))))
-        return d
+        return self.nearest_boundary_point(z)[1]
 
     def contains(self, z):
         """Open-domain membership of a point (bool) or of an array of points
@@ -307,18 +313,8 @@ class CircleDomain:
         [| |a-c| - rho |, |a-c| + rho]; the isolated origin contributes {|a|}.
         Requires a on the boundary.
         """
-        if not self.is_boundary(a):
-            raise NotBoundaryPointError(f"point {a} is off the boundary")
-        intervals = []
-        for c, rho in self._circles():
-            d = abs(a - c)
-            lo = abs(d - rho)
-            # |d - rho| below rounding resolution of the positions is
-            # noise from a point sitting on this circle; true gap is 0
-            if lo <= BOUNDARY_TOL * (abs(a) + abs(c) + rho):
-                lo = 0.0
-            intervals.append((lo, d + rho))
-        return IntervalUnion.build(intervals, [abs(a)] if self.include_origin else [])
+        _, gap, far = self._gaps(a)
+        return IntervalUnion.build(zip(gap.tolist(), far.tolist()), [abs(a)] if self.include_origin else [])
 
     def arc_angles(self, i: int, a: complex, r: float, n_full: int, n_min: int) -> Optional[np.ndarray]:
         """Node angles covering the points of circle ``i`` within r of a:
@@ -339,13 +335,12 @@ class CircleDomain:
     def nearest_boundary_point(self, z: complex) -> tuple[complex, float, Optional[int]]:
         """(point, distance, circle index) of the closest boundary point; the
         index is None for the isolated origin."""
-        best = (0j, abs(z), None) if self.include_origin else None
-        for i, (c, rho) in enumerate(self._circles()):
-            dc = abs(z - c)
-            d = abs(dc - rho)
-            if best is None or d < best[1]:
-                best = (c + rho if dc == 0.0 else c + rho * (z - c) / dc, d, i)
-        return best
+        d, near, _ = self._reach(z)
+        i = int(near.argmin())
+        if self.include_origin and abs(z) <= near[i]:
+            return 0j, abs(z), None
+        c, rho, dc = complex(self.circle_centers[i]), float(self.circle_radii[i]), float(d[i])
+        return (c + rho if dc == 0.0 else c + rho * (z - c) / dc), float(near[i]), i
 
     def witness_at_distance(
         self, a: complex, lo: float, hi: float, on_circle: Optional[int] = None
@@ -356,38 +351,29 @@ class CircleDomain:
         ``on_circle`` is the index of a circle that a is known to lie on: its
         distances from a are then exactly [0, 2 rho], free of the rounding in
         |a - c|.  The point on a circle breaks symmetric pairs by smaller
-        absolute argument of (point - a).  Raises NotBoundaryPointError if a
-        is off the boundary, ValueError if the window misses the spectrum.
+        absolute argument of (point - a).  Without ``on_circle`` the distance
+        is the spectrum's ``inf_at_least(lo)``.  Raises NotBoundaryPointError
+        if a is off the boundary, ValueError if the window misses the
+        spectrum.
         """
-        if not self.is_boundary(a):
-            raise NotBoundaryPointError(f"point {a} is off the boundary")
-        best: Optional[tuple[float, Optional[int]]] = None
-        if self.include_origin and lo <= abs(a) <= hi:
-            best = (abs(a), None)
-        circles = self._circles()
-        for i, (c, rho) in enumerate(circles):
-            if i == on_circle:
-                cl, ch = 0.0, 2.0 * rho
-            else:
-                dc = abs(a - c)
-                cl, ch = abs(dc - rho), dc + rho
-            if cl > hi or ch < lo:
-                continue
-            d = max(cl, lo)
-            if best is None or d < best[0]:
-                best = (d, i)
-        if best is None:
+        dc, gap, far = self._gaps(a)
+        if on_circle is not None:
+            gap[on_circle], far[on_circle] = 0.0, 2.0 * self.circle_radii[on_circle]
+        dist = np.where((gap <= hi) & (far >= lo), np.maximum(gap, lo), math.inf)
+        i = int(dist.argmin())
+        if self.include_origin and lo <= abs(a) <= min(hi, dist[i]):
+            return 0j, abs(a), None
+        if dist[i] == math.inf:
             raise ValueError("distance window misses the boundary spectrum")
-        d, i = best
-        if i is None:
-            return 0j, d, None
-        c, rho = circles[i]
-        return _point_on_circle_at_distance(a, c, rho, d), d, i
+        # max() keeps lo itself, of the caller's type, when it is the distance
+        d = max(float(gap[i]), lo)
+        c, rho = complex(self.circle_centers[i]), float(self.circle_radii[i])
+        return _point_on_circle_at_distance(a, c, rho, float(dc[i]), d), d, i
 
 
-def _point_on_circle_at_distance(a: complex, c: complex, rho: float, d: float) -> complex:
-    """A point z with |z - c| = rho and |z - a| = d (smallest |arg(z - a)|)."""
-    dc = abs(a - c)
+def _point_on_circle_at_distance(a: complex, c: complex, rho: float, dc: float, d: float) -> complex:
+    """A point z with |z - c| = rho and |z - a| = d (smallest |arg(z - a)|),
+    given dc = |a - c|."""
     if dc == 0.0:
         return c + rho  # any point works; pick argument 0
     u = (c - a) / dc

@@ -29,6 +29,7 @@ from .errors import (
     EmptySetError,
     NotBoundaryPointError,
     PreconditionViolatedError,
+    ScaleUnderflowError,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -78,6 +79,16 @@ def resolved_r_min(domain: CircleDomain) -> float:
     return 1e-6
 
 
+def _profile_range(domain: CircleDomain, h: ScaleFunction) -> tuple[float, float]:
+    """(r_min, r0) of ``best_constant_profile``; empty when r_min > r0."""
+    if isinstance(domain, ZalcmanDomain):
+        r0 = domain.x1 / 2.0
+    else:
+        r0 = (domain.radii.max() * 2.0) if domain.centers.size else 0.5
+    # h is defined below epsilon0 only; x1 / 2 already lies below epsilon0 / 2
+    return resolved_r_min(domain), min(r0, h.epsilon0 / 2.0)
+
+
 def best_constant_profile(domain: CircleDomain, h: ScaleFunction) -> tuple[float, dict[str, np.ndarray]]:
     """Tabulate c_star(a, r), the largest boundary distance from a at most r
     over h(r), at its breakpoints: the largest c for which the annulus
@@ -104,13 +115,7 @@ def best_constant_profile(domain: CircleDomain, h: ScaleFunction) -> tuple[float
     probed.
     """
     a_samples = default_boundary_samples(domain)
-    if isinstance(domain, ZalcmanDomain):
-        r0 = domain.x1 / 2.0
-    else:
-        r0 = (domain.radii.max() * 2.0) if domain.centers.size else 0.5
-    # h is defined below epsilon0 only; x1 / 2 already lies below epsilon0 / 2
-    r0 = min(r0, h.epsilon0 / 2.0)
-    r_min = resolved_r_min(domain)
+    r_min, r0 = _profile_range(domain, h)
     radii, sups = [], []
     for a in a_samples.tolist():
         spec = domain.distance_spectrum(a)
@@ -375,12 +380,13 @@ def pommerenke_construct(
     differ at level m are then >= s_{m+1} apart, exactly the certificate the
     transfinite product bound needs.  Raises AnnulusEmptyError(level) when
     some window misses the boundary, i.e. the annulus condition fails with
-    this constant at that scale, and PreconditionViolatedError when the
-    scales do not at least halve per level.
+    this constant at that scale, ScaleUnderflowError when a scale underflows
+    to 0, and PreconditionViolatedError when the scales do not at least
+    halve per level.
     """
-    _, d, i = domain.nearest_boundary_point(a)
-    if d > 1e-12 * max(1.0, 0.0 if i is None else float(domain.circle_radii[i])):
+    if not domain.is_boundary(a):
         raise NotBoundaryPointError(f"{a} is not a boundary point")
+    _, _, i = domain.nearest_boundary_point(a)
     if i is None:
         start = _ChainPoint(None, 0.0, (), 0j)
     else:
@@ -390,6 +396,8 @@ def pommerenke_construct(
     s[0] = s1
     for l in range(1, k + 1):
         s[l] = (c / 5.0) * h.value(s[l - 1])
+        if not s[l] > 0.0:
+            raise ScaleUnderflowError(f"s_{l} underflows to {s[l]:g}: the chain is too deep for doubles")
         if not s[l] <= 0.5 * s[l - 1]:
             raise PreconditionViolatedError(f"scales must at least halve per level: s_{l} = {s[l]:g}")
     # each point stays (word digit 0, one more zero step) or moves (digit 1)
@@ -488,6 +496,11 @@ def uc_report(
     return out, prof["table"]
 
 
+def _cantor_range(C: CantorSet) -> tuple[float, float]:
+    """The radii of ``cantor_U_check``: 2.0002 l_{J-1} up to 1.9 l0."""
+    return 2.0 * float(C.lengths[C.J - 1]) * 1.0001, 1.9 * C.l0
+
+
 def cantor_U_check(C: CantorSet) -> dict:
     """Exact annulus checks for the complement of a nested-interval set, with
     h(r) = r**C.alpha and c = 2**(-2 - alpha).
@@ -500,7 +513,7 @@ def cantor_U_check(C: CantorSet) -> dict:
     """
     alpha = C.alpha
     c = 0.5 * 2.0 ** (-1.0 - alpha)
-    r_grid = log_spaced_radii(2.0 * float(C.lengths[C.J - 1]) * 1.0001, 1.9 * C.l0)
+    r_grid = log_spaced_radii(*_cantor_range(C))
     lo = np.array([c * r**alpha for r in r_grid])
     words, dist = C.endpoint_distances()
     failures = []

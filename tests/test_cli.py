@@ -482,17 +482,41 @@ K1_SAMPLES = [[x, 3.0 / (x * x * math.log(1 / x))] for x in (1e-3, 1e-5, 1e-8, 1
         ({"domain": H1_K10, "c": -1}, 2, "c > 0"),
         ({"domain": H1_K10, "s1": -0.001}, 2, "s1 > 0"),
         ({"domain": H1_K10, "c": 100, "s1": 0.1}, 3, "halve"),
+        ({"domain": H1_K10, "a": 6.731703824145064e-35, "s1": 2.243901274715021e-35, "k": 6}, 3, "s_6 underflows"),
     ],
-    ids=["cantor", "disk-without-s1", "negative-c", "negative-s1", "no-halving"],
+    ids=["cantor", "disk-without-s1", "negative-c", "negative-s1", "no-halving", "scale-underflow"],
 )
 def test_pommerenke_config_errors(tmp_path, capsys, extra, code, message):
     # each exited 1 with a traceback: AttributeError for x1 (cantor, disk
-    # without s1), math domain error (c, s1 < 0), ValueError (no halving)
+    # without s1), math domain error (c, s1 < 0), ValueError (no halving);
+    # a scale that underflowed to 0.0 passed the halving check, and the run
+    # exited 0 with "product_bound": null and "capacity_floor": 0.0
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"pipeline": "pommerenke", **extra}))
     assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == code
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        {**SMALL_H1, "K": 1},
+        {"type": "cantor", "l0": 0.1, "alpha": 2.0, "J": 0},
+        {"type": "cantor", "l0": 0.1, "alpha": 2.0, "J": 1},
+    ],
+    ids=["zalcman-K1", "cantor-J0", "cantor-J1"],
+)
+def test_perfect_on_an_empty_radius_range_is_a_config_error(tmp_path, capsys, domain):
+    # K = 1 reported c_star_global 0.0 over radii from 1.0001 x_1 down to
+    # x1/2; J <= 1 "passed" 4 or 8 checks over radii from 2.0002 l_{J-1}
+    # down to 1.9 l0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"pipeline": "perfect", "domain": domain}))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "no radius to check" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 

@@ -7,10 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from berglab.domains import (
+    BOUNDARY_TOL,
     CircleDomain,
     IntervalUnion,
     ScaleFunction,
     _assemble_cantor,
+    _point_on_circle_at_distance,
     build_cantor,
     build_zalcman,
     domain_from_json,
@@ -296,24 +298,29 @@ WINDOW_DOMAINS = [
 
 
 @st.composite
-def boundary_points(draw, dom):
-    """The origin (when it is a boundary point) or a point on one of the
-    circles: a hole rim, the sandwich barrier or the outer circle."""
+def circle_points(draw, dom):
+    """(a, i): the origin with i None (when it is a boundary point) or a
+    point on circle i: a hole rim, the sandwich barrier or the outer
+    circle."""
     first = -1 if dom.include_origin else 0
     i = draw(st.integers(first, dom.circle_radii.size - 1))
     if i < 0:
-        return 0j
+        return 0j, None
     theta = draw(st.floats(0.0, 2.0 * math.pi))
-    return complex(dom.circle_centers[i] + dom.circle_radii[i] * np.exp(1j * theta))
+    return complex(dom.circle_centers[i] + dom.circle_radii[i] * np.exp(1j * theta)), i
+
+
+def boundary_points(dom):
+    return circle_points(dom).map(lambda p: p[0])
 
 
 @st.composite
 def windows(draw):
-    """(domain, boundary point a, lo, hi): lo is log-uniform or sits next to
-    an end of a's spectrum, so that isolated points and interval ends get
-    hit."""
+    """(domain, boundary point a, the index of a's circle or None, lo, hi):
+    lo is log-uniform or sits next to an end of a's spectrum, so that
+    isolated points and interval ends get hit."""
     dom = draw(st.sampled_from(WINDOW_DOMAINS))
-    a = draw(boundary_points(dom))
+    a, i = draw(circle_points(dom))
     spec = dom.distance_spectrum(a)
     ends = [e for e in spec.intervals.ravel().tolist() + spec.points.tolist() if e > 0.0]
     lo = draw(
@@ -324,13 +331,13 @@ def windows(draw):
             ),
         )
     )
-    return dom, a, lo, lo * math.exp(draw(st.floats(0.0, 5.0)))
+    return dom, a, i, lo, lo * math.exp(draw(st.floats(0.0, 5.0)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(windows())
 def test_witness_at_distance_matches_spectrum(window):
-    dom, a, lo, hi = window
+    dom, a, _, lo, hi = window
     expect = dom.distance_spectrum(a).inf_at_least(lo)
     if expect is None or expect > hi:
         with pytest.raises(ValueError):
@@ -342,6 +349,89 @@ def test_witness_at_distance_matches_spectrum(window):
     if i is None:
         assert z == 0j
     assert abs(z - a) == pytest.approx(d, rel=1e-9, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the per-circle loops that each boundary query ran before they shared one
+# distance pass, kept here as oracles: the pass must give the same bits
+# ---------------------------------------------------------------------------
+
+
+def reference_circles(dom):
+    # Python scalars, whose abs() is the distance the loops took
+    return list(zip(dom.circle_centers.tolist(), dom.circle_radii.tolist()))
+
+
+def reference_distance_spectrum(dom, a):
+    intervals = []
+    for c, rho in reference_circles(dom):
+        d = abs(a - c)
+        lo = abs(d - rho)
+        if lo <= BOUNDARY_TOL * (abs(a) + abs(c) + rho):
+            lo = 0.0
+        intervals.append((lo, d + rho))
+    return IntervalUnion.build(intervals, [abs(a)] if dom.include_origin else [])
+
+
+def reference_nearest_boundary_point(dom, z):
+    best = (0j, abs(z), None) if dom.include_origin else None
+    for i, (c, rho) in enumerate(reference_circles(dom)):
+        dc = abs(z - c)
+        d = abs(dc - rho)
+        if best is None or d < best[1]:
+            best = (c + rho if dc == 0.0 else c + rho * (z - c) / dc, d, i)
+    return best
+
+
+def reference_witness_at_distance(dom, a, lo, hi, on_circle=None):
+    best = (abs(a), None) if dom.include_origin and lo <= abs(a) <= hi else None
+    circles = reference_circles(dom)
+    for i, (c, rho) in enumerate(circles):
+        if i == on_circle:
+            cl, ch = 0.0, 2.0 * rho
+        else:
+            dc = abs(a - c)
+            cl, ch = abs(dc - rho), dc + rho
+        if cl > hi or ch < lo:
+            continue
+        d = max(cl, lo)
+        if best is None or d < best[0]:
+            best = (d, i)
+    if best is None:
+        raise ValueError("distance window misses the boundary spectrum")
+    d, i = best
+    if i is None:
+        return 0j, d, None
+    c, rho = circles[i]
+    return _point_on_circle_at_distance(a, c, rho, abs(a - c), d), d, i
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=50),
+       st.integers(-300, 150))
+def test_hypot_of_the_parts_is_abs_bit_for_bit(parts, exponent):
+    # np.abs of a complex array is not: it differs on about a third of such points
+    zs = [complex(x * 10.0**exponent, y * 10.0**exponent) for x, y in parts]
+    arr = np.asarray(zs, dtype=complex)
+    got = np.hypot(arr.real, arr.imag)
+    assert np.array_equal(got.view(np.int64), np.array([abs(z) for z in zs]).view(np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(windows())
+def test_boundary_queries_match_the_former_loops(window):
+    dom, a, i, lo, hi = window
+    spec, ref = dom.distance_spectrum(a), reference_distance_spectrum(dom, a)
+    assert np.array_equal(spec.intervals, ref.intervals) and np.array_equal(spec.points, ref.points)
+    assert dom.nearest_boundary_point(a) == reference_nearest_boundary_point(dom, a)
+    for on_circle in {None, i}:
+        try:
+            expect = reference_witness_at_distance(dom, a, lo, hi, on_circle)
+        except ValueError:
+            with pytest.raises(ValueError):
+                dom.witness_at_distance(a, lo, hi, on_circle)
+            continue
+        assert dom.witness_at_distance(a, lo, hi, on_circle) == expect
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +576,17 @@ def test_contains_array_matches_scalar(dom_zs):
     for z, g in zip(zs.tolist(), got.tolist()):
         scalar = dom.contains(z)
         assert isinstance(scalar, bool) and scalar == g
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_batches())
+def test_nearest_boundary_point_matches_the_former_loop(dom_zs):
+    dom, zs = dom_zs
+    for z in zs.tolist():
+        expect = reference_nearest_boundary_point(dom, z)
+        assert dom.nearest_boundary_point(z) == expect
+        assert dom.unsigned_boundary_distance(z) == expect[1]
+        assert dom.is_boundary(z) == (expect[1] <= BOUNDARY_TOL)
 
 
 #: samples per circle of the dense boundary oracle below

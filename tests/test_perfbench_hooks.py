@@ -46,6 +46,11 @@ def test_traced_annulus_round_reports_its_layers(tmp_path):
     assert trace["perfectness.classify.calls"] == 2
     assert trace["perfectness.best_constant_profile.calls"] == 2
     assert trace["perfectness.condition_C_probe.calls"] == 15
+    # one spectrum per boundary sample and per classification, and one
+    # interval query on each (sup_at_most): no other boundary query builds
+    # or reads an IntervalUnion
+    assert trace["domains.distance_spectrum.calls"] == 156
+    assert trace["domains.interval_query.calls"] == 156
 
 
 def test_traced_capacity_round_reports_its_layers(tmp_path):

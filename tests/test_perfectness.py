@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -372,6 +373,29 @@ def test_chain_annulus_empty_error():
 def test_chain_requires_boundary_start(h1_domain):
     with pytest.raises(NotBoundaryPointError):
         pommerenke_construct(h1_domain, 0.5 + 0.5j, c=1.0, k=2, s1=1e-3, h=ScaleFunction.h1(1.5))
+
+
+def test_chain_from_a_point_on_a_deep_rim():
+    # a = x_3 + r_3 lies on disk 3's rim.  The last windows, [1e-48, 1e-32]
+    # at level 5, lie far below the rounding of a chain point's |z - c| -
+    # rho; only the exact [0, 2 rho] of the point's own circle (on_circle)
+    # keeps the chain on the rim, and without it level 5 is empty
+    h = ScaleFunction.h1(1.5)
+    dom = build_zalcman(h, 1e-2, K=10)
+    cert = pommerenke_construct(dom, complex(dom.xs[2] + dom.rs[2]), c=1.0, k=6, s1=1e-3, h=h)
+    assert cert.points.size == 64
+    assert cert.distinct and cert.pairwise_ok and cert.within_seed_ball
+
+
+def test_chain_scale_underflow_is_an_error():
+    # s_6 underflows to 0.0, which passed the halving check, and the chain
+    # certified a zero capacity floor, with a warning from log(0)
+    h = ScaleFunction.h1(1.5)
+    dom = build_zalcman(h, 1e-2, K=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScaleUnderflowError, match="s_6 underflows"):
+            pommerenke_construct(dom, 6.731703824145064e-35 + 0j, c=1.0, k=6, s1=2.243901274715021e-35, h=h)
 
 
 # ---------------------------------------------------------------------------
