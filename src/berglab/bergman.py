@@ -422,7 +422,8 @@ def _sector_split(nodes: np.ndarray, w: complex) -> list[np.ndarray]:
 
 
 def _cluster_measure(nodes: np.ndarray):
-    if np.unique(nodes).size < 2:
+    # two distinct nodes, without np.unique's import of numpy.ma
+    if not (nodes.size >= 2 and np.any(nodes != nodes[0])):
         return None
     return equilibrium_measure(nodes)
 

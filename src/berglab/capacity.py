@@ -192,7 +192,8 @@ def nth_diameter(candidates: np.ndarray, n: int) -> tuple[float, np.ndarray]:
     -inf exactly at the occupied points.  A step is one subtraction S -
     column, an argmax and one compare against the point's threshold; a move
     computes one new column of logs, updates S and re-sums S at the vacated
-    point.
+    point.  A move leaves every threshold stale, and a slot's threshold is
+    re-summed from its row of pair distances only when its step reads it.
     """
     candidates = np.asarray(candidates, dtype=complex).ravel()
     if n < 2:
@@ -203,7 +204,8 @@ def nth_diameter(candidates: np.ndarray, n: int) -> tuple[float, np.ndarray]:
     idx, cols = _leja_seed(grid, n)
     rows = list(cols)
     # others[i]: the configuration slots other than i, in order
-    others = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
+    k = np.arange(n - 1)
+    others = k + (k >= np.arange(n)[:, None])
     # running sums S[c] = sum_i cols[i][c] over the configuration, each one
     # contiguous pairwise sum along a row of the grid-major copy
     S = np.sum(np.ascontiguousarray(cols.T), axis=1)
@@ -211,7 +213,8 @@ def nth_diameter(candidates: np.ndarray, n: int) -> tuple[float, np.ndarray]:
     # row sum i is the current value at slot i
     pair = cols[np.arange(n)[:, None], idx[others]]
     cols[np.arange(n), idx] = 0.0
-    thresholds = _thresholds(pair)
+    # thresholds[i]: the value a move of slot i must beat, None while stale
+    thresholds = [None] * n
     buf = np.empty_like(S)
     diff = np.empty_like(grid)
     idle = 0
@@ -221,8 +224,13 @@ def nth_diameter(candidates: np.ndarray, n: int) -> tuple[float, np.ndarray]:
             col = rows[i]
             np.subtract(S, col, out=buf)
             j = int(buf.argmax())
+            t = thresholds[i]
+            if t is None:
+                # Python floats, so a -inf row sum gives NaN without a warning
+                cur = float(np.add.reduce(pair[i]))
+                t = thresholds[i] = cur + 1e-14 * abs(cur)
             # False at a NaN threshold: a slot sharing its point with another never moves
-            if not buf[j] > thresholds[i]:
+            if not buf[j] > t:
                 idle += 1
                 if idle == n:
                     break
@@ -239,7 +247,7 @@ def nth_diameter(candidates: np.ndarray, n: int) -> tuple[float, np.ndarray]:
             pair[:i, i - 1] = cols[:i, j]
             if i < n - 1:
                 pair[i + 1 :, i] = cols[i + 1 :, j]
-            thresholds = _thresholds(pair)
+            thresholds = [None] * n
 
         config = grid[idx]
         # a grid with fewer than n distinct points repeats a node: log 0 =
@@ -247,12 +255,6 @@ def nth_diameter(candidates: np.ndarray, n: int) -> tuple[float, np.ndarray]:
         A = log_distance_matrix(config)
     log_delta = float(np.sum(A)) / (n * (n - 1))
     return math.exp(log_delta), config
-
-
-def _thresholds(pair: np.ndarray) -> list[float]:
-    """cur + 1e-14*|cur| for each row sum cur of ``pair``: the value a move
-    must beat.  Python floats, so a -inf row gives NaN without a warning."""
-    return [cur + 1e-14 * abs(cur) for cur in pair.sum(axis=1).tolist()]
 
 
 def supported_n(n: int, grid_size: int) -> int:

@@ -22,7 +22,15 @@ import numpy as np
 
 from . import asymptotics, bergman, config, perfectness
 from .capacity import capacity_via_transfinite, circle_nodes, equilibrium_measure, nth_diameter, segment_nodes
-from .domains import CantorSet, CircleDomain, ScaleFunction, ZalcmanDomain, build_cantor, domain_from_json
+from .domains import (
+    BOUNDARY_TOL,
+    CantorSet,
+    CircleDomain,
+    ScaleFunction,
+    ZalcmanDomain,
+    build_cantor,
+    domain_from_json,
+)
 from .errors import BerglabError, ConfigInvalidError
 from .quadrature import mc_integral
 
@@ -192,7 +200,8 @@ def _config_set_nodes(cfg: dict) -> np.ndarray:
         raise ConfigInvalidError(f"the cantor set does not build: {exc}") from exc
     per = max(4, n // (2 * lefts.size))
     pieces = [np.linspace(lo, lo + lj, per) for lo in lefts]
-    return np.unique(np.concatenate(pieces)).astype(complex)
+    # return_index keeps np.unique off its plain path, which imports numpy.ma
+    return np.unique(np.concatenate(pieces), return_index=True)[0].astype(complex)
 
 
 def run_capacity(cfg: dict, profile: dict) -> tuple[dict, dict]:
@@ -232,6 +241,14 @@ def run_perfect(cfg: dict, profile: dict) -> tuple[dict, dict]:
     if cantor:
         rep = perfectness.cantor_U_check(domain)
         return {"passed": rep["passed"]}, {"perfect_report.json": rep}
+    # the classifier reads the origin's distance spectrum; a sandwich barrier
+    # of radius 2 x_{K+1} keeps the origin off the boundary unless it is tiny
+    if domain.inner_radius is not None and domain.inner_radius > BOUNDARY_TOL:
+        raise ConfigInvalidError(
+            "perfect reads the distance spectrum of the origin, a boundary point of a sandwich only when "
+            f"the barrier radius 2 x_(K+1) = {domain.inner_radius:g} is at most BOUNDARY_TOL = {BOUNDARY_TOL:g}: "
+            "raise K or use the superset variant"
+        )
     h = domain.h
     try:
         for eps in eps_list:

@@ -16,6 +16,7 @@ from berglab.capacity import (
     nth_diameter,
     segment_nodes,
 )
+from berglab.cli import _config_set_nodes
 from berglab.domains import _assemble_cantor, build_cantor
 from berglab.errors import EquilibriumSolveError, GridTooSmallError, PreconditionViolatedError
 from claim_checks import (
@@ -246,6 +247,25 @@ def test_nth_diameter_retests_the_slot_that_moved_last():
     d, cfg = nth_diameter(grid, 35)
     d_ref, cfg_ref = reference_nth_diameter(grid, 35)
     assert d == d_ref and np.array_equal(cfg, cfg_ref)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"type": "circle", "r": 0.5, "grid": 512},
+        {"type": "two_disks", "r": 0.1, "d": 0.5, "grid": 1024},
+        {"type": "cantor", "l0": 0.1, "alpha": 1.5, "J": 4, "grid": 2048},
+    ],
+    ids=["circle", "two_disks", "cantor"],
+)
+def test_nth_diameter_matches_reference_on_capacity_sets(spec):
+    # the node sets and the n = 128 of a strict-profile capacity run, where
+    # each move leaves many thresholds stale before their steps read them
+    grid = _config_set_nodes({"set": spec})
+    d, cfg = nth_diameter(grid, 128)
+    d_ref, cfg_ref = reference_nth_diameter(grid, 128)
+    assert d == d_ref
+    assert np.array_equal(cfg, cfg_ref)
 
 
 def _cantor_grid():

@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -520,6 +523,20 @@ def test_perfect_on_an_empty_radius_range_is_a_config_error(tmp_path, capsys, do
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("K, code", [(1, 2), (2, 2), (3, 2), (4, 2), (5, 0)])
+def test_perfect_on_a_sandwich_needs_the_origin_on_the_boundary(tmp_path, capsys, K, code):
+    # the barrier radius 2 x_(K+1) is 1.5e-10 at K = 4 and 1.3e-15 at K = 5;
+    # K <= 4 exited 3 with NotBoundaryPointError for the origin
+    domain = {**SMALL_H1, "K": K, "variant": "sandwich"}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"pipeline": "perfect", "domain": domain}))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert ("barrier radius" in err) == (code == 2)
+    assert (tmp_path / "o").exists() == (code == 0)
+
+
 @pytest.mark.parametrize(
     "cfg, message",
     [
@@ -773,3 +790,40 @@ def test_json_artifacts_round_trip(tmp_path_factory, obj):
     path = tmp_path_factory.getbasetemp() / "artifact.json"
     write_json(path, obj)
     _assert_written_as(obj, json.loads(path.read_text(), parse_constant=_reject_constant))
+
+
+NUMPY_MA_PROBE = """
+import json, sys, tempfile
+from berglab.cli import run
+first = None
+with tempfile.TemporaryDirectory() as out:
+    for i, cfg in enumerate(json.loads(sys.argv[1])):
+        assert run(cfg, f"{out}/{i}", "fast")["status"] == "ok"
+        if first is None and "numpy.ma" in sys.modules:
+            first = cfg
+print(json.dumps(first))
+"""
+
+
+def test_no_pipeline_imports_numpy_ma():
+    # numpy 2.4 imports numpy.ma on the first plain np.unique or np.median
+    # (10-20 ms and 1.2 MB); capacity on a cantor set and kernel's
+    # equilibrium witness each made one
+    cfgs = [
+        {"pipeline": "selfcheck", "seed": 0},
+        {"pipeline": "capacity", "set": {"type": "cantor", "l0": 0.1, "alpha": 1.5, "J": 4, "grid": 512}},
+        {"pipeline": "perfect", "domain": SMALL_H1},
+        {"pipeline": "perfect", "domain": {"type": "cantor", "l0": 0.1, "alpha": 2.0, "J": 3}},
+        {"pipeline": "pommerenke", "domain": SMALL_H1, "k": 3},
+        {"pipeline": "kernel", "domain": SMALL_H1, "k_range": [2, 4], "equilibrium": True},
+        {"pipeline": "metric", "domain": SMALL_H1, "k_range": [2, 4]},
+        {"pipeline": "distance", "domain": SMALL_H1, "k_range": [1, 5]},
+        {"pipeline": "fit", "samples": K1_SAMPLES},
+    ]
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_PROBE, json.dumps(cfgs)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) is None, "this config imported numpy.ma"
