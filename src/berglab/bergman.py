@@ -33,7 +33,6 @@ from .errors import (
     DegenerateConstraintError,
     NoSecondPointError,
     OutsideDomainError,
-    PreconditionViolatedError,
     RankCollapseError,
     ScaleNotRetainedError,
 )
@@ -68,12 +67,7 @@ def default_basis(domain: CircleDomain, degree: int = 8) -> list[RationalFunctio
     """
     centers, scales, order = [], [], POLE_ORDER
     if isinstance(domain, ZalcmanDomain):
-        n = domain.K if domain.variant == "superset" else domain.K + 1
-        centers, scales = domain.xs[:n].tolist(), domain.rs[:n].tolist()
-        if domain.variant == "sandwich":
-            # the inner barrier swallows x_{K+1} and the origin
-            centers.append(0.0)
-            scales.append(float(domain.inner_radius))
+        centers, scales = domain.xs[: domain.K].tolist(), domain.rs[: domain.K].tolist()
     elif domain.inner_radius is not None:
         centers, scales, order = [0.0], [1.0], degree
     fns = [RationalFunction.monomial(j) for j in range(degree + 1)]
@@ -162,7 +156,6 @@ class KernelEstimate:
     the points' shape for an array of them."""
 
     K_low: float | np.ndarray
-    certified: bool
 
 
 @dataclass(frozen=True)
@@ -215,9 +208,7 @@ def subspace_kernel(gs: GramSystem, w) -> KernelEstimate:
     nb = _safe_scale(b)
     bb = gs.project(b / nb[:, None])
     K = gs.quadratic(bb, bb).real * nb * nb
-    # reference domains are exact; a sandwich truncation is a subdomain
-    certified = not isinstance(gs.domain, ZalcmanDomain) or gs.domain.variant == "superset"
-    return KernelEstimate(K_low=_shaped(K, w), certified=certified)
+    return KernelEstimate(K_low=_shaped(K, w))
 
 
 def subspace_metric(gs: GramSystem, w) -> MetricEstimate:
@@ -330,8 +321,6 @@ def witness_metric_ratios(domain: ZalcmanDomain, ws: np.ndarray, variant: str = 
 def _metric_witness(domain: ZalcmanDomain, w: complex, variant: str) -> tuple[RationalFunction, dict]:
     """The witness f of ``witness_metric_bound`` and its report without the
     norm: no quadrature."""
-    if domain.variant != "superset":
-        raise PreconditionViolatedError("witness norms are integrated on the superset variant")
     k = band_index(domain, abs(w))
     xs = domain.xs
     xk, xk1 = complex(xs[k - 1]), complex(xs[k])

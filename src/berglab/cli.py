@@ -23,7 +23,6 @@ import numpy as np
 from . import asymptotics, bergman, config, perfectness
 from .capacity import capacity_via_transfinite, circle_nodes, equilibrium_measure, nth_diameter, segment_nodes
 from .domains import (
-    BOUNDARY_TOL,
     CantorSet,
     CircleDomain,
     ScaleFunction,
@@ -31,7 +30,7 @@ from .domains import (
     build_cantor,
     domain_from_json,
 )
-from .errors import BerglabError, ConfigInvalidError
+from .errors import AnnulusEmptyError, BerglabError, ConfigInvalidError
 from .quadrature import mc_integral
 
 #: rows that ``write_csv`` builds, encodes, hashes and writes at a time
@@ -241,14 +240,6 @@ def run_perfect(cfg: dict, profile: dict) -> tuple[dict, dict]:
     if cantor:
         rep = perfectness.cantor_U_check(domain)
         return {"passed": rep["passed"]}, {"perfect_report.json": rep}
-    # the classifier reads the origin's distance spectrum; a sandwich barrier
-    # of radius 2 x_{K+1} keeps the origin off the boundary unless it is tiny
-    if domain.inner_radius is not None and domain.inner_radius > BOUNDARY_TOL:
-        raise ConfigInvalidError(
-            "perfect reads the distance spectrum of the origin, a boundary point of a sandwich only when "
-            f"the barrier radius 2 x_(K+1) = {domain.inner_radius:g} is at most BOUNDARY_TOL = {BOUNDARY_TOL:g}: "
-            "raise K or use the superset variant"
-        )
     h = domain.h
     try:
         for eps in eps_list:
@@ -271,7 +262,15 @@ def run_pommerenke(cfg: dict, profile: dict) -> tuple[dict, dict]:
     domain = domain_from_json(cfg["domain"])
     k = cfg["k"]
     s1 = domain.x1 / 10.0 if cfg["s1"] is None else cfg["s1"]
-    cert = perfectness.pommerenke_construct(domain, complex(cfg["a"]), cfg["c"], k, s1, domain.h)
+    try:
+        cert = perfectness.pommerenke_construct(domain, complex(cfg["a"]), cfg["c"], k, s1, domain.h)
+    except AnnulusEmptyError as exc:
+        # from the origin the nearest retained hole is hole K, at x_K - r_K
+        gap = float(domain.xs[domain.K - 1] - domain.rs[domain.K - 1])
+        if exc.center == 0 and exc.hi < gap:
+            raise ConfigInvalidError(f"{exc}: the window lies below x_K - r_K = {gap:.3g}, where K = {domain.K} "
+                                     "hides the deeper holes; raise K") from exc
+        raise
     comp = perfectness.chain_capacity_comparison(domain, cert, domain.h, n=profile["n_cap"])
     report = {
         "depth": cert.depth,

@@ -78,7 +78,10 @@ PIPELINES = {
 DOMAINS = {
     "zalcman": {"family": Key("scale family", bound=("h1", "h2")), "alpha": Key(NUM, None, "> 1", "h1 reads it"),
                 "beta": Key(NUM, None, "> 0", "h2 reads it"), "x1": Key(NUM, bound="> 0, < 1"),
-                "K": Key(INT, bound=">= 1"), "variant": Key("variant", "superset", ("superset", "sandwich"))},
+                "K": Key(INT, bound=">= 1"),
+                "variant": Key("retired", None, note="every zalcman domain is the superset truncation; the "
+                               "sandwich was a subdomain, whose kernel bounds the untruncated domain's in neither "
+                               "direction")},
     "cantor": {"l0": Key(NUM, bound="> 0, < 0.5"), "alpha": Key(NUM, bound=">= 1"), "J": Key(INT, bound=">= 0")},
 }
 GRID = Key(INT, 512, ">= 1")

@@ -415,20 +415,14 @@ class ZalcmanDomain(CircleDomain):
     """Truncated disk-chain domain with r_k = x_{k+1} = h(x_k).
 
     ``logx[k-1]`` holds log x_k for k = 1..K+2, and log r_k = log x_{k+1};
-    the recursion is evaluated purely in logs.
-
-    Variants:
-      * ``superset``: only the first K disks removed; the origin is kept as
-        an isolated boundary point.  Contains the untruncated domain.
-      * ``sandwich``: additionally removes the closed ball of radius
-        2*x_{K+1}, which swallows every deeper disk, so the result is
-        contained in the untruncated domain.
+    the recursion is evaluated purely in logs.  Only the first K disks are
+    removed and the origin is kept as an isolated boundary point, so the
+    domain contains the untruncated one.
     """
 
     h: ScaleFunction = None
     x1: float = 0.0
     K: int = 0
-    variant: str = "superset"
     logx: np.ndarray = field(default=None)
 
     @cached_property
@@ -443,19 +437,15 @@ class ZalcmanDomain(CircleDomain):
 
     def to_json_dict(self) -> dict:
         return {"type": "zalcman", "family": self.h.family, PARAM_KEY[self.h.family]: self.h.param,
-                "x1": self.x1, "K": self.K, "variant": self.variant}
+                "x1": self.x1, "K": self.K}
 
 
-def build_zalcman(
-    h: ScaleFunction, x1: float, K: int, variant: str = "superset"
-) -> ZalcmanDomain:
+def build_zalcman(h: ScaleFunction, x1: float, K: int) -> ZalcmanDomain:
     """Run the scale recursion in the log domain and validate disjointness."""
     if K < 1:
         raise ValueError("K >= 1 required")
     if not 0.0 < x1 < h.epsilon0:
         raise ValueError(f"x1 must lie in (0, {h.epsilon0})")
-    if variant not in ("superset", "sandwich"):
-        raise ValueError(f"unknown variant {variant!r}")
 
     logx = np.empty(K + 2)
     logx[0] = math.log(x1)
@@ -478,23 +468,13 @@ def build_zalcman(
         raise NonDisjointError("first disk reaches the unit circle")
 
     xs = np.exp(logx)
-    centers = xs[:K].astype(complex)
-    radii = xs[1 : K + 1]
-    if variant == "superset":
-        include_origin, inner = True, None
-    else:
-        # inner barrier swallows all unretained disks: x_j + r_j <= x_{K+1} +
-        # r_{K+1} < 2 x_{K+1} for every j > K
-        include_origin, inner = False, 2.0 * float(xs[K])
     return ZalcmanDomain(
-        centers=centers,
-        radii=radii,
-        include_origin=include_origin,
-        inner_radius=inner,
+        centers=xs[:K].astype(complex),
+        radii=xs[1 : K + 1],
+        include_origin=True,
         h=h,
         x1=float(x1),
         K=int(K),
-        variant=variant,
         logx=logx,
     )
 
@@ -588,6 +568,6 @@ def domain_from_json(d: dict):
         key = PARAM_KEY[p["family"]]
         if p[key] is None:
             raise ValueError(f"family {p['family']} needs {key}")
-        return build_zalcman(ScaleFunction.of(p["family"], p[key]), p["x1"], p["K"], p["variant"])
+        return build_zalcman(ScaleFunction.of(p["family"], p[key]), p["x1"], p["K"])
     except (ValueError, BerglabError) as exc:
         raise ConfigInvalidError(f"the {t} domain does not build: {exc}") from exc

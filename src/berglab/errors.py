@@ -68,9 +68,9 @@ class ScaleNotRetainedError(BerglabError):
 class AnnulusEmptyError(BerglabError):
     """Boundary-point chain broke: the search annulus missed the boundary."""
 
-    def __init__(self, level: int, message: str = ""):
-        self.level = level
-        super().__init__(message or f"annulus empty at chain level {level}")
+    def __init__(self, level: int, center: complex, lo: float, hi: float):
+        self.level, self.center, self.hi = level, center, hi
+        super().__init__(f"level {level}: no boundary point in [{lo}, {hi}] around {center}")
 
 
 class NoSecondPointError(BerglabError):

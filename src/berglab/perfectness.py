@@ -72,7 +72,7 @@ def resolved_r_min(domain: CircleDomain) -> float:
     From the origin, radii below x_K see no retained hole (everything deeper
     was cut), so constant profiles are only meaningful for r >= x_K.
     """
-    if isinstance(domain, ZalcmanDomain) and domain.variant == "superset":
+    if isinstance(domain, ZalcmanDomain):
         return float(domain.xs[domain.K - 1]) * 1.0001
     if domain.centers.size:
         return 1e-3 * float(domain.radii.min())
@@ -409,9 +409,7 @@ def pommerenke_construct(
             try:
                 img = _chain_image(domain, p, lo, hi)
             except ValueError as exc:
-                raise AnnulusEmptyError(
-                    l, f"level {l}: no boundary point in [{lo}, {hi}] around {p.z}"
-                ) from exc
+                raise AnnulusEmptyError(l, p.z, lo, hi) from exc
             new_points += [_ChainPoint(p.circle, p.angle_base, p.steps + (0.0,), p.z), img]
         points = new_points
 

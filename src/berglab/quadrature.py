@@ -674,11 +674,7 @@ def zalcman_partition(domain: ZalcmanDomain) -> tuple[list, list]:
             analytic.append(AnnulusRegion(0j, top, 1.0))
         else:
             analytic.append(AnnulusRegion(0j, top, bands[groups[gi - 1][-1]][0]))
-    inner_top = bands[groups[-1][-1]][0]
-    if domain.variant == "sandwich":
-        analytic.append(AnnulusRegion(0j, float(domain.inner_radius), inner_top))
-    else:
-        analytic.append(AnnulusRegion(0j, 0.0, inner_top))
+    analytic.append(AnnulusRegion(0j, 0.0, bands[groups[-1][-1]][0]))
     return analytic, numeric
 
 

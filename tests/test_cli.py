@@ -251,8 +251,10 @@ def test_json_booleans_stay_booleans(tmp_path):
     assert cert["pairwise_ok"] is True
 
 
-def test_metric_on_sandwich_records_nan_witness(tmp_path, capsys):
-    cfg = {"pipeline": "metric", "domain": {**SMALL_H1, "variant": "sandwich"}, "k_range": [2, 4]}
+def test_metric_without_hole_k_plus_1_records_nan_witness(tmp_path, capsys):
+    # the two-pole witness at band k needs hole k+1, which K = 6 keeps for
+    # k = 5 only
+    cfg = {"pipeline": "metric", "domain": SMALL_H1, "k_range": [5, 6]}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     code = main(["--config", str(cfg_path), "--out", str(tmp_path / "o"), "--tolerance-profile", "fast"])
@@ -260,8 +262,8 @@ def test_metric_on_sandwich_records_nan_witness(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
     lines = (tmp_path / "o" / "metric_sweep.csv").read_text().splitlines()
     assert lines[0].split(",")[-1] == "witness_ratio"
-    assert len(lines) == 4
-    assert all(ln.split(",")[-1] == "nan" for ln in lines[1:])
+    assert len(lines) == 3
+    assert lines[1].split(",")[-1] != "nan" and lines[2].split(",")[-1] == "nan"
 
 
 def test_metric_two_pole_witness_at_deep_scales(tmp_path, capsys):
@@ -523,20 +525,6 @@ def test_perfect_on_an_empty_radius_range_is_a_config_error(tmp_path, capsys, do
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("K, code", [(1, 2), (2, 2), (3, 2), (4, 2), (5, 0)])
-def test_perfect_on_a_sandwich_needs_the_origin_on_the_boundary(tmp_path, capsys, K, code):
-    # the barrier radius 2 x_(K+1) is 1.5e-10 at K = 4 and 1.3e-15 at K = 5;
-    # K <= 4 exited 3 with NotBoundaryPointError for the origin
-    domain = {**SMALL_H1, "K": K, "variant": "sandwich"}
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"pipeline": "perfect", "domain": domain}))
-    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == code
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert ("barrier radius" in err) == (code == 2)
-    assert (tmp_path / "o").exists() == (code == 0)
-
-
 @pytest.mark.parametrize(
     "cfg, message",
     [
@@ -636,6 +624,37 @@ def test_perfect_retired_scale_keys_are_config_errors(tmp_path, capsys, key, val
     err = capsys.readouterr().err
     assert f"'{key}' is no longer read" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("variant", ["sandwich", "superset"])
+def test_retired_variant_in_a_domain_is_a_config_error(tmp_path, capsys, variant):
+    # every zalcman domain is the superset truncation; the sandwich subdomain
+    # is gone, and naming either variant is refused alike
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"pipeline": "kernel", "domain": {**SMALL_H1, "variant": variant}}))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "'variant' is no longer read" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "domain, extra, code",
+    [({**SMALL_H1, "K": 3}, {}, 2), ({**SMALL_H1, "K": 8}, {}, 0), (H1_K10, {"c": 3.0, "s1": 5e-3}, 3)],
+    ids=["below-hole-K", "deep-enough", "annulus-condition"],
+)
+def test_pommerenke_window_below_the_truncation_is_a_config_error(tmp_path, capsys, domain, extra, code):
+    # on K = 3 the level-1 window around the origin, [1.6e-8, 6.3e-6], lies
+    # below x_3 - r_3 = 3.1e-5, so its emptiness is the truncation's and the
+    # run exited 3; a window the retained holes do reach stays a module error
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"pipeline": "pommerenke", "domain": domain, **extra}))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert ("level 1" in err and "K = 3" in err and "raise K" in err) == (code == 2)
+    assert ("AnnulusEmpty" in err) == (code == 3)
+    assert (tmp_path / "o").exists() == (code == 0)
 
 
 @pytest.mark.parametrize("pipeline", ["perfect", "pommerenke", "kernel", "metric", "distance"])

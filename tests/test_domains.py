@@ -165,22 +165,22 @@ def former_disjointness(logx, x1, K):
 
 @st.composite
 def zalcman_specs(draw):
-    """(h, x1, K, variant) over both families; many specs are not disjoint."""
+    """(h, x1, K) over both families; many specs are not disjoint."""
     family = draw(st.sampled_from(["h1", "h2"]))
     h = ScaleFunction.of(family, draw(st.floats(1.05, 3.0) if family == "h1" else st.floats(0.1, 3.0)))
     x1 = math.exp(draw(st.floats(math.log(1e-8), math.log(0.9 * h.epsilon0))))
-    return h, x1, draw(st.integers(1, 40)), draw(st.sampled_from(["superset", "sandwich"]))
+    return h, x1, draw(st.integers(1, 40))
 
 
 @settings(max_examples=300, deadline=None)
 @given(zalcman_specs())
 def test_scales_match_former_log_radius_array(spec):
-    h, x1, K, variant = spec
+    h, x1, K = spec
     logx = [math.log(x1)]
     for _ in range(K + 1):
         logx.append(h.log_value(logx[-1]))
     try:
-        dom = build_zalcman(h, x1, K, variant)
+        dom = build_zalcman(h, x1, K)
     except ScaleUnderflowError:
         return
     except NonDisjointError as exc:
@@ -271,19 +271,14 @@ def test_delta_matches_dense_sampling():
         assert delta == pytest.approx(brute, abs=1e-6)
 
 
-def test_variant_sandwich_inside_superset():
+def test_deeper_truncation_inside_shallower():
     h = ScaleFunction.h1(1.5)
-    sup = build_zalcman(h, 0.01, K=6, variant="superset")
-    sand = build_zalcman(h, 0.01, K=6, variant="sandwich")
-    deep = build_zalcman(h, 0.01, K=10, variant="superset")  # proxy for the full domain
+    sup = build_zalcman(h, 0.01, K=6)
+    deep = build_zalcman(h, 0.01, K=10)  # proxy for the full domain
     rng = np.random.default_rng(11)
     zs = rng.uniform(-1, 1, 4000) + 1j * rng.uniform(-1, 1, 4000)
     for z in zs:
-        in_sand = sand.contains(z)
-        in_deep = deep.contains(z)
-        in_sup = sup.contains(z)
-        assert (not in_sand) or in_deep  # sandwich subset of truncation-10 proxy
-        assert (not in_deep) or in_sup  # proxy subset of superset
+        assert (not deep.contains(z)) or sup.contains(z)
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +288,13 @@ def test_variant_sandwich_inside_superset():
 WINDOW_DOMAINS = [
     build_zalcman(ScaleFunction.h1(1.5), 1e-2, K=7),
     build_zalcman(ScaleFunction.h2(1.0), 1e-3, K=10),
-    build_zalcman(ScaleFunction.h2(1.0), 1e-3, K=10, variant="sandwich"),
 ]
 
 
 @st.composite
 def circle_points(draw, dom):
     """(a, i): the origin with i None (when it is a boundary point) or a
-    point on circle i: a hole rim, the sandwich barrier or the outer
+    point on circle i: a hole rim, the annulus's inner circle or the outer
     circle."""
     first = -1 if dom.include_origin else 0
     i = draw(st.integers(first, dom.circle_radii.size - 1))
@@ -596,8 +590,7 @@ SPECTRUM_SAMPLES = 4096
 @st.composite
 def spectrum_queries(draw):
     """(domain, boundary point a, radii): radii log-uniform or next to an end
-    of a's spectrum, on Zalcman domains (superset and sandwich), the disk and
-    the annulus."""
+    of a's spectrum, on Zalcman domains, the disk and the annulus."""
     dom = draw(st.sampled_from(CONTAINS_DOMAINS))
     a = draw(boundary_points(dom))
     spec = dom.distance_spectrum(a)
@@ -888,7 +881,7 @@ def test_sup_at_most_edge_cases():
 
 def test_domain_json_roundtrip():
     dom = domain_from_json({"type": "zalcman", "family": "h1", "alpha": 1.2, "x1": 1e-2, "K": 5})
-    assert dom.K == 5 and dom.variant == "superset"
+    assert dom.K == 5
     again = domain_from_json(dom.to_json_dict())
     assert np.allclose(again.logx, dom.logx)
     cant = domain_from_json({"type": "cantor", "l0": 0.1, "alpha": 2.0, "J": 3})

@@ -1,6 +1,7 @@
 """Every top-level function, class and method of ``src/berglab`` is named
-somewhere else in the package or under ``perfbench/``, and no call in it
-imports ``numpy.ma`` as a side effect.
+somewhere else in the package or under ``perfbench/``, no call in it
+imports ``numpy.ma`` as a side effect, and no invariant in it is an
+``assert``.
 
 A definition that only the tests call is not library code: a multi-step
 check of the paper's claims belongs in ``tests/claim_checks.py``, and a
@@ -97,3 +98,15 @@ def test_no_call_imports_numpy_ma():
         "np.median and a plain np.unique import numpy.ma on first use: "
         "sort as asymptotics._median does, or pass return_index=True"
     )
+
+
+def test_no_assert_in_the_package():
+    # invariants are explicit errors: ``python -O`` strips an assert, and
+    # AssertionError is no BerglabError, so the CLI would exit 1 with a traceback
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == [], "raise a BerglabError subclass instead of asserting"
