@@ -40,6 +40,7 @@ from .capacity import (
     WeightedPointSet,
     capacity_via_transfinite,
     circle_nodes,
+    disk_union_capacity,
     equilibrium_measure,
     nth_diameter,
     segment_nodes,

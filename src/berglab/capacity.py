@@ -1,6 +1,6 @@
 """Logarithmic capacity machinery.
 
-Two estimator routes live here:
+Three routes live here:
 
 * ``nth_diameter`` / ``capacity_via_transfinite``: greedy Leja seeding plus
   coordinate-exchange search for n-point configurations maximizing the
@@ -20,6 +20,8 @@ Two estimator routes live here:
   atoms), so the objective carries a local self-energy diagonal
   log(spacing/(2*pi)) -- the unique choice that reproduces circle energies
   exactly.  The raw pairwise sum is kept alongside.
+* ``disk_union_capacity``: a proven lower bound on the capacity of disjoint
+  closed disks, from the same simplex solve.
 
 All searches are deterministic: fixed starts, fixed tie-breaks.
 """
@@ -34,6 +36,7 @@ import numpy as np
 from .errors import EquilibriumSolveError, GridTooSmallError, PreconditionViolatedError
 
 WEIGHT_TOL = 1e-12
+EPS = float(np.finfo(float).eps)
 #: a dropped node may raise the potential above the energy by this much
 #: relative to max(1, |energy|): rounding, not a missed support point
 KKT_TOL = 1e-12
@@ -257,15 +260,6 @@ def nth_diameter(candidates: np.ndarray, n: int) -> tuple[float, np.ndarray]:
     return math.exp(log_delta), config
 
 
-def supported_n(n: int, grid_size: int) -> int:
-    """The largest of 8, 16, 32 and n that a grid of ``grid_size`` candidates
-    supports (the search needs 4n of them)."""
-    fits = [m for m in (8, 16, 32, n) if 4 * m <= grid_size]
-    if not fits:
-        raise GridTooSmallError(f"grid of {grid_size} supports no n of 8, 16, 32, {n}")
-    return max(fits)
-
-
 def capacity_via_transfinite(candidates: np.ndarray, n: int) -> CapacityEstimate:
     """Capacity estimate from one n-th diameter search.
 
@@ -318,15 +312,31 @@ def _bordered_solve(A: np.ndarray) -> np.ndarray:
     return np.linalg.solve(K, rhs)[:m]
 
 
+def _simplex_argmax(A: np.ndarray) -> tuple[np.ndarray, int]:
+    """(w, linear solves): the maximizer of w^T A w over the weight simplex
+    for A negative definite on sum-zero vectors (else EquilibriumSolveError):
+    the bordered solve, repeated without the weights that come out negative."""
+    _check_concave(A)
+    keep = np.arange(A.shape[0])
+    w_keep = _bordered_solve(A)
+    solves = 1
+    while np.any(w_keep < 0.0):
+        keep = keep[w_keep >= 0.0]
+        w_keep = _bordered_solve(A[np.ix_(keep, keep)])
+        solves += 1
+    w = np.zeros(A.shape[0])
+    w[keep] = w_keep
+    return w, solves
+
+
 def equilibrium_measure(nodes) -> EquilibriumSolution:
     """Maximize the regularized discrete energy w^T A w over the weight simplex.
 
     A is the pairwise log-distance matrix plus the self-energy diagonal of
     ``_scales`` (without it the maximizer is near-atomic, not the continuum equilibrium).
-    A is concave on sum-zero weights, so the maximizer is unique and solves
-    the bordered system on its support: one solve, repeated without the
-    nodes whose weight comes out negative; each dropped node must then
-    satisfy KKT, (A w)_i <= w^T A w.
+    A is concave on sum-zero weights, so ``_simplex_argmax`` finds the
+    unique maximizer; each node it drops must then satisfy KKT,
+    (A w)_i <= w^T A w.
 
     ``energy`` is the objective value (exact on circles); ``kkt_residual``
     is max |(A w)_i - w^T A w| on the support and its positive part off it.
@@ -338,16 +348,7 @@ def equilibrium_measure(nodes) -> EquilibriumSolution:
     if nodes.size < 2:
         raise PreconditionViolatedError("need at least two candidate nodes")
     A, scales = _energy_matrix(nodes)
-    _check_concave(A)
-    keep = np.arange(nodes.size)
-    w_keep = _bordered_solve(A)
-    solves = 1
-    while np.any(w_keep < 0.0):
-        keep = keep[w_keep >= 0.0]
-        w_keep = _bordered_solve(A[np.ix_(keep, keep)])
-        solves += 1
-    w = np.zeros(nodes.size)
-    w[keep] = w_keep
+    w, solves = _simplex_argmax(A)
     pots = A @ w
     val = float(w @ pots)
     resid = pots - val
@@ -366,3 +367,38 @@ def equilibrium_measure(nodes) -> EquilibriumSolution:
         iterations=solves,
         raw_potential_spread=float(np.max(np.abs(raw_pots[support] - raw))),
     )
+
+
+
+def disk_union_capacity(centers, radii) -> tuple[float, np.ndarray]:
+    """Proven lower bound on the capacity of a union E of disjoint closed
+    disks D(c_i, rho_i), and the weights m it was read at.
+
+    cap(E) >= exp(-I(mu)) for a probability measure mu on E (Ransford,
+    Potential Theory in the Complex Plane, 1995, ch. 5).  Uniform measures
+    on disjoint circles have exact energies, I_ii = log(1/rho_i) and
+    I_ij = log(1/|c_i - c_j|), so cap(E) >= exp(m^T A m) with A = -I, and m
+    maximizes it over the simplex (``_simplex_argmax``).  Rounding rule: m is
+    clipped to >= 0 and renormalized, and the exponent is lowered by
+    (k + 2) 4 eps max(1, max|A_ij|) for k disks, above the rounding of A
+    (3 eps max(1, |A_ij|) an entry), of m^T A m (2k eps max|A|), of the
+    renormalization (2 (k + 1) eps max|A|) and of exp.  A disk has capacity
+    rho exactly, so the bound is at least max rho_i.  Raises
+    PreconditionViolatedError unless the disks are disjoint in doubles."""
+    c = np.asarray(centers, dtype=complex).ravel()
+    rho = np.asarray(radii, dtype=float).ravel()
+    k = rho.size
+    if k == 0 or c.size != k or not rho.min() > 0.0:
+        raise PreconditionViolatedError("need one positive radius per center")
+    A = _pair_distances(c)
+    gaps = A - rho[:, None] - rho
+    gaps.flat[:: k + 1] = 1.0
+    if not gaps.min() > 0.0:
+        raise PreconditionViolatedError("the disks must be disjoint")
+    A.flat[:: k + 1] = rho
+    np.log(A, out=A)
+    m, _ = _simplex_argmax(A)
+    m = np.maximum(m, 0.0)
+    m /= m.sum()
+    margin = 4.0 * EPS * (k + 2) * max(1.0, float(np.abs(A).max()))
+    return max(math.exp(float(m @ (A @ m)) - margin), float(rho.max())), m

@@ -249,7 +249,7 @@ def run_perfect(cfg: dict, profile: dict) -> tuple[dict, dict]:
             f"the weakened h at param - eps must be valid for every eps in eps_list, with param = {h.param}: {exc}"
         ) from exc
     rep, c_star = perfectness.classify_weak_perfectness(domain, h, eps_list)
-    uc, condition_C = perfectness.uc_report(domain, h, rep, n=profile["n_cap"])
+    uc, condition_C = perfectness.uc_report(domain, h, rep)
     summary = {"satisfied": rep["satisfied"], "weakened_failed": all(f["failed"] for f in rep["failures"])}
     return summary, {
         "perfect_report.json": {"classification": rep, "uc": uc},
@@ -271,7 +271,7 @@ def run_pommerenke(cfg: dict, profile: dict) -> tuple[dict, dict]:
             raise ConfigInvalidError(f"{exc}: the window lies below x_K - r_K = {gap:.3g}, where K = {domain.K} "
                                      "hides the deeper holes; raise K") from exc
         raise
-    comp = perfectness.chain_capacity_comparison(domain, cert, domain.h, n=profile["n_cap"])
+    comp = perfectness.chain_capacity_comparison(domain, cert, domain.h)
     report = {
         "depth": cert.depth,
         "points": len(cert.points),

@@ -41,10 +41,6 @@ class PreconditionViolatedError(BerglabError):
     """A documented operation precondition failed at run time."""
 
 
-class EmptySetError(BerglabError):
-    """Requested set discretization produced no nodes."""
-
-
 class QuadratureStallError(BerglabError):
     """Doubling the boundary rule moved the Gram matrix beyond its tolerance."""
 

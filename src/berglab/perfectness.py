@@ -7,7 +7,8 @@ Two conditions are checked on a domain with boundary scale function h:
   to interval arithmetic on the exact distance spectrum, so satisfied /
   failed flags carry no sampling error.
 * the capacity density condition: Cap(closed disk(a, r) minus the domain)
-  >= C * h(r).  Probed numerically through boundary-arc discretizations.
+  >= C * h(r).  Probed through a proven lower bound, the capacity of the
+  largest disks that the complement holds in disk(a, r).
 
 The bridge between them is a branching chain of boundary points (2^k points
 whose pairwise distances are controlled scale by scale), which produces a
@@ -22,11 +23,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .capacity import capacity_via_transfinite, supported_n
+from .capacity import EPS, disk_union_capacity
 from .domains import CantorSet, CircleDomain, ScaleFunction, ZalcmanDomain
 from .errors import (
     AnnulusEmptyError,
-    EmptySetError,
     NotBoundaryPointError,
     PreconditionViolatedError,
     ScaleUnderflowError,
@@ -40,9 +40,9 @@ SAMPLES_PER_CIRCLE = 8
 C_GRID = (1.0, 0.5, 0.25)
 #: radii per decade of the Cantor annulus check
 CANTOR_RADII_PER_DECADE = 8
-#: hole-rim and outer-circle nodes of the condition-C grid before densifying
-PROBE_NODES_PER_CIRCLE = 16
-PROBE_OUTER_NODES = 512
+#: largest complement disks per condition-C probe (h1 and h2 Zalcman
+#: probes read the same bound to 1e-6 from all of them)
+PROBE_DISKS = 12
 
 
 # ---------------------------------------------------------------------------
@@ -200,75 +200,46 @@ def classify_weak_perfectness(
 # ---------------------------------------------------------------------------
 
 
-def hole_arc_nodes(
-    domain: CircleDomain,
-    a: complex,
-    r: float,
-    nodes_per_circle: int,
-    outer_nodes: int,
-) -> np.ndarray:
-    """Discretize the complement set (closed disk(a, r) minus the domain)
-    by the boundary arcs of the holes, the inner barrier, and the outer
-    circle clipped to distance r from a (``CircleDomain.arc_angles``, at
-    least 8 nodes on a partial arc)."""
-    pts = []
-    # hole rims get nodes_per_circle nodes, the inner barrier and the outer
-    # circle (the complement includes |z| >= 1) outer_nodes
-    circles = zip(domain.circle_centers.tolist(), domain.circle_radii.tolist())
-    for i, (c0, rho) in enumerate(circles):
-        n_full = nodes_per_circle if i < domain.centers.size else outer_nodes
-        theta = domain.arc_angles(i, a, r, n_full, 8)
-        if theta is not None:
-            pts.append(c0 + rho * np.exp(1j * theta))
-    if domain.include_origin and abs(a) <= r:
-        pts.append(np.array([0j]))
-    if not pts:
-        return np.empty(0, dtype=complex)
-    return np.concatenate(pts)
-
-
-def condition_C_probe(
-    domain: CircleDomain,
-    h: ScaleFunction,
-    a: complex,
-    r: float,
-    n: int,
-) -> tuple[float, float]:
-    """Capacity of the complement piece in disk(a, r), and its ratio to h(r)."""
-    nodes_per_circle, outer_nodes = PROBE_NODES_PER_CIRCLE, PROBE_OUTER_NODES
-    grid = hole_arc_nodes(domain, a, r, nodes_per_circle, outer_nodes)
-    if grid.size == 0:
-        raise EmptySetError(f"no complement nodes within {r} of {a}")
-    for _ in range(8):  # densify short arcs until the grid supports n
-        if grid.size >= 4 * n:
-            break
-        nodes_per_circle *= 2
-        outer_nodes *= 2
-        grid = hole_arc_nodes(domain, a, r, nodes_per_circle, outer_nodes)
-    cap = capacity_via_transfinite(grid, supported_n(n, grid.size)).value
+def condition_C_probe(domain: CircleDomain, h: ScaleFunction, a: complex, r: float) -> tuple[float, float]:
+    """Proven lower bound on Cap(closed disk(a, r) minus the domain), and its
+    ratio to h(r): ``disk_union_capacity`` of the ``PROBE_DISKS`` largest
+    closed disks in that set, at most one per circle, or 0 without one (the
+    isolated origin).  The disk is the whole hole once d + rho (d = |a - c|),
+    raised by 8 eps, is at most r; else the disk on the lens's chord along
+    the line through a and c, of radius (r + rho - d)/2 in a hole and
+    (|a| + r - 1)/2 past the unit circle, cut by 16 eps (|a| + |c| + r + rho)
+    for the rounding of its centre and radius.  The disks lie in disjoint
+    closed holes or outside the unit disk."""
+    d, _, far = domain._reach(a)
+    c, rho = domain.circle_centers, domain.circle_radii
+    lo = d - rho  # the chord runs from lo to r; the unit circle's side faces away from 0
+    lo[-1] = -lo[-1]
+    radii = 0.5 * (r - np.maximum(lo, -r))
+    whole = far * (1.0 + 8.0 * EPS) <= r
+    whole[-1] = False
+    np.copyto(radii, rho, where=whole)
+    keep = np.flatnonzero(radii > 0.0)
+    keep = np.sort(keep[np.argsort(-radii[keep], kind="stable")[:PROBE_DISKS]])
+    centers, radii = c[keep], radii[keep]
+    for j in np.flatnonzero(~whole[keep]).tolist():
+        i = int(keep[j])
+        u = (c[i] - a) / d[i] if d[i] > 0.0 else 1.0  # towards the hole; any one at d = 0
+        centers[j] = a + 0.5 * (r + lo[i]) * (-u if i == rho.size - 1 else u)
+        radii[j] -= 16.0 * EPS * (abs(a) + abs(c[i]) + r + rho[i])
+    left = radii > 0.0
+    cap = disk_union_capacity(centers[left], radii[left])[0] if left.any() else 0.0
     return cap, cap / h.value(r)
 
 
-def condition_C_profile(
-    domain: CircleDomain,
-    h: ScaleFunction,
-    a: complex,
-    radii: Sequence[float],
-    n: int,
-) -> dict:
+def condition_C_profile(domain: CircleDomain, h: ScaleFunction, a: complex, radii: Sequence[float]) -> dict:
     """Probe Cap(disk(a,r) \\ domain)/h(r) over a radius grid; least-squares
     slope of log cap against log r comes along for exponent diagnostics.
 
     ``table`` holds the columns ``a_re``, ``a_im``, ``r``, ``cap`` and
-    ``ratio``, one entry per radius; ``cap`` and ``ratio`` are 0 where the
-    disk holds no complement node."""
+    ``ratio``, one entry per radius; ``cap`` is ``condition_C_probe``'s
+    proven lower bound, 0 where the disk holds no complement disk."""
     r = np.asarray(radii, dtype=float)
-    cap, ratio = np.zeros(r.size), np.zeros(r.size)
-    for i, ri in enumerate(r.tolist()):
-        try:
-            cap[i], ratio[i] = condition_C_probe(domain, h, a, ri, n=n)
-        except EmptySetError:
-            pass
+    cap, ratio = np.array([condition_C_probe(domain, h, a, ri) for ri in r.tolist()]).reshape(-1, 2).T
     good = cap > 0
     slope = math.nan
     if good.sum() >= 2:
@@ -445,15 +416,10 @@ def pommerenke_construct(
     )
 
 
-def chain_capacity_comparison(
-    domain: CircleDomain,
-    cert: PommerenkeCertificate,
-    h: ScaleFunction,
-    n: int,
-) -> dict:
-    """Measure the complement capacity on the ball containing the chain
-    (radius 2*seed) and compare with the chain floor."""
-    cap, _ = condition_C_probe(domain, h, cert.a, 2.0 * cert.seed, n=n)
+def chain_capacity_comparison(domain: CircleDomain, cert: PommerenkeCertificate, h: ScaleFunction) -> dict:
+    """Compare the chain floor with ``condition_C_probe``'s lower bound on the
+    complement capacity in the ball of radius 2*seed, which holds the chain."""
+    cap, _ = condition_C_probe(domain, h, cert.a, 2.0 * cert.seed)
     return {
         "capacity_floor": cert.capacity_floor,
         "measured_cap": cap,
@@ -466,9 +432,7 @@ def chain_capacity_comparison(
 # ---------------------------------------------------------------------------
 
 
-def uc_report(
-    domain: ZalcmanDomain, h: ScaleFunction, classification: dict, n: int
-) -> tuple[dict, dict]:
+def uc_report(domain: ZalcmanDomain, h: ScaleFunction, classification: dict) -> tuple[dict, dict]:
     """One-page diagnostic: the annulus-condition ``classification`` of h
     (from ``classify_weak_perfectness``) on one side, capacity-density
     constants and exponents on the other.
@@ -478,7 +442,7 @@ def uc_report(
     """
     # 1.25 (x_k + r_k) for k = 1..K-1, from resolved_r_min up
     radii = 1.25 * (domain.xs[: domain.K - 1] + domain.rs[: domain.K - 1])
-    prof = condition_C_profile(domain, h, 0j, radii[radii >= resolved_r_min(domain)], n=n)
+    prof = condition_C_profile(domain, h, 0j, radii[radii >= resolved_r_min(domain)])
     out = {
         "family": h.family,
         "param": h.param,

@@ -36,7 +36,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss as _leggauss_raw
 
 from .domains import CircleDomain, ZalcmanDomain
 from .errors import PolesTooCloseError, PreconditionViolatedError, QuadratureStallError
@@ -45,8 +44,10 @@ from .errors import PolesTooCloseError, PreconditionViolatedError, QuadratureSta
 @lru_cache(maxsize=None)
 def leggauss(n: int):
     # Gauss rules are eigen-decompositions; the polar area rule asks for the
-    # same orders many times
-    return _leggauss_raw(n)
+    # same orders many times; no pipeline calls it or imports numpy.polynomial
+    from numpy.polynomial.legendre import leggauss as gauss
+
+    return gauss(n)
 
 #: largest nearest-singularity ratio a boundary circle accepts
 SERIES_MARGIN = 0.95
@@ -207,7 +208,8 @@ class Basis:
         return cls(
             poly=poly,
             antideriv=poly / np.arange(1, n_coef + 1),
-            deriv=np.polynomial.polynomial.polyder(poly, axis=1),
+            # polyder's per-entry products, and its one zero column at n_coef = 1
+            deriv=poly[:, 1:] * np.arange(1, n_coef) if n_coef > 1 else poly * 0,
             centers=np.concatenate([f.pole_centers for f in fns]),
             orders=orders,
             ranks=tuple(_select(np.flatnonzero(orders >= k)) for k in range(2, int(orders.max(initial=1)) + 1)),

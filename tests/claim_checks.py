@@ -17,7 +17,6 @@ from berglab.capacity import (
     circle_nodes,
     equilibrium_measure,
     nth_diameter,
-    supported_n,
 )
 from berglab.domains import CantorSet
 from berglab.errors import GridTooSmallError, PreconditionViolatedError
@@ -69,6 +68,15 @@ def cantor_capacity_bound(C: CantorSet, J: Optional[int] = None) -> float:
     for j in range(J):
         log_sum += (math.log(2.0) + log_l[j + 1] - log_l[j]) / (2.0**j)
     return 0.5 * math.exp(log_sum)
+
+
+def supported_n(n: int, grid_size: int) -> int:
+    """The largest of 8, 16, 32 and n that a grid of ``grid_size`` candidates
+    supports (the search needs 4n of them)."""
+    fits = [m for m in (8, 16, 32, n) if 4 * m <= grid_size]
+    if not fits:
+        raise GridTooSmallError(f"grid of {grid_size} supports no n of 8, 16, 32, {n}")
+    return max(fits)
 
 
 def scaling_law_check(

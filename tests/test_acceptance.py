@@ -179,7 +179,7 @@ def test_criterion_05_weak_perfectness(h15_10_domain, h2_40_domain):
 def test_criterion_06_chain_certificate(h15_10_domain):
     h = ScaleFunction.h1(1.5)
     cert = perfectness.pommerenke_construct(h15_10_domain, 0j, c=1.0, k=5, s1=1e-3, h=h)
-    comp = perfectness.chain_capacity_comparison(h15_10_domain, cert, h, n=64)
+    comp = perfectness.chain_capacity_comparison(h15_10_domain, cert, h)
     ok = (
         cert.points.size == 32
         and cert.distinct

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from berglab import capacity
@@ -11,6 +11,7 @@ from berglab.capacity import (
     CapacityEstimate,
     capacity_via_transfinite,
     circle_nodes,
+    disk_union_capacity,
     equilibrium_measure,
     log_distance_matrix,
     nth_diameter,
@@ -477,6 +478,91 @@ def test_energy_matrix_keeps_the_two_call_bits(nodes):
     assert np.array_equal(scales.view(np.int64), want_scales.view(np.int64))
     np.fill_diagonal(want_A, 0.0)
     assert np.array_equal(log_distance_matrix(nodes).view(np.int64), want_A.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# disjoint disks
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def disjoint_disks(draw, min_disks=1, max_disks=6, min_radius=1e-6):
+    """(centres, radii) of disjoint disks: each radius is log-uniform, cut
+    to a drawn fraction of its clearance from the disks drawn before it."""
+    centers, radii = [], []
+    for _ in range(draw(st.integers(min_disks, max_disks))):
+        c = complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+        room = min((abs(c - c2) - r2 for c2, r2 in zip(centers, radii)), default=1.0)
+        rho = min(10.0 ** draw(st.floats(math.log10(min_radius), -0.5)), draw(st.floats(0.05, 0.95)) * room)
+        assume(rho >= min_radius)
+        centers.append(c)
+        radii.append(rho)
+    return np.array(centers), np.array(radii)
+
+
+def disk_energy_matrix(centers, radii) -> np.ndarray:
+    """log|c_i - c_j| off the diagonal, log rho_i on it, entry by entry."""
+    return np.array([[math.log(rho) if i == j else math.log(abs(c - c2))
+                      for j, c2 in enumerate(centers.tolist())]
+                     for i, (c, rho) in enumerate(zip(centers.tolist(), radii.tolist()))])
+
+
+def rounding_margin(centers, radii) -> float:
+    """The exponent margin that ``disk_union_capacity`` states."""
+    return 4.0 * capacity.EPS * (radii.size + 2) * max(1.0, float(np.abs(disk_energy_matrix(centers, radii)).max()))
+
+
+@given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(1e-300, 10.0))
+def test_disk_union_of_one_disk_is_its_radius(x, y, rho):
+    cap, m = disk_union_capacity([complex(x, y)], [rho])
+    assert cap == rho and m.tolist() == [1.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(disjoint_disks(min_disks=2, max_disks=2, min_radius=1e-3))
+def test_disk_union_of_two_disks_is_below_equilibrium(disks):
+    # uniform measures on the two circles are one choice among those the
+    # discrete equilibrium on their dense rims can approximate
+    centers, radii = disks
+    assume(abs(centers[0] - centers[1]) > 1.05 * radii.sum())
+    nodes = np.concatenate([circle_nodes(c, rho, 256) for c, rho in zip(centers.tolist(), radii.tolist())])
+    cap, _ = disk_union_capacity(centers, radii)
+    assert radii.max() <= cap <= equilibrium_measure(nodes).capacity
+
+
+@settings(max_examples=100, deadline=None)
+@given(disjoint_disks(min_disks=2))
+def test_disk_union_dropping_a_disk_never_raises_the_bound(disks):
+    # the larger set's optimum is at least the subset's, and the two bounds
+    # differ by at most the larger set's rounding margin
+    centers, radii = disks
+    cap, _ = disk_union_capacity(centers, radii)
+    slack = math.exp(rounding_margin(centers, radii))
+    for i in range(radii.size):
+        keep = np.arange(radii.size) != i
+        assert disk_union_capacity(centers[keep], radii[keep])[0] <= cap * slack
+
+
+@settings(max_examples=100, deadline=None)
+@given(disjoint_disks(min_disks=2, max_disks=12))
+def test_disk_union_margin_covers_an_fsum_energy(disks):
+    # the energy of the returned weights, from exact products summed by
+    # fsum, lies above the log of the bound, by at most twice the margin
+    centers, radii = disks
+    cap, m = disk_union_capacity(centers, radii)
+    A = disk_energy_matrix(centers, radii)
+    total = math.fsum(m.tolist())
+    energy = math.fsum((m[i] * m[j] * A[i, j] for i in range(m.size) for j in range(m.size))) / total**2
+    assert np.all(m >= 0.0)
+    assert math.log(cap) <= energy or cap == radii.max()
+    assert energy - math.log(cap) <= 2.0 * rounding_margin(centers, radii) or cap == radii.max()
+
+
+def test_disk_union_rejects_meeting_disks():
+    with pytest.raises(PreconditionViolatedError, match="disjoint"):
+        disk_union_capacity([0.0, 0.5], [0.3, 0.2])
+    with pytest.raises(PreconditionViolatedError):
+        disk_union_capacity([0.0], [0.0])
 
 
 # ---------------------------------------------------------------------------

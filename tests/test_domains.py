@@ -25,7 +25,6 @@ from berglab.errors import (
     RuleViolationError,
     ScaleUnderflowError,
 )
-from berglab.perfectness import hole_arc_nodes
 
 
 def dense_boundary_samples(domain, per_circle=4096):
@@ -429,40 +428,9 @@ def test_boundary_queries_match_the_former_loops(window):
 
 
 # ---------------------------------------------------------------------------
-# complement arcs: the two callers of CircleDomain.arc_angles against the
-# arc code each of them carried before it, kept here as the oracle
+# complement arcs: the caller of CircleDomain.arc_angles against the arc
+# code it carried before, kept here as the oracle
 # ---------------------------------------------------------------------------
-
-
-def reference_hole_arc_nodes(domain, a, r, nodes_per_circle=16, outer_nodes=512):
-    pts = []
-
-    def circle_arcs(c0, rho, n_full):
-        d = abs(a - c0)
-        if d + rho <= r:  # whole circle inside
-            theta = 2.0 * math.pi * np.arange(n_full) / n_full
-            pts.append(c0 + rho * np.exp(1j * theta))
-            return
-        if abs(d - rho) > r or d - rho > r:  # no point of the circle in reach
-            return
-        if d == 0.0:  # concentric, rho > r: nothing reachable
-            return
-        cos_psi = (d * d + rho * rho - r * r) / (2.0 * d * rho)
-        cos_psi = min(1.0, max(-1.0, cos_psi))
-        psi = math.acos(cos_psi)
-        base = math.atan2((a - c0).imag, (a - c0).real)
-        m = max(8, int(n_full * psi / math.pi))
-        theta = base + np.linspace(-psi, psi, m)
-        pts.append(c0 + rho * np.exp(1j * theta))
-
-    circles = zip(domain.circle_centers.tolist(), domain.circle_radii.tolist())
-    for i, (c0, rho) in enumerate(circles):
-        circle_arcs(c0, rho, nodes_per_circle if i < domain.centers.size else outer_nodes)
-    if domain.include_origin and abs(a) <= r:
-        pts.append(np.array([0j]))
-    if not pts:
-        return np.empty(0, dtype=complex)
-    return np.concatenate(pts)
 
 
 def reference_retracted_cluster_nodes(domain, center, radius, nodes_per_circle=16, eta=0.5):
@@ -511,14 +479,6 @@ def arc_queries(draw):
         )
     )
     return dom, a, r
-
-
-@settings(max_examples=300, deadline=None)
-@given(arc_queries(), st.sampled_from([4, 16]), st.sampled_from([32, 512]))
-def test_hole_arc_nodes_match_former_arc_code(query, nodes_per_circle, outer_nodes):
-    dom, a, r = query
-    got = hole_arc_nodes(dom, a, r, nodes_per_circle, outer_nodes)
-    assert np.array_equal(got, reference_hole_arc_nodes(dom, a, r, nodes_per_circle, outer_nodes))
 
 
 @settings(max_examples=300, deadline=None)

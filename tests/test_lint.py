@@ -1,7 +1,7 @@
 """Every top-level function, class and method of ``src/berglab`` is named
 somewhere else in the package or under ``perfbench/``, no call in it
-imports ``numpy.ma`` as a side effect, and no invariant in it is an
-``assert``.
+imports ``numpy.ma`` as a side effect, no pipeline path imports
+``numpy.polynomial``, and no invariant in it is an ``assert``.
 
 A definition that only the tests call is not library code: a multi-step
 check of the paper's claims belongs in ``tests/claim_checks.py``, and a
@@ -97,6 +97,38 @@ def test_no_call_imports_numpy_ma():
     assert numpy_ma_triggers(PACKAGE) == [], (
         "np.median and a plain np.unique import numpy.ma on first use: "
         "sort as asymptotics._median does, or pass return_index=True"
+    )
+
+
+def numpy_polynomial_uses(package: Path) -> list[str]:
+    """``file:line`` of each ``np.polynomial`` attribute in ``package`` and of
+    each module-level import from ``numpy.polynomial``: either imports that
+    package (about 3 ms) in every process that loads the module or takes the
+    path.  An import inside a function that no pipeline calls is allowed."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "polynomial"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "np"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+        for node in tree.body:
+            names = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            if any(name.startswith("numpy.polynomial") for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_pipeline_path_imports_numpy_polynomial():
+    assert numpy_polynomial_uses(PACKAGE) == [], (
+        "np.polynomial imports numpy.polynomial on first use: write the "
+        "coefficient arithmetic out, or import inside a function no pipeline calls"
     )
 
 

@@ -46,6 +46,8 @@ def test_traced_annulus_round_reports_its_layers(tmp_path):
     assert trace["perfectness.classify.calls"] == 2
     assert trace["perfectness.best_constant_profile.calls"] == 2
     assert trace["perfectness.condition_C_probe.calls"] == 15
+    # the probes read proven disk-union bounds: perfect runs no Fekete search
+    assert trace.get("capacity.nth_diameter.calls", 0) == 0
     # one spectrum per boundary sample and per classification, and one
     # interval query on each (sup_at_most): no other boundary query builds
     # or reads an IntervalUnion
@@ -55,8 +57,8 @@ def test_traced_annulus_round_reports_its_layers(tmp_path):
 
 def test_traced_capacity_round_reports_its_layers(tmp_path):
     trace = traced_round("capacity", tmp_path)
-    # one search per reference set and one for the chain's comparison disk
-    assert trace["capacity.nth_diameter.calls"] == 5
+    # one search per reference set
+    assert trace["capacity.nth_diameter.calls"] == 4
     assert trace["capacity.equilibrium_measure.calls"] == 18
     assert trace["capacity.equilibrium_measure.iterations"] == 18
     assert trace["quadrature.rational_eval.calls"] == 21

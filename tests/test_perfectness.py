@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from berglab import perfectness
 from berglab.domains import (
     CircleDomain,
     ScaleFunction,
@@ -311,21 +312,63 @@ def test_condition_C_contains_whole_disk(h1_domain):
     dom = h1_domain
     k = 2
     r = 1.05 * (dom.xs[k - 1] + dom.rs[k - 1])
-    cap, ratio = condition_C_probe(dom, ScaleFunction.h1(1.5), 0j, r, n=48)
-    assert cap >= dom.rs[k - 1] * 0.95  # capacity of a contained disk
+    cap, ratio = condition_C_probe(dom, ScaleFunction.h1(1.5), 0j, r)
+    assert cap >= dom.rs[k - 1]  # capacity of a contained disk
     assert ratio > 0
 
 
 def test_condition_C_unit_disk_arc():
     dom = CircleDomain.build()
-    cap, _ = condition_C_probe(dom, ScaleFunction.h1(2.0), 1.0 + 0j, 0.1, n=48)
+    cap, _ = condition_C_probe(dom, ScaleFunction.h1(2.0), 1.0 + 0j, 0.1)
     assert 0.025 <= cap <= 0.08  # quarter-chord scale for a short arc
+
+
+def test_condition_C_isolated_origin_has_no_capacity():
+    dom = build_zalcman(ScaleFunction.h1(1.5), 0.01, K=3)
+    r = 0.5 * float(dom.xs[2] - dom.rs[2])  # below the deepest hole: only the origin
+    assert condition_C_probe(dom, ScaleFunction.h1(1.5), 0j, r) == (0.0, 0.0)
+
+
+@st.composite
+def capacity_probes(draw):
+    """(domain, h, boundary point a, radius r): a domain of
+    ``profile_domains``, the origin or a point on one of its circles, and a
+    log-uniform r below h's epsilon0."""
+    dom, h = draw(profile_domains())
+    i = draw(st.integers(-1 if dom.include_origin else 0, dom.circle_radii.size - 1))
+    a = 0j
+    if i >= 0:
+        a = complex(dom.circle_centers[i] + dom.circle_radii[i] * np.exp(1j * draw(st.floats(0.0, 2.0 * math.pi))))
+    return dom, h, a, math.exp(draw(st.floats(math.log(1e-12), math.log(0.999 * h.epsilon0))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(capacity_probes())
+def test_condition_C_lies_between_whole_holes_and_r(probe):
+    # a hole wholly inside disk(a, r) has capacity rho, and the complement
+    # piece lies in disk(a, r), whose capacity is r
+    dom, h, a, r = probe
+    cap, ratio = condition_C_probe(dom, h, a, r)
+    _, _, far = dom._reach(a)
+    holes = dom.circle_radii[:-1][far[:-1] <= r]
+    assert holes.max(initial=0.0) <= cap <= r
+    assert ratio == cap / h.value(r)
+
+
+@pytest.mark.parametrize("h, x1, K", [(ScaleFunction.h1(1.2), 1e-2, 24), (ScaleFunction.h2(1.0), 1e-3, 40)])
+def test_condition_C_twelve_disks_read_the_all_disk_bound(monkeypatch, h, x1, K):
+    dom = build_zalcman(h, x1, K)
+    radii = 1.25 * (dom.xs[: K - 1] + dom.rs[: K - 1])
+    twelve = condition_C_profile(dom, h, 0j, radii)["table"]["cap"]
+    monkeypatch.setattr(perfectness, "PROBE_DISKS", dom.circle_radii.size)
+    every = condition_C_profile(dom, h, 0j, radii)["table"]["cap"]
+    assert np.all(twelve <= every) and np.allclose(twelve, every, rtol=1e-6, atol=0.0)
 
 
 def test_condition_C_slope_h1(h1_domain):
     dom = h1_domain
     radii = [1.25 * float(dom.xs[k - 1] + dom.rs[k - 1]) for k in range(2, 8)]
-    prof = condition_C_profile(dom, ScaleFunction.h1(1.5), 0j, radii, n=48)
+    prof = condition_C_profile(dom, ScaleFunction.h1(1.5), 0j, radii)
     assert prof["slope"] <= 1.0 / (2.0 - 1.5) + 0.2
     assert prof["ratio_inf"] > 0
 
@@ -348,7 +391,7 @@ def test_chain_depth_five(h1_domain):
     assert cert.points.size == 32
     assert cert.distinct
     assert cert.pairwise_ok and cert.within_seed_ball
-    comp = chain_capacity_comparison(h1_domain, cert, ScaleFunction.h1(1.5), n=48)
+    comp = chain_capacity_comparison(h1_domain, cert, ScaleFunction.h1(1.5))
     assert comp["floor_below_measured"]
 
 
@@ -405,14 +448,14 @@ def test_chain_scale_underflow_is_an_error():
 
 def test_uc_report_h1(h1_domain):
     h = ScaleFunction.h1(1.5)
-    rep, _ = uc_report(h1_domain, h, classify_weak_perfectness(h1_domain, h, [0.1])[0], n=48)
+    rep, _ = uc_report(h1_domain, h, classify_weak_perfectness(h1_domain, h, [0.1])[0])
     assert rep["U_satisfied"] and rep["U_weakened_failed"]
     assert rep["C_slope_ok"]
 
 
 def test_uc_report_h2(h2_domain):
     h = ScaleFunction.h2(1.0)
-    rep, _ = uc_report(h2_domain, h, classify_weak_perfectness(h2_domain, h, [0.5])[0], n=32)
+    rep, _ = uc_report(h2_domain, h, classify_weak_perfectness(h2_domain, h, [0.5])[0])
     assert rep["U_satisfied"] and rep["U_weakened_failed"]
     assert rep["C_ratio_inf"] > 0.0 and "C_ratio_positive" not in rep
 
