@@ -57,7 +57,8 @@ ETA = 0.5
 def default_basis(domain: CircleDomain, degree: int = 8) -> list[RationalFunction]:
     """Polynomials up to ``degree``, then poles of orders 1..m at every center
     the domain keeps outside itself: m = ``POLE_ORDER`` at Zalcman holes, and
-    m = ``degree`` at the center of an annulus (negative-power monomials).
+    m = ``degree`` at the origin when a hole is centred there, as on an
+    annulus (negative-power monomials).  Other holes get no poles.
 
     A pole of order m carries the coefficient scale**(m-1), scale being the
     radius of the hole around it (1 on the annulus): kernel and metric values
@@ -68,7 +69,7 @@ def default_basis(domain: CircleDomain, degree: int = 8) -> list[RationalFunctio
     centers, scales, order = [], [], POLE_ORDER
     if isinstance(domain, ZalcmanDomain):
         centers, scales = domain.xs[: domain.K].tolist(), domain.rs[: domain.K].tolist()
-    elif domain.inner_radius is not None:
+    elif np.any(domain.centers == 0):
         centers, scales, order = [0.0], [1.0], degree
     fns = [RationalFunction.monomial(j) for j in range(degree + 1)]
     for c, s in zip(centers, scales):
@@ -381,14 +382,22 @@ def retracted_cluster_nodes(
     ``ETA`` of each hole radius, because poles on the rim itself would
     make the witness norm divergent.  Both arrays stay aligned; circles too
     deep for double resolution collapse to a single representative node.
-    The angles are ``CircleDomain.arc_angles``: 16 on a whole rim, at least
-    6 on a partial arc.
+    Each hole whose rim comes within ``radius`` of center gets 16 equispaced
+    angles when the whole rim is in reach, and at least 6 across the arc
+    facing center when part of it is.
     """
+    d, near, far = domain._reach(center)
     poles, bnds = [], []
-    for i, (c0, rho) in enumerate(zip(domain.centers.tolist(), domain.radii.tolist())):
-        theta = domain.arc_angles(i, center, radius, 16, 6)
-        if theta is None:
-            continue
+    for i in np.flatnonzero(near[: domain.radii.size] <= radius).tolist():
+        c0, rho, di = complex(domain.centers[i]), float(domain.radii[i]), float(d[i])
+        if far[i] <= radius:
+            theta = TWO_PI * np.arange(16) / 16
+        else:
+            # half-opening psi of the reachable arc, by the law of cosines
+            cos_psi = (di * di + rho * rho - radius * radius) / (2.0 * di * rho)
+            psi = math.acos(min(1.0, max(-1.0, cos_psi)))
+            base = math.atan2((center - c0).imag, (center - c0).real)
+            theta = base + np.linspace(-psi, psi, max(6, int(16 * psi / math.pi)))
         ring = np.exp(1j * theta)
         poles.append(c0 + (1.0 - ETA) * rho * ring)
         bnds.append(c0 + rho * ring)

@@ -161,7 +161,7 @@ def run_selfcheck(cfg: dict, profile: dict) -> tuple[dict, dict]:
     check("disk_kernel_center", bergman.subspace_kernel(gs, 0j).K_low, 1.0 / math.pi, 1e-6)
     check("disk_metric_center", bergman.subspace_metric(gs, 0j).b_est, math.sqrt(2.0), 1e-6)
     check("disk_kernel_half", bergman.subspace_kernel(gs, 0.5 + 0j).K_low, 1.0 / (math.pi * 0.75**2), 5e-3)
-    ann = CircleDomain.build(inner_radius=0.5)
+    ann = CircleDomain.build([(0j, 0.5)])
     gs_ann = bergman.assemble_gram(ann)
     oracle = 0.0
     for n in range(-8, 9):

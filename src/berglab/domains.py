@@ -5,8 +5,7 @@ The central objects are
 * :class:`ScaleFunction` -- the hole-size generator h, evaluated in the
   log domain so that doubly-exponential decays stay exact,
 * :class:`CircleDomain` -- unit disk minus a finite list of closed disks,
-  optionally with the origin as an isolated boundary point or an inner
-  circular barrier,
+  optionally with the origin as an isolated boundary point,
 * :class:`ZalcmanDomain` -- a CircleDomain whose holes follow the coupling
   r_k = x_{k+1} = h(x_k),
 * :class:`CantorSet` -- nested-interval set with per-level lengths l_j,
@@ -18,7 +17,7 @@ Everything here is immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -228,42 +227,33 @@ class CircleDomain:
     """Unit-disk domain with circular holes.
 
     The boundary is the isolated origin (when ``include_origin``) plus the
-    circles ``circle_centers``/``circle_radii``: removed-disk circles, the
-    inner barrier circle (when present), and the unit circle, in that
-    order.  Queries visit the origin first, then the circles in order, so
-    ties break the same way everywhere.  A component is named by its circle
-    index, or None for the origin.
+    circles ``circle_centers``/``circle_radii``: removed-disk circles, then
+    the unit circle.  Queries visit the origin first, then the circles in
+    order, so ties break the same way everywhere.  A component is named by
+    its circle index, or None for the origin.
     """
 
     centers: np.ndarray  # complex hole centers
     radii: np.ndarray  # hole radii
     include_origin: bool = False
-    inner_radius: Optional[float] = None
 
     @classmethod
-    def build(
-        cls,
-        disks: Sequence[tuple[complex, float]] = (),
-        include_origin: bool = False,
-        inner_radius: Optional[float] = None,
-    ) -> "CircleDomain":
+    def build(cls, disks: Sequence[tuple[complex, float]] = (), include_origin: bool = False) -> "CircleDomain":
         centers = np.asarray([c for c, _ in disks], dtype=complex)
         radii = np.asarray([r for _, r in disks], dtype=float)
         if np.any(radii <= 0):
             raise ValueError("hole radii must be positive")
-        return cls(centers, radii, include_origin, inner_radius)
+        return cls(centers, radii, include_origin)
 
     @cached_property
     def circle_centers(self) -> np.ndarray:
-        """Centers of every boundary circle: holes, inner barrier, outer circle."""
-        barriers = 1 if self.inner_radius is None else 2
-        return np.concatenate([self.centers, np.zeros(barriers, dtype=complex)])
+        """Centers of every boundary circle: holes, then the outer circle."""
+        return np.append(self.centers, 0j)
 
     @cached_property
     def circle_radii(self) -> np.ndarray:
         """Radii aligned with ``circle_centers``."""
-        inner = [] if self.inner_radius is None else [self.inner_radius]
-        return np.concatenate([self.radii, np.asarray(inner + [1.0], dtype=float)])
+        return np.append(self.radii, 1.0)
 
     def _reach(self, a: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per circle, in order: d = |a - c|, and the nearest and farthest
@@ -286,17 +276,11 @@ class CircleDomain:
 
     # --- geometry queries ---------------------------------------------------
 
-    def unsigned_boundary_distance(self, z: complex) -> float:
-        return self.nearest_boundary_point(z)[1]
-
     def contains(self, z):
         """Open-domain membership of a point (bool) or of an array of points
         (bool array of the same shape)."""
         z = np.asarray(z, dtype=complex)
-        az = np.abs(z)
-        inside = az < 1.0
-        if self.inner_radius is not None:
-            inside &= az > self.inner_radius
+        inside = np.abs(z) < 1.0
         for c, rho in zip(self.centers.tolist(), self.radii.tolist()):
             inside &= np.abs(z - c) > rho
         if self.include_origin:
@@ -304,7 +288,7 @@ class CircleDomain:
         return inside if z.ndim else bool(inside)
 
     def is_boundary(self, z: complex) -> bool:
-        return self.unsigned_boundary_distance(z) <= BOUNDARY_TOL
+        return self.nearest_boundary_point(z)[1] <= BOUNDARY_TOL
 
     def distance_spectrum(self, a: complex) -> IntervalUnion:
         """Exact set of distances {|z - a| : z on the boundary}.
@@ -315,22 +299,6 @@ class CircleDomain:
         """
         _, gap, far = self._gaps(a)
         return IntervalUnion.build(zip(gap.tolist(), far.tolist()), [abs(a)] if self.include_origin else [])
-
-    def arc_angles(self, i: int, a: complex, r: float, n_full: int, n_min: int) -> Optional[np.ndarray]:
-        """Node angles covering the points of circle ``i`` within r of a:
-        ``n_full`` equispaced ones when the whole circle is in reach, at least
-        ``n_min`` across the arc facing a when part of it is, None otherwise."""
-        c, rho = complex(self.circle_centers[i]), float(self.circle_radii[i])
-        d = abs(a - c)
-        if d + rho <= r:
-            return 2.0 * math.pi * np.arange(n_full) / n_full
-        if abs(d - rho) > r:
-            return None
-        # half-opening psi of the reachable arc, by the law of cosines
-        cos_psi = (d * d + rho * rho - r * r) / (2.0 * d * rho)
-        psi = math.acos(min(1.0, max(-1.0, cos_psi)))
-        base = math.atan2((a - c).imag, (a - c).real)
-        return base + np.linspace(-psi, psi, max(n_min, int(n_full * psi / math.pi)))
 
     def nearest_boundary_point(self, z: complex) -> tuple[complex, float, Optional[int]]:
         """(point, distance, circle index) of the closest boundary point; the
@@ -410,7 +378,7 @@ def _triangle_angle(p: float, q: float, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ZalcmanDomain(CircleDomain):
     """Truncated disk-chain domain with r_k = x_{k+1} = h(x_k).
 
@@ -420,10 +388,10 @@ class ZalcmanDomain(CircleDomain):
     domain contains the untruncated one.
     """
 
-    h: ScaleFunction = None
-    x1: float = 0.0
-    K: int = 0
-    logx: np.ndarray = field(default=None)
+    h: ScaleFunction
+    x1: float
+    K: int
+    logx: np.ndarray
 
     @cached_property
     def xs(self) -> np.ndarray:

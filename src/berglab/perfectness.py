@@ -454,7 +454,6 @@ def uc_report(domain: ZalcmanDomain, h: ScaleFunction, classification: dict) -> 
     }
     if h.family == "h1" and 1.0 < h.param < 2.0:
         out["C_exponent_bound"] = 1.0 / (2.0 - h.param)
-        out["C_slope_ok"] = prof["slope"] <= 1.0 / (2.0 - h.param) + 0.2
     return out, prof["table"]
 
 

@@ -1,8 +1,8 @@
 """Area integrals of rational-function products over circle domains.
 
-Every domain here is bounded by circles: an outer circle, holes and possibly
-an inner barrier.  Choosing Phi_i with dPhi_i/dzbar = conj(f_i), the complex
-Green formula turns each Gram entry into a boundary integral,
+Every domain here is bounded by circles: an outer circle and holes.
+Choosing Phi_i with dPhi_i/dzbar = conj(f_i), the complex Green formula
+turns each Gram entry into a boundary integral,
 
     G_ij = integral over the domain of conj(f_i) f_j dA
          = (1 / 2i) * contour integral over the boundary of Phi_i f_j dz,
@@ -308,8 +308,8 @@ class QuadratureInfo:
 
 def domain_circles(domain: CircleDomain) -> list[tuple[complex, float, int]]:
     """The domain's boundary circles as (center, radius, orientation): +1
-    (counter-clockwise) for the outer circle, -1 for holes and the inner
-    barrier.  The isolated origin bounds no area and is left out."""
+    (counter-clockwise) for the outer circle, -1 for holes.  The isolated
+    origin bounds no area and is left out."""
     last = domain.circle_radii.size - 1
     return [
         (c, rho, 1 if i == last else -1)

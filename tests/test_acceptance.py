@@ -77,7 +77,7 @@ def test_criterion_01_closed_form_suite():
     k0 = bergman.subspace_kernel(gs, 0j).K_low
     b0 = bergman.subspace_metric(gs, 0j).b_est
     k_half = bergman.subspace_kernel(gs, 0.5 + 0j).K_low
-    ann = CircleDomain.build(inner_radius=0.5)
+    ann = CircleDomain.build([(0j, 0.5)])
     gs_ann = bergman.assemble_gram(ann, spec_functions(degree=8, pole_centers=(0j,), pole_order=8))
     k_ann = bergman.subspace_kernel(gs_ann, 0.7 + 0j).K_low
     oracle = 0.0

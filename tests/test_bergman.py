@@ -69,7 +69,7 @@ def test_disk_metric_half():
 
 
 def test_annulus_kernel_vs_laurent_oracle():
-    dom = CircleDomain.build(inner_radius=0.5)
+    dom = CircleDomain.build([(0j, 0.5)])
     gs = assemble_gram(dom, spec_functions(degree=8, pole_centers=(0j,), pole_order=8))
     w = 0.7 + 0j
     est = subspace_kernel(gs, w)
@@ -91,7 +91,7 @@ def former_default_basis(domain, degree):
         centers = tuple(complex(x) for x in domain.xs[: domain.K])
         scales = tuple(float(r) for r in domain.rs[: domain.K])
         return spec_functions(degree, centers, POLE_ORDER, scales)
-    if domain.inner_radius is not None:
+    if domain.centers.tolist() == [0j]:  # the annulus 1/2 < |z| < 1
         return spec_functions(degree, (0j,), degree)
     return spec_functions(degree, (), POLE_ORDER)
 
@@ -101,9 +101,10 @@ def former_default_basis(domain, degree):
     [
         build_zalcman(ScaleFunction.h1(1.5), 0.01, K=10),
         CircleDomain.build(),
-        CircleDomain.build(inner_radius=0.5),
+        CircleDomain.build([(0j, 0.5)]),
+        CircleDomain.build([(0.3 + 0j, 0.1)]),
     ],
-    ids=["zalcman-superset", "disk", "annulus"],
+    ids=["zalcman-superset", "disk", "annulus", "hole-off-origin"],
 )
 @pytest.mark.parametrize("degree", [0, 3, 8])
 def test_default_basis_matches_former_spec(domain, degree):
@@ -322,7 +323,7 @@ def _sweep_pool(domain, bands=None):
         radii = [math.exp(logx[k] + t * (logx[k - 1] - logx[k])) for k in range(1, bands + 1) for t in (0.2, 0.5, 0.8)]
         angles = (math.pi, 2 * math.pi / 3)
     else:
-        lo = domain.inner_radius or 0.0
+        lo = domain.radii.max(initial=0.0)
         radii = [lo + t * (1.0 - lo) for t in (0.1, 0.5, 0.85)]
         angles = (0.0, 1.0, 2.5)
     pool = np.array([r * complex(math.cos(a), math.sin(a)) for r in radii for a in angles])
@@ -334,7 +335,7 @@ def _sweep_pool(domain, bands=None):
 def sweep_cases(h15_domain, h15_gram):
     """Per domain: Gram system, kernel points, metric points and each
     point's one-point values."""
-    disk, annulus = CircleDomain.build(), CircleDomain.build(inner_radius=0.5)
+    disk, annulus = CircleDomain.build(), CircleDomain.build([(0j, 0.5)])
     cases = {}
     for name, dom, gs, kernel_bands, metric_bands in (
         ("h1(1.5)", h15_domain, h15_gram, 9, 6),

@@ -11,6 +11,7 @@ from berglab.domains import (
     CircleDomain,
     IntervalUnion,
     ScaleFunction,
+    ZalcmanDomain,
     _assemble_cantor,
     _point_on_circle_at_distance,
     build_cantor,
@@ -149,6 +150,14 @@ def test_build_rejects_bad_configs():
         build_zalcman(ScaleFunction.h1(2.0), 0.1, K=0)
 
 
+def test_zalcman_domain_needs_its_scale_fields():
+    dom = build_zalcman(ScaleFunction.h1(2.0), 0.1, K=3)
+    with pytest.raises(TypeError):
+        ZalcmanDomain(dom.centers, dom.radii)
+    with pytest.raises(TypeError):
+        ZalcmanDomain(dom.centers, dom.radii, True, dom.h, dom.x1, dom.K, dom.logx)
+
+
 def former_disjointness(logx, x1, K):
     """The builder's former disjointness check, which read r_k from its own
     array ``logr = logx[1:].copy()`` (test oracle)."""
@@ -249,14 +258,14 @@ def test_spectrum_min_zero_on_boundary():
 def test_delta_unit_disk_center():
     dom = CircleDomain.build()
     assert dom.contains(0.5 + 0j)
-    assert dom.unsigned_boundary_distance(0.5 + 0j) == pytest.approx(0.5, rel=1e-15)
+    assert dom.nearest_boundary_point(0.5 + 0j)[1] == pytest.approx(0.5, rel=1e-15)
 
 
 def test_delta_zalcman_origin_term():
     dom = build_zalcman(ScaleFunction.h1(2.0), 0.1, K=3)
     assert dom.contains(-0.05 + 0j)
     # origin is closest
-    assert dom.unsigned_boundary_distance(-0.05 + 0j) == pytest.approx(0.05, rel=1e-14)
+    assert dom.nearest_boundary_point(-0.05 + 0j)[1] == pytest.approx(0.05, rel=1e-14)
 
 
 def test_delta_matches_dense_sampling():
@@ -265,7 +274,7 @@ def test_delta_matches_dense_sampling():
     rng = np.random.default_rng(7)
     zs = rng.uniform(-1, 1, 40) + 1j * rng.uniform(-1, 1, 40)
     for z in zs:
-        delta = dom.unsigned_boundary_distance(z)
+        delta = dom.nearest_boundary_point(z)[1]
         brute = float(np.min(np.abs(cloud - z)))
         assert delta == pytest.approx(brute, abs=1e-6)
 
@@ -293,8 +302,7 @@ WINDOW_DOMAINS = [
 @st.composite
 def circle_points(draw, dom):
     """(a, i): the origin with i None (when it is a boundary point) or a
-    point on circle i: a hole rim, the annulus's inner circle or the outer
-    circle."""
+    point on circle i: a hole rim or the outer circle."""
     first = -1 if dom.include_origin else 0
     i = draw(st.integers(first, dom.circle_radii.size - 1))
     if i < 0:
@@ -428,8 +436,8 @@ def test_boundary_queries_match_the_former_loops(window):
 
 
 # ---------------------------------------------------------------------------
-# complement arcs: the caller of CircleDomain.arc_angles against the arc
-# code it carried before, kept here as the oracle
+# complement arcs: retracted_cluster_nodes against the arc code it carried
+# before, kept here as the oracle
 # ---------------------------------------------------------------------------
 
 
@@ -490,20 +498,30 @@ def test_retracted_cluster_nodes_match_former_arc_code(query):
     assert np.array_equal(poles, ref_poles) and np.array_equal(bnds, ref_bnds)
 
 
-def test_arc_angles_cases():
+def test_retracted_cluster_nodes_cases():
     dom = CircleDomain.build(disks=[(0.5 + 0j, 0.1)])
-    assert np.array_equal(dom.arc_angles(0, 0.5 + 0j, 0.1, 8, 3), 2.0 * math.pi * np.arange(8) / 8)
-    assert dom.arc_angles(0, 0.5 + 0j, 0.05, 8, 3) is None  # center of a wider circle
-    assert dom.arc_angles(0, 0.52 + 0j, 0.05, 8, 3) is None  # inside, rim out of reach
-    assert dom.arc_angles(0, 0.9 + 0j, 0.2, 8, 3) is None  # out of reach
-    theta = dom.arc_angles(0, 0.6 + 0j, 0.1, 8, 3)  # a on the rim: the facing third
-    assert theta.size == 3 and theta[1] == 0.0
-    assert theta[2] == -theta[0] == pytest.approx(math.acos(0.5), rel=1e-15)
+    # a at the center, the whole rim in reach: 16 equispaced angles
+    poles, bnds = retracted_cluster_nodes(dom, 0.5 + 0j, 0.1)
+    ring = np.exp(1j * (2.0 * math.pi * np.arange(16) / 16))
+    assert np.array_equal(bnds, 0.5 + 0.1 * ring) and np.array_equal(poles, 0.5 + 0.05 * ring)
+    for a, r in (
+        (0.5 + 0j, 0.05),  # center of a wider circle
+        (0.52 + 0j, 0.05),  # inside, rim out of reach
+        (0.9 + 0j, 0.2),  # out of reach
+    ):
+        poles, bnds = retracted_cluster_nodes(dom, a, r)
+        assert poles.size == bnds.size == 0
+    # a on the rim: the facing third, 16 / 3 angles raised to 6
+    poles, bnds = retracted_cluster_nodes(dom, 0.6 + 0j, 0.1)
+    theta = np.angle(bnds - 0.5)
+    assert bnds.size == poles.size == 6
+    assert np.allclose(theta, np.linspace(-math.pi / 3.0, math.pi / 3.0, 6), rtol=0.0, atol=1e-15)
+    assert np.array_equal(poles, 0.5 + 0.5 * (bnds - 0.5))
 
 
 CONTAINS_DOMAINS = [
     CircleDomain.build(),
-    CircleDomain.build(inner_radius=0.5),
+    CircleDomain.build([(0j, 0.5)]),
     *WINDOW_DOMAINS,
 ]
 
@@ -539,7 +557,6 @@ def test_nearest_boundary_point_matches_the_former_loop(dom_zs):
     for z in zs.tolist():
         expect = reference_nearest_boundary_point(dom, z)
         assert dom.nearest_boundary_point(z) == expect
-        assert dom.unsigned_boundary_distance(z) == expect[1]
         assert dom.is_boundary(z) == (expect[1] <= BOUNDARY_TOL)
 
 
@@ -566,6 +583,8 @@ def spectrum_queries(draw):
 @given(spectrum_queries())
 # the unit circle's samples at a = 0 round to within 2**-52 below 1
 @example((WINDOW_DOMAINS[0], 0j, [0.9999999999999998]))
+# hole 6's nearest distance rounds onto r, and each of its samples one ulp above r
+@example((WINDOW_DOMAINS[0], 1.777967343935965e-07 + 6.818768749374818e-11j, [1.777967468197097e-07]))
 def test_distance_spectrum_matches_dense_sampling(query):
     dom, a, radii = query
     spec = dom.distance_spectrum(a)
@@ -592,12 +611,16 @@ def test_distance_spectrum_matches_dense_sampling(query):
         # resolution of a sampled distance <= r + resolution
         # a sample counts as within r only when it lies below r by more
         # than its own rounding bound, the one in ``tol``: a sample of a
-        # circle beyond r may round down onto r
+        # circle beyond r may round down onto r, and a sample of a circle
+        # that reaches r may round up past it
         best = max(
             (float(x[r - x > 16 * np.finfo(float).eps * (abs(a) + x)].max(initial=0.0)) for x in dists),
             default=0.0,
         )
-        near = max(float(x[x <= r + R].max(initial=-math.inf)) + R for x, R in zip(dists, res))
+        near = max(
+            float(x[x - (r + R) <= 16 * np.finfo(float).eps * (abs(a) + x)].max(initial=-math.inf)) + R
+            for x, R in zip(dists, res)
+        )
         slack = 16 * np.finfo(float).eps * (abs(a) + r)
         assert best <= sup + slack
         assert sup <= max(near, 0.0) + slack

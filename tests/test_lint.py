@@ -1,7 +1,8 @@
 """Every top-level function, class and method of ``src/berglab`` is named
 somewhere else in the package or under ``perfbench/``, no call in it
 imports ``numpy.ma`` as a side effect, no pipeline path imports
-``numpy.polynomial``, and no invariant in it is an ``assert``.
+``numpy.polynomial``, no invariant in it is an ``assert``, and no dataclass
+field in it defaults to a None that its annotation does not admit.
 
 A definition that only the tests call is not library code: a multi-step
 check of the paper's claims belongs in ``tests/claim_checks.py``, and a
@@ -142,3 +143,43 @@ def test_no_assert_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == [], "raise a BerglabError subclass instead of asserting"
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def defaults_to_none(value: ast.expr | None) -> bool:
+    """``= None`` or ``= field(default=None)``; a bare annotation has no value."""
+    if isinstance(value, ast.Call) and isinstance(value.func, ast.Name) and value.func.id == "field":
+        value = next((kw.value for kw in value.keywords if kw.arg == "default"), None)
+    return isinstance(value, ast.Constant) and value.value is None
+
+
+def none_placeholder_fields(package: Path) -> list[str]:
+    """``file class.field`` of each dataclass field in ``package`` that
+    defaults to None while its annotation admits no None: a placeholder that
+    lets a half-built object through where a missing argument should be a
+    TypeError."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.ClassDef) and is_dataclass(node)):
+                continue
+            for stmt in node.body:
+                if not (isinstance(stmt, ast.AnnAssign) and defaults_to_none(stmt.value)):
+                    continue
+                annotation = ast.unparse(stmt.annotation)
+                if not re.search(r"\bOptional\[|\|\s*None\b|\bNone\s*\|", annotation):
+                    found.append(f"{path.name} {node.name}.{stmt.target.id}")
+    return found
+
+
+def test_no_dataclass_field_defaults_to_an_untyped_none():
+    assert none_placeholder_fields(PACKAGE) == [], (
+        "annotate the field Optional[...] or drop the placeholder default"
+    )

@@ -60,7 +60,7 @@ def test_annulus_satisfied_at_origin():
     witness, witness_distance, _ = dom.witness_at_distance(0j, h.value(r), r)
     # h(0.09) = 0.0081 <= witness distance <= 0.09; disk 2 rim qualifies
     assert 0.0081 <= witness_distance <= r
-    assert dom.unsigned_boundary_distance(witness) <= 1e-9
+    assert dom.nearest_boundary_point(witness)[1] <= 1e-9
 
 
 def test_annulus_unit_disk_always_satisfied():
@@ -161,7 +161,7 @@ def test_classify_h2(h2_domain):
 
 
 def test_classify_annulus_complement_domain():
-    dom = CircleDomain.build(inner_radius=0.5)
+    dom = CircleDomain.build([(0j, 0.5)])
     for h in (ScaleFunction.h1(1.5), ScaleFunction.h2(1.0)):
         cs, table = best_constant_profile(dom, h)
         # every sample lies on a whole circle that reaches every r: c_star = r/h(r)
@@ -450,7 +450,8 @@ def test_uc_report_h1(h1_domain):
     h = ScaleFunction.h1(1.5)
     rep, _ = uc_report(h1_domain, h, classify_weak_perfectness(h1_domain, h, [0.1])[0])
     assert rep["U_satisfied"] and rep["U_weakened_failed"]
-    assert rep["C_slope_ok"]
+    assert "C_slope_ok" not in rep
+    assert rep["C_exponent_bound"] == 2.0
 
 
 def test_uc_report_h2(h2_domain):

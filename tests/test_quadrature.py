@@ -64,7 +64,7 @@ def test_disk_monomial_gram_closed_form():
 
 def test_annulus_laurent_norms():
     basis = [RationalFunction.pole(0j, 1), RationalFunction.monomial(0)]
-    G, _ = boundary_gram(domain_circles(CircleDomain.build(inner_radius=0.5)), basis)
+    G, _ = boundary_gram(domain_circles(CircleDomain.build([(0j, 0.5)])), basis)
     assert G[0, 0].real == pytest.approx(2 * math.pi * math.log(2.0), rel=1e-12)
     assert G[1, 1].real == pytest.approx(math.pi * (1 - 0.25), rel=1e-12)
     assert abs(G[0, 1]) < 1e-12  # rotational orthogonality
@@ -179,7 +179,7 @@ def test_closed_forms_disk_monomials_and_annulus_laurent_terms():
     assert np.max(np.abs(G - want) / np.sqrt(np.outer(np.diag(want), np.diag(want)))) <= 1e-13
     # z^n for n = -8..8 on 0.5 < |z| < 1, the negative powers as poles at 0
     laurent = [RationalFunction.pole(0j, m) for m in range(8, 0, -1)] + disk
-    ann = CircleDomain.build(inner_radius=0.5)
+    ann = CircleDomain.build([(0j, 0.5)])
     G, _ = boundary_gram(domain_circles(ann), laurent)
     want = np.diag([
         2 * math.pi * (math.log(2.0) if n == -1 else (1 - 0.5 ** (2 * n + 2)) / (2 * n + 2))
@@ -514,7 +514,7 @@ def test_circle_loop_matches_former_engine_on_zalcman_domains(dom, degree):
 @settings(max_examples=15, deadline=None)
 @given(st.floats(0.05, 0.9), st.integers(0, 8))
 def test_circle_loop_matches_former_engine_on_the_annulus(r0, degree):
-    dom = CircleDomain.build(inner_radius=r0)
+    dom = CircleDomain.build([(0j, r0)])
     assert_matches_former(domain_circles(dom), bergman.default_basis(dom, degree))
 
 
@@ -580,7 +580,7 @@ def test_node_count_converged_on_zalcman_domains(dom, degree):
 @given(st.floats(0.05, 0.9), st.integers(0, 8))
 def test_node_count_converged_on_the_annulus(r0, degree):
     # poles of order up to ``degree`` at the center of both circles
-    dom = CircleDomain.build(inner_radius=r0)
+    dom = CircleDomain.build([(0j, r0)])
     assert_converged(domain_circles(dom), bergman.default_basis(dom, degree))
 
 
