@@ -147,23 +147,17 @@ class IntervalUnion:
 
     @classmethod
     def build(cls, intervals: Sequence[tuple[float, float]], points: Sequence[float] = ()) -> "IntervalUnion":
-        ivs = [(float(lo), float(hi)) for lo, hi in intervals]
-        for lo, hi in ivs:
-            if lo < 0 or hi < lo:
-                raise ValueError(f"bad interval [{lo}, {hi}]")
-        pts = [float(p) for p in points]
-        if any(p < 0 for p in pts):
+        ivs = np.array(list(intervals), dtype=float).reshape(-1, 2)
+        bad = ivs[(ivs[:, 0] < 0) | (ivs[:, 1] < ivs[:, 0])]
+        if bad.size:
+            raise ValueError(f"bad interval {bad[0].tolist()}")
+        pts = np.array(sorted({float(p) for p in points}), dtype=float)
+        if np.any(pts < 0):
             raise ValueError("negative isolated point")
-        ivs.sort()
-        merged: list[list[float]] = []
-        for lo, hi in ivs:
-            if merged and lo <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        arr = np.asarray(merged, dtype=float).reshape(-1, 2)
-        keep = [p for p in pts if not _inside_any(p, arr)]
-        return cls(intervals=arr, points=np.asarray(sorted(set(keep)), dtype=float))
+        ivs = _components(*_merge(ivs[:, 0], ivs[:, 1]))
+        # a point lies in the last interval starting at or below it, or in none
+        held = pts <= np.append(-math.inf, ivs[:, 1])[np.searchsorted(ivs[:, 0], pts, side="right")]
+        return cls(intervals=ivs, points=pts[~held])
 
     def contains(self, x: float, tol: float = 0.0) -> bool:
         if self.intervals.size and bool(
@@ -213,8 +207,22 @@ class IntervalUnion:
         return min(cands) if cands else None
 
 
-def _inside_any(p: float, arr: np.ndarray) -> bool:
-    return bool(arr.size and np.any((arr[:, 0] <= p) & (p <= arr[:, 1])))
+def _merge(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge the closed intervals [lo, hi] of each row (the last axis):
+    (lo sorted, the running max of hi in that order, the component starts).
+    A component starts at the first entry and wherever lo exceeds the
+    running max before it; its top is the running max at its last entry."""
+    order = np.argsort(lo, axis=-1, kind="stable")
+    lo = np.take_along_axis(lo, order, -1)
+    top = np.maximum.accumulate(np.take_along_axis(hi, order, -1), axis=-1)
+    start = np.ones(lo.shape, dtype=bool)
+    start[..., 1:] = lo[..., 1:] > top[..., :-1]
+    return lo, top, start
+
+
+def _components(lo: np.ndarray, top: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """One merged row's (m, 2) intervals: component starts and their tops."""
+    return np.column_stack([lo[start], top[np.roll(start, -1)]])
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +271,18 @@ class CircleDomain:
         d = np.hypot(diff.real, diff.imag)
         return d, np.abs(d - self.circle_radii), d + self.circle_radii
 
-    def _gaps(self, a: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``_reach`` from a boundary point a (else NotBoundaryPointError), with
-        nearest distances up to BOUNDARY_TOL (|a| + |c| + rho), the rounding
-        noise of a sitting on the circle, set to 0."""
+    def _gaps(self, a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_reach`` from a boundary point a, or from a column of them, one
+        row each (else NotBoundaryPointError), with nearest distances up to
+        BOUNDARY_TOL (|a| + |c| + rho), the rounding noise of a sitting on the
+        circle, set to 0."""
         d, near, far = self._reach(a)
-        if not min(near.min(), abs(a) if self.include_origin else math.inf) <= BOUNDARY_TOL:
-            raise NotBoundaryPointError(f"point {a} is off the boundary")
+        abs_a = np.hypot(a.real, a.imag)
+        off = ~((near.min(-1, keepdims=True) <= BOUNDARY_TOL) | (self.include_origin & (abs_a <= BOUNDARY_TOL)))
+        if off.any():
+            raise NotBoundaryPointError(f"point {np.ravel(a)[np.ravel(off)][0]} is off the boundary")
         c = self.circle_centers
-        on = near <= BOUNDARY_TOL * (abs(a) + np.hypot(c.real, c.imag) + self.circle_radii)
+        on = near <= BOUNDARY_TOL * (abs_a + np.hypot(c.real, c.imag) + self.circle_radii)
         return d, np.where(on, 0.0, near), far
 
     # --- geometry queries ---------------------------------------------------
@@ -290,15 +301,26 @@ class CircleDomain:
     def is_boundary(self, z: complex) -> bool:
         return self.nearest_boundary_point(z)[1] <= BOUNDARY_TOL
 
-    def distance_spectrum(self, a: complex) -> IntervalUnion:
-        """Exact set of distances {|z - a| : z on the boundary}.
-
-        Every circle (center c, radius rho) contributes the closed interval
-        [| |a-c| - rho |, |a-c| + rho]; the isolated origin contributes {|a|}.
-        Requires a on the boundary.
-        """
+    def distance_spectra(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``_merge`` of the distance spectra of boundary points a, a row each,
+        and point: each circle gives [| |a-c| - rho |, |a-c| + rho] and the
+        isolated origin [|a|, |a|], last, which is a component of its own where
+        no circle's interval holds |a|; point is |a| there, else NaN.  Raises
+        NotBoundaryPointError for any a off the boundary."""
+        a = np.asarray(a, dtype=complex)[:, None]
         _, gap, far = self._gaps(a)
-        return IntervalUnion.build(zip(gap.tolist(), far.tolist()), [abs(a)] if self.include_origin else [])
+        p = np.hypot(a.real, a.imag)
+        held = (not self.include_origin) | np.any((gap <= p) & (p <= far), axis=1)
+        if self.include_origin:
+            gap, far = np.hstack([gap, p]), np.hstack([far, p])
+        return *_merge(gap, far), np.where(held, math.nan, p[:, 0])
+
+    def distance_spectrum(self, a: complex) -> IntervalUnion:
+        """Exact set of distances {|z - a| : z on the boundary}, the one-row
+        case of ``distance_spectra``.  Requires a on the boundary."""
+        lo, top, start, point = self.distance_spectra([a])
+        ivs = _components(lo[0], top[0], start[0])
+        return IntervalUnion(ivs[ivs[:, 0] != point], point[~np.isnan(point)])
 
     def nearest_boundary_point(self, z: complex) -> tuple[complex, float, Optional[int]]:
         """(point, distance, circle index) of the closest boundary point; the

@@ -116,21 +116,21 @@ def best_constant_profile(domain: CircleDomain, h: ScaleFunction) -> tuple[float
     """
     a_samples = default_boundary_samples(domain)
     r_min, r0 = _profile_range(domain, h)
-    radii, sups = [], []
-    for a in a_samples.tolist():
-        spec = domain.distance_spectrum(a)
-        starts = np.concatenate([spec.intervals[:, 0], spec.points])
-        starts = np.sort(starts[(starts > r_min) & (starts <= r0)])
-        r = np.append(np.nextafter(starts, 0.0), r0)
-        radii.append(r)
-        sups.append(spec.sup_at_most(r))
-    counts = [r.size for r in radii]
-    r = np.concatenate(radii)
+    lo, top, start, _ = domain.distance_spectra(a_samples)
+    n = lo.shape[0]
+    # before[:, k], the largest top of the first k sorted intervals, is the sup
+    # just below a start at k; one more column per sample holds its r0 row
+    before = np.column_stack([np.zeros(n), top])
+    last = np.count_nonzero(lo <= r0, axis=1)
+    sup = np.column_stack([before[:, :-1], np.minimum(before[np.arange(n), last], r0)])
+    r = np.column_stack([np.nextafter(lo, 0.0), np.full(n, r0)])
+    rows = np.column_stack([start & (lo > r_min) & (lo <= r0), np.ones(n, dtype=bool)])
+    counts, r = np.count_nonzero(rows, axis=1), r[rows]
     table = {
         "a_re": np.repeat(a_samples.real, counts),
         "a_im": np.repeat(a_samples.imag, counts),
         "r": r,
-        "c_star": np.concatenate(sups) / np.array(h.values(r.tolist())),
+        "c_star": sup[rows] / np.array(h.values(r.tolist())),
     }
     # NaN-skipping, like a running min(); inf for an empty table
     return float(np.fmin.reduce(table["c_star"], initial=math.inf)), table

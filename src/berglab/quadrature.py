@@ -400,7 +400,10 @@ def boundary_gram(
             U = np.add(c - centers, offsets[:, None], out=U_work[: 2 * N])
             T, P = _pole_powers(U, coeffs, basis.ranks, T_work[: 2 * N], P_work[: 2 * N])
             P[:, higher] = np.conj(P[:, higher]) / higher_div
-            P[:, simple] = simple_coeffs * (2.0 * np.log(np.abs(U[:, simple])))
+            # conj(a) 2 log|U| by parts, as a complex product casts the logs
+            L = 2.0 * np.log(np.abs(U[:, simple]))
+            P.imag[:, simple] = L * simple_coeffs.imag
+            P.real[:, simple] = np.multiply(L, simple_coeffs.real, out=L)
             F[:, lone_fns] += T[:, lone_poles]
             Phi[:, lone_fns] += P[:, lone_poles]
             if shared.size:

@@ -48,11 +48,11 @@ def test_traced_annulus_round_reports_its_layers(tmp_path):
     assert trace["perfectness.condition_C_probe.calls"] == 15
     # the probes read proven disk-union bounds: perfect runs no Fekete search
     assert trace.get("capacity.nth_diameter.calls", 0) == 0
-    # one spectrum per boundary sample and per classification, and one
-    # interval query on each (sup_at_most): no other boundary query builds
-    # or reads an IntervalUnion
-    assert trace["domains.distance_spectrum.calls"] == 156
-    assert trace["domains.interval_query.calls"] == 156
+    # the c* profiles read every sample's spectrum from one array pass, so
+    # only each classification's origin read builds an IntervalUnion, and
+    # queries it once (sup_at_most): no other boundary query builds or reads one
+    assert trace["domains.distance_spectrum.calls"] == 2
+    assert trace["domains.interval_query.calls"] == 2
 
 
 def test_traced_capacity_round_reports_its_layers(tmp_path):

@@ -3,11 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from berglab import perfectness
 from berglab.domains import (
+    BOUNDARY_TOL,
     CircleDomain,
     ScaleFunction,
     _assemble_cantor,
@@ -279,6 +280,53 @@ def test_rows_sit_one_ulp_below_each_start(case):
         # each row is within 1e-12 above the left limit p / h(t) of c* at t
         left = spec.sup_at_most(r[:-1]) / np.array([h.value(x) for x in t.tolist()])
         assert np.all(c_star[:-1] >= left) and np.all(c_star[:-1] <= left * (1.0 + 1e-12))
+
+
+def brute_force_profile(dom, h):
+    """The c* table from one pure-Python spectrum per sample: each circle's
+    interval from Python complex arithmetic, a tuple sort and a list merge,
+    the isolated origin dropped where a merged interval holds it, then a
+    row one ulp below each start in (r_min, r0] and one at r0."""
+    r_min, r0 = perfectness._profile_range(dom, h)
+    table = {"a_re": [], "a_im": [], "r": [], "c_star": []}
+    for a in default_boundary_samples(dom).tolist():
+        intervals = []
+        for c, rho in zip(dom.circle_centers.tolist(), dom.circle_radii.tolist()):
+            d = abs(a - c)
+            lo = abs(d - rho)
+            intervals.append((0.0 if lo <= BOUNDARY_TOL * (abs(a) + abs(c) + rho) else lo, d + rho))
+        merged = []
+        for lo, hi in sorted(intervals):
+            if merged and lo <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], hi)
+            else:
+                merged.append([lo, hi])
+        points = [abs(a)] if dom.include_origin else []
+        points = [p for p in points if not any(lo <= p <= hi for lo, hi in merged)]
+        starts = sorted(t for t in [lo for lo, _ in merged] + points if r_min < t <= r0)
+        for r in [math.nextafter(t, 0.0) for t in starts] + [r0]:
+            sup = max([min(hi, r) for lo, hi in merged if lo <= r] + [p for p in points if p <= r] + [0.0])
+            for key, value in zip(table, (a.real, a.imag, r, sup / h.value(r))):
+                table[key].append(value)
+    return table
+
+
+# touching intervals from the sample 0: [0, 0.5] and [0.5, 0.75] must merge
+@example(case=(CircleDomain.build([(-0.25 + 0j, 0.25), (0.625 + 0j, 0.125)]), ScaleFunction.h1(1.5)))
+# the samples on the hole's circle at |a| <= 0.4 hold the origin in [0, 0.4]
+@example(case=(CircleDomain.build([(0.3 + 0j, 0.2)], include_origin=True), ScaleFunction.h1(1.5)))
+# from the small hole's circle the origin lies alone in a gap, inside (r_min, r0]
+@example(case=(CircleDomain.build([(0.3 + 0j, 0.2), (-0.15 + 0j, 0.02)], include_origin=True), ScaleFunction.h1(1.5)))
+# no origin, holes off the real axis
+@example(case=(CircleDomain.build([(0.25 + 0.25j, 0.1), (-0.4 + 0j, 0.05)]), ScaleFunction.h2(1.0)))
+@settings(max_examples=60, deadline=None)
+@given(case=profile_domains())
+def test_profile_matches_a_brute_force_spectrum_per_sample(case):
+    dom, h = case
+    _, table = best_constant_profile(dom, h)
+    want = brute_force_profile(dom, h)
+    for key in ("a_re", "a_im", "r", "c_star"):
+        assert table[key].tobytes() == np.array(want[key], dtype=float).tobytes(), key
 
 
 @pytest.mark.parametrize("h, x1, K", [(ScaleFunction.h1(1.5), 1e-2, 7), (ScaleFunction.h2(1.0), 1e-3, 40)])
