@@ -138,7 +138,7 @@ class CapacityEstimate:
 
     value: float
     n: int
-    diagnostics: tuple = ()
+    diagnostics: tuple
 
     def to_json_dict(self) -> dict:
         return {
@@ -283,9 +283,9 @@ class EquilibriumSolution:
     energy: float  # corrected estimate of I(mu)
     capacity: float  # exp(energy)
     kkt_residual: float  # stationarity of the regularized objective
-    raw_energy: float = 0.0
-    iterations: int = 0  # linear solves
-    raw_potential_spread: float = 0.0
+    raw_energy: float
+    iterations: int  # linear solves
+    raw_potential_spread: float
 
 
 def _check_concave(A: np.ndarray) -> None:

@@ -463,7 +463,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": "ConfigInvalid", "message": str(exc)}), file=sys.stderr)
         return 2
-    if args.seed is not None:
+    if args.seed is not None and isinstance(cfg, dict):  # run() reports any other config
         cfg["seed"] = args.seed
     try:
         manifest = run(cfg, args.out, args.tolerance_profile)

@@ -243,7 +243,7 @@ class CircleDomain:
 
     centers: np.ndarray  # complex hole centers
     radii: np.ndarray  # hole radii
-    include_origin: bool = False
+    include_origin: bool
 
     @classmethod
     def build(cls, disks: Sequence[tuple[complex, float]] = (), include_origin: bool = False) -> "CircleDomain":

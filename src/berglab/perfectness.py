@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,6 +43,8 @@ CANTOR_RADII_PER_DECADE = 8
 #: largest complement disks per condition-C probe (h1 and h2 Zalcman
 #: probes read the same bound to 1e-6 from all of them)
 PROBE_DISKS = 12
+#: chain point pairs per certificate pass: bounds the pass's memory
+CHAIN_PAIR_BUDGET = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -282,58 +284,6 @@ class PommerenkeCertificate:
         return int(self.s.size)
 
 
-@dataclass(frozen=True)
-class _ChainPoint:
-    """Boundary point carried exactly: circle index (None for the origin)
-    plus, on circles, a landing angle and the per-level rotation increments
-    applied since.
-
-    Deep chain scales shrink below both the Cartesian resolution of the
-    anchors and the additive resolution of any accumulated angle, so
-    same-circle distances must be formed by differencing the per-level
-    increments (identical floats cancel exactly along shared lineage) and
-    only then summing, deepest first."""
-
-    circle: Optional[int]  # index into domain.circle_centers / circle_radii
-    angle_base: float  # angle where this lineage landed on the circle
-    steps: tuple  # per-level rotation increments since the chain start
-    z: complex  # materialized position (display only at deep scales)
-
-
-def _chain_distance(p: _ChainPoint, q: _ChainPoint, domain: CircleDomain) -> float:
-    if p.circle is not None and p.circle == q.circle:
-        rho = float(domain.circle_radii[p.circle])
-        if p.angle_base == q.angle_base:
-            diffs = [a - b for a, b in zip(p.steps, q.steps)]
-            dang = 0.0
-            for t in reversed(diffs):  # deepest (smallest) first
-                dang += t
-        else:
-            dang = (p.angle_base - q.angle_base) + (
-                math.fsum(p.steps) - math.fsum(q.steps)
-            )
-        return 2.0 * rho * abs(math.sin(0.5 * dang))
-    return abs(p.z - q.z)
-
-
-def _chain_image(domain: CircleDomain, p: _ChainPoint, lo: float, hi: float) -> _ChainPoint:
-    """Boundary point nearest to p within [lo, hi]; exact on p's own circle,
-    where it is p rotated by one more recorded step."""
-    z, d, i = domain.witness_at_distance(p.z, lo, hi, on_circle=p.circle)
-    level = len(p.steps)
-    if i is None:
-        return _ChainPoint(None, 0.0, (0.0,) * (level + 1), z)
-    c0, rho = complex(domain.circle_centers[i]), float(domain.circle_radii[i])
-    if i == p.circle:
-        dtheta = 2.0 * math.asin(min(1.0, d / (2.0 * rho)))  # positive rotation
-        steps = p.steps + (dtheta,)
-        ang = p.angle_base + math.fsum(steps)
-        return _ChainPoint(
-            i, p.angle_base, steps, c0 + rho * complex(math.cos(ang), math.sin(ang))
-        )
-    return _ChainPoint(i, math.atan2((z - c0).imag, (z - c0).real), (0.0,) * (level + 1), z)
-
-
 def pommerenke_construct(
     domain: CircleDomain,
     a: complex,
@@ -354,15 +304,21 @@ def pommerenke_construct(
     this constant at that scale, ScaleUnderflowError when a scale underflows
     to 0, and PreconditionViolatedError when the scales do not at least
     halve per level.
+
+    Each point is carried as (circle index, -1 for the origin; landing
+    angle; per-level rotations since the start; position).  Deep scales fall
+    below the resolution of positions and of summed angles, so two points of
+    one lineage (same circle and landing angle) are compared through their
+    rotations' differences, exact where the lineage is shared, deepest first.
     """
     if not domain.is_boundary(a):
         raise NotBoundaryPointError(f"{a} is not a boundary point")
     _, _, i = domain.nearest_boundary_point(a)
     if i is None:
-        start = _ChainPoint(None, 0.0, (), 0j)
+        points = [(-1, 0.0, (), 0j)]
     else:
         c0 = complex(domain.circle_centers[i])
-        start = _ChainPoint(i, math.atan2((a - c0).imag, (a - c0).real), (), a)
+        points = [(i, math.atan2((a - c0).imag, (a - c0).real), (), a)]
     s = np.empty(k + 1)
     s[0] = s1
     for l in range(1, k + 1):
@@ -371,33 +327,53 @@ def pommerenke_construct(
             raise ScaleUnderflowError(f"s_{l} underflows to {s[l]:g}: the chain is too deep for doubles")
         if not s[l] <= 0.5 * s[l - 1]:
             raise PreconditionViolatedError(f"scales must at least halve per level: s_{l} = {s[l]:g}")
-    # each point stays (word digit 0, one more zero step) or moves (digit 1)
-    points = [start]
+    # each point stays (word digit 0, one more zero rotation) or moves (digit 1)
     for l in range(k):
         lo, hi = 5.0 * s[l + 1], s[l]
         new_points = []
-        for p in points:
+        for circle, base, steps, z in points:
             try:
-                img = _chain_image(domain, p, lo, hi)
+                w, d, i = domain.witness_at_distance(z, lo, hi, on_circle=None if circle < 0 else circle)
             except ValueError as exc:
-                raise AnnulusEmptyError(l, p.z, lo, hi) from exc
-            new_points += [_ChainPoint(p.circle, p.angle_base, p.steps + (0.0,), p.z), img]
+                raise AnnulusEmptyError(l, z, lo, hi) from exc
+            new_points.append((circle, base, steps + (0.0,), z))
+            if i is None:
+                new_points.append((-1, 0.0, (0.0,) * (l + 1), w))
+            elif i == circle:
+                rho = float(domain.circle_radii[i])
+                turned = steps + (2.0 * math.asin(min(1.0, d / (2.0 * rho))),)  # positive rotation
+                ang = base + math.fsum(turned)
+                w = complex(domain.circle_centers[i]) + rho * complex(math.cos(ang), math.sin(ang))
+                new_points.append((i, base, turned, w))
+            else:
+                w0 = w - complex(domain.circle_centers[i])
+                new_points.append((i, math.atan2(w0.imag, w0.real), (0.0,) * (l + 1), w))
         points = new_points
 
-    m = len(points)
-    pairwise_ok = distinct = True
-    for i in range(m):
-        for j in range(i + 1, m):
-            dij = _chain_distance(points[i], points[j], domain)
-            if dij <= 0.0:
-                distinct = False
-            # words first differ at level prefix, whose window floor is
-            # 5 s[prefix+1]; later drift eats at most 4 s[prefix+1]
-            prefix = k - (i ^ j).bit_length()
-            if dij < s[prefix + 1]:
-                pairwise_ok = False
-    pairwise_ok = pairwise_ok and distinct
-    pts = np.asarray([p.z for p in points], dtype=complex)
+    circle, base, steps, pts = zip(*points)
+    m, circle, base, pts = len(points), np.array(circle), np.array(base), np.array(pts, dtype=complex)
+    total, steps = np.array([math.fsum(t) for t in steps]), np.array(steps).reshape(m, k)
+    rho, rows = domain.circle_radii[circle], max(1, CHAIN_PAIR_BUDGET // m)
+    touch = close = False  # some pair at distance <= 0, some below its floor
+    for r0 in range(0, m - 1, rows):  # the pairs i < j with i in [r0, r0 + rows)
+        I, J = slice(r0, r0 + rows), slice(r0 + 1, m)
+        i, j = np.arange(m)[I, None], np.arange(m)[J]
+        dz = pts[I, None] - pts[J]
+        dist = np.hypot(dz.real, dz.imag)
+        dang = np.zeros(dist.shape)
+        for t in reversed(range(k)):  # deepest (smallest) first
+            dang += steps[I, t, None] - steps[J, t]
+        dang = np.where(base[I, None] == base[J], dang, (base[I, None] - base[J]) + (total[I, None] - total[J]))
+        same = (circle[I, None] == circle[J]) & (circle[I, None] >= 0)
+        dist = np.where(same, 2.0 * rho[I, None] * np.abs(np.sin(0.5 * dang)), dist)
+        dist[i >= j] = math.inf
+        # words first differ at level prefix, whose window floor is
+        # 5 s[prefix+1]; later drift eats at most 4 s[prefix+1]
+        prefix = k - np.frexp(np.maximum(i ^ j, 1))[1]
+        touch |= (dist <= 0.0).any()
+        close |= (dist < s[prefix + 1]).any()
+    distinct = not touch
+    pairwise_ok = distinct and not close
     within = bool(np.all(np.abs(pts - a) <= 2.0 * s[0]))
     log_s = np.log(s[1 : k + 1])  # log s_1 .. log s_k (derived scales)
     product_bound = float(sum(2.0 ** (k - l - 1) * log_s[l] for l in range(k)))

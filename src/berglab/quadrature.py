@@ -291,9 +291,9 @@ class QuadratureInfo:
     2N-point rule and the Hermitian defect of the unsymmetrised result, both
     relative to sqrt(G_ii G_jj)."""
 
-    nodes: list = field(default_factory=list)
-    doubling_change: float = 0.0
-    hermitian_defect: float = 0.0
+    nodes: list
+    doubling_change: float
+    hermitian_defect: float
     #: the boundary rule has no refinement levels; the mapping stays empty
     #: because perfbench/tracer.py sums it
     levels: dict = field(default_factory=dict)

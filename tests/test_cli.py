@@ -181,6 +181,18 @@ def test_kernel_runs_where_no_collar_partition_exists(tmp_path):
         assert k_low >= witness
 
 
+@pytest.mark.parametrize("cfg", [[1, 2], "perfect"], ids=["list", "string"])
+def test_seed_override_on_a_non_object_config_is_a_config_error(tmp_path, capsys, cfg):
+    # --seed was written into the config before the schema check, so a list
+    # or a string exited 1 with a TypeError traceback; without --seed it exits 2
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o"), "--seed", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigInvalid" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_pommerenke_pipeline(tmp_path):
     cfg = {
         "pipeline": "pommerenke",

@@ -2,7 +2,8 @@
 somewhere else in the package or under ``perfbench/``, no call in it
 imports ``numpy.ma`` as a side effect, no pipeline path imports
 ``numpy.polynomial``, no invariant in it is an ``assert``, and no dataclass
-field in it defaults to a None that its annotation does not admit.
+field in it defaults to a None that its annotation does not admit or to a
+value that every caller overrides.
 
 A definition that only the tests call is not library code: a multi-step
 check of the paper's claims belongs in ``tests/claim_checks.py``, and a
@@ -182,4 +183,56 @@ def none_placeholder_fields(package: Path) -> list[str]:
 def test_no_dataclass_field_defaults_to_an_untyped_none():
     assert none_placeholder_fields(PACKAGE) == [], (
         "annotate the field Optional[...] or drop the placeholder default"
+    )
+
+
+def calls_of(name: str, trees: list[ast.Module], own: ast.ClassDef) -> list[ast.Call]:
+    """Every call of the class ``name``, as ``name(...)``, ``module.name(...)``
+    or ``cls(...)`` inside a method of ``own``, the class itself."""
+    found = [
+        node
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (isinstance(node.func, ast.Name) and node.func.id == name
+             or isinstance(node.func, ast.Attribute) and node.func.attr == name)
+    ]
+    for method in own.body:
+        if isinstance(method, ast.FunctionDef):
+            found += [
+                node for node in ast.walk(method)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "cls"
+            ]
+    return found
+
+
+def overridden_defaults(package: Path, callers: list[Path]) -> list[str]:
+    """``file class.field`` of each defaulted field that the body of a
+    ``package`` dataclass declares and that every call of the class under
+    ``callers`` passes, by keyword or by position: a placeholder no caller
+    relies on, which lets a half-built object through where a missing
+    argument should be a TypeError.  A class nobody calls is left out, and
+    positions count only in a keyword-capable class without base classes."""
+    trees = [ast.parse(path.read_text()) for root in callers for path in sorted(root.rglob("*.py"))]
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.ClassDef) and is_dataclass(node)):
+                continue
+            positional = not node.bases and "kw_only=True" not in "".join(map(ast.unparse, node.decorator_list))
+            calls = calls_of(node.name, trees, node)
+            fields = [stmt for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
+            for position, stmt in enumerate(fields):
+                field = stmt.target.id
+                if stmt.value is not None and calls and all(
+                    any(kw.arg == field for kw in call.keywords) or positional and position < len(call.args)
+                    for call in calls
+                ):
+                    found.append(f"{path.name} {node.name}.{field}")
+    return found
+
+
+def test_no_dataclass_default_that_every_call_overrides():
+    assert overridden_defaults(PACKAGE, [PACKAGE, ROOT / "tests", ROOT / "perfbench"]) == [], (
+        "every caller passes these fields: drop the default so that a missing one is a TypeError"
     )

@@ -62,3 +62,6 @@ def test_traced_capacity_round_reports_its_layers(tmp_path):
     assert trace["capacity.equilibrium_measure.calls"] == 18
     assert trace["capacity.equilibrium_measure.iterations"] == 18
     assert trace["quadrature.rational_eval.calls"] == 21
+    # one chain certificate per round, and its capacity comparison's one probe
+    assert trace["perfectness.pommerenke_construct.calls"] == 1
+    assert trace["perfectness.condition_C_probe.calls"] == 1

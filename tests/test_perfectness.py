@@ -1,5 +1,7 @@
 import math
 import warnings
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -15,7 +17,14 @@ from berglab.domains import (
     build_cantor,
     build_zalcman,
 )
-from berglab.errors import AnnulusEmptyError, NonDisjointError, NotBoundaryPointError, ScaleUnderflowError
+from berglab.errors import (
+    AnnulusEmptyError,
+    BerglabError,
+    NonDisjointError,
+    NotBoundaryPointError,
+    PreconditionViolatedError,
+    ScaleUnderflowError,
+)
 from berglab.perfectness import (
     best_constant_profile,
     cantor_U_check,
@@ -487,6 +496,128 @@ def test_chain_scale_underflow_is_an_error():
         warnings.simplefilter("error")
         with pytest.raises(ScaleUnderflowError, match="s_6 underflows"):
             pommerenke_construct(dom, 6.731703824145064e-35 + 0j, c=1.0, k=6, s1=2.243901274715021e-35, h=h)
+
+
+@dataclass(frozen=True)
+class FormerChainPoint:
+    circle: Optional[int]  # None for the origin
+    angle_base: float
+    steps: tuple
+    z: complex
+
+
+def former_chain_distance(p, q, domain):
+    if p.circle is not None and p.circle == q.circle:
+        rho = float(domain.circle_radii[p.circle])
+        if p.angle_base == q.angle_base:
+            diffs = [a - b for a, b in zip(p.steps, q.steps)]
+            dang = 0.0
+            for t in reversed(diffs):
+                dang += t
+        else:
+            dang = (p.angle_base - q.angle_base) + (math.fsum(p.steps) - math.fsum(q.steps))
+        return 2.0 * rho * abs(math.sin(0.5 * dang))
+    return abs(p.z - q.z)
+
+
+def former_chain_image(domain, p, lo, hi):
+    z, d, i = domain.witness_at_distance(p.z, lo, hi, on_circle=p.circle)
+    level = len(p.steps)
+    if i is None:
+        return FormerChainPoint(None, 0.0, (0.0,) * (level + 1), z)
+    c0, rho = complex(domain.circle_centers[i]), float(domain.circle_radii[i])
+    if i == p.circle:
+        steps = p.steps + (2.0 * math.asin(min(1.0, d / (2.0 * rho))),)
+        ang = p.angle_base + math.fsum(steps)
+        return FormerChainPoint(i, p.angle_base, steps, c0 + rho * complex(math.cos(ang), math.sin(ang)))
+    return FormerChainPoint(i, math.atan2((z - c0).imag, (z - c0).real), (0.0,) * (level + 1), z)
+
+
+def former_chain(domain, a, c, k, s1, h):
+    """(points, pairwise_ok, distinct, within_seed_ball, s) of the former
+    construction: per-point objects and a per-pair loop."""
+    if not domain.is_boundary(a):
+        raise NotBoundaryPointError(a)
+    _, _, i = domain.nearest_boundary_point(a)
+    if i is None:
+        points = [FormerChainPoint(None, 0.0, (), 0j)]
+    else:
+        c0 = complex(domain.circle_centers[i])
+        points = [FormerChainPoint(i, math.atan2((a - c0).imag, (a - c0).real), (), a)]
+    s = np.empty(k + 1)
+    s[0] = s1
+    for l in range(1, k + 1):
+        s[l] = (c / 5.0) * h.value(s[l - 1])
+        if not s[l] > 0.0:
+            raise ScaleUnderflowError(l)
+        if not s[l] <= 0.5 * s[l - 1]:
+            raise PreconditionViolatedError(l)
+    for l in range(k):
+        lo, hi = 5.0 * s[l + 1], s[l]
+        new_points = []
+        for p in points:
+            try:
+                img = former_chain_image(domain, p, lo, hi)
+            except ValueError as exc:
+                raise AnnulusEmptyError(l, p.z, lo, hi) from exc
+            new_points += [FormerChainPoint(p.circle, p.angle_base, p.steps + (0.0,), p.z), img]
+        points = new_points
+    pairwise_ok = distinct = True
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            dij = former_chain_distance(points[i], points[j], domain)
+            if dij <= 0.0:
+                distinct = False
+            if dij < s[k - (i ^ j).bit_length() + 1]:
+                pairwise_ok = False
+    pts = np.asarray([p.z for p in points], dtype=complex)
+    return pts, pairwise_ok and distinct, distinct, bool(np.all(np.abs(pts - a) <= 2.0 * s[0])), s[1:]
+
+
+@st.composite
+def chain_cases(draw):
+    """(domain, h, a, c, k, s1): an h1 or h2 Zalcman domain, a start at the
+    origin, on a hole's rim (its outermost point x_i + r_i included) or on
+    the unit circle, and a seed scale at most x1."""
+    if draw(st.booleans()):
+        h = ScaleFunction.h1(draw(st.floats(1.2, 3.0)))
+    else:
+        h = ScaleFunction.h2(draw(st.floats(0.3, 2.0)))
+    try:
+        dom = build_zalcman(h, draw(st.floats(1e-4, 0.05)), draw(st.integers(2, 12)))
+    except (NonDisjointError, ScaleUnderflowError):
+        assume(False)
+    i = draw(st.integers(-1, dom.circle_radii.size - 1))  # -1: the origin
+    a = 0j
+    if i >= 0:
+        theta = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0 * math.pi)))
+        a = complex(dom.circle_centers[i] + dom.circle_radii[i] * np.exp(1j * theta))
+    s1 = dom.x1 * 10.0 ** draw(st.floats(-4.0, 0.0))
+    return dom, h, a, draw(st.sampled_from([0.5, 1.0])), draw(st.integers(1, 7)), s1
+
+
+H1_K10 = build_zalcman(ScaleFunction.h1(1.5), 1e-2, K=10)
+H2_K40 = build_zalcman(ScaleFunction.h2(1.0), 1e-3, K=40)
+
+
+@settings(max_examples=60, deadline=None)
+@example(case=(H1_K10, H1_K10.h, complex(H1_K10.xs[2] + H1_K10.rs[2]), 1.0, 6, 1e-3))
+@example(case=(H2_K40, H2_K40.h, 0j, 0.5, 7, 1e-4))
+@given(case=chain_cases())
+def test_chain_matches_the_former_per_pair_loop(case):
+    dom, h, a, c, k, s1 = case
+    try:
+        want = former_chain(dom, a, c, k, s1, h)
+    except BerglabError as exc:
+        with pytest.raises(type(exc)) as got:
+            pommerenke_construct(dom, a, c, k, s1, h)
+        if isinstance(exc, AnnulusEmptyError):
+            assert (got.value.level, got.value.center) == (exc.level, exc.center)
+        return
+    cert = pommerenke_construct(dom, a, c, k, s1, h)
+    assert cert.points.tobytes() == want[0].tobytes()
+    assert (cert.pairwise_ok, cert.distinct, cert.within_seed_ball) == want[1:4]
+    assert cert.s.tobytes() == want[4].tobytes()
 
 
 # ---------------------------------------------------------------------------
