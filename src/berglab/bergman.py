@@ -1,6 +1,6 @@
 """Reproducing-kernel machinery on disk-chain domains.
 
-Three bound routes with different strength/cost trade-offs:
+Four bound routes with different strength/cost trade-offs:
 
 * ``witness_kernel_bound``: one explicit pole, fully analytic denominator
   bound; certified for the untruncated domain, no quadrature at all.
@@ -11,6 +11,9 @@ Three bound routes with different strength/cost trade-offs:
 * ``equilibrium_witness_bound``: the two-cluster construction with
   equilibrium-measure Cauchy transforms; sharper where the hole cascade is
   slowly varying.
+* ``witness_metric_bound``: the best combination of the poles at holes
+  k - 1, k, k + 1 that vanishes at the point, its norm read from a block of
+  the sweep's own Gram system.
 
 Metric quantities divide a constrained derivative extremum by the kernel
 and are estimates, not certified bounds: certifying the metric from below
@@ -28,11 +31,11 @@ import numpy as np
 from .capacity import equilibrium_measure
 from .domains import CircleDomain, ZalcmanDomain
 from .errors import (
-    BerglabError,
     BisectionFailureError,
     DegenerateConstraintError,
     NoSecondPointError,
     OutsideDomainError,
+    PreconditionViolatedError,
     RankCollapseError,
     ScaleNotRetainedError,
 )
@@ -284,84 +287,65 @@ def witness_kernel_bound(domain: ZalcmanDomain, x: float) -> dict:
     }
 
 
-def witness_metric_bound(domain: ZalcmanDomain, w: complex, variant: str = "two_pole") -> dict:
-    """|f'(w)| / ||f|| for the explicit zero-at-w pole combinations.
+def witness_metric_bound(gs: GramSystem, w) -> float | np.ndarray:
+    """|f'(w)| / ||f|| for the best f with f(w) = 0 in the span of
+    g_j = 1/(z - x_j) over J, the retained holes among k - 1, k, k + 1 for
+    the band k of |w|: at a point w, or at every point of an array w in one
+    pass, shaped as in ``subspace_kernel``.
 
-    The norm is integrated over the superset truncation, which contains the
-    untruncated domain, so the ratio lower-bounds the derivative extremum
-    b(w) * sqrt(K(w)) there.
+    J holds the two-pole witness g_k - lambda g_{k+1} and the three-pole
+    one, so the ratio is at least either.  The zero is imposed through the
+    null-space basis h_i = g_i - (g_i(w) / g_a(w)) g_a, a the deepest hole
+    of J: with M = T^H G_J T = L L^H and d_i = h_i'(w), the ratio is
+    ||L^{-1} conj(d)||.  Each g_j is the basis's order-1 pole at x_j, so
+    G_J is a block of ``gs.G`` and no quadrature runs; on the superset
+    truncation the ratio lower-bounds the derivative extremum
+    b(w) sqrt(K(w)), up to the boundary rule's error.  A band whose J holds
+    one hole (K = 1) gets NaN.
     """
-    f, out = _metric_witness(domain, w, variant)
-    norm2 = norm_sq(domain_circles(domain), f)
-    return {**out, "norm_sq": norm2, "ratio": out["fprime"] / math.sqrt(norm2)}
+    dom = gs.domain
+    z = _points(gs, w)
+    r = np.abs(z)
+    k = band_index(dom, r)
+    a = np.minimum(k + 1, dom.K)[:, None]
+    others = k[:, None] + np.array([-1, 0])
+    valid = (others >= 1) & (others < a)
+    # a column outside J repeats hole a, so its h_i is 0 exactly
+    J = np.concatenate([np.where(valid, others, a), a], axis=1)
+    f = _unit_poles(gs, J)
+    x = dom.xs[J - 1]
+    dz = z[:, None] - x
+    # |w|^2 d_i = (x_a - x_i) / (w - x_a) * (|w| / (w - x_i))^2: one
+    # quotient at a time, so that nothing squares past double range
+    d = (x[:, 2:] - x[:, :2]) / dz[:, 2:] * (r[:, None] / dz[:, :2]) ** 2
+    T = np.zeros((z.size, 3, 2), dtype=complex)
+    T[:, [0, 1], [0, 1]] = 1.0
+    T[:, 2, :] = -dz[:, 2:] / dz[:, :2]
+    M = np.conj(T).transpose(0, 2, 1) @ gs.G[f[:, :, None], f[:, None, :]] @ T
+    M[:, [0, 1], [0, 1]] += ~valid
+    # y = L^{-1} conj(d), M = L L^H, by hand: LAPACK's first Cholesky and
+    # solve in a process add about 0.4 MB to its resident memory
+    l00 = np.sqrt(M[:, 0, 0].real)
+    l10 = M[:, 1, 0] / l00
+    y0 = np.conj(d[:, 0]) / l00
+    y1 = (np.conj(d[:, 1]) - l10 * y0) / np.sqrt(M[:, 1, 1].real - np.abs(l10) ** 2)
+    ratio = np.hypot(np.abs(y0), np.abs(y1)) / r / r
+    ratio[~valid.any(axis=1)] = math.nan
+    return _shaped(ratio, w)
 
 
-def witness_metric_ratios(domain: ZalcmanDomain, ws: np.ndarray, variant: str = "two_pole") -> np.ndarray:
-    """The ratio of ``witness_metric_bound`` at each point of ws, every norm
-    read from the diagonal of one boundary Gram of all the witnesses.
-
-    A point whose witness cannot be built (any BerglabError, such as a hole
-    that is not retained) gets NaN; an error of the Gram itself is raised.
-    """
-    ratio = np.full(len(ws), math.nan)
-    rows, fns, fprime = [], [], []
-    for i, w in enumerate(ws):
-        try:
-            f, out = _metric_witness(domain, complex(w), variant)
-        except BerglabError:
-            continue
-        rows.append(i)
-        fns.append(f)
-        fprime.append(out["fprime"])
-    if fns:
-        G, _ = boundary_gram(domain_circles(domain), fns)
-        ratio[rows] = np.array(fprime) / np.sqrt(G.diagonal().real)
-    return ratio
-
-
-def _metric_witness(domain: ZalcmanDomain, w: complex, variant: str) -> tuple[RationalFunction, dict]:
-    """The witness f of ``witness_metric_bound`` and its report without the
-    norm: no quadrature."""
-    k = band_index(domain, abs(w))
-    xs = domain.xs
-    xk, xk1 = complex(xs[k - 1]), complex(xs[k])
-    if variant == "two_pole":
-        if k + 1 > domain.K:
-            raise ScaleNotRetainedError("two-pole witness needs hole k+1 retained")
-        lam = (w - xk1) / (w - xk)
-        f = RationalFunction(
-            pole_centers=np.array([xk, xk1]),
-            pole_orders=np.array([1, 1]),
-            pole_coeffs=np.array([1.0, -lam]),
-        )
-        # one quotient at a time: the product of the distances underflows
-        # to 0 at deep scales
-        fprime = abs(xk - xk1) / abs(w - xk1) / abs(w - xk) / abs(w - xk)
-        extra = {"lambda": lam}
-    elif variant == "three_pole":
-        if k < 2 or k + 1 > domain.K:
-            raise ScaleNotRetainedError("three-pole witness needs holes k-1..k+1 retained")
-        xkm = complex(xs[k - 2])
-        a_k = (xkm - xk) * (w - xk1) / ((xkm - xk1) * (w - xk))
-        f = RationalFunction(
-            pole_centers=np.array([xk, xk1, xkm]),
-            pole_orders=np.array([1, 1, 1]),
-            pole_coeffs=np.array([1.0, -a_k, -(1.0 - a_k)]),
-        )
-        fprime = abs(f.eval_deriv(w))
-        extra = {"a_k": a_k, "a_k_abs": abs(a_k)}
-    else:
-        raise ValueError(f"unknown witness variant {variant!r}")
-    residual = abs(f.eval(w)) * abs(w - xk1)  # scale-free zero check
-    out = {
-        "w": complex(w),
-        "k": k,
-        "variant": variant,
-        "fprime": float(fprime),
-        "zero_residual": float(residual),
-    }
-    out.update(extra)
-    return f, out
+def _unit_poles(gs: GramSystem, holes: np.ndarray) -> np.ndarray:
+    """The basis index of g_j = 1/(z - x_j) for each hole j of ``holes``:
+    a function with one pole, of order 1 and coefficient 1, and no
+    polynomial part."""
+    b = gs.basis
+    single = np.bincount(b.owner, minlength=len(gs.fns))[b.owner] == 1
+    unit = single & (b.orders == 1) & (b.coeffs == 1.0) & ~b.poly[b.owner].any(axis=1)
+    match = b.centers[unit] == gs.domain.xs[holes - 1, None]
+    found = match.any(axis=-1)
+    if not found.all():
+        raise PreconditionViolatedError(f"the basis has no 1/(z - x_j) at hole j = {holes[~found][0]}")
+    return b.owner[unit][match.argmax(axis=-1)]
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,8 @@ SEED = Key(INT, None, ">= 0", "only selfcheck reads it; the manifest records it"
 SWEEP = {
     "domain": Key("domain", bound=("zalcman",)),
     "k_range": Key(PAIR, None, note="1 <= k_lo <= k_hi <= K; default [3, min(10, K - 1)], metric [2, min(6, K - 1)]"),
-    "degree": Key(INT, 8, ">= 0"),
+    "degree": Key("retired", None, note="every band sweep uses bergman.default_basis: polynomials up to degree 8 "
+                  "and poles of orders 1 and 2 at each hole"),
 }
 H_RETIRED = Key("retired", None, note="perfect tests the zalcman domain's own h, its family at its alpha (h1) or "
                 "beta (h2)")
@@ -69,7 +70,10 @@ PIPELINES = {
     "kernel": {**SWEEP, "models": Key(MODEL_LIST, ["K1", "K2"]),
                "fit_column": Key("fit column", "K_low", ("K_low", "witness_bound", "equilibrium_bound")),
                "equilibrium": Key("true or false", False), "seed": SEED},
-    "metric": {**SWEEP, "witness": Key("witness", "two_pole", ("two_pole", "three_pole")), "seed": SEED},
+    "metric": {**SWEEP, "witness": Key("retired", None, note="witness_ratio is the best combination, zero at the "
+                                       "point, of the poles at holes k - 1, k and k + 1: at least the two- and the "
+                                       "three-pole witness it chose between"),
+               "seed": SEED},
     "distance": {**SWEEP, "models": Key(MODEL_LIST, ["D1", "D2"]), "seed": SEED},
     "fit": {"samples": Key("a list of [x, value] pairs of numbers", None, note="one of samples and samples_csv"),
             "samples_csv": Key("a string", None, note="a CSV file, read for its columns x and value"),

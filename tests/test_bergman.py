@@ -1,8 +1,9 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from basis_oracle import spec_functions
@@ -20,8 +21,16 @@ from berglab.bergman import (
     witness_metric_bound,
 )
 from berglab.domains import CircleDomain, ScaleFunction, ZalcmanDomain, build_zalcman
-from berglab.errors import NoSecondPointError, OutsideDomainError, ScaleNotRetainedError
+from berglab.errors import (
+    BerglabError,
+    NoSecondPointError,
+    OutsideDomainError,
+    PreconditionViolatedError,
+    ScaleNotRetainedError,
+)
+from berglab.quadrature import RationalFunction
 from claim_checks import cauchy_transform_norm_check
+from witness_oracle import oracle_ratios, three_pole, two_pole
 
 
 @pytest.fixture(scope="module")
@@ -170,7 +179,7 @@ def test_witness_band_stability_h1():
 
 def test_two_pole_witness_hand_derivative():
     dom = build_zalcman(ScaleFunction.h1(2.0), 0.1, K=4)
-    rep = witness_metric_bound(dom, complex(-0.05), "two_pole")
+    rep = two_pole(dom, complex(-0.05))
     assert rep["fprime"] == pytest.approx(0.09 / (0.06 * 0.15**2), rel=1e-12)
     assert rep["zero_residual"] <= 1e-10
     assert rep["ratio"] > 0
@@ -184,18 +193,120 @@ def test_two_pole_derivative_matches_the_product_formula():
         xk, xk1 = complex(dom.xs[k - 1]), complex(dom.xs[k])
         w = complex(-math.sqrt(float(dom.xs[k - 1] * dom.xs[k])))
         want = abs(xk - xk1) / (abs(w - xk1) * abs(w - xk) ** 2)
-        assert witness_metric_bound(dom, w, "two_pole")["fprime"] == pytest.approx(want, rel=1e-15, abs=0)
+        assert two_pole(dom, w)["fprime"] == pytest.approx(want, rel=1e-15, abs=0)
 
 
 def test_three_pole_witness_h2():
     dom = build_zalcman(ScaleFunction.h2(1.0), 1e-3, K=12)
     for k in (3, 5, 7):
         x = math.sqrt(float(dom.xs[k - 1] * dom.xs[k]))
-        rep = witness_metric_bound(dom, complex(-x), "three_pole")
+        rep = three_pole(dom, complex(-x))
         assert rep["zero_residual"] <= 1e-10
-        assert rep["a_k_abs"] <= 10.0
+        assert abs(rep["a_k"]) <= 10.0
         L = math.log(1.0 / float(dom.xs[k - 1]))
         assert rep["norm_sq"] <= 50.0 * math.log(L)
+
+
+# ---------------------------------------------------------------------------
+# metric witness against the two explicit witnesses it replaced
+# ---------------------------------------------------------------------------
+
+#: each domain with the bands where S_low is stable: on h1(1.5) K = 10 it
+#: collapses past k = 7 (a - |c|^2 / b cancels)
+WITNESS_DOMAINS = {
+    "h1(1.5)-K10": (ScaleFunction.h1(1.5), 1e-2, 10, range(1, 8)),
+    "h1(1.2)-K12": (ScaleFunction.h1(1.2), 1e-2, 12, range(1, 13)),
+    "h2(1)-K40": (ScaleFunction.h2(1.0), 1e-3, 40, range(1, 41)),
+}
+
+
+@pytest.fixture(scope="module", params=list(WITNESS_DOMAINS))
+def witness_sweep(request):
+    """(domain, mid-band points of every band, their witness ratios, S_low,
+    the stable bands)."""
+    h, x1, K, stable = WITNESS_DOMAINS[request.param]
+    dom = build_zalcman(h, x1, K)
+    gs = assemble_gram(dom)
+    w = -np.sqrt(dom.xs[:K] * dom.xs[1 : K + 1])
+    return dom, w, witness_metric_bound(gs, w), subspace_metric(gs, w).S_low, np.array(stable)
+
+
+def test_metric_witness_is_at_least_both_oracles(witness_sweep):
+    dom, w, ratio, _, _ = witness_sweep
+    # finite at k = K too, where both oracles need hole K + 1
+    assert np.all(np.isfinite(ratio)) and np.all(ratio > 0.0)
+    for k in range(1, dom.K + 1):
+        for want in oracle_ratios(dom, complex(w[k - 1])):
+            assert ratio[k - 1] >= want * (1.0 - 1e-12), k
+
+
+def test_metric_witness_is_at_most_the_subspace_extremum(witness_sweep):
+    # the witness lies in the basis span and vanishes at w
+    _, _, ratio, S_low, stable = witness_sweep
+    assert np.all(ratio[stable - 1] <= S_low[stable - 1] * (1.0 + 1e-9))
+
+
+@pytest.mark.parametrize("name", ["h1(1.2)-K12", "h2(1)-K40"])
+def test_metric_witness_is_the_extremum_over_its_poles_at_complex_points(name):
+    # subspace_metric on the Gram of the poles at holes k - 1, k, k + 1
+    # alone: its a - |c|^2 / b form does not cancel at any band of these two
+    # domains, and off the real axis a wrong conjugation shows
+    h, x1, K, _ = WITNESS_DOMAINS[name]
+    dom = build_zalcman(h, x1, K)
+    gs = assemble_gram(dom)
+    for k in range(1, K + 1):
+        poles = [RationalFunction.pole(complex(dom.xs[j - 1]), 1) for j in (k - 1, k, k + 1) if 1 <= j <= K]
+        span = assemble_gram(dom, poles)
+        for theta in (2.2, -1.0):
+            w = cmath.rect(math.sqrt(dom.xs[k - 1] * dom.xs[k]), theta)
+            assert witness_metric_bound(gs, w) == pytest.approx(subspace_metric(span, w).S_low, rel=1e-9), k
+
+
+def test_metric_witness_needs_the_unit_poles_in_the_basis(h15_domain):
+    w = -math.sqrt(float(h15_domain.xs[2] * h15_domain.xs[3]))  # band 3: holes 2, 3, 4
+    poles = [1, 2, 4]  # no 1/(z - x_3)
+    fns = spec_functions(degree=4, pole_centers=tuple(h15_domain.xs[j - 1] for j in poles), pole_order=1)
+    with pytest.raises(PreconditionViolatedError, match="j = 3"):
+        witness_metric_bound(assemble_gram(h15_domain, fns), w)
+
+
+def test_metric_witness_on_empty_and_scalar_input(h15_domain, h15_gram):
+    assert witness_metric_bound(h15_gram, np.empty(0)).shape == (0,)
+    w = -math.sqrt(float(h15_domain.xs[1] * h15_domain.xs[2]))
+    one = witness_metric_bound(h15_gram, w)
+    assert type(one) is float and witness_metric_bound(h15_gram, np.array([[w]])) == np.array([[one]])
+
+
+@st.composite
+def witness_points(draw):
+    """(domain, w): a drawn h1 or h2 domain with K <= 12 and a point inside
+    it whose modulus lies inside a drawn band, at a drawn angle."""
+    if draw(st.booleans()):
+        h = ScaleFunction.h1(draw(st.floats(1.2, 2.0)))
+    else:
+        h = ScaleFunction.h2(draw(st.floats(0.5, 2.0)))
+    try:
+        dom = build_zalcman(h, draw(st.floats(1e-3, 3e-2)), draw(st.integers(1, 12)))
+    except BerglabError:
+        assume(False)
+    k = draw(st.integers(1, dom.K))
+    lo, hi = dom.logx[k], dom.logx[k - 1]
+    w = cmath.rect(math.exp(lo + draw(st.floats(0.01, 0.99)) * (hi - lo)), draw(st.floats(-math.pi, math.pi)))
+    assume(dom.contains(w))
+    return dom, w
+
+
+@settings(max_examples=100, deadline=None)
+@given(witness_points())
+def test_metric_witness_is_at_least_both_oracles_at_drawn_points(case):
+    dom, w = case
+    got = witness_metric_bound(assemble_gram(dom), w)
+    if dom.K == 1:
+        assert math.isnan(got)  # J holds hole 1 alone
+    else:
+        assert got > 0.0
+        for want in oracle_ratios(dom, w):
+            assert got >= want * (1.0 - 1e-12)
 
 
 def test_scale_guard():
@@ -483,6 +594,9 @@ def bergman_metric_b(gs, x: float) -> float:
 #: few 1e-6 of the diagonal scale, so agreement is bounded by that
 GOLDEN_B_EST = {2: 1080.0758009475965, 4: 7398415.5833405545, 6: 2068438292693806.8}
 GOLDEN_WITNESS_RATIO = {2: 459275.8758608851, 4: 121304209113251.33, 6: 8.179930825519798e32}
+#: witness_metric_bound at the same points, the boundary rule's Gram block
+#: of the poles at holes k - 1, k, k + 1
+GOLDEN_METRIC_WITNESS = {2: 496289.53035992204, 4: 143635472054039.66, 6: 9.750417537155964e32}
 GOLDEN_EQUILIBRIUM_BOUND = {3: 1422797478.8381326, 5: 9.253571085267632e22, 7: 1.8085224530497728e54}
 
 
@@ -505,6 +619,8 @@ def test_metric_and_witnesses_match_golden_values(h15_domain, h15_gram):
     for k, want in GOLDEN_B_EST.items():
         assert subspace_metric(h15_gram, mid(k)).b_est == pytest.approx(want, rel=1e-6)
     for k, want in GOLDEN_WITNESS_RATIO.items():
-        assert witness_metric_bound(h15_domain, mid(k))["ratio"] == pytest.approx(want, rel=1e-5)
+        assert two_pole(h15_domain, mid(k))["ratio"] == pytest.approx(want, rel=1e-5)
+    for k, want in GOLDEN_METRIC_WITNESS.items():
+        assert witness_metric_bound(h15_gram, mid(k)) == pytest.approx(want, rel=1e-5)
     for k, want in GOLDEN_EQUILIBRIUM_BOUND.items():
         assert equilibrium_witness_bound(h15_domain, mid(k))["bound"] == pytest.approx(want, rel=1e-5)

@@ -132,34 +132,31 @@ def test_band_sweeps_evaluate_the_basis_once(tmp_path, monkeypatch, pipeline, wa
     for name in ("values", "values_and_derivs"):
         count_calls(monkeypatch, quadrature.Basis, name, counts)
     run({"pipeline": pipeline, "domain": H15_K10, "k_range": [2, 6]}, str(tmp_path), "fast")
-    if pipeline == "metric":
-        # each two-pole witness checks its zero with one evaluation of itself
-        assert counts.pop("values") == 5
+    # the metric witnesses evaluate their poles in closed form
     assert counts == want
 
 
-def test_metric_sweep_builds_two_grams(tmp_path, monkeypatch):
-    # the assembly, and one Gram of every witness; norm_sq would go through
-    # quadrature's own binding
+def test_metric_sweep_builds_one_gram(tmp_path, monkeypatch):
+    # the assembly: the witnesses read their norms from a block of it;
+    # norm_sq would go through quadrature's own binding
     counts = {}
     count_calls(monkeypatch, bergman, "boundary_gram", counts)
     count_calls(monkeypatch, quadrature, "boundary_gram", counts)
     run({"pipeline": "metric", "domain": H15_K10, "k_range": [2, 6]}, str(tmp_path))
-    assert counts == {"boundary_gram": 2}
+    assert counts == {"boundary_gram": 1}
 
 
-def test_metric_sweep_to_K_leaves_nan_only_where_hole_K_plus_1_is_needed(tmp_path):
+def test_metric_sweep_to_K_has_a_finite_witness_at_every_band(tmp_path):
     dom = {**H15_K10, "K": 6}
     run({"pipeline": "metric", "domain": dom, "k_range": [2, 6]}, str(tmp_path))
     header, *lines = (tmp_path / "metric_sweep.csv").read_text().splitlines()
     rows = [dict(zip(header.split(","), map(float, line.split(",")))) for line in lines]
     assert [r["k"] for r in rows] == [2, 3, 4, 5, 6]
-    assert all(math.isfinite(r[c]) for r in rows for c in ("K_low", "S_low", "b_est"))
-    # the two-pole witness of band 6 needs hole 7, which K = 6 does not keep
-    assert math.isnan(rows[-1]["witness_ratio"])
-    domain = build_zalcman(ScaleFunction.h1(1.5), 1e-2, 6)
-    for r in rows[:-1]:
-        want = bergman.witness_metric_bound(domain, complex(-r["x"]))["ratio"]
+    # band 6's witness has the poles at holes 5 and 6, as K = 6 keeps no hole 7
+    assert all(math.isfinite(r[c]) and r[c] > 0 for r in rows for c in ("K_low", "S_low", "b_est", "witness_ratio"))
+    gs = bergman.assemble_gram(build_zalcman(ScaleFunction.h1(1.5), 1e-2, 6))
+    for r in rows:
+        want = bergman.witness_metric_bound(gs, complex(-r["x"]))
         assert r["witness_ratio"] == pytest.approx(want, rel=1e-13)
 
 
@@ -263,9 +260,9 @@ def test_json_booleans_stay_booleans(tmp_path):
     assert cert["pairwise_ok"] is True
 
 
-def test_metric_without_hole_k_plus_1_records_nan_witness(tmp_path, capsys):
-    # the two-pole witness at band k needs hole k+1, which K = 6 keeps for
-    # k = 5 only
+def test_metric_without_hole_k_plus_1_has_a_finite_witness(tmp_path, capsys):
+    # the former two-pole witness at band k needed hole k+1, which K = 6
+    # keeps for k = 5 only, and wrote nan at k = 6
     cfg = {"pipeline": "metric", "domain": SMALL_H1, "k_range": [5, 6]}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -275,12 +272,14 @@ def test_metric_without_hole_k_plus_1_records_nan_witness(tmp_path, capsys):
     lines = (tmp_path / "o" / "metric_sweep.csv").read_text().splitlines()
     assert lines[0].split(",")[-1] == "witness_ratio"
     assert len(lines) == 3
-    assert lines[1].split(",")[-1] != "nan" and lines[2].split(",")[-1] == "nan"
+    ratios = [float(ln.split(",")[-1]) for ln in lines[1:]]
+    assert all(math.isfinite(v) and v > 0 for v in ratios)
 
 
 def test_metric_two_pole_witness_at_deep_scales(tmp_path, capsys):
     # |w - x_{k+1}| |w - x_k|^2 underflows to 0 in these bands: the
-    # two-pole derivative raised ZeroDivisionError and the run exited 1
+    # two-pole derivative raised ZeroDivisionError and the run exited 1, and
+    # the squared derivatives pass 1e400
     h2_deep = {"type": "zalcman", "family": "h2", "beta": 1.0, "x1": 1e-3, "K": 80}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"pipeline": "metric", "domain": h2_deep, "k_range": [55, 60]}))
@@ -544,7 +543,7 @@ def test_perfect_on_an_empty_radius_range_is_a_config_error(tmp_path, capsys, do
         ({"pipeline": "kernel", "domain": SMALL_H1, "models": ["K9"]}, "models"),
         ({"pipeline": "distance", "domain": SMALL_H1, "models": ["K9"]}, "models"),
         ({"pipeline": "fit", "samples": [[1e-3, 1.0]] * 5, "models": ["K9"]}, "models"),
-        ({"pipeline": "metric", "domain": SMALL_H1, "witness": "four_pole"}, "witness"),
+        ({"pipeline": "metric", "domain": SMALL_H1, "witness": "four_pole"}, "'witness' is no longer read"),
         ({"pipeline": "perfect", "domain": 5}, "domain"),
         ({"pipeline": "fit", "samples_csv": "no/such/samples.csv"}, "samples_csv"),
         ({"pipeline": "fit", "samples": [[1, 2, 3]]}, "samples"),
@@ -632,6 +631,22 @@ def test_perfect_retired_scale_keys_are_config_errors(tmp_path, capsys, key, val
     # tested an h that the domain was not built from
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"pipeline": "perfect", "domain": SMALL_H1, key: value}))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"'{key}' is no longer read" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "pipeline, key, value",
+    [("metric", "witness", "two_pole"), ("metric", "witness", "three_pole"),
+     ("kernel", "degree", 8), ("metric", "degree", 8), ("distance", "degree", 4)],
+)
+def test_retired_sweep_keys_are_config_errors(tmp_path, capsys, pipeline, key, value):
+    # metric's one witness holds both the two- and the three-pole one, and
+    # every band sweep reads its basis from bergman.default_basis
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"pipeline": pipeline, "domain": SMALL_H1, key: value}))
     assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert f"'{key}' is no longer read" in err and "Traceback" not in err

@@ -36,8 +36,12 @@ def test_traced_gram_round_reports_its_layers(tmp_path):
     trace = traced_round("gram", tmp_path)
     assert trace["bergman.assemble_gram.calls"] == 3
     assert trace["bergman.basis_size"] == 89
-    # the tracer wraps RationalFunction.eval and eval_deriv by name
-    assert trace["quadrature.rational_eval.calls"] == 5
+    # the metric op's witnesses read their norms from its own Gram and
+    # evaluate their poles in closed form: no RationalFunction.eval or
+    # eval_deriv, which the capacity round still counts
+    assert trace.get("quadrature.rational_eval.calls", 0) == 0
+    # one kernel witness per band k = 5..35, and the metric op's one call
+    assert trace["bergman.witness.calls"] == 32
 
 
 def test_traced_annulus_round_reports_its_layers(tmp_path):
