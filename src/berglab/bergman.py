@@ -31,6 +31,7 @@ import numpy as np
 from .capacity import equilibrium_measure
 from .domains import CircleDomain, ZalcmanDomain
 from .errors import (
+    BerglabError,
     BisectionFailureError,
     DegenerateConstraintError,
     NoSecondPointError,
@@ -39,7 +40,7 @@ from .errors import (
     RankCollapseError,
     ScaleNotRetainedError,
 )
-from .quadrature import Basis, QuadratureInfo, RationalFunction, boundary_gram, domain_circles, norm_sq
+from .quadrature import Basis, QuadratureInfo, RationalFunction, boundary_gram, domain_circles, norms_sq
 
 TWO_PI = 2.0 * math.pi
 
@@ -410,18 +411,48 @@ def _cluster_measure(nodes: np.ndarray):
     return equilibrium_measure(nodes)
 
 
-def equilibrium_witness_bound(domain: ZalcmanDomain, w: complex) -> dict:
-    """Kernel lower bound at w from the difference of two equilibrium
-    Cauchy transforms.
+#: the report of a point without an equilibrium witness
+NO_WITNESS = dict.fromkeys(
+    ["w", "delta", "w_prime", "w_second", "r", "f_w", "f11_w_abs", "f2_w_abs", "cap_E11", "cap_E1"], math.nan
+) | {"facing_floor": math.nan, "second_ceiling": math.nan, "sector_caps": [math.nan] * 3}
+
+
+def equilibrium_witness_bound(domain: ZalcmanDomain, w) -> dict:
+    """Kernel lower bound |f(w)|^2 / ||f||^2 from the difference of two
+    equilibrium Cauchy transforms, at a point w, which raises the reason
+    where it has no witness, or at every point of an array w, which gives
+    arrays of w's shape ("sector_caps" with a last axis of 3), NaN where a
+    point has no witness.
 
     Construction: nearest boundary point w', second point w'' at distance
     in [8 delta, r] with c h(r) = 8 delta at the annulus constant c = 1;
     clusters E1 (around w', split into three sectors as seen from w,
     best-capacity sector kept) and E2 (around w''), each discretized by
     retracted hole arcs (``retracted_cluster_nodes``); the witness is
-    f = f_{E11} - f_{E2} and the bound |f(w)|^2 / ||f||^2 is valid for any
-    discrete weights, so optimizer quality only affects sharpness.
+    f = f_{E11} - f_{E2} and the bound is valid for any discrete weights,
+    so optimizer quality only affects sharpness.  All the witnesses' norms
+    come from one ``norms_sq`` pass ("quad"); one that fails a check is NaN.
     """
+    z = np.asarray(w, dtype=complex)
+    reports, fns = [], []
+    for p in z.ravel().tolist():
+        try:
+            rep, f = _equilibrium_witness(domain, p)
+        except BerglabError:
+            if not z.ndim:
+                raise
+            # a NaN pole fails its norm's pole check: the point reads NaN
+            rep, f = NO_WITNESS, RationalFunction.pole(complex(math.nan), 1)
+        reports.append(rep)
+        fns.append(f)
+    norms, info = norms_sq(domain_circles(domain), fns)
+    out = {key: np.array([rep[key] for rep in reports]).reshape(z.shape + np.shape(v)) for key, v in NO_WITNESS.items()}
+    out.update(norm_sq=norms.reshape(z.shape), bound=out["f_w"] ** 2 / norms.reshape(z.shape))
+    return (out if z.ndim else {key: v.tolist() for key, v in out.items()}) | {"quad": info.to_json_dict()}
+
+
+def _equilibrium_witness(domain: ZalcmanDomain, w: complex) -> tuple[dict, RationalFunction]:
+    """(report without the norm, witness f) at the point w."""
     if not domain.contains(w):
         raise OutsideDomainError(f"{w} is outside the domain")
     wprime, delta, _ = domain.nearest_boundary_point(w)
@@ -456,27 +487,23 @@ def equilibrium_witness_bound(domain: ZalcmanDomain, w: complex) -> dict:
     f11 = RationalFunction.from_nodes(e1_poles[masks[best]], mu11.measure.weights)
     f2 = RationalFunction.from_nodes(e2_poles, mu2.measure.weights)
     f = f11 - f2
-    f11_w = complex(f11.eval(w))
-    f2_w = complex(f2.eval(w))
-    fw = abs(complex(f.eval(w)))
-    norm2 = norm_sq(domain_circles(domain), f)
-    return {
+    f11_w, f2_w = Basis.of([f11, f2]).values(w).tolist()
+    report = {
         "w": complex(w),
         "delta": delta,
         "w_prime": complex(wprime),
         "w_second": complex(wsecond),
         "r": r,
-        "bound": fw**2 / norm2,
-        "f_w": fw,
+        "f_w": abs(complex(f.eval(w))),
         "f11_w_abs": abs(f11_w),
         "f2_w_abs": abs(f2_w),
-        "norm_sq": norm2,
         "sector_caps": caps,
         "cap_E11": mu11.capacity,
         "cap_E1": mu1_full.capacity,
         "facing_floor": 1.0 / (4.0 * delta),
         "second_ceiling": 1.0 / (6.0 * delta),
     }
+    return report, f
 
 
 # ---------------------------------------------------------------------------

@@ -316,14 +316,10 @@ def run_kernel(cfg: dict, profile: dict) -> tuple[dict, dict]:
     column = cfg["fit_column"]
     domain, ks, mids, gs = _band_sweep(cfg, (3, 10))
     xs = mids.tolist()
-    eq = [math.nan] * len(xs)
+    eq, quad = [math.nan] * len(xs), {}
     if cfg["equilibrium"]:
-        # per point: their 45-131 poles make one Gram of all of them slower
-        for i, x in enumerate(xs):
-            try:
-                eq[i] = bergman.equilibrium_witness_bound(domain, complex(-x))["bound"]
-            except BerglabError:
-                pass
+        witnesses = bergman.equilibrium_witness_bound(domain, -mids)
+        eq, quad = witnesses["bound"].tolist(), {"equilibrium_quad": witnesses["quad"]}
     table = {
         "k": list(ks),
         "x": xs,
@@ -335,7 +331,7 @@ def run_kernel(cfg: dict, profile: dict) -> tuple[dict, dict]:
     fit_report = {"fit_column": column, "preferred": None, "margin": None, "fits": {}}
     if len(samples) >= 5:
         fit_report.update(_fits(samples, cfg["models"]))
-    summary = {"preferred": fit_report["preferred"], "margin": fit_report["margin"], "quad": gs.report()}
+    summary = {"preferred": fit_report["preferred"], "margin": fit_report["margin"], "quad": gs.report(), **quad}
     return summary, {"kernel_sweep.csv": table, "kernel_fits.json": fit_report}
 
 

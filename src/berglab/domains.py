@@ -101,12 +101,13 @@ class ScaleFunction:
     def value(self, r: float) -> float:
         return math.exp(self.log_value(math.log(r)))
 
-    def values(self, radii: list[float]) -> list[float]:
-        """``value`` at each radius, bit for bit, with one ``log_value`` call:
-        math.log and math.exp per entry, as np.log and np.exp may differ
-        from them in the last ulp."""
-        log_r = np.array([math.log(r) for r in radii], dtype=float)
-        return [math.exp(v) for v in self.log_value(log_r).tolist()]
+    def values(self, radii) -> list[float]:
+        """``value`` at each radius of a list or an array, bit for bit, with
+        one ``log_value`` call: math.log and math.exp once per distinct
+        radius, as np.log and np.exp may differ from them in the last ulp."""
+        r, where = np.unique(np.asarray(radii, dtype=float), return_inverse=True)
+        log_r = np.array([math.log(v) for v in r.tolist()], dtype=float)
+        return np.array([math.exp(v) for v in self.log_value(log_r).tolist()])[where].tolist()
 
     def inverse(self, t: float) -> float:
         """g(t) = h^{-1}(t) by bisection in the log domain."""

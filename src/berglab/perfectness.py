@@ -132,7 +132,7 @@ def best_constant_profile(domain: CircleDomain, h: ScaleFunction) -> tuple[float
         "a_re": np.repeat(a_samples.real, counts),
         "a_im": np.repeat(a_samples.imag, counts),
         "r": r,
-        "c_star": sup[rows] / np.array(h.values(r.tolist())),
+        "c_star": sup[rows] / np.array(h.values(r)),
     }
     # NaN-skipping, like a running min(); inf for an empty table
     return float(np.fmin.reduce(table["c_star"], initial=math.inf)), table

@@ -30,6 +30,7 @@ Monte-Carlo estimator are kept as independent oracles.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -342,30 +343,13 @@ def boundary_gram(
     basis = fns if isinstance(fns, Basis) else Basis.of(fns)
     n = basis.poly.shape[0]
     centers, orders, coeffs, owner = basis.centers, basis.orders, basis.coeffs, basis.owner
-
-    cc = np.array([c for c, _, _ in circles], dtype=complex)
-    rr = np.array([rho for _, rho, _ in circles], dtype=float)
-    sign = np.array([s for _, _, s in circles], dtype=float)
-    dist = np.abs(centers[:, None] - cc[None, :])
-    # winding number of the oriented boundary around each pole
-    inside = (sign * (dist < rr)).sum(axis=1) > 0
-    if np.any(inside):
-        raise PolesTooCloseError(f"pole {centers[inside][0]} lies inside the domain")
-    ratio = np.minimum(dist, rr) / np.maximum(dist, rr)
-    worst = ratio.max(axis=0, initial=0.0)
-    # written so that a NaN ratio (a NaN pole or circle) fails it too
-    far = worst <= SERIES_MARGIN
-    if not np.all(far):
-        i = int(np.argmin(far))
-        raise PolesTooCloseError(
-            f"a pole sits at ratio {worst[i]:.3f} of the circle |z - {cc[i]}| = {rr[i]}"
-        )
+    worst = _worst_ratios(circles, centers)
 
     # the pole-to-function sums: a column add for a function with one pole,
     # a 0/1 product (BLAS gemm, summing each column in pole order) for those
     # with several.  numpy sends a one-column product to gemv, which rounds
     # otherwise, so a single shared function gets a second, zero column; a
-    # one-function basis (norm_sq) stays with gemv, which keeps its bits
+    # one-function basis stays with gemv, which keeps its bits
     count = np.bincount(owner, minlength=n)
     lone = count[owner] == 1
     lone_fns, lone_poles = _select(owner[lone]), _select(np.flatnonzero(lone))
@@ -386,7 +370,7 @@ def boundary_gram(
     coarse = np.zeros((n, n), dtype=complex)
     fine = np.zeros((n, n), dtype=complex)
     diags, units = [], []
-    for c, rho, s, N in zip(cc, rr, sign, nodes):
+    for (c, rho, s), N in zip(circles, nodes):
         zeta = _roots(2 * N)
         offsets = rho * zeta
         z = c + offsets
@@ -417,13 +401,8 @@ def boundary_gram(
         diags.append(diag)
         units.append(unit)
 
-    # G_ii = norm_i * 4**half_i, each circle's diagonal sum rescaled to the
-    # largest unit that one of them needs (even, so that sqrt is exact): the
-    # norm stays a normal number where G_ii is subnormal or underflows to 0
-    diag, unit = np.array(diags), np.array(units)
-    half = (np.max(unit, axis=0, where=diag != 0.0, initial=MIN_UNIT) + 1) // 2
-    norm = np.abs(np.add.reduce(np.ldexp(diag, unit - 2 * half), axis=0))
-    root = np.sqrt(norm)
+    half, (norm,) = _rescaled(np.array(units), np.array(diags))
+    root = np.sqrt(np.abs(norm))
     scale = root[:, None] * root[None, :]
     # a zero function has exactly zero rows, whatever they are divided by
     scale[scale == 0.0] = 1.0
@@ -441,9 +420,77 @@ def boundary_gram(
     return 0.5 * (fine + fine.conj().T), info
 
 
-def norm_sq(circles: Sequence[tuple[complex, float, int]], f: RationalFunction) -> float:
-    """||f||^2 over the domain bounded by ``circles``, see ``boundary_gram``."""
-    return float(boundary_gram(circles, [f])[0][0, 0].real)
+def norms_sq(
+    circles: Sequence[tuple[complex, float, int]], fns: Sequence[RationalFunction]
+) -> tuple[np.ndarray, QuadratureInfo]:
+    """||f||^2 for each sum of simple poles f of ``fns``: ``boundary_gram``'s
+    diagonal, to rounding, from one circle loop over the union of the poles,
+    each circle on the N of its worst ratio over the union.  With U = z - p
+    over the distinct poles p and their coefficients A (poles x functions),
+    F = (1/U) @ A and Phi = 2 log|U| @ conj(A), and each norm is a column
+    sum of Phi WF at 2N and at N nodes.  An f that fails ``boundary_gram``'s
+    pole checks, or the doubling check on its own scale, reads NaN and is
+    left out of the info's maxima; a polynomial part or a pole of higher
+    order raises PreconditionViolatedError.
+    """
+    basis = Basis.of(fns)
+    if basis.poly.any() or np.any(basis.orders != 1):
+        raise PreconditionViolatedError("norms_sq takes sums of simple poles only")
+    worst = np.full((len(fns), len(circles)), math.nan)
+    for i in range(len(fns)):
+        with contextlib.suppress(PolesTooCloseError):
+            worst[i] = _worst_ratios(circles, basis.centers[basis.owner == i])
+    good = ~np.isnan(worst).any(axis=1)
+    keep = good[basis.owner]
+    centers, where = np.unique(basis.centers[keep], return_inverse=True)
+    A = np.zeros((centers.size, len(fns)), dtype=complex)
+    np.add.at(A, (where, basis.owner[keep]), basis.coeffs[keep])
+    # simple poles and no polynomial: s = n_coef + m + 1 = 3, as Basis counts it
+    nodes = [_terms_for(float(r), 3) for r in np.max(worst, axis=0, where=good[:, None], initial=0.0)]
+    sums, units = [], []
+    for (c, rho, s), N in zip(circles, nodes):
+        zeta = _roots(2 * N)
+        U = (c - centers) + (rho * zeta)[:, None]
+        Phi = (2.0 * np.log(np.abs(U)) @ np.conj(A).view(float)).view(complex)
+        WF = (np.divide(1.0, U) @ A) * ((s * math.pi * rho / (2 * N)) * zeta[:, None])
+        units.append(-(_equilibrate(Phi) + _equilibrate(WF)))
+        fine, coarse = np.sum(Phi * WF, axis=0), 2.0 * np.sum(Phi[::2] * WF[::2], axis=0)
+        sums.append([fine.real, fine.imag, (fine - coarse).real, (fine - coarse).imag])
+    half, (norm, imag, *change) = _rescaled(np.array(units), *np.moveaxis(np.array(sums), 1, 0))
+    scale = np.where(norm == 0.0, 1.0, np.abs(norm))
+    change, defect = np.hypot(*change) / scale, 2.0 * np.abs(imag) / scale
+    ok = good & (change <= DOUBLING_TOL)
+    maxima = (float(np.max(v, where=ok, initial=0.0)) for v in (change, defect))
+    return np.where(ok, np.ldexp(norm, 2 * half), math.nan), QuadratureInfo(nodes, *maxima)
+
+
+def _worst_ratios(circles: Sequence[tuple[complex, float, int]], centers: np.ndarray) -> np.ndarray:
+    """The largest min(d, rho) / max(d, rho) of the poles ``centers`` on
+    each circle; PolesTooCloseError for a pole inside the domain or a ratio
+    above SERIES_MARGIN (or not a number)."""
+    cc, rr, sign = (np.array(v, dtype=t) for v, t in zip(zip(*circles), (complex, float, float)))
+    dist = np.abs(centers[:, None] - cc[None, :])
+    # winding number of the oriented boundary around each pole
+    inside = (sign * (dist < rr)).sum(axis=1) > 0
+    if np.any(inside):
+        raise PolesTooCloseError(f"pole {centers[inside][0]} lies inside the domain")
+    ratio = np.minimum(dist, rr) / np.maximum(dist, rr)
+    worst = ratio.max(axis=0, initial=0.0)
+    # written so that a NaN ratio (a NaN pole or circle) fails it too
+    far = worst <= SERIES_MARGIN
+    if not np.all(far):
+        i = int(np.argmin(far))
+        raise PolesTooCloseError(f"a pole sits at ratio {worst[i]:.3f} of the circle |z - {cc[i]}| = {rr[i]}")
+    return worst
+
+
+def _rescaled(unit: np.ndarray, diag: np.ndarray, *more: np.ndarray) -> tuple[np.ndarray, list]:
+    """(half, sums): G_ii = norm_i * 4**half_i, the circles' diagonal sums
+    diag * 2**unit (circles x functions) summed in the largest unit one of
+    them needs (even, so that sqrt is exact), normal where G_ii is subnormal
+    or 0; ``more`` are further sums in the same units."""
+    half = (np.max(unit, axis=0, where=diag != 0.0, initial=MIN_UNIT) + 1) // 2
+    return half, [np.add.reduce(np.ldexp(d, unit - 2 * half), axis=0) for d in (diag, *more)]
 
 
 @lru_cache(maxsize=None)
@@ -475,8 +522,8 @@ def _circle_sums(
     # one exponent per real and imaginary part, contiguous like the parts
     shift = -(a[:, None] + b.repeat(2)[None, :])
     # a strided single column goes to another BLAS kernel than a contiguous
-    # one and rounds otherwise; the copy keeps one-function bases (norm_sq)
-    # on the contiguous path
+    # one and rounds otherwise; the copy keeps one-function bases on the
+    # contiguous path
     even = WF[::2] if WF.shape[1] > 1 else WF[::2].copy()
     fine = Phi.T @ WF
     diag = fine.diagonal().real.copy()

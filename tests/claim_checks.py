@@ -20,7 +20,7 @@ from berglab.capacity import (
 )
 from berglab.domains import CantorSet
 from berglab.errors import GridTooSmallError, PreconditionViolatedError
-from berglab.quadrature import RationalFunction, norm_sq
+from berglab.quadrature import RationalFunction, norms_sq
 
 
 def cantor_transfinite_estimate(C: CantorSet, n: int = 512) -> CapacityEstimate:
@@ -153,7 +153,7 @@ def cauchy_transform_norm_check(holes: Sequence[tuple[complex, float]]) -> dict:
     bnds = np.concatenate([circle_nodes(complex(c0), rho, n) for c0, rho in holes])
     sol = equilibrium_measure(bnds)  # capacity of the true carrier rims
     f = RationalFunction.from_nodes(poles, sol.measure.weights)
-    lhs = norm_sq([(0j, 0.25, 1)] + [(complex(c0), rho, -1) for c0, rho in holes], f)
+    lhs = float(norms_sq([(0j, 0.25, 1)] + [(complex(c0), rho, -1) for c0, rho in holes], [f])[0][0])
     rhs = math.log(1.0 / sol.capacity)
     sol_t = equilibrium_measure(t * bnds)
     f_t = RationalFunction.from_nodes(t * poles, sol_t.measure.weights)

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from basis_oracle import spec_functions
+from berglab import bergman
 from berglab.bergman import (
     POLE_ORDER,
     assemble_gram,
@@ -363,6 +364,71 @@ def test_equilibrium_witness_lets_a_programming_error_through(h15_domain, monkey
     monkeypatch.setattr(ScaleFunction, "inverse", broken_inverse)
     with pytest.raises(TypeError, match="broken"):
         equilibrium_witness_bound(h15_domain, -0.5 + 0j)
+
+
+#: equilibrium_bound at mid-band points as each witness's own Gram gave it,
+#: before the sweep's norms came from one pass over the union of the poles
+GRAM_EQUILIBRIUM_BOUND = {
+    (ScaleFunction.h1(1.5), 1e-2, 10): {
+        2: 336753.62251825054, 3: 1422799777.7399707, 4: 478167769668928.25, 5: 9.2535725001961e+22,
+        6: 2.82001440416143e+35, 7: 1.8085214384190623e+54, 8: 3.541919239516583e+82,
+    },
+    (ScaleFunction.h1(1.2), 1e-2, 12): {
+        2: math.nan, 3: 32960.80645510489, 4: 537390.742919878, 5: 17432670.434654314, 6: 1123695734.1432827,
+        7: 163185765114.56137, 8: 63356544180782.0, 9: 8.063291641484786e+16, 10: 4.3920769928738085e+20,
+    },
+    (ScaleFunction.h2(1.0), 1e-3, 40): {
+        3: 513269711.9516385, 4: 73395274566.43616, 12: 7.626935526357568e+32, 24: 3.835190214148358e+75,
+        35: 4.067597043713914e+120,
+    },
+}
+
+
+def mid_band(dom, k: int) -> float:
+    return math.sqrt(float(dom.xs[k - 1] * dom.xs[k]))
+
+
+@pytest.mark.parametrize("domain, want", GRAM_EQUILIBRIUM_BOUND.items(), ids=["h1(1.5)", "h1(1.2)", "h2(1)"])
+def test_equilibrium_bound_array_call_keeps_the_gram_values(domain, want):
+    dom = build_zalcman(*domain)
+    rep = equilibrium_witness_bound(dom, -np.array([mid_band(dom, k) for k in want]))
+    got, expected = rep["bound"], np.array(list(want.values()))
+    assert np.array_equal(np.isnan(got), np.isnan(expected))
+    assert np.all(np.abs(got - expected) <= 1e-13 * expected, where=~np.isnan(expected))
+    # a point without a witness is NaN in every entry
+    assert all(np.all(np.isnan(v[np.isnan(expected)])) for k, v in rep.items() if k != "quad")
+    assert rep["quad"]["doubling_change"] <= 1e-9 and len(rep["quad"]["circle_nodes"]) == dom.K + 1
+
+
+def test_equilibrium_report_one_point_and_array(h15_domain):
+    ks = (3, 4, 5)
+    w = -np.array([[mid_band(h15_domain, k) for k in ks]])
+    arrays = equilibrium_witness_bound(h15_domain, w)
+    assert arrays["bound"].shape == (1, 3) and arrays["sector_caps"].shape == (1, 3, 3)
+    for i, k in enumerate(ks):
+        one = equilibrium_witness_bound(h15_domain, complex(w[0, i]))
+        assert isinstance(one["bound"], float) and one["w"] == w[0, i]
+        for key, v in one.items():
+            if key != "quad":
+                assert np.allclose(arrays[key][0, i], v, rtol=1e-13, atol=0), key
+
+
+def test_a_witness_failing_its_pole_check_reads_nan_in_its_band_only(h15_domain, monkeypatch):
+    want = GRAM_EQUILIBRIUM_BOUND[(ScaleFunction.h1(1.5), 1e-2, 10)]
+    build = bergman._equilibrium_witness
+    x, r = float(h15_domain.xs[3]), float(h15_domain.rs[3])
+
+    def band_4_past_the_margin(dom, w):
+        rep, f = build(dom, w)
+        if band_index(dom, abs(w)) == 4:
+            # one pole moved to ratio 0.97 of hole 4's circle
+            f = RationalFunction.from_nodes(np.append(f.pole_centers[1:], x + 0.97 * r), np.roll(f.pole_coeffs, -1))
+        return rep, f
+
+    monkeypatch.setattr(bergman, "_equilibrium_witness", band_4_past_the_margin)
+    got = equilibrium_witness_bound(h15_domain, -np.array([mid_band(h15_domain, k) for k in want]))["bound"]
+    for (k, v), g in zip(want.items(), got):
+        assert math.isnan(g) if k == 4 else abs(g - v) <= 1e-13 * v
 
 
 # ---------------------------------------------------------------------------

@@ -137,13 +137,34 @@ def test_band_sweeps_evaluate_the_basis_once(tmp_path, monkeypatch, pipeline, wa
 
 
 def test_metric_sweep_builds_one_gram(tmp_path, monkeypatch):
-    # the assembly: the witnesses read their norms from a block of it;
-    # norm_sq would go through quadrature's own binding
+    # the assembly: the witnesses read their norms from a block of it, and
+    # no norm pass of their own (``norms_sq``) runs
     counts = {}
     count_calls(monkeypatch, bergman, "boundary_gram", counts)
     count_calls(monkeypatch, quadrature, "boundary_gram", counts)
+    count_calls(monkeypatch, bergman, "norms_sq", counts)
     run({"pipeline": "metric", "domain": H15_K10, "k_range": [2, 6]}, str(tmp_path))
     assert counts == {"boundary_gram": 1}
+
+
+def test_kernel_sweep_integrates_its_witness_norms_in_one_pass(tmp_path, monkeypatch):
+    counts = {}
+    count_calls(monkeypatch, bergman, "equilibrium_witness_bound", counts)
+    count_calls(monkeypatch, bergman, "norms_sq", counts)
+    for equilibrium in (True, False):
+        out = tmp_path / str(equilibrium)
+        run({"pipeline": "kernel", "domain": H15_K10, "k_range": [2, 8], "equilibrium": equilibrium}, str(out))
+        summary = json.loads((out / "manifest.json").read_text())["summary"]
+        header = (out / "kernel_sweep.csv").read_text().splitlines()[0]
+        assert header == "k,x,K_low,witness_bound,equilibrium_bound"
+        # the norm pass reports itself as the Gram does, without rank or eigenvalue
+        quad = summary.get("equilibrium_quad")
+        if equilibrium:
+            assert set(quad) == {"circle_nodes", "doubling_change", "hermitian_defect"}
+            assert len(quad["circle_nodes"]) == 11 and 0.0 < quad["doubling_change"] <= 1e-9
+        else:
+            assert quad is None
+    assert counts == {"equilibrium_witness_bound": 1, "norms_sq": 1}
 
 
 def test_metric_sweep_to_K_has_a_finite_witness_at_every_band(tmp_path):

@@ -71,6 +71,22 @@ def test_values_match_scalar_value_bit_for_bit(family, param, radii):
     assert h.values([]) == []
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["h1", "h2"]),
+    st.floats(0.01, 2.0),
+    st.lists(st.floats(1e-300, 0.36), min_size=1, max_size=20),
+    st.lists(st.integers(0, 10**6), max_size=60),
+)
+def test_values_on_repeated_radii_match_scalar_value_bit_for_bit(family, param, distinct, picks):
+    # values takes log and exp once per distinct radius and scatters them
+    # back, as a c* table repeats its radii across samples
+    h = ScaleFunction.of(family, 1.0 + param if family == "h1" else param)
+    radii = distinct + [distinct[i % len(distinct)] for i in picks]
+    got = np.array(h.values(radii))
+    assert np.array_equal(got.view(np.int64), np.array([h.value(r) for r in radii]).view(np.int64))
+
+
 def test_scale_family_by_name():
     assert ScaleFunction.of("h1", 1.5) == ScaleFunction.h1(1.5)
     assert ScaleFunction.of("h2", 2.0) == ScaleFunction.h2(2.0)

@@ -65,7 +65,12 @@ def test_traced_capacity_round_reports_its_layers(tmp_path):
     assert trace["capacity.nth_diameter.calls"] == 4
     assert trace["capacity.equilibrium_measure.calls"] == 18
     assert trace["capacity.equilibrium_measure.iterations"] == 18
-    assert trace["quadrature.rational_eval.calls"] == 21
+    # each equilibrium witness evaluates f = f11 - f2 at its point once, and
+    # f11 and f2 together from one packed basis
+    assert trace["quadrature.rational_eval.calls"] == 7
+    # the kernel sweep builds its 7 equilibrium witnesses in one array call,
+    # beside its 7 one-pole witnesses: a per-point loop would count 14
+    assert trace["bergman.witness.calls"] == 8
     # one chain certificate per round, and its capacity comparison's one probe
     assert trace["perfectness.pommerenke_construct.calls"] == 1
     assert trace["perfectness.condition_C_probe.calls"] == 1

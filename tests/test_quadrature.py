@@ -14,6 +14,7 @@ from berglab.errors import (
     BerglabError,
     NonDisjointError,
     PolesTooCloseError,
+    PreconditionViolatedError,
     QuadratureStallError,
     ScaleUnderflowError,
 )
@@ -26,6 +27,7 @@ from berglab.quadrature import (
     domain_circles,
     integrate_hermitian,
     mc_integral,
+    norms_sq,
     partition_for,
 )
 
@@ -538,7 +540,7 @@ def multi_pole_bases(draw):
     orders = draw(st.lists(st.integers(1, 3), min_size=count, max_size=count))
     fns.append(RationalFunction(np.array([0.5, -1j]), ring(count), np.array(orders), np.full(count, 0.01)))
     fns += [RationalFunction.monomial(j) for j in range(draw(st.integers(0, 3)))]
-    # down to one function, as ``norm_sq`` integrates
+    # down to one function, the Gram each norm of ``norms_sq`` is checked against
     return draw(st.permutations(fns))[: draw(st.integers(1, len(fns)))]
 
 
@@ -602,11 +604,152 @@ def test_node_count_converged_near_the_series_margin(fns, degree):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 1), st.integers(1, 12), st.floats(0.1, 0.9), st.floats(0.0, 2 * math.pi))
 def test_node_count_converged_for_cauchy_transforms(hole, count, reach, t):
-    # one Cauchy transform on a ring inside a hole: the one-function path
-    # of ``norm_sq``
+    # one Cauchy transform on a ring inside a hole: the one-function Gram
+    # that each norm of ``norms_sq`` is checked against
     c, rho = TWO_HOLES[hole]
     ring = c + reach * rho * np.exp(1j * (t + 2 * math.pi * np.arange(count) / count))
     assert_converged(TWO_HOLE_REGION.circles(), [RationalFunction.from_nodes(ring, np.linspace(0.05, 0.2, count))])
+
+
+# ---------------------------------------------------------------------------
+# the norm pass of a sweep's equilibrium witnesses
+# ---------------------------------------------------------------------------
+
+
+def ring_in_a_hole(draw, count):
+    """``count`` equispaced nodes on a ring at 0.1-0.6 of a hole's radius."""
+    c, rho = TWO_HOLES[draw(st.integers(0, 1))]
+    t = draw(st.floats(0.0, 2 * math.pi))
+    return c + draw(st.floats(0.1, 0.6)) * rho * np.exp(1j * (t + 2 * math.pi * np.arange(count) / count))
+
+
+def probability_weights(draw, count, low=0.01):
+    w = np.array(draw(st.lists(st.floats(low, 1.0), min_size=count, max_size=count)))
+    return w / w.sum()
+
+
+@st.composite
+def cauchy_transforms(draw):
+    """Cauchy transforms on rings inside the holes of TWO_HOLE_REGION, with
+    complex weights of one phase each, and a difference f11 - f2 of two of
+    them, as an equilibrium witness is, whose nodes overlap: f2 repeats some
+    of f11's nodes and adds others."""
+    fns = []
+    for _ in range(draw(st.integers(1, 4))):
+        count = draw(st.integers(2, 16))
+        phase = np.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+        fns.append(RationalFunction.from_nodes(ring_in_a_hole(draw, count), phase * probability_weights(draw, count)))
+    count, extra = draw(st.integers(2, 16)), draw(st.integers(1, 8))
+    nodes = ring_in_a_hole(draw, count)
+    shared = nodes[: draw(st.integers(1, count))]
+    f2_nodes = np.concatenate([shared, ring_in_a_hole(draw, extra)])
+    f11 = RationalFunction.from_nodes(nodes, probability_weights(draw, count))
+    fns.append(f11 - RationalFunction.from_nodes(f2_nodes, probability_weights(draw, f2_nodes.size, low=0.1)))
+    return draw(st.permutations(fns))
+
+
+def assert_norms_match_each_gram(circles, fns):
+    """Every norm within 1e-13 relative of its function's own Gram, on at
+    least the nodes that Gram takes on every circle."""
+    got, info = norms_sq(circles, fns)
+    for norm, f in zip(got, fns):
+        G, own = boundary_gram(circles, [f])
+        assert abs(norm - G[0, 0].real) <= 1e-13 * G[0, 0].real
+        assert all(N >= n for N, n in zip(info.nodes, own.nodes))
+    assert info.doubling_change <= quadrature.DOUBLING_TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(cauchy_transforms())
+def test_norms_match_each_gram_on_cauchy_transforms(fns):
+    assert_norms_match_each_gram(TWO_HOLE_REGION.circles(), fns)
+
+
+def mid_band(dom, k: int) -> complex:
+    return complex(-math.sqrt(float(dom.xs[k - 1] * dom.xs[k])))
+
+
+#: the kernel domains of ROADMAP's witness table, with their witness bands
+WITNESS_SWEEPS = [
+    (build_zalcman(ScaleFunction.h1(1.5), 1e-2, 10), range(2, 9)),
+    (build_zalcman(ScaleFunction.h1(1.2), 1e-2, 12), range(3, 11)),
+    (build_zalcman(ScaleFunction.h2(1.0), 1e-3, 40), (3, 4, 12, 24, 35)),
+]
+
+
+def sweep_witnesses(dom, ks) -> list[RationalFunction]:
+    return [bergman._equilibrium_witness(dom, mid_band(dom, k))[1] for k in ks]
+
+
+@pytest.mark.parametrize("dom, ks", WITNESS_SWEEPS, ids=["h1(1.5)", "h1(1.2)", "h2(1)"])
+def test_norms_match_each_gram_on_sweep_witnesses(dom, ks):
+    assert_norms_match_each_gram(domain_circles(dom), sweep_witnesses(dom, ks))
+
+
+def assert_norms_converged(circles, fns):
+    """The norms within 1e-13 relative of the norms with every circle's
+    node count multiplied by 4."""
+    got, info = norms_sq(circles, fns)
+    terms_for = quadrature._terms_for
+    with mock.patch.object(quadrature, "_terms_for", lambda ratio, s: 4 * terms_for(ratio, s)):
+        fine, fine_info = norms_sq(circles, fns)
+    assert fine_info.nodes == [4 * N for N in info.nodes]
+    assert np.all(np.abs(got - fine) <= 1e-13 * fine)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cauchy_transforms())
+def test_norms_converged_on_cauchy_transforms(fns):
+    assert_norms_converged(TWO_HOLE_REGION.circles(), fns)
+
+
+@pytest.mark.parametrize("dom, ks", WITNESS_SWEEPS[:2], ids=["h1(1.5)", "h1(1.2)"])
+def test_norms_converged_on_sweep_witnesses(dom, ks):
+    assert_norms_converged(domain_circles(dom), sweep_witnesses(dom, ks))
+
+
+@pytest.mark.parametrize("where", ["past the series margin", "inside the domain", "not a number"])
+def test_a_witness_failing_a_pole_check_reads_nan_alone(where):
+    dom, ks = WITNESS_SWEEPS[0]
+    circles, fns = domain_circles(dom), sweep_witnesses(dom, ks)
+    # one pole of band 4's witness moved: to ratio 0.97 of hole 4's circle,
+    # into the domain, or to NaN
+    x, r = float(dom.xs[3]), float(dom.rs[3])
+    moved = {"past the series margin": x + 0.97 * r, "inside the domain": -0.5, "not a number": math.nan}[where]
+    f = fns[2]
+    bad = RationalFunction(pole_centers=np.append(f.pole_centers[1:], moved), pole_orders=f.pole_orders,
+                           pole_coeffs=np.append(f.pole_coeffs[1:], f.pole_coeffs[0]))
+    with pytest.raises(PolesTooCloseError):
+        boundary_gram(circles, [bad])
+    got, info = norms_sq(circles, fns[:2] + [bad] + fns[3:])
+    assert math.isnan(got[2])
+    # the others are what they are without it, on the same nodes, to
+    # rounding, and keep the bound
+    others, others_info = norms_sq(circles, fns[:2] + fns[3:])
+    assert np.allclose(np.delete(got, 2), others, rtol=1e-15, atol=0) and info.nodes == others_info.nodes
+    assert_norms_match_each_gram(circles, fns[:2] + fns[3:])
+
+
+def test_a_norm_failing_the_doubling_check_reads_nan_alone(monkeypatch):
+    dom, ks = WITNESS_SWEEPS[1]
+    circles, fns = domain_circles(dom), sweep_witnesses(dom, ks)
+    norms, info = norms_sq(circles, fns)
+    # a tolerance just below the largest change fails that norm on its own
+    # scale, and no other
+    monkeypatch.setattr(quadrature, "DOUBLING_TOL", 0.999 * info.doubling_change)
+    got, tight = norms_sq(circles, fns)
+    failed = np.isnan(got)
+    assert 1 <= failed.sum() < len(fns)
+    assert np.array_equal(got[~failed], norms[~failed])
+    assert tight.nodes == info.nodes and tight.doubling_change < info.doubling_change
+
+
+def test_norms_take_sums_of_simple_poles_only():
+    circles = TWO_HOLE_REGION.circles()
+    pole = RationalFunction.pole(TWO_HOLES[0][0], 1)
+    for fns in ([pole, RationalFunction.pole(TWO_HOLES[0][0], 2)], [pole, RationalFunction.monomial(1) - pole], []):
+        with pytest.raises(PreconditionViolatedError):
+            norms_sq(circles, fns)
 
 
 #: collar 9 of the h1 metric domain at the gram workload's seed 2

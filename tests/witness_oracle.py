@@ -1,7 +1,7 @@
 """The two explicit metric witnesses that ``bergman.witness_metric_bound``
 replaced, kept as oracles.  Each is a combination of the poles
 g_j = 1/(z - x_j) at holes k - 1, k, k + 1 that vanishes at w, with its norm
-from its own boundary rule (``norm_sq``), so the witness, the best such
+from its own boundary rule (``norms_sq``), so the witness, the best such
 combination, is at least either."""
 
 import math
@@ -10,14 +10,14 @@ import numpy as np
 
 from berglab.bergman import band_index
 from berglab.errors import ScaleNotRetainedError
-from berglab.quadrature import RationalFunction, domain_circles, norm_sq
+from berglab.quadrature import RationalFunction, domain_circles, norms_sq
 
 
 def _report(domain, w: complex, f: RationalFunction, fprime: float, **extra) -> dict:
     """|f'(w)| / ||f|| with the parts it is read from, and f's scale-free
     value at w, which should be 0."""
     k = band_index(domain, abs(w))
-    norm2 = norm_sq(domain_circles(domain), f)
+    norm2 = float(norms_sq(domain_circles(domain), [f])[0][0])
     residual = abs(f.eval(w)) * abs(w - complex(domain.xs[k]))
     return {"fprime": fprime, "norm_sq": norm2, "ratio": fprime / math.sqrt(norm2), "zero_residual": residual,
             **extra}
