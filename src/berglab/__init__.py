@@ -22,7 +22,6 @@ del _os, _sys
 from .asymptotics import MODELS, AsymptoticFit, fit_model, linear_fit_r2, select_model
 from .bergman import (
     GramSystem,
-    KernelEstimate,
     MetricEstimate,
     assemble_gram,
     band_increments,

@@ -156,16 +156,9 @@ def assemble_gram(domain: CircleDomain, fns: Optional[list[RationalFunction]] = 
 
 
 @dataclass(frozen=True)
-class KernelEstimate:
+class MetricEstimate:
     """Values at the points asked for: a float for one point, an array of
     the points' shape for an array of them."""
-
-    K_low: float | np.ndarray
-
-
-@dataclass(frozen=True)
-class MetricEstimate:
-    """Values at the points asked for, shaped as in ``KernelEstimate``."""
 
     S_low: float | np.ndarray
     K_low: float | np.ndarray
@@ -198,9 +191,10 @@ def _safe_scale(rows: np.ndarray) -> np.ndarray:
     return norm
 
 
-def subspace_kernel(gs: GramSystem, w) -> KernelEstimate:
+def subspace_kernel(gs: GramSystem, w) -> float | np.ndarray:
     """sup |f(w)|^2 over unit-norm f in the basis span: conj(v)^H G^+ conj(v),
-    at a point w or at every point of an array w, all in one pass.
+    at a point w (a float) or at every point of an array w (an array of w's
+    shape), all in one pass.
 
     On a superset truncation this certifies a lower bound for the true
     kernel, up to the boundary rule's error (checked by one doubling, see
@@ -213,7 +207,7 @@ def subspace_kernel(gs: GramSystem, w) -> KernelEstimate:
     nb = _safe_scale(b)
     bb = gs.project(b / nb[:, None])
     K = gs.quadratic(bb, bb).real * nb * nb
-    return KernelEstimate(K_low=_shaped(K, w))
+    return _shaped(K, w)
 
 
 def subspace_metric(gs: GramSystem, w) -> MetricEstimate:
@@ -266,26 +260,21 @@ def band_index(domain: ZalcmanDomain, x):
     return k if q.ndim else int(k)
 
 
-def witness_kernel_bound(domain: ZalcmanDomain, x: float) -> dict:
-    """Certified lower kernel bound at -x from the single pole 1/(z - x_{k+1}).
+def witness_kernel_bound(domain: ZalcmanDomain, x) -> float | np.ndarray:
+    """Certified lower kernel bound at -x from the single pole 1/(z - x_{k+1}),
+    for a float x or for each entry of an array x, shaped as x.
 
     The norm is dominated by the integral over the punctured disk
     r_{k+1} < |z - x_{k+1}| < 2, which is 2 pi log(2 / r_{k+1}) exactly;
     the hole around the pole is removed in the untruncated domain, so the
     bound needs no quadrature and holds for the true kernel.
     """
-    k = band_index(domain, x)
-    xk1 = float(domain.xs[k])  # x_{k+1}
-    rk1 = float(domain.rs[k])  # r_{k+1}
-    numer = 1.0 / abs(-x - xk1) ** 2
-    denom = TWO_PI * math.log(2.0 / rk1)
-    return {
-        "x": x,
-        "k": k,
-        "value": numer / denom,
-        "witness_value_sq": numer,
-        "norm_bound": denom,
-    }
+    q = np.asarray(x, dtype=float).ravel()
+    k = band_index(domain, q)
+    # entry by entry in Python floats: np.log and numpy's squaring differ from
+    # math.log and float ** 2 in the last ulp now and then
+    parts = zip(q.tolist(), domain.xs[k].tolist(), domain.rs[k].tolist())  # x, x_{k+1}, r_{k+1}
+    return _shaped(np.array([1.0 / abs(-v - c) ** 2 / (TWO_PI * math.log(2.0 / r)) for v, c, r in parts]), x)
 
 
 def witness_metric_bound(gs: GramSystem, w) -> float | np.ndarray:
@@ -411,44 +400,36 @@ def _cluster_measure(nodes: np.ndarray):
     return equilibrium_measure(nodes)
 
 
-#: the report of a point without an equilibrium witness
-NO_WITNESS = dict.fromkeys(
-    ["w", "delta", "w_prime", "w_second", "r", "f_w", "f11_w_abs", "f2_w_abs", "cap_E11", "cap_E1"], math.nan
-) | {"facing_floor": math.nan, "second_ceiling": math.nan, "sector_caps": [math.nan] * 3}
+def equilibrium_witness_bound(domain: ZalcmanDomain, w) -> tuple[float | np.ndarray, QuadratureInfo]:
+    """(kernel lower bound |f(w)|^2 / ||f||^2 from the difference of two
+    equilibrium Cauchy transforms, the norms' ``QuadratureInfo``): the bound
+    at a point w (a float) or at every point of an array w (an array of w's
+    shape), NaN where a point has no witness.
 
-
-def equilibrium_witness_bound(domain: ZalcmanDomain, w) -> dict:
-    """Kernel lower bound |f(w)|^2 / ||f||^2 from the difference of two
-    equilibrium Cauchy transforms, at a point w, which raises the reason
-    where it has no witness, or at every point of an array w, which gives
-    arrays of w's shape ("sector_caps" with a last axis of 3), NaN where a
-    point has no witness.
-
-    Construction: nearest boundary point w', second point w'' at distance
-    in [8 delta, r] with c h(r) = 8 delta at the annulus constant c = 1;
-    clusters E1 (around w', split into three sectors as seen from w,
-    best-capacity sector kept) and E2 (around w''), each discretized by
-    retracted hole arcs (``retracted_cluster_nodes``); the witness is
-    f = f_{E11} - f_{E2} and the bound is valid for any discrete weights,
-    so optimizer quality only affects sharpness.  All the witnesses' norms
-    come from one ``norms_sq`` pass ("quad"); one that fails a check is NaN.
+    Construction (``_equilibrium_witness``): nearest boundary point w',
+    second point w'' at distance in [8 delta, r] with c h(r) = 8 delta at
+    the annulus constant c = 1; clusters E1 (around w', split into three
+    sectors as seen from w, best-capacity sector kept) and E2 (around w''),
+    each discretized by retracted hole arcs (``retracted_cluster_nodes``);
+    the witness is f = f_{E11} - f_{E2} and the bound is valid for any
+    discrete weights, so optimizer quality only affects sharpness.  All the
+    witnesses' norms come from one ``norms_sq`` pass; one that fails a check
+    is NaN.  Without a witness (no points, or none that builds) the info
+    holds each circle's fewest nodes and zero maxima.
     """
-    z = np.asarray(w, dtype=complex)
-    reports, fns = [], []
-    for p in z.ravel().tolist():
+    # a NaN pole fails its norm's pole check: a point without a witness reads NaN
+    none = RationalFunction.pole(complex(math.nan), 1)
+    f_w, fns = [], []
+    for p in np.ravel(w).astype(complex).tolist():
         try:
             rep, f = _equilibrium_witness(domain, p)
         except BerglabError:
-            if not z.ndim:
-                raise
-            # a NaN pole fails its norm's pole check: the point reads NaN
-            rep, f = NO_WITNESS, RationalFunction.pole(complex(math.nan), 1)
-        reports.append(rep)
+            rep, f = {"f_w": math.nan}, none
+        f_w.append(rep["f_w"])
         fns.append(f)
-    norms, info = norms_sq(domain_circles(domain), fns)
-    out = {key: np.array([rep[key] for rep in reports]).reshape(z.shape + np.shape(v)) for key, v in NO_WITNESS.items()}
-    out.update(norm_sq=norms.reshape(z.shape), bound=out["f_w"] ** 2 / norms.reshape(z.shape))
-    return (out if z.ndim else {key: v.tolist() for key, v in out.items()}) | {"quad": info.to_json_dict()}
+    # no points: one NaN pole, so that the info still lists every circle
+    norms, info = norms_sq(domain_circles(domain), fns or [none])
+    return _shaped(np.array(f_w) ** 2 / norms[: len(f_w)], w), info
 
 
 def _equilibrium_witness(domain: ZalcmanDomain, w: complex) -> tuple[dict, RationalFunction]:
@@ -535,13 +516,13 @@ def distance_profile(
     per_band: int,
     *,
     gram: GramSystem,
-) -> list[dict]:
+) -> dict[str, np.ndarray]:
     """Metric samples along the negative real axis and the running length.
 
     One Gram system and one ``subspace_metric`` call serve every sample; the
     cumulative trapezoid of b_est along the segment estimates the upper path
-    integral from -x_1 inward.  Returns one row per sample with the band
-    index, per-band increments accumulating in "d_est".
+    integral from -x_1 inward.  Returns the columns k (band index), x,
+    b_est, K_low and d_est (the running length), one entry per sample.
     """
     x = np.sort(band_sample_points(domain, k_range, per_band))[::-1]  # from outer scale inward
     est = subspace_metric(gram, -x)
@@ -549,18 +530,11 @@ def distance_profile(
     # the running sum, added in sample order
     d_est = np.zeros(x.size)
     d_est[1:] = np.cumsum(0.5 * (b[:-1] + b[1:]) * (x[:-1] - x[1:]))
-    columns = (band_index(domain, x), x, b, est.K_low, est.S_low, d_est)
-    names = ("k", "x", "b_est", "K_low", "S_low", "d_est")
-    return [dict(zip(names, row)) for row in zip(*(c.tolist() for c in columns))]
+    return {"k": band_index(domain, x), "x": x, "b_est": b, "K_low": est.K_low, "d_est": d_est}
 
 
-def band_increments(rows: list[dict]) -> dict[int, float]:
-    """Per-band distance increments from a profile table."""
-    out: dict[int, float] = {}
-    prev_row = None
-    for row in rows:
-        if prev_row is not None:
-            k = row["k"]
-            out[k] = out.get(k, 0.0) + (row["d_est"] - prev_row["d_est"])
-        prev_row = row
-    return out
+def band_increments(k: np.ndarray, d_est: np.ndarray) -> dict[int, float]:
+    """Per-band distance increments of a profile's columns: each step of
+    d_est summed, in sample order, into the band of the sample it ends at."""
+    sums = np.bincount(k[1:], weights=np.diff(d_est))
+    return {b: float(sums[b]) for b in dict.fromkeys(k[1:].tolist())}

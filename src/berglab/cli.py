@@ -158,16 +158,16 @@ def run_selfcheck(cfg: dict, profile: dict) -> tuple[dict, dict]:
 
     disk = CircleDomain.build()
     gs = bergman.assemble_gram(disk)
-    check("disk_kernel_center", bergman.subspace_kernel(gs, 0j).K_low, 1.0 / math.pi, 1e-6)
+    check("disk_kernel_center", bergman.subspace_kernel(gs, 0j), 1.0 / math.pi, 1e-6)
     check("disk_metric_center", bergman.subspace_metric(gs, 0j).b_est, math.sqrt(2.0), 1e-6)
-    check("disk_kernel_half", bergman.subspace_kernel(gs, 0.5 + 0j).K_low, 1.0 / (math.pi * 0.75**2), 5e-3)
+    check("disk_kernel_half", bergman.subspace_kernel(gs, 0.5 + 0j), 1.0 / (math.pi * 0.75**2), 5e-3)
     ann = CircleDomain.build([(0j, 0.5)])
     gs_ann = bergman.assemble_gram(ann)
     oracle = 0.0
     for n in range(-8, 9):
         nrm = 2 * math.pi * (math.log(2.0) if n == -1 else (1 - 0.5 ** (2 * n + 2)) / (2 * n + 2))
         oracle += 0.7 ** (2 * n) / nrm
-    check("annulus_kernel_0.7", bergman.subspace_kernel(gs_ann, 0.7 + 0j).K_low, oracle, 0.02)
+    check("annulus_kernel_0.7", bergman.subspace_kernel(gs_ann, 0.7 + 0j), oracle, 0.02)
 
     est = capacity_via_transfinite(circle_nodes(0, 0.25, 512), 64)
     check("cap_disk_quarter", est.value, 0.25, 0.08)
@@ -315,17 +315,16 @@ def _fits(samples: list[tuple[float, float]], models: list[str]) -> dict:
 def run_kernel(cfg: dict, profile: dict) -> tuple[dict, dict]:
     column = cfg["fit_column"]
     domain, ks, mids, gs = _band_sweep(cfg, (3, 10))
-    xs = mids.tolist()
-    eq, quad = [math.nan] * len(xs), {}
+    eq, quad = np.full(mids.size, math.nan), {}
     if cfg["equilibrium"]:
-        witnesses = bergman.equilibrium_witness_bound(domain, -mids)
-        eq, quad = witnesses["bound"].tolist(), {"equilibrium_quad": witnesses["quad"]}
+        eq, info = bergman.equilibrium_witness_bound(domain, -mids)
+        quad = {"equilibrium_quad": info.to_json_dict()}
     table = {
         "k": list(ks),
-        "x": xs,
-        "K_low": bergman.subspace_kernel(gs, -mids).K_low.tolist(),
-        "witness_bound": [bergman.witness_kernel_bound(domain, x)["value"] for x in xs],
-        "equilibrium_bound": eq,
+        "x": mids.tolist(),
+        "K_low": bergman.subspace_kernel(gs, -mids).tolist(),
+        "witness_bound": bergman.witness_kernel_bound(domain, mids).tolist(),
+        "equilibrium_bound": eq.tolist(),
     }
     samples = [(x, v) for x, v in zip(table["x"], table[column]) if np.isfinite(v)]
     fit_report = {"fit_column": column, "preferred": None, "margin": None, "fits": {}}
@@ -351,10 +350,10 @@ def run_metric(cfg: dict, profile: dict) -> tuple[dict, dict]:
 
 def run_distance(cfg: dict, profile: dict) -> tuple[dict, dict]:
     domain, ks, _, gs = _band_sweep(cfg, (3, 10))
-    rows = bergman.distance_profile(domain, ks, per_band=profile["per_band"], gram=gs)
-    table = {k: [r[k] for r in rows] for k in ["k", "x", "b_est", "K_low", "d_est"]}
-    incr = bergman.band_increments(rows)
-    samples = [(r["x"], r["d_est"]) for r in rows if r["d_est"] > 0]
+    columns = bergman.distance_profile(domain, ks, per_band=profile["per_band"], gram=gs)
+    incr = bergman.band_increments(columns["k"], columns["d_est"])
+    table = {name: c.tolist() for name, c in columns.items()}
+    samples = [(x, d) for x, d in zip(table["x"], table["d_est"]) if d > 0]
     fit_report = {"band_increments": {str(k): v for k, v in incr.items()}}
     if len(samples) >= 5:
         fit_report.update(_fits(samples, cfg["models"]))

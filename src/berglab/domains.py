@@ -426,10 +426,6 @@ class ZalcmanDomain(CircleDomain):
         """r_k = x_{k+1} for k = 1..K+1."""
         return self.xs[1:]
 
-    def to_json_dict(self) -> dict:
-        return {"type": "zalcman", "family": self.h.family, PARAM_KEY[self.h.family]: self.h.param,
-                "x1": self.x1, "K": self.K}
-
 
 def build_zalcman(h: ScaleFunction, x1: float, K: int) -> ZalcmanDomain:
     """Run the scale recursion in the log domain and validate disjointness."""
@@ -510,9 +506,6 @@ class CantorSet:
         for idx in np.argsort(np.abs(steps)):
             d += (W[:, None, idx] - W[None, :, idx]) * steps[idx]
         return words, np.abs(d)
-
-    def to_json_dict(self) -> dict:
-        return {"type": "cantor", "l0": self.l0, "alpha": self.alpha, "J": self.J}
 
 
 def build_cantor(l0: float, alpha: float, J: int) -> CantorSet:

@@ -68,18 +68,23 @@ def mid_band(dom, k):
     return math.sqrt(float(dom.xs[k - 1] * dom.xs[k]))
 
 
+def profile_rows(columns: dict) -> list[dict]:
+    """A distance profile's columns as one dict per sample."""
+    return [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
+
+
 # ---------------------------------------------------------------------------
 
 
 def test_criterion_01_closed_form_suite():
     t0 = time.monotonic()
     gs = bergman.assemble_gram(CircleDomain.build(), spec_functions(degree=8))
-    k0 = bergman.subspace_kernel(gs, 0j).K_low
+    k0 = bergman.subspace_kernel(gs, 0j)
     b0 = bergman.subspace_metric(gs, 0j).b_est
-    k_half = bergman.subspace_kernel(gs, 0.5 + 0j).K_low
+    k_half = bergman.subspace_kernel(gs, 0.5 + 0j)
     ann = CircleDomain.build([(0j, 0.5)])
     gs_ann = bergman.assemble_gram(ann, spec_functions(degree=8, pole_centers=(0j,), pole_order=8))
-    k_ann = bergman.subspace_kernel(gs_ann, 0.7 + 0j).K_low
+    k_ann = bergman.subspace_kernel(gs_ann, 0.7 + 0j)
     oracle = 0.0
     for n in range(-8, 9):
         nrm = 2 * math.pi * (math.log(2.0) if n == -1 else (1 - 0.5 ** (2 * n + 2)) / (2 * n + 2))
@@ -199,8 +204,8 @@ def test_criterion_07_kernel_asymptotics_h1(h1_12_domain, h1_12_gram):
     wit, sub = [], []
     for k in range(3, 11):
         x = mid_band(dom, k)
-        wit.append((x, bergman.witness_kernel_bound(dom, x)["value"]))
-        sub.append((x, bergman.subspace_kernel(h1_12_gram, complex(-x)).K_low))
+        wit.append((x, bergman.witness_kernel_bound(dom, x)))
+        sub.append((x, bergman.subspace_kernel(h1_12_gram, complex(-x))))
     f1 = asymptotics.fit_model(wit, "K1")
     band_ok = f1.band[1] / f1.band[0] <= 10.0
     pref_wit, margin_wit, _ = asymptotics.select_model(wit, ["K1", "K2"])
@@ -210,7 +215,7 @@ def test_criterion_07_kernel_asymptotics_h1(h1_12_domain, h1_12_gram):
     # the proximity correction (x_k ** ((alpha-1)/2)) has died out
     deep = build_zalcman(ScaleFunction.h1(1.2), 1e-2, K=24)
     deep_samples = [
-        (mid_band(deep, k), bergman.witness_kernel_bound(deep, mid_band(deep, k))["value"])
+        (mid_band(deep, k), bergman.witness_kernel_bound(deep, mid_band(deep, k)))
         for k in range(15, 23)
     ]
     pref_deep, margin_deep, _ = asymptotics.select_model(deep_samples, ["K1", "K2"])
@@ -242,8 +247,8 @@ def test_criterion_07_kernel_asymptotics_h2(h2_40_domain, h2_40_gram):
     wit, sub = [], []
     for k in range(5, 36):
         x = mid_band(dom, k)
-        wit.append((x, bergman.witness_kernel_bound(dom, x)["value"]))
-        sub.append((x, bergman.subspace_kernel(h2_40_gram, complex(-x)).K_low))
+        wit.append((x, bergman.witness_kernel_bound(dom, x)))
+        sub.append((x, bergman.subspace_kernel(h2_40_gram, complex(-x))))
     f2 = asymptotics.fit_model(wit, "K2")
     band_ok = f2.band[1] / f2.band[0] <= 10.0
     # model selection runs on the subspace kernel: the one-pole witness norm
@@ -262,7 +267,7 @@ def test_criterion_07_kernel_asymptotics_h2(h2_40_domain, h2_40_gram):
 def test_criterion_08_constructive_bound(h15_10_domain):
     dom = h15_10_domain
     wit_sweep = [
-        (mid_band(dom, k), bergman.witness_kernel_bound(dom, mid_band(dom, k))["value"])
+        (mid_band(dom, k), bergman.witness_kernel_bound(dom, mid_band(dom, k)))
         for k in range(2, 9)
     ]
     fit = asymptotics.fit_model(wit_sweep, "K1")
@@ -270,8 +275,8 @@ def test_criterion_08_constructive_bound(h15_10_domain):
     details = []
     for k in range(3, 8):
         x = mid_band(dom, k)
-        eq = bergman.equilibrium_witness_bound(dom, complex(-x))["bound"]
-        wit = bergman.witness_kernel_bound(dom, x)["value"]
+        eq = bergman.equilibrium_witness_bound(dom, complex(-x))[0]
+        wit = bergman.witness_kernel_bound(dom, x)
         model = fit.C * asymptotics.MODELS["K1"](x)
         ok &= eq <= 50.0 * wit and wit <= 50.0 * eq
         ok &= eq >= 1e-2 * model
@@ -282,8 +287,9 @@ def test_criterion_08_constructive_bound(h15_10_domain):
 def test_criterion_09_distance_profiles(h1_12_domain, h1_12_gram, h2_40_domain, h2_40_gram):
     # H1: integrate from band 1 (so the cumulative length carries its
     # burn-in from -x_1), assess increments and preference on bands 3..10
-    rows1 = bergman.distance_profile(h1_12_domain, range(1, 11), per_band=8, gram=h1_12_gram)
-    incr1 = bergman.band_increments(rows1)
+    profile1 = bergman.distance_profile(h1_12_domain, range(1, 11), per_band=8, gram=h1_12_gram)
+    incr1 = bergman.band_increments(profile1["k"], profile1["d_est"])
+    rows1 = profile_rows(profile1)
     deltas = [incr1[k] for k in range(3, 11)]
     mean = sum(deltas) / len(deltas)
     incr_ok = all(0.05 <= d <= 20.0 for d in deltas) and all(
@@ -293,7 +299,7 @@ def test_criterion_09_distance_profiles(h1_12_domain, h1_12_gram, h2_40_domain, 
     pref1, _, _ = asymptotics.select_model(samples1, ["D1", "D2"])
     h1_stated_ok = incr_ok and pref1 == "D1"
 
-    rows2 = bergman.distance_profile(h2_40_domain, range(1, 36), per_band=6, gram=h2_40_gram)
+    rows2 = profile_rows(bergman.distance_profile(h2_40_domain, range(1, 36), per_band=6, gram=h2_40_gram))
     per_band_d = {}
     for r in rows2:
         per_band_d[r["k"]] = r["d_est"]
@@ -309,7 +315,7 @@ def test_criterion_09_distance_profiles(h1_12_domain, h1_12_gram, h2_40_domain, 
     # window with a 4-band buffer above the truncation floor
     deep = build_zalcman(ScaleFunction.h1(1.2), 1e-2, K=24)
     gs_deep = bergman.assemble_gram(deep, bergman.default_basis(deep))
-    rows_deep = bergman.distance_profile(deep, range(1, 21), per_band=8, gram=gs_deep)
+    rows_deep = profile_rows(bergman.distance_profile(deep, range(1, 21), per_band=8, gram=gs_deep))
     mid = {}
     for r in rows_deep:
         k = r["k"]

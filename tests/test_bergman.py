@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import bound_oracle
 from basis_oracle import spec_functions
 from berglab import bergman
 from berglab.bergman import (
@@ -55,15 +56,14 @@ def h15_gram(h15_domain):
 
 
 def test_disk_kernel_center(disk_gram):
-    est = subspace_kernel(disk_gram, 0j)
-    assert est.K_low == pytest.approx(1.0 / math.pi, rel=1e-10)
+    assert subspace_kernel(disk_gram, 0j) == pytest.approx(1.0 / math.pi, rel=1e-10)
 
 
 def test_disk_kernel_half(disk_gram):
     target = 1.0 / (math.pi * (1 - 0.25) ** 2)
-    est = subspace_kernel(disk_gram, 0.5 + 0j)
-    assert est.K_low == pytest.approx(target, rel=5e-3)
-    assert est.K_low <= target * (1 + 1e-9)  # subspace never exceeds truth
+    K = subspace_kernel(disk_gram, 0.5 + 0j)
+    assert K == pytest.approx(target, rel=5e-3)
+    assert K <= target * (1 + 1e-9)  # subspace never exceeds truth
 
 
 def test_disk_metric_center(disk_gram):
@@ -82,7 +82,7 @@ def test_annulus_kernel_vs_laurent_oracle():
     dom = CircleDomain.build([(0j, 0.5)])
     gs = assemble_gram(dom, spec_functions(degree=8, pole_centers=(0j,), pole_order=8))
     w = 0.7 + 0j
-    est = subspace_kernel(gs, w)
+    K = subspace_kernel(gs, w)
     # oracle at matched truncation |n| <= 8: sum |w|^(2n) / ||z^n||^2
     oracle = 0.0
     for n in range(-8, 9):
@@ -91,8 +91,8 @@ def test_annulus_kernel_vs_laurent_oracle():
         else:
             nrm = 2 * math.pi * (1 - 0.5 ** (2 * n + 2)) / (2 * n + 2)
         oracle += abs(w) ** (2 * n) / nrm
-    assert est.K_low == pytest.approx(oracle, rel=0.02)
-    assert est.K_low == pytest.approx(oracle, rel=1e-6)  # matched bases agree tightly
+    assert K == pytest.approx(oracle, rel=0.02)
+    assert K == pytest.approx(oracle, rel=1e-6)  # matched bases agree tightly
 
 
 def former_default_basis(domain, degree):
@@ -141,8 +141,8 @@ def test_basis_monotonicity(h15_domain):
     small = assemble_gram(h15_domain, spec_functions(degree=4, pole_centers=tuple(h15_domain.xs[:10]), pole_order=1))
     big = assemble_gram(h15_domain, spec_functions(degree=8, pole_centers=tuple(h15_domain.xs[:10]), pole_order=2))
     for x in (0.3, 0.05, 0.003):
-        k_small = subspace_kernel(small, complex(-x)).K_low
-        k_big = subspace_kernel(big, complex(-x)).K_low
+        k_small = subspace_kernel(small, complex(-x))
+        k_big = subspace_kernel(big, complex(-x))
         assert k_big >= k_small * (1 - 1e-3)
 
 
@@ -153,19 +153,56 @@ def test_basis_monotonicity(h15_domain):
 
 def test_witness_kernel_bound_hand_value():
     dom = build_zalcman(ScaleFunction.h1(2.0), 0.1, K=4)
-    rep = witness_kernel_bound(dom, 0.05)
-    assert rep["k"] == 1
-    assert rep["witness_value_sq"] == pytest.approx(1.0 / 0.06**2, rel=1e-12)
-    assert rep["norm_bound"] == pytest.approx(2 * math.pi * math.log(2.0 / 1e-4), rel=1e-12)
-    assert rep["value"] == pytest.approx(4.465, abs=0.01)
+    # band 1: the pole at x_2 = 0.01, whose hole has radius r_2 = x_3 = 1e-4
+    assert band_index(dom, 0.05) == 1
+    want = (1.0 / 0.06**2) / (2 * math.pi * math.log(2.0 / 1e-4))
+    assert witness_kernel_bound(dom, 0.05) == pytest.approx(want, rel=1e-12)
+    assert witness_kernel_bound(dom, 0.05) == pytest.approx(4.465, abs=0.01)
 
 
 def test_witness_below_subspace(h15_domain, h15_gram):
     for k in (2, 3, 4):
         x = math.sqrt(float(h15_domain.xs[k - 1] * h15_domain.xs[k]))
-        wit = witness_kernel_bound(h15_domain, x)["value"]
-        sub = subspace_kernel(h15_gram, complex(-x)).K_low
+        wit = witness_kernel_bound(h15_domain, x)
+        sub = subspace_kernel(h15_gram, complex(-x))
         assert wit <= sub * 1.1
+
+
+@st.composite
+def band_samples(draw):
+    """(domain, x values): a drawn h1 or h2 domain with K <= 40 and values
+    strictly inside drawn retained bands, down to 1e-150, where the one-pole
+    bound's 1/x^2 still fits in double range (ROADMAP item 2)."""
+    if draw(st.booleans()):
+        h = ScaleFunction.h1(draw(st.floats(1.05, 3.0)))
+    else:
+        h = ScaleFunction.h2(draw(st.floats(0.5, 2.0)))
+    try:
+        dom = build_zalcman(h, draw(st.floats(1e-4, 3e-2)), draw(st.integers(1, 40)))
+    except BerglabError:
+        assume(False)
+    xs = []
+    for k in draw(st.lists(st.integers(1, dom.K), min_size=1, max_size=12)):
+        lo, hi = dom.logx[k], dom.logx[k - 1]
+        x = math.exp(lo + draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)) * (hi - lo))
+        if max(dom.xs[k], 1e-150) < x < dom.xs[k - 1]:
+            xs.append(x)
+    assume(xs)
+    return dom, xs
+
+
+def same_bits(got, want) -> bool:
+    return [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+
+@settings(max_examples=150, deadline=None)
+@given(band_samples())
+def test_witness_kernel_bound_keeps_the_per_point_bits(case):
+    dom, xs = case
+    want = [bound_oracle.witness_kernel_bound(dom, x)["value"] for x in xs]
+    assert same_bits(witness_kernel_bound(dom, np.array(xs)), want)
+    assert type(witness_kernel_bound(dom, xs[0])) is float
+    assert same_bits([witness_kernel_bound(dom, xs[0])], want[:1])
 
 
 def test_witness_band_stability_h1():
@@ -173,7 +210,7 @@ def test_witness_band_stability_h1():
     ratios = []
     for k in range(1, 4):
         x = math.sqrt(float(dom.xs[k - 1] * dom.xs[k]))
-        v = witness_kernel_bound(dom, x)["value"]
+        v = witness_kernel_bound(dom, x)
         ratios.append(v * x * x * math.log(1.0 / x))
     assert max(ratios) / min(ratios) < 10.0
 
@@ -278,6 +315,21 @@ def test_metric_witness_on_empty_and_scalar_input(h15_domain, h15_gram):
     assert type(one) is float and witness_metric_bound(h15_gram, np.array([[w]])) == np.array([[one]])
 
 
+def test_kernel_bounds_on_empty_and_scalar_input(h15_domain, h15_gram):
+    w = -mid_band(h15_domain, 3)
+    for bound in (
+        lambda w: subspace_kernel(h15_gram, w),
+        lambda w: witness_kernel_bound(h15_domain, -w),  # takes x = -w
+        lambda w: equilibrium_witness_bound(h15_domain, w)[0],
+    ):
+        assert bound(np.empty(0)).shape == (0,)
+        one = bound(w)
+        assert type(one) is float and bound(np.array([[w]])) == np.array([[one]])
+    # no witness: every circle on its fewest nodes, and nothing measured
+    _, info = equilibrium_witness_bound(h15_domain, np.empty(0))
+    assert info.doubling_change == info.hermitian_defect == 0.0 and len(info.nodes) == h15_domain.K + 1
+
+
 @st.composite
 def witness_points(draw):
     """(domain, w): a drawn h1 or h2 domain with K <= 12 and a point inside
@@ -333,28 +385,31 @@ def test_metric_band_consistency(h15_domain, h15_gram):
 def test_equilibrium_witness_structure(h15_domain):
     k = 4
     x = math.sqrt(float(h15_domain.xs[k - 1] * h15_domain.xs[k]))
-    rep = equilibrium_witness_bound(h15_domain, complex(-x))
+    rep, _ = bergman._equilibrium_witness(h15_domain, complex(-x))
     assert rep["delta"] == pytest.approx(x, rel=1e-12)  # origin is nearest
     assert abs(rep["w_second"]) >= 8 * rep["delta"] - 1e-15
     assert rep["f11_w_abs"] >= rep["facing_floor"] * 0.9
     assert rep["f2_w_abs"] <= rep["second_ceiling"] * 1.1
     # chosen sector dominates: log(1/cap(E11)) <= 3 log(1/cap(E1)) * 1.05
     assert math.log(1 / rep["cap_E11"]) <= 3.0 * math.log(1 / rep["cap_E1"]) * 1.05
-    assert rep["bound"] > 0
+    assert rep["cap_E11"] == max(rep["sector_caps"])
+    assert equilibrium_witness_bound(h15_domain, complex(-x))[0] > 0
 
 
 def test_equilibrium_vs_one_pole_witness(h15_domain):
     for k in (3, 5):
         x = math.sqrt(float(h15_domain.xs[k - 1] * h15_domain.xs[k]))
-        eq = equilibrium_witness_bound(h15_domain, complex(-x))["bound"]
-        wit = witness_kernel_bound(h15_domain, x)["value"]
+        eq = equilibrium_witness_bound(h15_domain, complex(-x))[0]
+        wit = witness_kernel_bound(h15_domain, x)
         assert eq <= 50.0 * wit and wit <= 50.0 * eq
 
 
 def test_equilibrium_witness_far_from_the_boundary_has_no_second_point(h15_domain):
     # delta = 0.5 puts 8 delta above h(epsilon0) = 1, so h has no inverse there
     with pytest.raises(NoSecondPointError, match="no radius"):
-        equilibrium_witness_bound(h15_domain, -0.5 + 0j)
+        bergman._equilibrium_witness(h15_domain, -0.5 + 0j)
+    # the bound reads NaN there, at one point as in an array
+    assert math.isnan(equilibrium_witness_bound(h15_domain, -0.5 + 0j)[0])
 
 
 def test_equilibrium_witness_lets_a_programming_error_through(h15_domain, monkeypatch):
@@ -391,26 +446,20 @@ def mid_band(dom, k: int) -> float:
 @pytest.mark.parametrize("domain, want", GRAM_EQUILIBRIUM_BOUND.items(), ids=["h1(1.5)", "h1(1.2)", "h2(1)"])
 def test_equilibrium_bound_array_call_keeps_the_gram_values(domain, want):
     dom = build_zalcman(*domain)
-    rep = equilibrium_witness_bound(dom, -np.array([mid_band(dom, k) for k in want]))
-    got, expected = rep["bound"], np.array(list(want.values()))
+    got, info = equilibrium_witness_bound(dom, -np.array([mid_band(dom, k) for k in want]))
+    expected = np.array(list(want.values()))
     assert np.array_equal(np.isnan(got), np.isnan(expected))
     assert np.all(np.abs(got - expected) <= 1e-13 * expected, where=~np.isnan(expected))
-    # a point without a witness is NaN in every entry
-    assert all(np.all(np.isnan(v[np.isnan(expected)])) for k, v in rep.items() if k != "quad")
-    assert rep["quad"]["doubling_change"] <= 1e-9 and len(rep["quad"]["circle_nodes"]) == dom.K + 1
+    assert info.doubling_change <= 1e-9 and len(info.nodes) == dom.K + 1
 
 
-def test_equilibrium_report_one_point_and_array(h15_domain):
-    ks = (3, 4, 5)
-    w = -np.array([[mid_band(h15_domain, k) for k in ks]])
-    arrays = equilibrium_witness_bound(h15_domain, w)
-    assert arrays["bound"].shape == (1, 3) and arrays["sector_caps"].shape == (1, 3, 3)
-    for i, k in enumerate(ks):
-        one = equilibrium_witness_bound(h15_domain, complex(w[0, i]))
-        assert isinstance(one["bound"], float) and one["w"] == w[0, i]
-        for key, v in one.items():
-            if key != "quad":
-                assert np.allclose(arrays[key][0, i], v, rtol=1e-13, atol=0), key
+def test_equilibrium_bound_one_point_and_array(h15_domain):
+    w = -np.array([[mid_band(h15_domain, k) for k in (3, 4, 5)]])
+    arrays, _ = equilibrium_witness_bound(h15_domain, w)
+    assert arrays.shape == (1, 3)
+    for i in range(3):
+        one, _ = equilibrium_witness_bound(h15_domain, complex(w[0, i]))
+        assert type(one) is float and abs(arrays[0, i] - one) <= 1e-13 * one
 
 
 def test_a_witness_failing_its_pole_check_reads_nan_in_its_band_only(h15_domain, monkeypatch):
@@ -426,7 +475,7 @@ def test_a_witness_failing_its_pole_check_reads_nan_in_its_band_only(h15_domain,
         return rep, f
 
     monkeypatch.setattr(bergman, "_equilibrium_witness", band_4_past_the_margin)
-    got = equilibrium_witness_bound(h15_domain, -np.array([mid_band(h15_domain, k) for k in want]))["bound"]
+    got, _ = equilibrium_witness_bound(h15_domain, -np.array([mid_band(h15_domain, k) for k in want]))
     for (k, v), g in zip(want.items(), got):
         assert math.isnan(g) if k == 4 else abs(g - v) <= 1e-13 * v
 
@@ -520,7 +569,7 @@ def sweep_cases(h15_domain, h15_gram):
         ("annulus", annulus, assemble_gram(annulus), None, None),
     ):
         kpts, mpts = _sweep_pool(dom, kernel_bands), _sweep_pool(dom, metric_bands)
-        kernel = [subspace_kernel(gs, w).K_low for w in kpts.tolist()]
+        kernel = [subspace_kernel(gs, w) for w in kpts.tolist()]
         metric = [subspace_metric(gs, w) for w in mpts.tolist()]
         cases[name] = (gs, kpts, mpts, kernel, metric)
     return cases
@@ -539,7 +588,7 @@ def test_array_sweep_matches_one_point_calls(sweep_cases, data):
     ki = data.draw(st.lists(st.integers(0, kpts.size - 1), max_size=12))
     mi = data.draw(st.lists(st.integers(0, mpts.size - 1), max_size=12))
     shape_k = (2, len(ki) // 2) if len(ki) % 2 == 0 and data.draw(st.booleans()) else (len(ki),)
-    K = subspace_kernel(gs, kpts[ki].reshape(shape_k)).K_low
+    K = subspace_kernel(gs, kpts[ki].reshape(shape_k))
     assert isinstance(K, np.ndarray) and K.shape == shape_k
     assert _close(K.ravel(), [kernel[i] for i in ki], KERNEL_REL)
     assert _close(K.ravel(), [former_kernel(gs, kpts[i]) for i in ki], KERNEL_REL)
@@ -553,12 +602,12 @@ def test_array_sweep_matches_one_point_calls(sweep_cases, data):
 
 def test_point_sweeps_on_empty_and_scalar_input(disk_gram):
     empty = np.empty(0, dtype=complex)
-    assert subspace_kernel(disk_gram, empty).K_low.shape == (0,)
+    assert subspace_kernel(disk_gram, empty).shape == (0,)
     est = subspace_metric(disk_gram, empty)
     assert est.S_low.shape == est.K_low.shape == est.b_est.shape == (0,)
     # a scalar, complex or real, gives Python floats
     for w in (0.3 + 0.1j, 0.3):
-        assert type(subspace_kernel(disk_gram, w).K_low) is float
+        assert type(subspace_kernel(disk_gram, w)) is float
         est = subspace_metric(disk_gram, w)
         assert all(type(v) is float for v in (est.S_low, est.K_low, est.b_est))
 
@@ -627,12 +676,23 @@ def test_band_index_matches_the_loop(query):
 
 
 def test_distance_profile_smoke(h15_domain, h15_gram):
-    rows = distance_profile(h15_domain, k_range=(2, 3, 4), per_band=6, gram=h15_gram)
-    d = [r["d_est"] for r in rows]
-    assert all(b >= a for a, b in zip(d, d[1:]))  # cumulative length grows
-    incr = band_increments(rows)
+    cols = distance_profile(h15_domain, k_range=(2, 3, 4), per_band=6, gram=h15_gram)
+    assert list(cols) == ["k", "x", "b_est", "K_low", "d_est"]
+    assert len({c.shape for c in cols.values()}) == 1
+    assert np.all(np.diff(cols["d_est"]) >= 0)  # cumulative length grows
+    incr = band_increments(cols["k"], cols["d_est"])
     assert set(incr) <= {2, 3, 4}
     assert all(v >= 0 for v in incr.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 12), st.floats(-1e300, 1e300)), max_size=40))
+def test_band_increments_keep_the_row_loop_bits(profile):
+    k = np.array([b for b, _ in profile], dtype=int)
+    d_est = np.array([d for _, d in profile])
+    want = bound_oracle.band_increments([{"k": b, "d_est": d} for b, d in profile])
+    got = band_increments(k, d_est)
+    assert list(got) == list(want) and same_bits(got.values(), want.values())
 
 
 def test_disk_distance_matches_arctanh_oracle():
@@ -675,7 +735,7 @@ FLOOR_RULE_EQUILIBRIUM_BOUND = {3: 1422799777.7399707, 5: 9.253572500196096e22, 
 def test_equilibrium_bound_matches_the_former_node_counts(h15_domain):
     for k, want in FLOOR_RULE_EQUILIBRIUM_BOUND.items():
         z = complex(-math.sqrt(float(h15_domain.xs[k - 1] * h15_domain.xs[k])))
-        assert equilibrium_witness_bound(h15_domain, z)["bound"] == pytest.approx(want, rel=1e-12)
+        assert equilibrium_witness_bound(h15_domain, z)[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_metric_and_witnesses_match_golden_values(h15_domain, h15_gram):
@@ -689,4 +749,4 @@ def test_metric_and_witnesses_match_golden_values(h15_domain, h15_gram):
     for k, want in GOLDEN_METRIC_WITNESS.items():
         assert witness_metric_bound(h15_gram, mid(k)) == pytest.approx(want, rel=1e-5)
     for k, want in GOLDEN_EQUILIBRIUM_BOUND.items():
-        assert equilibrium_witness_bound(h15_domain, mid(k))["bound"] == pytest.approx(want, rel=1e-5)
+        assert equilibrium_witness_bound(h15_domain, mid(k))[0] == pytest.approx(want, rel=1e-5)

@@ -40,8 +40,9 @@ def test_traced_gram_round_reports_its_layers(tmp_path):
     # evaluate their poles in closed form: no RationalFunction.eval or
     # eval_deriv, which the capacity round still counts
     assert trace.get("quadrature.rational_eval.calls", 0) == 0
-    # one kernel witness per band k = 5..35, and the metric op's one call
-    assert trace["bergman.witness.calls"] == 32
+    # the kernel sweep's one-pole witnesses in one array call, and the metric
+    # op's one call: a per-point loop over bands k = 5..35 would count 32
+    assert trace["bergman.witness.calls"] == 2
 
 
 def test_traced_annulus_round_reports_its_layers(tmp_path):
@@ -68,9 +69,10 @@ def test_traced_capacity_round_reports_its_layers(tmp_path):
     # each equilibrium witness evaluates f = f11 - f2 at its point once, and
     # f11 and f2 together from one packed basis
     assert trace["quadrature.rational_eval.calls"] == 7
-    # the kernel sweep builds its 7 equilibrium witnesses in one array call,
-    # beside its 7 one-pole witnesses: a per-point loop would count 14
-    assert trace["bergman.witness.calls"] == 8
+    # the kernel sweep reads its 7 equilibrium witnesses from one array call
+    # and its 7 one-pole witnesses from another: a per-point loop over the
+    # one-pole witnesses would count 8, and over both kinds 14
+    assert trace["bergman.witness.calls"] == 2
     # one chain certificate per round, and its capacity comparison's one probe
     assert trace["perfectness.pommerenke_construct.calls"] == 1
     assert trace["perfectness.condition_C_probe.calls"] == 1
